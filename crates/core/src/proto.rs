@@ -6,7 +6,7 @@
 
 use gsim_mem::MemoryImage;
 use gsim_protocol::denovo::DnConfig;
-use gsim_protocol::{ActionVec, DnL1, DnL2, GpuL1, GpuL2, Issue, L1Config, L2Config};
+use gsim_protocol::{Action, DnL1, DnL2, GpuL1, GpuL2, Issue, L1Config, L2Config};
 use gsim_types::{
     AtomicOp, Counts, Cycle, Msg, ProtocolConfig, Region, ReqId, SyncOrd, Value, WordAddr,
 };
@@ -82,24 +82,31 @@ impl L1 {
         }
     }
 
-    /// A demand load.
-    pub fn load(&mut self, word: WordAddr, region: Region, req: ReqId) -> (Issue, ActionVec) {
+    /// A demand load; its actions are appended to `out`.
+    pub fn load(
+        &mut self,
+        word: WordAddr,
+        region: Region,
+        req: ReqId,
+        out: &mut Vec<Action>,
+    ) -> Issue {
         match self {
-            L1::Gpu(c) => c.load(word, req),
-            L1::Dn(c) => c.load(word, region, req),
+            L1::Gpu(c) => c.load(word, req, out),
+            L1::Dn(c) => c.load(word, region, req, out),
         }
     }
 
-    /// A data store.
-    pub fn store(&mut self, word: WordAddr, value: Value) -> (Issue, ActionVec) {
+    /// A data store; its actions are appended to `out`.
+    pub fn store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) -> Issue {
         match self {
-            L1::Gpu(c) => c.store(word, value),
-            L1::Dn(c) => c.store(word, value),
+            L1::Gpu(c) => c.store(word, value, out),
+            L1::Dn(c) => c.store(word, value, out),
         }
     }
 
     /// A synchronization access; `local` is the *effective* scope (false
-    /// under DRF configurations).
+    /// under DRF configurations). Its actions are appended to `out`.
+    #[allow(clippy::too_many_arguments)]
     pub fn atomic(
         &mut self,
         word: WordAddr,
@@ -108,10 +115,11 @@ impl L1 {
         ord: SyncOrd,
         local: bool,
         req: ReqId,
-    ) -> (Issue, ActionVec) {
+        out: &mut Vec<Action>,
+    ) -> Issue {
         match self {
-            L1::Gpu(c) => c.atomic(word, op, operands, ord, local, req),
-            L1::Dn(c) => c.atomic(word, op, operands, local, req),
+            L1::Gpu(c) => c.atomic(word, op, operands, ord, local, req, out),
+            L1::Dn(c) => c.atomic(word, op, operands, local, req, out),
         }
     }
 
@@ -123,19 +131,20 @@ impl L1 {
         }
     }
 
-    /// A release (writethrough flush / registration drain).
-    pub fn release(&mut self, local: bool, req: ReqId) -> (Issue, ActionVec) {
+    /// A release (writethrough flush / registration drain); its actions
+    /// are appended to `out`.
+    pub fn release(&mut self, local: bool, req: ReqId, out: &mut Vec<Action>) -> Issue {
         match self {
-            L1::Gpu(c) => c.release(local, req),
-            L1::Dn(c) => c.release(local, req),
+            L1::Gpu(c) => c.release(local, req, out),
+            L1::Dn(c) => c.release(local, req, out),
         }
     }
 
-    /// Delivers a network message.
-    pub fn handle(&mut self, msg: &Msg) -> ActionVec {
+    /// Delivers a network message, appending the reactions to `out`.
+    pub fn handle(&mut self, msg: &Msg, out: &mut Vec<Action>) {
         match self {
-            L1::Gpu(c) => c.handle(msg),
-            L1::Dn(c) => c.handle(msg),
+            L1::Gpu(c) => c.handle(msg, out),
+            L1::Dn(c) => c.handle(msg, out),
         }
     }
 
@@ -261,11 +270,12 @@ impl L2 {
         }
     }
 
-    /// Delivers a network message to the addressed bank.
-    pub fn handle(&mut self, now: Cycle, msg: &Msg) -> ActionVec {
+    /// Delivers a network message to the addressed bank, appending the
+    /// reactions to `out`.
+    pub fn handle(&mut self, now: Cycle, msg: &Msg, out: &mut Vec<Action>) {
         match self {
-            L2::Gpu(c) => c.handle(now, msg),
-            L2::Dn(c) => c.handle(now, msg),
+            L2::Gpu(c) => c.handle(now, msg, out),
+            L2::Dn(c) => c.handle(now, msg, out),
         }
     }
 

@@ -479,6 +479,10 @@ pub struct Mesh {
     /// Next cycle at which each directed link is free, indexed by
     /// `from * nodes + to` over global node ids.
     link_free: Vec<Cycle>,
+    /// `(latency, cycles-per-flit)` of each directed link, precomputed
+    /// from the topology with the same indexing as `link_free`, so a hop
+    /// costs one table load instead of classifying the link.
+    link_timing: Vec<(Cycle, Cycle)>,
     traffic: TrafficBreakdown,
     messages: u64,
     trace: TraceHandle,
@@ -494,9 +498,13 @@ impl Mesh {
     /// Creates the interconnect of a (possibly multi-device) topology.
     pub fn with_topology(topology: Topology) -> Self {
         let n = topology.nodes();
+        let link_timing = (0..n * n)
+            .map(|i| topology.link_timing(NodeId((i / n) as u8), NodeId((i % n) as u8)))
+            .collect();
         Mesh {
             topology,
             link_free: vec![0; n * n],
+            link_timing,
             traffic: TrafficBreakdown::default(),
             messages: 0,
             trace: TraceHandle::disabled(),
@@ -585,7 +593,7 @@ impl Mesh {
         let mut tail_cpf: Cycle = 1;
         for &to in &path {
             let li = self.link_index(Link { from, to });
-            let (latency, cpf) = self.topology.link_timing(from, to);
+            let (latency, cpf) = self.link_timing[li];
             let ready = t;
             t = t.max(self.link_free[li]);
             let wait = t - ready;

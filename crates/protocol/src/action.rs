@@ -4,20 +4,16 @@
 //!
 //! Controllers are pure state machines: they never touch the network or
 //! the event queue directly. Every externally visible effect — a message
-//! to inject, a blocked thread block to resume — is returned as an
-//! `Action` for the engine (`gsim-core`) to carry out. This keeps each
-//! protocol unit-testable in isolation: tests drive a controller with
-//! operations and messages and assert on the returned actions.
+//! to inject, a blocked thread block to resume — is appended as an
+//! `Action` to a caller-owned sink (`out: &mut Vec<Action>`) for the
+//! engine (`gsim-core`) to carry out. The sink is append-only: an entry
+//! point never reads, reorders or removes what the caller already put
+//! there, and pushes its own actions in the order they must take effect.
+//! This keeps each protocol unit-testable in isolation: tests drive a
+//! controller with operations and messages and assert on the appended
+//! actions.
 
-use gsim_types::{Cycle, InlineVec, Msg, ReqId, Value};
-
-/// The action list every controller entry point returns.
-///
-/// Almost every operation emits 0-3 actions, so the list keeps four
-/// entries inline ([`InlineVec`]) and the dispatch hot path allocates
-/// nothing; rare bursts (release-time store-buffer drains, multi-owner
-/// recalls) spill to the heap transparently.
-pub type ActionVec = InlineVec<Action, 4>;
+use gsim_types::{Cycle, Msg, ReqId, Value};
 
 /// An externally visible effect requested by a coherence controller.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,18 +36,6 @@ pub enum Action {
         /// Local processing delay before the completion fires.
         delay: Cycle,
     },
-}
-
-/// The filler value [`InlineVec`] uses for its unoccupied inline slots
-/// (never observable through the `ActionVec` API).
-impl Default for Action {
-    fn default() -> Self {
-        Action::Complete {
-            req: ReqId(0),
-            value: 0,
-            delay: 0,
-        }
-    }
 }
 
 impl Action {
@@ -97,6 +81,28 @@ impl Issue {
     /// Whether the operation must be reissued (either retry flavour).
     pub fn is_retry(self) -> bool {
         matches!(self, Issue::Retry | Issue::RetryAfter(_))
+    }
+}
+
+/// Sink helpers shared by the controllers' unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Action, Issue};
+
+    /// Runs one core-side entry point against a fresh sink, returning
+    /// its outcome and the actions it appended.
+    pub(crate) fn run_op(f: impl FnOnce(&mut Vec<Action>) -> Issue) -> (Issue, Vec<Action>) {
+        let mut out = Vec::new();
+        let issue = f(&mut out);
+        (issue, out)
+    }
+
+    /// Runs one message handler against a fresh sink, returning the
+    /// actions it appended.
+    pub(crate) fn run_handler(f: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
     }
 }
 

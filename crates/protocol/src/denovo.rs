@@ -38,7 +38,7 @@
 //! [`DnConfig::delayed_local_ownership`] local sync ops do not register
 //! at all (the paper's "can delay obtaining ownership" remark).
 
-use crate::action::{Action, ActionVec, Issue};
+use crate::action::{Action, Issue};
 use crate::gpu::{L1Config, L2Config};
 use gsim_lens::LensHandle;
 use gsim_mem::{CacheArray, Dram, InsertOutcome, MemoryImage, MshrFile, StoreBuffer, WordState};
@@ -152,8 +152,8 @@ struct RegPending {
 /// The per-CU L1 controller of the DeNovo protocol.
 ///
 /// See the [module documentation](self) for the protocol. Like
-/// [`GpuL1`](crate::GpuL1), this is a pure state machine returning
-/// [`Action`]s.
+/// [`GpuL1`](crate::GpuL1), this is a pure state machine appending
+/// [`Action`]s to the caller's sink.
 #[derive(Debug)]
 pub struct DnL1 {
     config: DnConfig,
@@ -437,7 +437,13 @@ impl DnL1 {
     /// A demand load of `word`; `region` is the software annotation the
     /// DD+RO configuration consumes (conveyed by an opcode bit in the
     /// paper).
-    pub fn load(&mut self, word: WordAddr, region: Region, req: ReqId) -> (Issue, ActionVec) {
+    pub fn load(
+        &mut self,
+        word: WordAddr,
+        region: Region,
+        req: ReqId,
+        out: &mut Vec<Action>,
+    ) -> Issue {
         if let Some(v) = self.local_value(word) {
             self.counts.l1_accesses += 1;
             self.counts.l1_load_hits += 1;
@@ -448,14 +454,14 @@ impl DnL1 {
                     l.extra.0.insert(word.index_in_line());
                 }
             }
-            return (Issue::Hit(v), ActionVec::new());
+            return Issue::Hit(v);
         }
         let line = word.line();
         let stale = self.entry_epoch.get(&line).is_some_and(|&e| e < self.epoch);
         if !self.mshr.has_room_for(line) || stale {
             // A post-acquire load must not coalesce with a pre-acquire
             // miss: wait for the stale entry to retire and re-fetch.
-            return (Issue::Retry, ActionVec::new());
+            return Issue::Retry;
         }
         self.counts.l1_accesses += 1;
         self.counts.l1_load_misses += 1;
@@ -482,9 +488,8 @@ impl DnL1 {
         if !was_pending {
             self.emit_mshr_alloc(line);
         }
-        let mut actions = ActionVec::new();
         if !to_send.is_empty() {
-            actions.push(Action::send(self.msg_to_home(
+            out.push(Action::send(self.msg_to_home(
                 line,
                 MsgKind::ReadReq {
                     line,
@@ -493,13 +498,13 @@ impl DnL1 {
                 },
             )));
         }
-        (Issue::Pending, actions)
+        Issue::Pending
     }
 
     /// A data store. Registered words are written in place (no store
     /// buffer); otherwise the value is buffered and registered lazily at
     /// the next release or on buffer overflow.
-    pub fn store(&mut self, word: WordAddr, value: Value) -> (Issue, ActionVec) {
+    pub fn store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) -> Issue {
         self.counts.l1_accesses += 1;
         self.lens.store(self.config.l1.node.index(), word);
         let i = word.index_in_line();
@@ -510,22 +515,21 @@ impl DnL1 {
                 .lookup(word.line())
                 .expect("owned implies resident");
             l.data[i] = value;
-            return (Issue::Hit(0), ActionVec::new());
+            return Issue::Hit(0);
         }
         if let Some(p) = self.reg_pending.get_mut(&word.line()) {
             if p.mask.contains(i) {
                 p.data[i] = value;
-                return (Issue::Hit(0), ActionVec::new());
+                return Issue::Hit(0);
             }
         }
-        let mut actions = ActionVec::new();
         if let gsim_mem::StoreOutcome::Overflow(e) = self.sb.write(word, value) {
             self.counts.sb_overflow_flushes += 1;
             let pending = e.mask.count();
             self.begin_sb_drain(FlushReason::Overflow, pending);
-            self.register_entry(e.line, e.mask, &e.data, &mut actions);
+            self.register_entry(e.line, e.mask, &e.data, out);
         }
-        (Issue::Hit(0), actions)
+        Issue::Hit(0)
     }
 
     /// Emits the `MshrAlloc` trace event for a freshly allocated entry.
@@ -566,7 +570,7 @@ impl DnL1 {
         line: LineAddr,
         mask: WordMask,
         data: &LineData,
-        actions: &mut ActionVec,
+        out: &mut Vec<Action>,
     ) {
         let p = self.reg_pending.entry(line).or_insert(RegPending {
             mask: WordMask::empty(),
@@ -582,7 +586,7 @@ impl DnL1 {
         }
         self.outstanding_writes += new_words.count() as u64;
         self.counts.registrations += new_words.count() as u64;
-        actions.push(Action::send(self.msg_to_home(
+        out.push(Action::send(self.msg_to_home(
             line,
             MsgKind::RegReq {
                 line,
@@ -611,9 +615,10 @@ impl DnL1 {
         operands: [Value; 2],
         local: bool,
         req: ReqId,
-    ) -> (Issue, ActionVec) {
+        out: &mut Vec<Action>,
+    ) -> Issue {
         if local && self.config.delayed_local_ownership {
-            return self.delayed_atomic(word, op, operands, req);
+            return self.delayed_atomic(word, op, operands, req, out);
         }
         let i = word.index_in_line();
         if self.is_owned(word) {
@@ -634,7 +639,7 @@ impl DnL1 {
             if op.writes() {
                 l.data[i] = new;
             }
-            return (Issue::Hit(old), ActionVec::new());
+            return Issue::Hit(old);
         }
         assert!(
             self.sb.lookup(word).is_none(),
@@ -643,7 +648,7 @@ impl DnL1 {
         );
         let line = word.line();
         if !self.mshr.has_room_for(line) {
-            return (Issue::Retry, ActionVec::new());
+            return Issue::Retry;
         }
         // DeNovoSync reader backoff: a contended sync read throttles
         // itself instead of re-joining the distributed queue — unless a
@@ -658,7 +663,7 @@ impl DnL1 {
                 if let Some(b) = self.backoff.get_mut(&word) {
                     if b.level > 0 && !b.primed {
                         b.primed = true; // the retried attempt goes through
-                        return (Issue::RetryAfter(BACKOFF_BASE << b.level), ActionVec::new());
+                        return Issue::RetryAfter(BACKOFF_BASE << b.level);
                     }
                     b.primed = false;
                 }
@@ -687,11 +692,10 @@ impl DnL1 {
             self.emit_mshr_alloc(line);
         }
         let sp = self.sync_pending.entry(line).or_default();
-        let mut actions = ActionVec::new();
         if !sp.contains(i) {
             sp.insert(i);
             self.counts.registrations += 1;
-            actions.push(Action::send(self.msg_to_home(
+            out.push(Action::send(self.msg_to_home(
                 line,
                 MsgKind::RegReq {
                     line,
@@ -701,7 +705,7 @@ impl DnL1 {
                 },
             )));
         }
-        (Issue::Pending, actions)
+        Issue::Pending
     }
 
     /// The delayed-ownership local sync path (DeNovo-H ablation).
@@ -711,13 +715,13 @@ impl DnL1 {
         op: AtomicOp,
         operands: [Value; 2],
         req: ReqId,
-    ) -> (Issue, ActionVec) {
+        out: &mut Vec<Action>,
+    ) -> Issue {
         if let Some(current) = self.local_value(word) {
             self.counts.l1_accesses += 1;
             self.counts.l1_atomics += 1;
             self.counts.l1_atomic_hits += 1;
             let (new, old) = op.apply(current, operands);
-            let mut actions = ActionVec::new();
             if op.writes() {
                 if self.is_owned(word) {
                     let l = self
@@ -727,14 +731,14 @@ impl DnL1 {
                     l.data[word.index_in_line()] = new;
                 } else if let gsim_mem::StoreOutcome::Overflow(e) = self.sb.write(word, new) {
                     self.counts.sb_overflow_flushes += 1;
-                    self.register_entry(e.line, e.mask, &e.data, &mut actions);
+                    self.register_entry(e.line, e.mask, &e.data, out);
                 }
             }
-            return (Issue::Hit(old), actions);
+            return Issue::Hit(old);
         }
         let line = word.line();
         if !self.mshr.has_room_for(line) {
-            return (Issue::Retry, ActionVec::new());
+            return Issue::Retry;
         }
         self.counts.l1_accesses += 1;
         self.counts.l1_atomics += 1;
@@ -755,9 +759,8 @@ impl DnL1 {
         if !was_pending {
             self.emit_mshr_alloc(line);
         }
-        let mut actions = ActionVec::new();
         if !to_send.is_empty() {
-            actions.push(Action::send(self.msg_to_home(
+            out.push(Action::send(self.msg_to_home(
                 line,
                 MsgKind::ReadReq {
                     line,
@@ -766,7 +769,7 @@ impl DnL1 {
                 },
             )));
         }
-        (Issue::Pending, actions)
+        Issue::Pending
     }
 
     /// An acquire: self-invalidate Valid words. Registered words are
@@ -806,9 +809,9 @@ impl DnL1 {
     /// A release: every buffered store obtains registration; completes
     /// when no data-write registration remains in flight. Locally scoped
     /// releases (DeNovo-H) are free.
-    pub fn release(&mut self, local: bool, req: ReqId) -> (Issue, ActionVec) {
+    pub fn release(&mut self, local: bool, req: ReqId, out: &mut Vec<Action>) -> Issue {
         if local {
-            return (Issue::Hit(0), ActionVec::new());
+            return Issue::Hit(0);
         }
         let node = self.config.l1.node;
         self.trace.emit(|| TraceEvent::SyncRelease {
@@ -816,17 +819,16 @@ impl DnL1 {
             scope: Scope::Global,
         });
         let pending = self.sb.len() as u32;
-        let mut actions = ActionVec::new();
         while let Some(e) = self.sb.pop_oldest() {
             self.counts.sb_release_flushes += 1;
-            self.register_entry(e.line, e.mask, &e.data, &mut actions);
+            self.register_entry(e.line, e.mask, &e.data, out);
         }
         if self.outstanding_writes == 0 {
-            (Issue::Hit(0), actions)
+            Issue::Hit(0)
         } else {
             self.begin_sb_drain(FlushReason::Release, pending);
             self.pending_releases.push(req);
-            (Issue::Pending, actions)
+            Issue::Pending
         }
     }
 
@@ -837,9 +839,9 @@ impl DnL1 {
     /// Panics on message kinds a DeNovo L1 never receives (writethrough
     /// acks, L2-executed atomics) and on forwards for words this L1 has
     /// no record of — protocol bugs.
-    pub fn handle(&mut self, msg: &Msg) -> ActionVec {
+    pub fn handle(&mut self, msg: &Msg, out: &mut Vec<Action>) {
         match msg.kind {
-            MsgKind::ReadResp { line, mask, data } => self.fill_read(line, mask, &data),
+            MsgKind::ReadResp { line, mask, data } => self.fill_read(line, mask, &data, out),
             MsgKind::RegResp {
                 line,
                 mask,
@@ -847,9 +849,9 @@ impl DnL1 {
                 sync,
             } => {
                 if sync {
-                    self.fill_sync_grant(line, mask, &data)
+                    self.fill_sync_grant(line, mask, &data, out)
                 } else {
-                    self.fill_data_grant(line, mask)
+                    self.fill_data_grant(line, mask, out)
                 }
             }
             MsgKind::RegFwd {
@@ -857,12 +859,12 @@ impl DnL1 {
                 mask,
                 new_owner,
                 sync,
-            } => self.forward(line, mask, FwdKind::Reg { new_owner, sync }),
+            } => self.forward(line, mask, FwdKind::Reg { new_owner, sync }, out),
             MsgKind::ReadReq {
                 line,
                 mask,
                 requester,
-            } => self.forward(line, mask, FwdKind::Read { requester }),
+            } => self.forward(line, mask, FwdKind::Read { requester }, out),
             MsgKind::WbAck { line, mask } => {
                 let q = self
                     .wb_pending
@@ -876,7 +878,6 @@ impl DnL1 {
                 if q.is_empty() {
                     self.wb_pending.remove(&line);
                 }
-                ActionVec::new()
             }
             ref k => panic!("DeNovo L1 received unexpected message {k:?}"),
         }
@@ -884,7 +885,7 @@ impl DnL1 {
 
     /// Ensures `line` has a way, writing back any evicted Registered
     /// words (ownership returns to the registry).
-    fn ensure_way(&mut self, line: LineAddr, actions: &mut ActionVec) {
+    fn ensure_way(&mut self, line: LineAddr, out: &mut Vec<Action>) {
         if let InsertOutcome::Evicted(victim) = self.cache.insert(line) {
             let owned = victim.mask_in(WordState::Owned);
             let node = self.config.l1.node;
@@ -902,7 +903,7 @@ impl DnL1 {
                     .entry(victim.tag)
                     .or_default()
                     .push_back((owned, victim.data));
-                actions.push(Action::send(self.msg_to_home(
+                out.push(Action::send(self.msg_to_home(
                     victim.tag,
                     MsgKind::WbReq {
                         line: victim.tag,
@@ -917,12 +918,17 @@ impl DnL1 {
     /// Applies a data read fill (Valid words) and services waiters.
     /// Words with a sync registration in flight are skipped entirely:
     /// their fill is the registration grant.
-    fn fill_read(&mut self, line: LineAddr, mask: WordMask, data: &LineData) -> ActionVec {
+    fn fill_read(
+        &mut self,
+        line: LineAddr,
+        mask: WordMask,
+        data: &LineData,
+        out: &mut Vec<Action>,
+    ) {
         let mask = mask & !self.sync_pending.get(&line).copied().unwrap_or_default();
         let stale = self.entry_epoch.get(&line).is_some_and(|&e| e < self.epoch);
-        let mut actions = ActionVec::new();
         if !stale {
-            self.ensure_way(line, &mut actions);
+            self.ensure_way(line, out);
             let intent = self.ro_intent.remove(&line).unwrap_or_default();
             let l = self.cache.lookup(line).expect("just ensured");
             let mut installed = 0u32;
@@ -960,22 +966,26 @@ impl DnL1 {
                 self.ro_intent.insert(line, intent & !mask);
             }
         }
-        self.complete_fill(line, mask, Some(data), &mut actions);
-        actions
+        self.complete_fill(line, mask, Some(data), out);
     }
 
     /// Applies a sync registration grant: the granted words become
     /// Registered with the grant's (freshest) values, then the waiting
     /// sync ops execute in arrival order.
-    fn fill_sync_grant(&mut self, line: LineAddr, mask: WordMask, data: &LineData) -> ActionVec {
+    fn fill_sync_grant(
+        &mut self,
+        line: LineAddr,
+        mask: WordMask,
+        data: &LineData,
+        out: &mut Vec<Action>,
+    ) {
         if let Some(sp) = self.sync_pending.get_mut(&line) {
             *sp = *sp & !mask;
             if sp.is_empty() {
                 self.sync_pending.remove(&line);
             }
         }
-        let mut actions = ActionVec::new();
-        self.ensure_way(line, &mut actions);
+        self.ensure_way(line, out);
         let l = self.cache.lookup(line).expect("just ensured");
         for i in mask.iter() {
             l.set_word(i, WordState::Owned);
@@ -999,15 +1009,13 @@ impl DnL1 {
                 b.used_since_grant = false;
             }
         }
-        self.complete_fill(line, mask, None, &mut actions);
-        actions
+        self.complete_fill(line, mask, None, out);
     }
 
     /// Applies a data registration grant: the buffered store values
     /// become Registered cache contents.
-    fn fill_data_grant(&mut self, line: LineAddr, mask: WordMask) -> ActionVec {
-        let mut actions = ActionVec::new();
-        self.ensure_way(line, &mut actions);
+    fn fill_data_grant(&mut self, line: LineAddr, mask: WordMask, out: &mut Vec<Action>) {
+        self.ensure_way(line, out);
         let p = self
             .reg_pending
             .get_mut(&line)
@@ -1040,13 +1048,12 @@ impl DnL1 {
                 self.sb_draining = false;
                 self.trace.emit(|| TraceEvent::SbFlushEnd { node });
             }
-            actions.extend(
+            out.extend(
                 self.pending_releases
                     .drain(..)
                     .map(|req| Action::complete(req, 0)),
             );
         }
-        actions
     }
 
     /// Retires MSHR waiters satisfied by a fill, then (if the entry
@@ -1058,7 +1065,7 @@ impl DnL1 {
         line: LineAddr,
         mask: WordMask,
         fill_data: Option<&LineData>,
-        actions: &mut ActionVec,
+        out: &mut Vec<Action>,
     ) {
         let (done, fwds) = self.mshr.complete(line, mask);
         if !self.mshr.is_pending(line) {
@@ -1077,7 +1084,7 @@ impl DnL1 {
                         .local_value(word)
                         .or_else(|| fill_data.map(|d| d[word.index_in_line()]))
                         .expect("filled word is readable");
-                    actions.push(Action::complete(req, v));
+                    out.push(Action::complete(req, v));
                 }
                 Waiter::Atomic {
                     req,
@@ -1095,7 +1102,7 @@ impl DnL1 {
                     if op.writes() {
                         l.data[i] = new;
                     }
-                    actions.push(Action::complete(req, old));
+                    out.push(Action::complete(req, old));
                 }
                 Waiter::DelayedAtomic {
                     req,
@@ -1111,15 +1118,15 @@ impl DnL1 {
                     if op.writes() {
                         if let gsim_mem::StoreOutcome::Overflow(e) = self.sb.write(word, new) {
                             self.counts.sb_overflow_flushes += 1;
-                            self.register_entry(e.line, e.mask, &e.data, actions);
+                            self.register_entry(e.line, e.mask, &e.data, out);
                         }
                     }
-                    actions.push(Action::complete(req, old));
+                    out.push(Action::complete(req, old));
                 }
             }
         }
         for f in fwds {
-            let served = self.serve_forward(line, f.mask, f.kind, actions);
+            let served = self.serve_forward(line, f.mask, f.kind, out);
             assert_eq!(
                 served, f.mask,
                 "queued forward for words the fill did not deliver"
@@ -1130,9 +1137,8 @@ impl DnL1 {
     /// Handles a forwarded request from the registry: serve what is
     /// locally available (cache, then in-flight writebacks), queue the
     /// rest behind our own pending registration.
-    fn forward(&mut self, line: LineAddr, mask: WordMask, kind: FwdKind) -> ActionVec {
-        let mut actions = ActionVec::new();
-        let served = self.serve_forward(line, mask, kind, &mut actions);
+    fn forward(&mut self, line: LineAddr, mask: WordMask, kind: FwdKind, out: &mut Vec<Action>) {
+        let served = self.serve_forward(line, mask, kind, out);
         let rest = mask & !served;
         if !rest.is_empty() {
             self.counts.reg_queued += 1;
@@ -1142,7 +1148,6 @@ impl DnL1 {
                     panic!("forward for {line:?} words {rest:?} this L1 has no record of")
                 });
         }
-        actions
     }
 
     /// Serves the locally available part of a forward, returning the
@@ -1152,7 +1157,7 @@ impl DnL1 {
         line: LineAddr,
         mask: WordMask,
         kind: FwdKind,
-        actions: &mut ActionVec,
+        out: &mut Vec<Action>,
     ) -> WordMask {
         let mut avail = WordMask::empty();
         let mut data = [0; WORDS_PER_LINE];
@@ -1182,7 +1187,7 @@ impl DnL1 {
         match kind {
             FwdKind::Read { requester } => {
                 // Ownership stays; just supply the data.
-                actions.push(Action::send(Msg {
+                out.push(Action::send(Msg {
                     src: self.config.l1.node,
                     dst: requester,
                     dst_comp: Component::L1,
@@ -1232,7 +1237,7 @@ impl DnL1 {
                     }
                 }
                 if sync {
-                    actions.push(Action::send(Msg {
+                    out.push(Action::send(Msg {
                         src: self.config.l1.node,
                         dst: new_owner,
                         dst_comp: Component::L1,
@@ -1439,20 +1444,20 @@ impl DnL2 {
     ///
     /// Panics on GPU-only message kinds (writethroughs, L2 atomics) — a
     /// protocol bug.
-    pub fn handle(&mut self, now: Cycle, msg: &Msg) -> ActionVec {
+    pub fn handle(&mut self, now: Cycle, msg: &Msg, out: &mut Vec<Action>) {
         match msg.kind {
             MsgKind::ReadReq {
                 line,
                 mask,
                 requester,
-            } => self.read(now, msg.dst, line, mask, requester),
+            } => self.read(now, msg.dst, line, mask, requester, out),
             MsgKind::RegReq {
                 line,
                 mask,
                 sync,
                 requester,
-            } => self.register(now, msg.dst, line, mask, sync, requester),
-            MsgKind::WbReq { line, mask, data } => self.writeback(now, msg, line, mask, &data),
+            } => self.register(now, msg.dst, line, mask, sync, requester, out),
+            MsgKind::WbReq { line, mask, data } => self.writeback(now, msg, line, mask, &data, out),
             ref k => panic!("DeNovo L2 received unexpected message {k:?}"),
         }
     }
@@ -1466,7 +1471,8 @@ impl DnL2 {
         line: LineAddr,
         mask: WordMask,
         requester: NodeId,
-    ) -> ActionVec {
+        out: &mut Vec<Action>,
+    ) {
         self.counts.l2_accesses += 1;
         self.prof.l2_access(line);
         let delay = self.bank_op(now, line);
@@ -1481,9 +1487,8 @@ impl DnL2 {
             }
         }
         let data = l.data;
-        let mut actions = ActionVec::new();
         if !avail.is_empty() {
-            actions.push(Action::Send {
+            out.push(Action::Send {
                 msg: Msg {
                     src: bank_node,
                     dst: requester,
@@ -1500,7 +1505,7 @@ impl DnL2 {
         for (owner, m) in sorted(by_owner) {
             self.counts.reg_forwards += 1;
             self.prof.registry_forward(line);
-            actions.push(Action::Send {
+            out.push(Action::Send {
                 msg: Msg {
                     src: bank_node,
                     dst: owner,
@@ -1514,12 +1519,12 @@ impl DnL2 {
                 delay,
             });
         }
-        actions
     }
 
     /// A registration: grant available words immediately (in arrival
     /// order — DeNovoSync0 never blocks at the registry) and forward
     /// already-registered words to their previous owners.
+    #[allow(clippy::too_many_arguments)]
     fn register(
         &mut self,
         now: Cycle,
@@ -1528,7 +1533,8 @@ impl DnL2 {
         mask: WordMask,
         sync: bool,
         requester: NodeId,
-    ) -> ActionVec {
+        out: &mut Vec<Action>,
+    ) {
         self.counts.l2_accesses += 1;
         self.prof.l2_access(line);
         let delay = self.bank_op(now, line);
@@ -1554,11 +1560,10 @@ impl DnL2 {
         });
         let data = l.data;
         self.lens.l2_register(line, mask.count());
-        let mut actions = ActionVec::new();
         if !granted.is_empty() {
             // Sync grants carry the current value (the RMW reads it);
             // data grants are pure acks.
-            actions.push(Action::Send {
+            out.push(Action::Send {
                 msg: Msg {
                     src: bank_node,
                     dst: requester,
@@ -1580,7 +1585,7 @@ impl DnL2 {
             self.prof.registry_forward(line);
             self.prof.ownership_transfer(line, u64::from(m.count()));
             self.lens.l2_transfer(line, m.count());
-            actions.push(Action::Send {
+            out.push(Action::Send {
                 msg: Msg {
                     src: bank_node,
                     dst: prev,
@@ -1597,7 +1602,7 @@ impl DnL2 {
             if !sync {
                 // The previous owner's value is dead (the new owner
                 // overwrites whole words): ack the transfer directly.
-                actions.push(Action::Send {
+                out.push(Action::Send {
                     msg: Msg {
                         src: bank_node,
                         dst: requester,
@@ -1613,7 +1618,6 @@ impl DnL2 {
                 });
             }
         }
-        actions
     }
 
     /// An eviction writeback: accept words the sender still owns (stale
@@ -1625,7 +1629,8 @@ impl DnL2 {
         line: LineAddr,
         mask: WordMask,
         data: &LineData,
-    ) -> ActionVec {
+        out: &mut Vec<Action>,
+    ) {
         self.counts.l2_accesses += 1;
         self.prof.l2_access(line);
         let delay = self.bank_op(now, line);
@@ -1638,7 +1643,7 @@ impl DnL2 {
                 l.data[i] = data[i];
             }
         }
-        ActionVec::of(Action::Send {
+        out.push(Action::Send {
             msg: Msg {
                 src: msg.dst,
                 dst: msg.src,
@@ -1646,7 +1651,7 @@ impl DnL2 {
                 kind: MsgKind::WbAck { line, mask },
             },
             delay,
-        })
+        });
     }
 
     /// Flushes every dirty L2 word into the memory image (end of run).
@@ -1677,6 +1682,7 @@ fn sorted(m: FxHashMap<NodeId, WordMask>) -> Vec<(NodeId, WordMask)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::testing::{run_handler, run_op};
 
     fn l1_at(node: u8) -> DnL1 {
         DnL1::new(DnConfig::micro15(NodeId(node)))
@@ -1692,23 +1698,24 @@ mod tests {
 
     /// A tiny deterministic message pump over a set of L1s and the L2:
     /// delivers sends breadth-first and collects completions.
-    fn pump(l1s: &mut [&mut DnL1], l2: &mut DnL2, actions: ActionVec) -> ActionVec {
+    fn pump(l1s: &mut [&mut DnL1], l2: &mut DnL2, actions: Vec<Action>) -> Vec<Action> {
         let mut queue: VecDeque<Action> = actions.into_iter().collect();
-        let mut out = ActionVec::new();
+        let mut out = Vec::new();
+        let mut replies = Vec::new();
         while let Some(a) = queue.pop_front() {
             let Action::Send { msg, .. } = a else {
                 out.push(a);
                 continue;
             };
-            let replies = match msg.dst_comp {
-                Component::L2 => l2.handle(0, &msg),
+            match msg.dst_comp {
+                Component::L2 => l2.handle(0, &msg, &mut replies),
                 Component::L1 => l1s
                     .iter_mut()
                     .find(|l| l.config.l1.node == msg.dst)
                     .expect("destination L1 exists")
-                    .handle(&msg),
-            };
-            queue.extend(replies);
+                    .handle(&msg, &mut replies),
+            }
+            queue.extend(replies.drain(..));
         }
         out
     }
@@ -1717,12 +1724,12 @@ mod tests {
     fn load_miss_fills_line_then_hits() {
         let mut a = l1_at(0);
         let mut l2 = l2_with(&[(3, 30), (4, 40)]);
-        let (issue, acts) = a.load(WordAddr(3), Region::Default, ReqId(1));
+        let (issue, acts) = run_op(|o| a.load(WordAddr(3), Region::Default, ReqId(1), o));
         assert_eq!(issue, Issue::Pending);
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(1), 30)]);
         // The rest of the line came along.
-        let (issue, _) = a.load(WordAddr(4), Region::Default, ReqId(2));
+        let (issue, _) = run_op(|o| a.load(WordAddr(4), Region::Default, ReqId(2), o));
         assert_eq!(issue, Issue::Hit(40));
     }
 
@@ -1730,20 +1737,20 @@ mod tests {
     fn store_registers_lazily_then_hits() {
         let mut a = l1_at(0);
         let mut l2 = l2_with(&[]);
-        let (issue, acts) = a.store(WordAddr(0), 7);
+        let (issue, acts) = run_op(|o| a.store(WordAddr(0), 7, o));
         assert_eq!(issue, Issue::Hit(0));
         assert!(acts.is_empty(), "no registration until the release");
         // Forwarding from the buffer.
-        let (issue, _) = a.load(WordAddr(0), Region::Default, ReqId(1));
+        let (issue, _) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(1), o));
         assert_eq!(issue, Issue::Hit(7));
         // Release registers and completes.
-        let (issue, acts) = a.release(false, ReqId(2));
+        let (issue, acts) = run_op(|o| a.release(false, ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(2), 0)]);
         assert_eq!(a.counts().registrations, 1);
         // Registered: the next store to the word hits in place.
-        let (issue, acts) = a.store(WordAddr(0), 8);
+        let (issue, acts) = run_op(|o| a.store(WordAddr(0), 8, o));
         assert_eq!(issue, Issue::Hit(0));
         assert!(acts.is_empty());
         assert_eq!(a.counts().l1_store_hits, 1);
@@ -1756,16 +1763,16 @@ mod tests {
         let mut a = l1_at(0);
         let mut l2 = l2_with(&[(16, 5)]);
         // Own word 0 (via store+release) and cache word 16 (via load).
-        a.store(WordAddr(0), 1);
-        let (_, acts) = a.release(false, ReqId(1));
+        a.store(WordAddr(0), 1, &mut Vec::new());
+        let (_, acts) = run_op(|o| a.release(false, ReqId(1), o));
         pump(&mut [&mut a], &mut l2, acts);
-        let (_, acts) = a.load(WordAddr(16), Region::Default, ReqId(2));
+        let (_, acts) = run_op(|o| a.load(WordAddr(16), Region::Default, ReqId(2), o));
         pump(&mut [&mut a], &mut l2, acts);
         a.acquire(false);
         // Valid word gone, Registered word kept.
-        let (issue, _) = a.load(WordAddr(0), Region::Default, ReqId(3));
+        let (issue, _) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(3), o));
         assert_eq!(issue, Issue::Hit(1));
-        let (issue, _) = a.load(WordAddr(16), Region::Default, ReqId(4));
+        let (issue, _) = run_op(|o| a.load(WordAddr(16), Region::Default, ReqId(4), o));
         assert_eq!(issue, Issue::Pending);
         assert!(a.counts().words_invalidated >= 1);
     }
@@ -1777,14 +1784,14 @@ mod tests {
             ..DnConfig::micro15(NodeId(0))
         });
         let mut l2 = l2_with(&[(0, 11), (16, 22)]);
-        let (_, acts) = a.load(WordAddr(0), Region::ReadOnly, ReqId(1));
+        let (_, acts) = run_op(|o| a.load(WordAddr(0), Region::ReadOnly, ReqId(1), o));
         pump(&mut [&mut a], &mut l2, acts);
-        let (_, acts) = a.load(WordAddr(16), Region::Default, ReqId(2));
+        let (_, acts) = run_op(|o| a.load(WordAddr(16), Region::Default, ReqId(2), o));
         pump(&mut [&mut a], &mut l2, acts);
         a.acquire(false);
-        let (issue, _) = a.load(WordAddr(0), Region::ReadOnly, ReqId(3));
+        let (issue, _) = run_op(|o| a.load(WordAddr(0), Region::ReadOnly, ReqId(3), o));
         assert_eq!(issue, Issue::Hit(11), "read-only word survives");
-        let (issue, _) = a.load(WordAddr(16), Region::Default, ReqId(4));
+        let (issue, _) = run_op(|o| a.load(WordAddr(16), Region::Default, ReqId(4), o));
         assert_eq!(issue, Issue::Pending, "default-region word invalidated");
     }
 
@@ -1792,10 +1799,10 @@ mod tests {
     fn ro_annotation_ignored_without_the_enhancement() {
         let mut a = l1_at(0); // plain DD
         let mut l2 = l2_with(&[(0, 11)]);
-        let (_, acts) = a.load(WordAddr(0), Region::ReadOnly, ReqId(1));
+        let (_, acts) = run_op(|o| a.load(WordAddr(0), Region::ReadOnly, ReqId(1), o));
         pump(&mut [&mut a], &mut l2, acts);
         a.acquire(false);
-        let (issue, _) = a.load(WordAddr(0), Region::ReadOnly, ReqId(2));
+        let (issue, _) = run_op(|o| a.load(WordAddr(0), Region::ReadOnly, ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
     }
 
@@ -1803,12 +1810,14 @@ mod tests {
     fn sync_atomic_registers_then_hits_for_whole_cu() {
         let mut a = l1_at(0);
         let mut l2 = l2_with(&[(0, 100)]);
-        let (issue, acts) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1));
+        let (issue, acts) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1), o));
         assert_eq!(issue, Issue::Pending);
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(1), 100)]);
         // Another thread block on the same CU: a pure L1 hit now.
-        let (issue, acts) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2));
+        let (issue, acts) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2), o));
         assert_eq!(issue, Issue::Hit(101));
         assert!(acts.is_empty());
         assert_eq!(a.counts().l1_atomic_hits, 1);
@@ -1818,8 +1827,10 @@ mod tests {
     fn same_cu_sync_coalesces_in_mshr() {
         let mut a = l1_at(0);
         let mut l2 = l2_with(&[(0, 0)]);
-        let (_, acts1) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1));
-        let (issue2, acts2) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2));
+        let (_, acts1) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1), o));
+        let (issue2, acts2) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2), o));
         assert_eq!(issue2, Issue::Pending);
         assert!(acts2.is_empty(), "coalesced: one registration in flight");
         let done = pump(&mut [&mut a], &mut l2, acts1);
@@ -1835,10 +1846,12 @@ mod tests {
         let mut b = l1_at(1);
         let mut l2 = l2_with(&[(0, 50)]);
         // CU0 registers the sync word.
-        let (_, acts) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1));
+        let (_, acts) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1), o));
         pump(&mut [&mut a, &mut b], &mut l2, acts);
         // CU1 requests it: registry forwards to CU0, which transfers.
-        let (issue, acts) = b.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2));
+        let (issue, acts) =
+            run_op(|o| b.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
         let done = pump(&mut [&mut a, &mut b], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(2), 51)]);
@@ -1854,11 +1867,11 @@ mod tests {
         let mut b = l1_at(1);
         let mut l2 = l2_with(&[]);
         // CU0 owns word 0 with value 9 (store + release).
-        a.store(WordAddr(0), 9);
-        let (_, acts) = a.release(false, ReqId(1));
+        a.store(WordAddr(0), 9, &mut Vec::new());
+        let (_, acts) = run_op(|o| a.release(false, ReqId(1), o));
         pump(&mut [&mut a, &mut b], &mut l2, acts);
         // CU1 reads it: L2 forwards to CU0, extra hop, data arrives.
-        let (issue, acts) = b.load(WordAddr(0), Region::Default, ReqId(2));
+        let (issue, acts) = run_op(|o| b.load(WordAddr(0), Region::Default, ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
         let done = pump(&mut [&mut a, &mut b], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(2), 9)]);
@@ -1873,27 +1886,30 @@ mod tests {
         let mut a = l1_at(1);
         let mut b = l1_at(2);
         let mut l2 = l2_with(&[(0, 0)]);
-        let (_, acts_a) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1));
-        let (_, acts_a2) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2));
+        let (_, acts_a) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1), o));
+        let (_, acts_a2) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2), o));
         assert!(acts_a2.is_empty());
         // CU1's RegReq reaches the registry first...
         let Action::Send { msg: reg_a, .. } = acts_a[0] else {
             panic!()
         };
-        let grant_a = l2.handle(0, &reg_a);
+        let grant_a = run_handler(|o| l2.handle(0, &reg_a, o));
         // ...then CU2's, which forwards to CU1 (now the owner of record).
-        let (_, acts_b) = b.atomic(WordAddr(0), AtomicOp::Add, [10, 0], false, ReqId(3));
+        let (_, acts_b) =
+            run_op(|o| b.atomic(WordAddr(0), AtomicOp::Add, [10, 0], false, ReqId(3), o));
         let Action::Send { msg: reg_b, .. } = acts_b[0] else {
             panic!()
         };
-        let fwd_b = l2.handle(0, &reg_b);
+        let fwd_b = run_handler(|o| l2.handle(0, &reg_b, o));
         // Deliver the forward to CU1 BEFORE CU1's own grant: it queues.
         let mut fwd_actions = Vec::new();
         for f in &fwd_b {
             let Action::Send { msg, .. } = f else {
                 panic!()
             };
-            fwd_actions.extend(a.handle(msg));
+            a.handle(msg, &mut fwd_actions);
         }
         assert!(fwd_actions.is_empty(), "forward queued, nothing served yet");
         assert_eq!(a.counts().reg_queued, 1);
@@ -1930,11 +1946,11 @@ mod tests {
         let mut l2 = l2_with(&[]);
         // Own a word in each of 2 lines, then touch a third line.
         for line in 0..2u64 {
-            a.store(LineAddr(line).word(0), line as Value + 1);
+            a.store(LineAddr(line).word(0), line as Value + 1, &mut Vec::new());
         }
-        let (_, acts) = a.release(false, ReqId(1));
+        let (_, acts) = run_op(|o| a.release(false, ReqId(1), o));
         pump(&mut [&mut a], &mut l2, acts);
-        let (_, acts) = a.load(LineAddr(2).word(0), Region::Default, ReqId(2));
+        let (_, acts) = run_op(|o| a.load(LineAddr(2).word(0), Region::Default, ReqId(2), o));
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(2), 0)]);
         assert_eq!(a.counts().ownership_writebacks, 1);
@@ -1960,20 +1976,20 @@ mod tests {
             MemoryImage::new(),
         );
         // Own a word of line 0 (bank 0).
-        a.store(WordAddr(0), 77);
-        let (_, acts) = a.release(false, ReqId(1));
+        a.store(WordAddr(0), 77, &mut Vec::new());
+        let (_, acts) = run_op(|o| a.release(false, ReqId(1), o));
         pump(&mut [&mut a], &mut l2, acts);
         // Thrash bank 0 with other lines so line 0 is evicted.
         let mut b = l1_at(1);
         for k in 1..=2u64 {
             let line = LineAddr(k * 16); // all map to bank 0
-            let (_, acts) = b.load(line.word(0), Region::Default, ReqId(10 + k));
+            let (_, acts) = run_op(|o| b.load(line.word(0), Region::Default, ReqId(10 + k), o));
             pump(&mut [&mut a, &mut b], &mut l2, acts);
         }
         assert!(l2.counts().registry_overflow_words >= 1);
         // A third CU can still find the owner through the overflow table.
         let mut c = l1_at(2);
-        let (_, acts) = c.load(WordAddr(0), Region::Default, ReqId(20));
+        let (_, acts) = run_op(|o| c.load(WordAddr(0), Region::Default, ReqId(20), o));
         let done = pump(&mut [&mut a, &mut b, &mut c], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(20), 77)]);
     }
@@ -1986,16 +2002,18 @@ mod tests {
         });
         let mut l2 = l2_with(&[(0, 5)]);
         // Local sync op: plain data fill, no registration.
-        let (issue, acts) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], true, ReqId(1));
+        let (issue, acts) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], true, ReqId(1), o));
         assert_eq!(issue, Issue::Pending);
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(1), 5)]);
         assert_eq!(a.counts().registrations, 0);
         // The updated value is locally visible and hits.
-        let (issue, _) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], true, ReqId(2));
+        let (issue, _) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], true, ReqId(2), o));
         assert_eq!(issue, Issue::Hit(6));
         // A global release registers the buffered result.
-        let (_, acts) = a.release(false, ReqId(3));
+        let (_, acts) = run_op(|o| a.release(false, ReqId(3), o));
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(3), 0)]);
         assert_eq!(a.owned_words(), vec![(WordAddr(0), 7)]);
@@ -2005,14 +2023,14 @@ mod tests {
     fn local_scope_skips_invalidate_and_flush() {
         let mut a = l1_at(0);
         let mut l2 = l2_with(&[(16, 9)]);
-        let (_, acts) = a.load(WordAddr(16), Region::Default, ReqId(1));
+        let (_, acts) = run_op(|o| a.load(WordAddr(16), Region::Default, ReqId(1), o));
         pump(&mut [&mut a], &mut l2, acts);
-        a.store(WordAddr(0), 1);
+        a.store(WordAddr(0), 1, &mut Vec::new());
         a.acquire(true);
-        let (issue, acts) = a.release(true, ReqId(2));
+        let (issue, acts) = run_op(|o| a.release(true, ReqId(2), o));
         assert_eq!(issue, Issue::Hit(0));
         assert!(acts.is_empty());
-        let (issue, _) = a.load(WordAddr(16), Region::Default, ReqId(3));
+        let (issue, _) = run_op(|o| a.load(WordAddr(16), Region::Default, ReqId(3), o));
         assert_eq!(issue, Issue::Hit(9), "valid data survives local acquire");
         assert_eq!(
             a.counts().registrations,
@@ -2029,18 +2047,18 @@ mod tests {
         let mut b = l1_at(1);
         let mut l2 = l2_with(&[(15, 3)]);
         for i in 0..8 {
-            a.store(WordAddr(i), i as Value);
+            a.store(WordAddr(i), i as Value, &mut Vec::new());
         }
-        let (_, acts) = a.release(false, ReqId(1));
+        let (_, acts) = run_op(|o| a.release(false, ReqId(1), o));
         pump(&mut [&mut a, &mut b], &mut l2, acts);
-        let (_, acts) = b.load(WordAddr(15), Region::Default, ReqId(2));
+        let (_, acts) = run_op(|o| b.load(WordAddr(15), Region::Default, ReqId(2), o));
         // Inspect the response sizes: the L2's direct response covers the
         // 8 unowned words, the forward covers the 8 owned ones.
         let done = pump(&mut [&mut a, &mut b], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(2), 3)]);
         // CU1 now has the whole line readable (8 from L2 + 8 forwarded).
         for i in 0..8 {
-            let (issue, _) = b.load(WordAddr(i), Region::Default, ReqId(10 + i));
+            let (issue, _) = run_op(|o| b.load(WordAddr(i), Region::Default, ReqId(10 + i), o));
             assert_eq!(issue, Issue::Hit(i as Value));
         }
     }
@@ -2049,8 +2067,8 @@ mod tests {
     #[should_panic(expected = "racy under DRF")]
     fn atomic_over_buffered_store_is_rejected() {
         let mut a = l1_at(0);
-        a.store(WordAddr(0), 1);
-        let _ = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1));
+        a.store(WordAddr(0), 1, &mut Vec::new());
+        let _ = run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1), o));
     }
 
     #[test]
@@ -2061,8 +2079,8 @@ mod tests {
         });
         let mut b = l1_at(1);
         let mut l2 = l2_with(&[(0, 0)]);
-        fn read(l1: &mut DnL1, req: u64) -> (Issue, ActionVec) {
-            l1.atomic(WordAddr(0), AtomicOp::Read, [0, 0], false, ReqId(req))
+        fn read(l1: &mut DnL1, req: u64) -> (Issue, Vec<Action>) {
+            run_op(|o| l1.atomic(WordAddr(0), AtomicOp::Read, [0, 0], false, ReqId(req), o))
         }
         // CU0 registers the word via a sync read; CU1 steals it before
         // CU0 reuses it — read-read contention.
@@ -2097,19 +2115,32 @@ mod tests {
         let mut b = l1_at(1);
         let mut l2 = l2_with(&[(0, 0)]);
         for round in 0..3u64 {
-            let (_, acts) = a.atomic(WordAddr(0), AtomicOp::Read, [0, 0], false, ReqId(round * 2));
+            let (_, acts) = run_op(|o| {
+                a.atomic(
+                    WordAddr(0),
+                    AtomicOp::Read,
+                    [0, 0],
+                    false,
+                    ReqId(round * 2),
+                    o,
+                )
+            });
             pump(&mut [&mut a, &mut b], &mut l2, acts);
-            let (_, acts) = b.atomic(
-                WordAddr(0),
-                AtomicOp::Read,
-                [0, 0],
-                false,
-                ReqId(round * 2 + 1),
-            );
+            let (_, acts) = run_op(|o| {
+                b.atomic(
+                    WordAddr(0),
+                    AtomicOp::Read,
+                    [0, 0],
+                    false,
+                    ReqId(round * 2 + 1),
+                    o,
+                )
+            });
             pump(&mut [&mut a, &mut b], &mut l2, acts);
         }
         // DeNovoSync0: never a backoff, always registration.
-        let (issue, _) = a.atomic(WordAddr(0), AtomicOp::Read, [0, 0], false, ReqId(99));
+        let (issue, _) =
+            run_op(|o| a.atomic(WordAddr(0), AtomicOp::Read, [0, 0], false, ReqId(99), o));
         assert!(!matches!(issue, Issue::RetryAfter(_)));
     }
 
@@ -2124,11 +2155,20 @@ mod tests {
             delayed_local_ownership: false,
             sync_read_backoff: false,
         });
-        let (i1, _) = a.load(WordAddr(0), Region::Default, ReqId(1));
+        let (i1, _) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(1), o));
         assert_eq!(i1, Issue::Pending);
-        let (i2, _) = a.load(LineAddr(1).word(0), Region::Default, ReqId(2));
+        let (i2, _) = run_op(|o| a.load(LineAddr(1).word(0), Region::Default, ReqId(2), o));
         assert_eq!(i2, Issue::Retry);
-        let (i3, _) = a.atomic(LineAddr(2).word(0), AtomicOp::Add, [1, 0], false, ReqId(3));
+        let (i3, _) = run_op(|o| {
+            a.atomic(
+                LineAddr(2).word(0),
+                AtomicOp::Add,
+                [1, 0],
+                false,
+                ReqId(3),
+                o,
+            )
+        });
         assert_eq!(i3, Issue::Retry);
     }
 
@@ -2140,20 +2180,20 @@ mod tests {
         let mut l2 = l2_with(&[(1, 111)]);
         // Start a read of word 1 (fetches the whole line) but hold the
         // response back.
-        let (_, read_acts) = a.load(WordAddr(1), Region::Default, ReqId(1));
+        let (_, read_acts) = run_op(|o| a.load(WordAddr(1), Region::Default, ReqId(1), o));
         let Action::Send { msg: read_req, .. } = read_acts[0] else {
             panic!()
         };
-        let read_resp = l2.handle(0, &read_req);
+        let read_resp = run_handler(|o| l2.handle(0, &read_req, o));
         // Meanwhile word 0 is stored and registered.
-        a.store(WordAddr(0), 42);
-        let (_, rel_acts) = a.release(false, ReqId(2));
+        a.store(WordAddr(0), 42, &mut Vec::new());
+        let (_, rel_acts) = run_op(|o| a.release(false, ReqId(2), o));
         pump(&mut [&mut a], &mut l2, rel_acts);
         assert_eq!(a.owned_words(), vec![(WordAddr(0), 42)]);
         // Now the stale read response lands.
         pump(&mut [&mut a], &mut l2, read_resp);
         assert_eq!(a.owned_words(), vec![(WordAddr(0), 42)], "not clobbered");
-        let (issue, _) = a.load(WordAddr(0), Region::Default, ReqId(3));
+        let (issue, _) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(3), o));
         assert_eq!(issue, Issue::Hit(42));
     }
 }

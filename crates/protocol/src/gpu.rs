@@ -21,7 +21,7 @@
 //! changes which operations the core model marks `local` (never, for
 //! DRF).
 
-use crate::action::{Action, ActionVec, Issue};
+use crate::action::{Action, Issue};
 use gsim_lens::LensHandle;
 use gsim_mem::{
     CacheArray, CacheGeometry, Dram, DramConfig, InsertOutcome, MemoryImage, MshrFile, StoreBuffer,
@@ -87,8 +87,8 @@ impl L1Config {
 /// The per-CU L1 controller of conventional GPU coherence.
 ///
 /// See the [module documentation](self) for the protocol. The controller
-/// is a pure state machine: operations and message deliveries return
-/// [`Action`]s for the engine to perform.
+/// is a pure state machine: operations and message deliveries append
+/// [`Action`]s to the caller's sink for the engine to perform.
 #[derive(Debug)]
 pub struct GpuL1 {
     config: L1Config,
@@ -333,12 +333,12 @@ impl GpuL1 {
 
     /// Sends one writethrough, recording its in-flight words so racing
     /// fills do not resurrect stale values.
-    fn send_writethrough(&mut self, e: gsim_mem::SbEntry, actions: &mut ActionVec) {
+    fn send_writethrough(&mut self, e: gsim_mem::SbEntry, out: &mut Vec<Action>) {
         self.pending_wt += 1;
         let slot = self.wt_inflight.entry(e.line).or_default();
         slot.0 += 1;
         slot.1 |= e.mask;
-        actions.push(Action::send(self.msg_to_home(
+        out.push(Action::send(self.msg_to_home(
             e.line,
             MsgKind::WriteThrough {
                 line: e.line,
@@ -350,13 +350,13 @@ impl GpuL1 {
 
     /// Buffers a store, emitting the overflow writethrough if the oldest
     /// entry is displaced.
-    fn buffer_store(&mut self, word: WordAddr, value: Value, actions: &mut ActionVec) {
+    fn buffer_store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) {
         self.lens.store(self.config.node.index(), word);
         if let gsim_mem::StoreOutcome::Overflow(e) = self.sb.write(word, value) {
             self.counts.sb_overflow_flushes += 1;
             let pending = e.mask.count();
             self.begin_sb_drain(FlushReason::Overflow, pending);
-            self.send_writethrough(e, actions);
+            self.send_writethrough(e, out);
         }
     }
 
@@ -372,17 +372,17 @@ impl GpuL1 {
     }
 
     /// A demand load of `word`.
-    pub fn load(&mut self, word: WordAddr, req: ReqId) -> (Issue, ActionVec) {
+    pub fn load(&mut self, word: WordAddr, req: ReqId, out: &mut Vec<Action>) -> Issue {
         if let Some(v) = self.local_value(word) {
             self.counts.l1_accesses += 1;
             self.counts.l1_load_hits += 1;
             self.lens
                 .access(self.config.node.index(), word.line(), true);
-            return (Issue::Hit(v), ActionVec::new());
+            return Issue::Hit(v);
         }
         let line = word.line();
         if !self.mshr.has_room_for(line) || self.entry_is_stale(line) {
-            return (Issue::Retry, ActionVec::new());
+            return Issue::Retry;
         }
         self.counts.l1_accesses += 1;
         self.counts.l1_load_misses += 1;
@@ -396,9 +396,8 @@ impl GpuL1 {
         if !was_pending {
             self.emit_mshr_alloc(line);
         }
-        let mut actions = ActionVec::new();
         if !to_send.is_empty() {
-            actions.push(Action::send(self.msg_to_home(
+            out.push(Action::send(self.msg_to_home(
                 line,
                 MsgKind::ReadReq {
                     line,
@@ -407,26 +406,26 @@ impl GpuL1 {
                 },
             )));
         }
-        (Issue::Pending, actions)
+        Issue::Pending
     }
 
     /// A data store: write-update the local copy and buffer the
     /// writethrough. Never blocks (overflow evicts the oldest entry).
-    pub fn store(&mut self, word: WordAddr, value: Value) -> (Issue, ActionVec) {
+    pub fn store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) -> Issue {
         self.counts.l1_accesses += 1;
         let i = word.index_in_line();
         if let Some(line) = self.cache.lookup(word.line()) {
             line.data[i] = value;
             line.set_word(i, WordState::Valid);
         }
-        let mut actions = ActionVec::new();
-        self.buffer_store(word, value, &mut actions);
-        (Issue::Hit(0), actions)
+        self.buffer_store(word, value, out);
+        Issue::Hit(0)
     }
 
     /// A synchronization access. Globally scoped atomics execute remotely
     /// at the line's home L2 bank; locally scoped atomics (`local`,
     /// GPU-H only) execute here on the L1 copy.
+    #[allow(clippy::too_many_arguments)]
     pub fn atomic(
         &mut self,
         word: WordAddr,
@@ -435,7 +434,8 @@ impl GpuL1 {
         ord: SyncOrd,
         local: bool,
         req: ReqId,
-    ) -> (Issue, ActionVec) {
+        out: &mut Vec<Action>,
+    ) -> Issue {
         if !local {
             let msg = self.msg_to_home(
                 word.line(),
@@ -449,20 +449,20 @@ impl GpuL1 {
                 },
             );
             self.pending_atomics.entry(word).or_default().push_back(req);
-            return (Issue::Pending, ActionVec::of(Action::send(msg)));
+            out.push(Action::send(msg));
+            return Issue::Pending;
         }
         if let Some(current) = self.local_value(word) {
             self.counts.l1_accesses += 1;
             self.counts.l1_atomics += 1;
             self.counts.l1_atomic_hits += 1;
             let (new, old) = op.apply(current, operands);
-            let mut actions = ActionVec::new();
-            self.apply_local_write(word, new, op, &mut actions);
-            return (Issue::Hit(old), actions);
+            self.apply_local_write(word, new, op, out);
+            return Issue::Hit(old);
         }
         let line = word.line();
         if !self.mshr.has_room_for(line) || self.entry_is_stale(line) {
-            return (Issue::Retry, ActionVec::new());
+            return Issue::Retry;
         }
         self.counts.l1_accesses += 1;
         self.counts.l1_atomics += 1;
@@ -481,9 +481,8 @@ impl GpuL1 {
         if !was_pending {
             self.emit_mshr_alloc(line);
         }
-        let mut actions = ActionVec::new();
         if !to_send.is_empty() {
-            actions.push(Action::send(self.msg_to_home(
+            out.push(Action::send(self.msg_to_home(
                 line,
                 MsgKind::ReadReq {
                     line,
@@ -492,7 +491,7 @@ impl GpuL1 {
                 },
             )));
         }
-        (Issue::Pending, actions)
+        Issue::Pending
     }
 
     /// Applies the write half of a locally performed atomic: update the
@@ -502,7 +501,7 @@ impl GpuL1 {
         word: WordAddr,
         new: Value,
         op: AtomicOp,
-        actions: &mut ActionVec,
+        out: &mut Vec<Action>,
     ) {
         if !op.writes() {
             return;
@@ -512,7 +511,7 @@ impl GpuL1 {
             line.data[i] = new;
             line.set_word(i, WordState::Valid);
         }
-        self.buffer_store(word, new, actions);
+        self.buffer_store(word, new, out);
     }
 
     /// An acquire: flash-invalidate the whole cache (global scope), or
@@ -548,9 +547,9 @@ impl GpuL1 {
     /// A release: flush the store buffer and wait for every writethrough
     /// (including earlier overflow flushes) to reach the L2. Locally
     /// scoped releases (GPU-H) complete immediately.
-    pub fn release(&mut self, local: bool, req: ReqId) -> (Issue, ActionVec) {
+    pub fn release(&mut self, local: bool, req: ReqId, out: &mut Vec<Action>) -> Issue {
         if local {
-            return (Issue::Hit(0), ActionVec::new());
+            return Issue::Hit(0);
         }
         let node = self.config.node;
         self.trace.emit(|| TraceEvent::SyncRelease {
@@ -558,17 +557,16 @@ impl GpuL1 {
             scope: Scope::Global,
         });
         let pending = self.sb.len() as u32;
-        let mut actions = ActionVec::new();
         while let Some(e) = self.sb.pop_oldest() {
             self.counts.sb_release_flushes += 1;
-            self.send_writethrough(e, &mut actions);
+            self.send_writethrough(e, out);
         }
         if self.pending_wt == 0 {
-            (Issue::Hit(0), actions)
+            Issue::Hit(0)
         } else {
             self.begin_sb_drain(FlushReason::Release, pending);
             self.pending_releases.push(req);
-            (Issue::Pending, actions)
+            Issue::Pending
         }
     }
 
@@ -578,9 +576,9 @@ impl GpuL1 {
     ///
     /// Panics on message kinds conventional GPU coherence never receives
     /// (registration grants, forwards, recalls) — a protocol bug.
-    pub fn handle(&mut self, msg: &Msg) -> ActionVec {
+    pub fn handle(&mut self, msg: &Msg, out: &mut Vec<Action>) {
         match msg.kind {
-            MsgKind::ReadResp { line, mask, data } => self.fill(line, mask, &data),
+            MsgKind::ReadResp { line, mask, data } => self.fill(line, mask, &data, out),
             MsgKind::WtAck { line } => {
                 self.pending_wt -= 1;
                 if let Some(slot) = self.wt_inflight.get_mut(&line) {
@@ -595,12 +593,11 @@ impl GpuL1 {
                         let node = self.config.node;
                         self.trace.emit(|| TraceEvent::SbFlushEnd { node });
                     }
-                    self.pending_releases
-                        .drain(..)
-                        .map(|req| Action::complete(req, 0))
-                        .collect()
-                } else {
-                    ActionVec::new()
+                    out.extend(
+                        self.pending_releases
+                            .drain(..)
+                            .map(|req| Action::complete(req, 0)),
+                    );
                 }
             }
             MsgKind::AtomicResp { word, old } => {
@@ -609,7 +606,7 @@ impl GpuL1 {
                     .get_mut(&word)
                     .and_then(|q| q.pop_front())
                     .expect("atomic response without a pending request");
-                ActionVec::of(Action::complete(req, old))
+                out.push(Action::complete(req, old));
             }
             ref k => panic!("GPU L1 received unexpected message {k:?}"),
         }
@@ -642,7 +639,8 @@ impl GpuL1 {
         line: LineAddr,
         mask: WordMask,
         data: &[Value; WORDS_PER_LINE],
-    ) -> ActionVec {
+        out: &mut Vec<Action>,
+    ) {
         let stale = self.entry_is_stale(line);
         if !stale {
             let skip = self.wt_inflight.get(&line).map(|s| s.1).unwrap_or_default();
@@ -692,12 +690,11 @@ impl GpuL1 {
                 waiters,
             });
         }
-        let mut actions = ActionVec::new();
         for w in done {
             match w {
                 Waiter::Load { req, word } => {
                     let v = self.local_value(word).unwrap_or(data[word.index_in_line()]);
-                    actions.push(Action::complete(req, v));
+                    out.push(Action::complete(req, v));
                 }
                 Waiter::LocalAtomic {
                     req,
@@ -707,12 +704,11 @@ impl GpuL1 {
                 } => {
                     let current = self.local_value(word).unwrap_or(data[word.index_in_line()]);
                     let (new, old) = op.apply(current, operands);
-                    self.apply_local_write(word, new, op, &mut actions);
-                    actions.push(Action::complete(req, old));
+                    self.apply_local_write(word, new, op, out);
+                    out.push(Action::complete(req, old));
                 }
             }
         }
-        actions
     }
 }
 
@@ -862,7 +858,7 @@ impl GpuL2 {
     ///
     /// Panics on DeNovo-only message kinds (registrations, writebacks,
     /// recalls) — a protocol bug.
-    pub fn handle(&mut self, now: Cycle, msg: &Msg) -> ActionVec {
+    pub fn handle(&mut self, now: Cycle, msg: &Msg, out: &mut Vec<Action>) {
         match msg.kind {
             MsgKind::ReadReq {
                 line, requester, ..
@@ -873,7 +869,7 @@ impl GpuL2 {
                 let delay = self.bank_op(now, line);
                 let bank = (line.0 % self.config.banks as u64) as usize;
                 let data = self.banks[bank].peek(line).expect("resident").data;
-                ActionVec::of(Action::Send {
+                out.push(Action::Send {
                     msg: Msg {
                         src: msg.dst,
                         dst: requester,
@@ -885,7 +881,7 @@ impl GpuL2 {
                         },
                     },
                     delay,
-                })
+                });
             }
             MsgKind::WriteThrough { line, mask, data } => {
                 self.counts.l2_accesses += 1;
@@ -894,7 +890,7 @@ impl GpuL2 {
                 let bank = (line.0 % self.config.banks as u64) as usize;
                 let l = self.banks[bank].lookup(line).expect("resident");
                 l.fill(mask, &data, WordState::Owned);
-                ActionVec::of(Action::Send {
+                out.push(Action::Send {
                     msg: Msg {
                         src: msg.dst,
                         dst: msg.src,
@@ -902,7 +898,7 @@ impl GpuL2 {
                         kind: MsgKind::WtAck { line },
                     },
                     delay,
-                })
+                });
             }
             MsgKind::AtomicReq {
                 word,
@@ -924,7 +920,7 @@ impl GpuL2 {
                     l.data[i] = new;
                     l.set_word(i, WordState::Owned);
                 }
-                ActionVec::of(Action::Send {
+                out.push(Action::Send {
                     msg: Msg {
                         src: msg.dst,
                         dst: requester,
@@ -932,7 +928,7 @@ impl GpuL2 {
                         kind: MsgKind::AtomicResp { word, old },
                     },
                     delay,
-                })
+                });
             }
             ref k => panic!("GPU L2 received unexpected message {k:?}"),
         }
@@ -960,6 +956,7 @@ impl GpuL2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::testing::{run_handler, run_op};
 
     fn l1() -> GpuL1 {
         GpuL1::new(L1Config::micro15(NodeId(0)))
@@ -974,20 +971,20 @@ mod tests {
     }
 
     /// Runs a full L1 -> L2 -> L1 round trip for one message.
-    fn bounce(l1c: &mut GpuL1, l2c: &mut GpuL2, actions: ActionVec) -> ActionVec {
-        let mut out = ActionVec::new();
+    fn bounce(l1c: &mut GpuL1, l2c: &mut GpuL2, actions: Vec<Action>) -> Vec<Action> {
+        let mut out = Vec::new();
         for a in actions {
             let Action::Send { msg, .. } = a else {
                 out.push(a);
                 continue;
             };
             assert_eq!(msg.dst_comp, Component::L2, "GPU L1s only talk to the L2");
-            for r in l2c.handle(0, &msg) {
+            for r in run_handler(|o| l2c.handle(0, &msg, o)) {
                 let Action::Send { msg: m2, .. } = r else {
                     out.push(r);
                     continue;
                 };
-                out.extend(l1c.handle(&m2));
+                l1c.handle(&m2, &mut out);
             }
         }
         out
@@ -997,14 +994,14 @@ mod tests {
     fn load_miss_then_hit() {
         let mut l1c = l1();
         let mut l2c = l2_with(&[(3, 77)]);
-        let (issue, actions) = l1c.load(WordAddr(3), ReqId(1));
+        let (issue, actions) = run_op(|o| l1c.load(WordAddr(3), ReqId(1), o));
         assert_eq!(issue, Issue::Pending);
         let done = bounce(&mut l1c, &mut l2c, actions);
         assert_eq!(done, vec![Action::complete(ReqId(1), 77)]);
         // Second load to any word of the line hits.
-        let (issue, _) = l1c.load(WordAddr(0), ReqId(2));
+        let (issue, _) = run_op(|o| l1c.load(WordAddr(0), ReqId(2), o));
         assert_eq!(issue, Issue::Hit(0));
-        let (issue, _) = l1c.load(WordAddr(3), ReqId(3));
+        let (issue, _) = run_op(|o| l1c.load(WordAddr(3), ReqId(3), o));
         assert_eq!(issue, Issue::Hit(77));
         assert_eq!(l1c.counts().l1_load_hits, 2);
         assert_eq!(l1c.counts().l1_load_misses, 1);
@@ -1014,8 +1011,8 @@ mod tests {
     fn coalesced_misses_complete_together() {
         let mut l1c = l1();
         let mut l2c = l2_with(&[(0, 5), (1, 6)]);
-        let (_, a1) = l1c.load(WordAddr(0), ReqId(1));
-        let (issue2, a2) = l1c.load(WordAddr(1), ReqId(2));
+        let (_, a1) = run_op(|o| l1c.load(WordAddr(0), ReqId(1), o));
+        let (issue2, a2) = run_op(|o| l1c.load(WordAddr(1), ReqId(2), o));
         assert_eq!(issue2, Issue::Pending);
         assert!(a2.is_empty(), "second miss coalesces, no new request");
         let done = bounce(&mut l1c, &mut l2c, a1);
@@ -1029,14 +1026,14 @@ mod tests {
     fn store_forwards_and_release_flushes() {
         let mut l1c = l1();
         let mut l2c = l2_with(&[]);
-        let (issue, actions) = l1c.store(WordAddr(8), 42);
+        let (issue, actions) = run_op(|o| l1c.store(WordAddr(8), 42, o));
         assert_eq!(issue, Issue::Hit(0));
         assert!(actions.is_empty(), "store buffered, nothing sent yet");
         // Store-to-load forwarding.
-        let (issue, _) = l1c.load(WordAddr(8), ReqId(1));
+        let (issue, _) = run_op(|o| l1c.load(WordAddr(8), ReqId(1), o));
         assert_eq!(issue, Issue::Hit(42));
         // Release drains the buffer and blocks until the ack.
-        let (issue, actions) = l1c.release(false, ReqId(2));
+        let (issue, actions) = run_op(|o| l1c.release(false, ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
         assert_eq!(actions.len(), 1);
         let done = bounce(&mut l1c, &mut l2c, actions);
@@ -1056,7 +1053,7 @@ mod tests {
     #[test]
     fn empty_release_completes_immediately() {
         let mut l1c = l1();
-        let (issue, actions) = l1c.release(false, ReqId(9));
+        let (issue, actions) = run_op(|o| l1c.release(false, ReqId(9), o));
         assert_eq!(issue, Issue::Hit(0));
         assert!(actions.is_empty());
     }
@@ -1065,18 +1062,18 @@ mod tests {
     fn acquire_invalidates_but_store_buffer_survives() {
         let mut l1c = l1();
         let mut l2c = l2_with(&[(0, 1)]);
-        let (_, a) = l1c.load(WordAddr(0), ReqId(1));
+        let (_, a) = run_op(|o| l1c.load(WordAddr(0), ReqId(1), o));
         bounce(&mut l1c, &mut l2c, a);
-        l1c.store(WordAddr(1), 9);
+        l1c.store(WordAddr(1), 9, &mut Vec::new());
         l1c.acquire(false);
         assert_eq!(l1c.counts().flash_invalidations, 1);
         assert_eq!(l1c.counts().words_invalidated, 16);
         // The cached word is gone...
-        let (issue, a) = l1c.load(WordAddr(0), ReqId(2));
+        let (issue, a) = run_op(|o| l1c.load(WordAddr(0), ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
         bounce(&mut l1c, &mut l2c, a);
         // ...but the dirty word still forwards.
-        let (issue, _) = l1c.load(WordAddr(1), ReqId(3));
+        let (issue, _) = run_op(|o| l1c.load(WordAddr(1), ReqId(3), o));
         assert_eq!(issue, Issue::Hit(9));
         // Local acquire (GPU-H) invalidates nothing.
         l1c.acquire(true);
@@ -1087,14 +1084,17 @@ mod tests {
     fn global_atomic_executes_at_l2() {
         let mut l1c = l1();
         let mut l2c = l2_with(&[(4, 10)]);
-        let (issue, actions) = l1c.atomic(
-            WordAddr(4),
-            AtomicOp::Add,
-            [5, 0],
-            SyncOrd::AcqRel,
-            false,
-            ReqId(1),
-        );
+        let (issue, actions) = run_op(|o| {
+            l1c.atomic(
+                WordAddr(4),
+                AtomicOp::Add,
+                [5, 0],
+                SyncOrd::AcqRel,
+                false,
+                ReqId(1),
+                o,
+            )
+        });
         assert_eq!(issue, Issue::Pending);
         let done = bounce(&mut l1c, &mut l2c, actions);
         assert_eq!(done, vec![Action::complete(ReqId(1), 10)]);
@@ -1110,32 +1110,38 @@ mod tests {
         let mut l1c = l1();
         let mut l2c = l2_with(&[(4, 10)]);
         // Miss: fetch the line, then perform locally.
-        let (issue, actions) = l1c.atomic(
-            WordAddr(4),
-            AtomicOp::Add,
-            [5, 0],
-            SyncOrd::AcqRel,
-            true,
-            ReqId(1),
-        );
+        let (issue, actions) = run_op(|o| {
+            l1c.atomic(
+                WordAddr(4),
+                AtomicOp::Add,
+                [5, 0],
+                SyncOrd::AcqRel,
+                true,
+                ReqId(1),
+                o,
+            )
+        });
         assert_eq!(issue, Issue::Pending);
         let done = bounce(&mut l1c, &mut l2c, actions);
         assert_eq!(done, vec![Action::complete(ReqId(1), 10)]);
         // Now a hit, entirely at the L1.
-        let (issue, actions) = l1c.atomic(
-            WordAddr(4),
-            AtomicOp::Add,
-            [1, 0],
-            SyncOrd::AcqRel,
-            true,
-            ReqId(2),
-        );
+        let (issue, actions) = run_op(|o| {
+            l1c.atomic(
+                WordAddr(4),
+                AtomicOp::Add,
+                [1, 0],
+                SyncOrd::AcqRel,
+                true,
+                ReqId(2),
+                o,
+            )
+        });
         assert_eq!(issue, Issue::Hit(15));
         assert!(actions.is_empty());
         assert_eq!(l1c.counts().l1_atomic_hits, 1);
         assert_eq!(l2c.counts().l2_atomics, 0);
         // The value reaches the L2 at the next global release.
-        let (_, actions) = l1c.release(false, ReqId(3));
+        let (_, actions) = run_op(|o| l1c.release(false, ReqId(3), o));
         bounce(&mut l1c, &mut l2c, actions);
         l2c.flush_to_memory();
         assert_eq!(l2c.memory().read_word(WordAddr(4)), 16);
@@ -1145,22 +1151,28 @@ mod tests {
     fn same_word_atomics_complete_in_order() {
         let mut l1c = l1();
         let mut l2c = l2_with(&[(0, 0)]);
-        let (_, a1) = l1c.atomic(
-            WordAddr(0),
-            AtomicOp::Add,
-            [1, 0],
-            SyncOrd::AcqRel,
-            false,
-            ReqId(1),
-        );
-        let (_, a2) = l1c.atomic(
-            WordAddr(0),
-            AtomicOp::Add,
-            [1, 0],
-            SyncOrd::AcqRel,
-            false,
-            ReqId(2),
-        );
+        let (_, a1) = run_op(|o| {
+            l1c.atomic(
+                WordAddr(0),
+                AtomicOp::Add,
+                [1, 0],
+                SyncOrd::AcqRel,
+                false,
+                ReqId(1),
+                o,
+            )
+        });
+        let (_, a2) = run_op(|o| {
+            l1c.atomic(
+                WordAddr(0),
+                AtomicOp::Add,
+                [1, 0],
+                SyncOrd::AcqRel,
+                false,
+                ReqId(2),
+                o,
+            )
+        });
         let d1 = bounce(&mut l1c, &mut l2c, a1);
         let d2 = bounce(&mut l1c, &mut l2c, a2);
         assert_eq!(d1, vec![Action::complete(ReqId(1), 0)]);
@@ -1175,7 +1187,7 @@ mod tests {
         });
         let mut actions = Vec::new();
         for line in 0..3u64 {
-            let (_, a) = l1c.store(LineAddr(line).word(0), line as Value);
+            let (_, a) = run_op(|o| l1c.store(LineAddr(line).word(0), line as Value, o));
             actions.extend(a);
         }
         assert_eq!(actions.len(), 1, "oldest entry written through");
@@ -1201,13 +1213,13 @@ mod tests {
             mshr_entries: 1,
             ..L1Config::micro15(NodeId(0))
         });
-        let (i1, _) = l1c.load(WordAddr(0), ReqId(1));
+        let (i1, _) = run_op(|o| l1c.load(WordAddr(0), ReqId(1), o));
         assert_eq!(i1, Issue::Pending);
-        let (i2, a2) = l1c.load(LineAddr(1).word(0), ReqId(2));
+        let (i2, a2) = run_op(|o| l1c.load(LineAddr(1).word(0), ReqId(2), o));
         assert_eq!(i2, Issue::Retry);
         assert!(a2.is_empty());
         // Same line still coalesces even when the file is "full".
-        let (i3, _) = l1c.load(WordAddr(1), ReqId(3));
+        let (i3, _) = run_op(|o| l1c.load(WordAddr(1), ReqId(3), o));
         assert_eq!(i3, Issue::Pending);
     }
 
@@ -1224,13 +1236,13 @@ mod tests {
                 requester: NodeId(2),
             },
         };
-        let first = l2c.handle(0, &req);
+        let first = run_handler(|o| l2c.handle(0, &req, o));
         let Action::Send { delay: d1, msg } = first[0] else {
             panic!("expected a send");
         };
         assert!(matches!(msg.kind, MsgKind::ReadResp { .. }));
         assert_eq!(l2c.counts().dram_reads, 1);
-        let second = l2c.handle(1000, &req);
+        let second = run_handler(|o| l2c.handle(1000, &req, o));
         let Action::Send { delay: d2, .. } = second[0] else {
             panic!("expected a send");
         };
@@ -1252,7 +1264,7 @@ mod tests {
                 data: [55; WORDS_PER_LINE],
             },
         };
-        let acks = l2c.handle(0, &wt);
+        let acks = run_handler(|o| l2c.handle(0, &wt, o));
         assert!(matches!(
             acks[0],
             Action::Send {

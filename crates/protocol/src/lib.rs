@@ -17,8 +17,9 @@
 //!   for racy registrations.
 //!
 //! Controllers are pure state machines connected to the engine through
-//! the [`action`] vocabulary, so every protocol transition is unit-tested
-//! in isolation here, independent of timing.
+//! the [`action`] vocabulary (each entry point appends to a caller-owned
+//! `Vec<Action>` sink), so every protocol transition is unit-tested in
+//! isolation here, independent of timing.
 //!
 //! The qualitative side of the paper lives in three data modules:
 //! [`taxonomy`] (Table 1), [`features`] (Tables 2 and 5), and
@@ -31,6 +32,6 @@ pub mod gpu;
 pub mod overhead;
 pub mod taxonomy;
 
-pub use action::{Action, ActionVec, Issue};
+pub use action::{Action, Issue};
 pub use denovo::{DnL1, DnL2};
 pub use gpu::{GpuL1, GpuL2, L1Config, L2Config};

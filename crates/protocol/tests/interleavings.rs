@@ -19,6 +19,14 @@ use gsim_protocol::{Action, DnL1, DnL2, GpuL1, GpuL2, Issue, L1Config, L2Config}
 use gsim_types::{AtomicOp, Component, Msg, NodeId, ReqId, Rng64, SyncOrd, Value, WordAddr};
 use std::collections::VecDeque;
 
+/// Runs one core-side entry point against a fresh sink, returning its
+/// outcome and the actions it appended.
+fn run_op(f: impl FnOnce(&mut Vec<Action>) -> Issue) -> (Issue, Vec<Action>) {
+    let mut out = Vec::new();
+    let issue = f(&mut out);
+    (issue, out)
+}
+
 /// An in-flight message network preserving per-channel FIFO but
 /// otherwise delivering in the order a seeded RNG picks.
 struct ChaosNet {
@@ -75,30 +83,32 @@ fn pump_denovo(
     l2: &mut DnL2,
     done: &mut Vec<(ReqId, Value)>,
 ) {
+    let mut replies = Vec::new();
     while let Some(msg) = net.pop() {
-        let replies = match msg.dst_comp {
-            Component::L2 => l2.handle(0, &msg),
+        match msg.dst_comp {
+            Component::L2 => l2.handle(0, &msg, &mut replies),
             Component::L1 => l1s
                 .iter_mut()
                 .find(|l| l.node() == msg.dst)
                 .expect("known L1")
-                .handle(&msg),
-        };
-        net.push_actions(replies, done);
+                .handle(&msg, &mut replies),
+        }
+        net.push_actions(replies.drain(..), done);
     }
 }
 
 fn pump_gpu(net: &mut ChaosNet, l1s: &mut [GpuL1], l2: &mut GpuL2, done: &mut Vec<(ReqId, Value)>) {
+    let mut replies = Vec::new();
     while let Some(msg) = net.pop() {
-        let replies = match msg.dst_comp {
-            Component::L2 => l2.handle(0, &msg),
+        match msg.dst_comp {
+            Component::L2 => l2.handle(0, &msg, &mut replies),
             Component::L1 => l1s
                 .iter_mut()
                 .find(|l| l.node() == msg.dst)
                 .expect("known L1")
-                .handle(&msg),
-        };
-        net.push_actions(replies, done);
+                .handle(&msg, &mut replies),
+        }
+        net.push_actions(replies.drain(..), done);
     }
 }
 
@@ -118,7 +128,8 @@ fn denovo_racy_adds(seed: u64, n_l1s: usize, adds_per_l1: usize) {
     for round in 0..adds_per_l1 {
         for l1 in l1s.iter_mut() {
             req += 1;
-            let (issue, actions) = l1.atomic(word, AtomicOp::Add, [1, 0], false, ReqId(req));
+            let (issue, actions) =
+                run_op(|o| l1.atomic(word, AtomicOp::Add, [1, 0], false, ReqId(req), o));
             expected_reqs.push(ReqId(req));
             match issue {
                 Issue::Hit(_) => done.push((ReqId(req), u32::MAX)), // value checked via sum
@@ -130,14 +141,15 @@ fn denovo_racy_adds(seed: u64, n_l1s: usize, adds_per_l1: usize) {
         // Interleave deliveries between issue rounds too.
         for _ in 0..3 {
             if let Some(msg) = net.pop() {
-                let replies = match msg.dst_comp {
-                    Component::L2 => l2.handle(0, &msg),
+                let mut replies = Vec::new();
+                match msg.dst_comp {
+                    Component::L2 => l2.handle(0, &msg, &mut replies),
                     Component::L1 => l1s
                         .iter_mut()
                         .find(|l| l.node() == msg.dst)
                         .expect("known L1")
-                        .handle(&msg),
-                };
+                        .handle(&msg, &mut replies),
+                }
                 net.push_actions(replies, &mut done);
             }
         }
@@ -182,14 +194,17 @@ fn gpu_racy_adds(seed: u64, n_l1s: usize, adds_per_l1: usize) {
     for _ in 0..adds_per_l1 {
         for l1 in l1s.iter_mut() {
             req += 1;
-            let (issue, actions) = l1.atomic(
-                word,
-                AtomicOp::Add,
-                [1, 0],
-                SyncOrd::AcqRel,
-                false,
-                ReqId(req),
-            );
+            let (issue, actions) = run_op(|o| {
+                l1.atomic(
+                    word,
+                    AtomicOp::Add,
+                    [1, 0],
+                    SyncOrd::AcqRel,
+                    false,
+                    ReqId(req),
+                    o,
+                )
+            });
             assert_eq!(issue, Issue::Pending);
             issued += 1;
             net.push_actions(actions, &mut done);

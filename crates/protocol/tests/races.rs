@@ -9,6 +9,22 @@ use gsim_types::{
     AtomicOp, Component, LineAddr, Msg, NodeId, Region, ReqId, SyncOrd, Value, WordAddr,
 };
 
+/// Runs one core-side entry point against a fresh sink, returning its
+/// outcome and the actions it appended.
+fn run_op(f: impl FnOnce(&mut Vec<Action>) -> Issue) -> (Issue, Vec<Action>) {
+    let mut out = Vec::new();
+    let issue = f(&mut out);
+    (issue, out)
+}
+
+/// Runs one message handler against a fresh sink, returning the
+/// actions it appended.
+fn run_handler(f: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+    let mut out = Vec::new();
+    f(&mut out);
+    out
+}
+
 /// Extracts the sent messages from an action list.
 fn sends(actions: &[Action]) -> Vec<Msg> {
     actions
@@ -31,10 +47,11 @@ fn pump_gpu(
     while let Some(a) = queue.pop_front() {
         match a {
             Action::Send { msg, .. } => {
-                let replies = match msg.dst_comp {
-                    Component::L2 => l2.handle(0, &msg),
-                    Component::L1 => l1.handle(&msg),
-                };
+                let mut replies = Vec::new();
+                match msg.dst_comp {
+                    Component::L2 => l2.handle(0, &msg, &mut replies),
+                    Component::L1 => l1.handle(&msg, &mut replies),
+                }
                 queue.extend(replies);
             }
             Action::Complete { req, value, .. } => done.push((req, value)),
@@ -53,14 +70,15 @@ fn pump_dn(
     while let Some(a) = queue.pop_front() {
         match a {
             Action::Send { msg, .. } => {
-                let replies = match msg.dst_comp {
-                    Component::L2 => l2.handle(0, &msg),
+                let mut replies = Vec::new();
+                match msg.dst_comp {
+                    Component::L2 => l2.handle(0, &msg, &mut replies),
                     Component::L1 => l1s
                         .iter_mut()
                         .find(|l| l.node() == msg.dst)
                         .expect("known L1")
-                        .handle(&msg),
-                };
+                        .handle(&msg, &mut replies),
+                }
                 queue.extend(replies);
             }
             Action::Complete { req, value, .. } => done.push((req, value)),
@@ -79,14 +97,14 @@ fn gpu_fill_does_not_resurrect_flushed_store() {
     });
     let mut l2 = GpuL2::new(L2Config::default(), MemoryImage::new());
     // 1. A load of line 0 goes out; hold the response.
-    let (issue, acts) = l1.load(WordAddr(5), ReqId(1));
+    let (issue, acts) = run_op(|o| l1.load(WordAddr(5), ReqId(1), o));
     assert_eq!(issue, Issue::Pending);
     let read_req = sends(&acts)[0];
-    let held_fill = l2.handle(0, &read_req);
+    let held_fill = run_handler(|o| l2.handle(0, &read_req, o));
     // 2. Store to word 5 of the same line, then overflow it out of the
     //    tiny store buffer by storing to another line.
-    l1.store(WordAddr(5), 777);
-    let (_, acts) = l1.store(LineAddr(9).word(0), 1);
+    l1.store(WordAddr(5), 777, &mut Vec::new());
+    let (_, acts) = run_op(|o| l1.store(LineAddr(9).word(0), 1, o));
     let wt = sends(&acts);
     assert_eq!(wt.len(), 1, "line 0 written through on overflow");
     // 3. The writethrough reaches the L2 AFTER the held fill was
@@ -95,11 +113,11 @@ fn gpu_fill_does_not_resurrect_flushed_store() {
     //    stale fill first, while the writethrough is still unacked.
     let done = pump_gpu(&mut l1, &mut l2, held_fill);
     assert_eq!(done.len(), 1, "the blocked load completes");
-    let acks = l2.handle(0, &wt[0]);
+    let acks = run_handler(|o| l2.handle(0, &wt[0], o));
     pump_gpu(&mut l1, &mut l2, acks);
     // 4. The word must NOT read stale: either it re-misses (squashed) or
     //    it reads 777 — never the pre-store zero.
-    let (issue, acts) = l1.load(WordAddr(5), ReqId(2));
+    let (issue, acts) = run_op(|o| l1.load(WordAddr(5), ReqId(2), o));
     match issue {
         Issue::Hit(v) => assert_eq!(v, 777, "stale value resurrected by the fill"),
         Issue::Pending => {
@@ -119,8 +137,8 @@ fn gpu_preacquire_fill_does_not_serve_postacquire_loads() {
     mem.write_word(WordAddr(0), 1);
     let mut l2 = GpuL2::new(L2Config::default(), mem);
     // 1. Load word 0; hold the fill.
-    let (_, acts) = l1.load(WordAddr(0), ReqId(1));
-    let held_fill = l2.handle(0, &sends(&acts)[0]);
+    let (_, acts) = run_op(|o| l1.load(WordAddr(0), ReqId(1), o));
+    let held_fill = run_handler(|o| l2.handle(0, &sends(&acts)[0], o));
     // 2. Another CU updates word 0 at the L2 (atomic write) and our CU
     //    acquires.
     let update = Msg {
@@ -136,10 +154,10 @@ fn gpu_preacquire_fill_does_not_serve_postacquire_loads() {
             requester: NodeId(5),
         },
     };
-    let _ = l2.handle(0, &update);
+    let _ = run_handler(|o| l2.handle(0, &update, o));
     l1.acquire(false);
     // 3. A post-acquire load must not coalesce with the stale entry.
-    let (issue, _) = l1.load(WordAddr(0), ReqId(2));
+    let (issue, _) = run_op(|o| l1.load(WordAddr(0), ReqId(2), o));
     assert_eq!(
         issue,
         Issue::Retry,
@@ -150,7 +168,7 @@ fn gpu_preacquire_fill_does_not_serve_postacquire_loads() {
     let done = pump_gpu(&mut l1, &mut l2, held_fill);
     assert_eq!(done.len(), 1);
     // 5. The retried load now fetches fresh data.
-    let (issue, acts) = l1.load(WordAddr(0), ReqId(3));
+    let (issue, acts) = run_op(|o| l1.load(WordAddr(0), ReqId(3), o));
     assert_eq!(issue, Issue::Pending);
     let done = pump_gpu(&mut l1, &mut l2, acts);
     assert_eq!(
@@ -168,15 +186,15 @@ fn denovo_preacquire_fill_does_not_install() {
     let mut mem = MemoryImage::new();
     mem.write_word(WordAddr(0), 10);
     let mut l2 = DnL2::new(L2Config::default(), mem);
-    let (_, acts) = a.load(WordAddr(0), Region::Default, ReqId(1));
-    let held = l2.handle(0, &sends(&acts)[0]);
+    let (_, acts) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(1), o));
+    let held = run_handler(|o| l2.handle(0, &sends(&acts)[0], o));
     a.acquire(false);
-    let (issue, _) = a.load(WordAddr(0), Region::Default, ReqId(2));
+    let (issue, _) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(2), o));
     assert_eq!(issue, Issue::Retry);
     let done = pump_dn(&mut [&mut a], &mut l2, held);
     assert_eq!(done.len(), 1, "pre-acquire load served");
     // Post-acquire load re-fetches (nothing was installed).
-    let (issue, acts) = a.load(WordAddr(0), Region::Default, ReqId(3));
+    let (issue, acts) = run_op(|o| a.load(WordAddr(0), Region::Default, ReqId(3), o));
     assert_eq!(issue, Issue::Pending);
     let done = pump_dn(&mut [&mut a], &mut l2, acts);
     assert_eq!(done, vec![(ReqId(3), 10)]);
@@ -189,9 +207,10 @@ fn denovo_preacquire_fill_does_not_install() {
 fn denovo_sync_grant_survives_acquire_window() {
     let mut a = DnL1::new(DnConfig::micro15(NodeId(0)));
     let mut l2 = DnL2::new(L2Config::default(), MemoryImage::new());
-    let (issue, acts) = a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1));
+    let (issue, acts) =
+        run_op(|o| a.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(1), o));
     assert_eq!(issue, Issue::Pending);
-    let held_grant = l2.handle(0, &sends(&acts)[0]);
+    let held_grant = run_handler(|o| l2.handle(0, &sends(&acts)[0], o));
     // An unrelated acquire (another thread block's) lands first.
     a.acquire(false);
     let done = pump_dn(&mut [&mut a], &mut l2, held_grant);
@@ -230,20 +249,20 @@ fn denovo_forward_served_from_inflight_writeback() {
     // CU0 owns a word in each of the two ways of set 0 (victim selection
     // prefers unowned lines, so both must be owned to force an owned
     // eviction).
-    a.store(WordAddr(0), 42);
-    a.store(LineAddr(1).word(0), 9);
-    let (_, acts) = a.release(false, ReqId(1));
+    a.store(WordAddr(0), 42, &mut Vec::new());
+    a.store(LineAddr(1).word(0), 9, &mut Vec::new());
+    let (_, acts) = run_op(|o| a.release(false, ReqId(1), o));
     pump_dn(&mut [&mut a, &mut b], &mut l2, acts);
     // Load line 2: line 0 (LRU) is evicted at fill time. Intercept the
     // fill delivery by hand so the WbReq can be held back.
-    let (_, acts) = a.load(LineAddr(2).word(0), Region::Default, ReqId(10));
-    let fill = l2.handle(0, &sends(&acts)[0]);
+    let (_, acts) = run_op(|o| a.load(LineAddr(2).word(0), Region::Default, ReqId(10), o));
+    let fill = run_handler(|o| l2.handle(0, &sends(&acts)[0], o));
     let mut held_wb = Vec::new();
     for act in fill {
         let Action::Send { msg, .. } = act else {
             continue;
         };
-        let replies = a.handle(&msg);
+        let replies = run_handler(|o| a.handle(&msg, o));
         for r in replies {
             let Action::Send { msg, .. } = r else {
                 continue;
@@ -258,7 +277,8 @@ fn denovo_forward_served_from_inflight_writeback() {
     assert_eq!(held_wb.len(), 1, "one eviction writeback in flight");
     // CU1 registers word 0: the registry still thinks CU0 owns it and
     // forwards; CU0 must serve the transfer from the in-flight writeback.
-    let (issue, acts) = b.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2));
+    let (issue, acts) =
+        run_op(|o| b.atomic(WordAddr(0), AtomicOp::Add, [1, 0], false, ReqId(2), o));
     assert_eq!(issue, Issue::Pending);
     let done = pump_dn(&mut [&mut a, &mut b], &mut l2, acts);
     assert_eq!(
@@ -268,7 +288,7 @@ fn denovo_forward_served_from_inflight_writeback() {
     );
     assert_eq!(b.owned_words(), vec![(WordAddr(0), 43)]);
     // The stale writeback finally lands at the registry and is ignored.
-    let acks = l2.handle(0, &held_wb[0]);
+    let acks = run_handler(|o| l2.handle(0, &held_wb[0], o));
     pump_dn(&mut [&mut a, &mut b], &mut l2, acks);
     assert!(a.quiesced());
     // CU1 still owns the word with the fresh value.
@@ -282,27 +302,33 @@ fn denovo_forward_served_from_inflight_writeback() {
 fn gpu_bank_keeps_atomic_responses_in_order() {
     let mut l1 = GpuL1::new(L1Config::micro15(NodeId(0)));
     let mut l2 = GpuL2::new(L2Config::default(), MemoryImage::new());
-    let (_, a1) = l1.atomic(
-        WordAddr(0),
-        AtomicOp::Add,
-        [1, 0],
-        SyncOrd::AcqRel,
-        false,
-        ReqId(1),
-    );
-    let (_, a2) = l1.atomic(
-        WordAddr(0),
-        AtomicOp::Add,
-        [1, 0],
-        SyncOrd::AcqRel,
-        false,
-        ReqId(2),
-    );
+    let (_, a1) = run_op(|o| {
+        l1.atomic(
+            WordAddr(0),
+            AtomicOp::Add,
+            [1, 0],
+            SyncOrd::AcqRel,
+            false,
+            ReqId(1),
+            o,
+        )
+    });
+    let (_, a2) = run_op(|o| {
+        l1.atomic(
+            WordAddr(0),
+            AtomicOp::Add,
+            [1, 0],
+            SyncOrd::AcqRel,
+            false,
+            ReqId(2),
+            o,
+        )
+    });
     // Deliver both requests to the bank in order; the first misses to
     // DRAM, the second hits. The bank must emit the responses with
     // non-decreasing delays.
-    let r1 = l2.handle(0, &sends(&a1)[0]);
-    let r2 = l2.handle(0, &sends(&a2)[0]);
+    let r1 = run_handler(|o| l2.handle(0, &sends(&a1)[0], o));
+    let r2 = run_handler(|o| l2.handle(0, &sends(&a2)[0], o));
     let d1 = match r1[0] {
         Action::Send { delay, .. } => delay,
         _ => panic!(),
@@ -329,12 +355,12 @@ fn denovo_registration_beats_inflight_read() {
     mem.write_word(WordAddr(1), 111);
     let mut l2 = DnL2::new(L2Config::default(), mem);
     // Read word 1 (fetches the line incl. word 0); hold the fill.
-    let (_, acts) = a.load(WordAddr(1), Region::Default, ReqId(1));
-    let held = l2.handle(0, &sends(&acts)[0]);
+    let (_, acts) = run_op(|o| a.load(WordAddr(1), Region::Default, ReqId(1), o));
+    let held = run_handler(|o| l2.handle(0, &sends(&acts)[0], o));
     // Store to word 0 and release: registration must go out even though
     // a read of the same line is pending.
-    a.store(WordAddr(0), 5);
-    let (issue, acts) = a.release(false, ReqId(2));
+    a.store(WordAddr(0), 5, &mut Vec::new());
+    let (issue, acts) = run_op(|o| a.release(false, ReqId(2), o));
     assert_eq!(issue, Issue::Pending);
     let done = pump_dn(&mut [&mut a], &mut l2, acts);
     assert_eq!(done, vec![(ReqId(2), 0)], "release completes via the grant");

@@ -1,11 +1,10 @@
 //! A small-vector that keeps the first `N` elements inline, heap-free.
 //!
-//! Protocol controllers return a list of actions from every operation,
-//! and almost every list has 0-3 entries — but `Vec` puts even one
-//! entry on the heap, so the simulator used to pay an allocation per
-//! simulated memory access. [`InlineVec`] stores up to `N` elements in
-//! the struct itself and only spills to a `Vec` beyond that, making the
-//! common dispatch path allocation-free.
+//! The NoC computes a route for every message it sends, and every route
+//! of the default fabrics is at most 13 hops — but `Vec` puts even one
+//! hop on the heap. [`InlineVec`] stores up to `N` elements in the
+//! struct itself and only spills to a `Vec` beyond that, so routing
+//! allocates nothing on the common path.
 //!
 //! Deliberately minimal and `unsafe`-free: elements must be `Copy +
 //! Default` (the inline array is filler-initialized). On overflow the
@@ -21,7 +20,9 @@
 //! v.push(1);
 //! v.push(2);
 //! assert_eq!(v.as_slice(), &[1, 2]);          // inline, no allocation
-//! v.extend([3, 4, 5]);                        // fifth element spills
+//! for x in [3, 4, 5] {
+//!     v.push(x);                              // the fifth element spills
+//! }
 //! assert_eq!(v.iter().sum::<u32>(), 15);
 //! assert_eq!(v.into_iter().count(), 5);
 //! ```
@@ -46,15 +47,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             inline: [T::default(); N],
             spill: Vec::new(),
         }
-    }
-
-    /// A list holding exactly one element — the most common controller
-    /// return shape.
-    #[inline]
-    pub fn of(item: T) -> Self {
-        let mut v = Self::new();
-        v.push(item);
-        v
     }
 
     /// Appends an element, spilling to the heap only past `N` elements.
@@ -104,48 +96,11 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.as_slice().iter()
     }
-
-    /// Removes all elements, keeping any spill capacity for reuse.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
-    /// Moves every element of `other` onto the end of `self`.
-    #[inline]
-    pub fn append(&mut self, other: &Self) {
-        for &item in other.iter() {
-            self.push(item);
-        }
-    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.push(item);
-        }
-    }
-}
-
-impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = Self::new();
-        v.extend(iter);
-        v
-    }
-}
-
-impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
-    fn from(items: Vec<T>) -> Self {
-        items.into_iter().collect()
     }
 }
 
@@ -164,18 +119,6 @@ where
 impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Copy + Default + PartialEq, const N: usize> PartialEq<Vec<T>> for InlineVec<T, N> {
-    fn eq(&self, other: &Vec<T>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Copy + Default + PartialEq, const N: usize> PartialEq<&[T]> for InlineVec<T, N> {
-    fn eq(&self, other: &&[T]) -> bool {
-        self.as_slice() == *other
     }
 }
 
@@ -241,7 +184,8 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
         assert_eq!(v.as_slice(), &[]);
-        let one = InlineVec::<u32, 4>::of(9);
+        let mut one = InlineVec::<u32, 4>::new();
+        one.push(9);
         assert_eq!(one.as_slice(), &[9]);
     }
 
@@ -260,38 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_reuses_without_losing_elements() {
-        let mut v: InlineVec<u32, 2> = InlineVec::new();
-        v.extend([1, 2, 3]);
-        v.clear();
-        assert!(v.is_empty());
-        v.push(7);
-        assert_eq!(v.as_slice(), &[7]);
-    }
-
-    #[test]
-    fn append_and_from_vec() {
-        let mut a: InlineVec<u32, 4> = InlineVec::of(1);
-        let b: InlineVec<u32, 4> = vec![2, 3, 4, 5, 6].into();
-        a.append(&b);
-        assert_eq!(a.as_slice(), &[1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
     fn matches_vec_model_under_random_ops() {
         let mut rng = Rng64::seed_from_u64(0x1111);
         for _ in 0..64 {
             let mut v: InlineVec<u64, 3> = InlineVec::new();
             let mut model: Vec<u64> = Vec::new();
             for _ in 0..rng.gen_usize(1, 64) {
-                if rng.gen_u32(0, 8) == 0 {
-                    v.clear();
-                    model.clear();
-                } else {
-                    let x = rng.gen_u64(0, 1000);
-                    v.push(x);
-                    model.push(x);
-                }
+                let x = rng.gen_u64(0, 1000);
+                v.push(x);
+                model.push(x);
                 assert_eq!(v.as_slice(), model.as_slice());
                 assert_eq!(v.len(), model.len());
             }

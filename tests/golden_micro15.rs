@@ -10,6 +10,8 @@
 //! GSIM_BLESS_GOLDEN=1 cargo test --test golden_micro15
 //! ```
 
+mod common;
+
 use gsim_core::{Simulator, SystemConfig};
 use gsim_types::ProtocolConfig;
 use gsim_workloads::{registry, Scale};
@@ -41,22 +43,9 @@ fn current_snapshot() -> String {
 
 #[test]
 fn default_4x4_stats_match_the_pre_fabric_golden() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    let got = current_snapshot();
-    if std::env::var("GSIM_BLESS_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {GOLDEN_PATH} ({e}); bless it first"));
-    if got != want {
-        for (g, w) in got.lines().zip(want.lines()) {
-            assert_eq!(
-                g, w,
-                "single-device stats drifted from the pre-fabric golden"
-            );
-        }
-        panic!("single-device stats drifted from the pre-fabric golden (length)");
-    }
+    common::check_golden(
+        GOLDEN_PATH,
+        &current_snapshot(),
+        "single-device stats drifted from the pre-fabric golden",
+    );
 }
