@@ -6,8 +6,8 @@
 //! Dependency-free harness: each case runs a warmup pass and then a
 //! fixed number of timed iterations, reporting min/mean wall time.
 
-use gsim_core::{EngineKind, Simulator, SystemConfig};
-use gsim_harness::{budget_workers, full_matrix, run_cells, run_cells_sharded, to_csv};
+use gsim_core::{Simulator, SystemConfig};
+use gsim_harness::{default_jobs, full_matrix, run_cells};
 use gsim_types::ProtocolConfig;
 use gsim_workloads::{registry, Scale};
 use std::hint::black_box;
@@ -41,7 +41,7 @@ fn bench_config(name: &str, protocol: ProtocolConfig) {
 /// N-core machine jobs=N should approach N x jobs=1; on one core the
 /// pool must cost nothing (jobs=1 runs inline).
 fn bench_harness_scaling() {
-    let cores = gsim_harness::default_jobs();
+    let cores = default_jobs();
     println!("\nharness scaling (full Tiny matrix, no cache, {cores} cores available)");
     let cells = full_matrix(Scale::Tiny);
     let mut base = None;
@@ -60,7 +60,8 @@ fn bench_harness_scaling() {
 
 /// Times the Tiny-scale three_panels workload — the full benchmark x
 /// config matrix at jobs=1 — and records the throughput in a JSON
-/// baseline file (`BENCH_throughput.json`, or `$BENCH_OUT`).
+/// baseline file (`BENCH_throughput.json`, or `$BENCH_OUT`), naming the
+/// host's core count (`nproc`) so a baseline says where it was taken.
 ///
 /// The committed copy at the repository root is the perf baseline the
 /// CI perf-smoke job compares against; regenerate it on a quiet machine
@@ -86,10 +87,11 @@ fn bench_matrix_baseline() {
         "\nthree_panels Tiny matrix (jobs=1, best of {REPS}): {wall_ms:.2}ms, \
          {sim_cycles} sim cycles, {cycles_per_sec:.0} cycles/sec"
     );
+    let nproc = default_jobs();
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_throughput.json".into());
     let json = format!(
         "{{\n  \"case\": \"three_panels_tiny_matrix\",\n  \"scale\": \"Tiny\",\n  \
-         \"jobs\": 1,\n  \"shards\": 0,\n  \"threads\": 1,\n  \"cells\": {},\n  \
+         \"jobs\": 1,\n  \"nproc\": {nproc},\n  \"cells\": {},\n  \
          \"reps\": {REPS},\n  \
          \"wall_ms\": {wall_ms:.2},\n  \"sim_cycles\": {sim_cycles},\n  \
          \"cycles_per_sec\": {cycles_per_sec:.0}\n}}\n",
@@ -97,82 +99,6 @@ fn bench_matrix_baseline() {
     );
     std::fs::write(&out, json).expect("write throughput baseline");
     println!("baseline written to {out}");
-}
-
-/// The sharded engine's scaling curve on the same Tiny matrix: wall
-/// time at shards = 1, 2, 4 (pool at one job — the parallelism under
-/// test is *within* one run). On a single-core host the curve is flat
-/// or slightly negative (barrier overhead with nothing to overlap),
-/// which is exactly what the committed baseline from this container
-/// records; on an N-core host shards=N should beat shards=1.
-fn bench_shard_scaling() -> Vec<(usize, std::time::Duration)> {
-    let cores = gsim_harness::default_jobs();
-    println!("\nshard scaling (full Tiny matrix, no cache, jobs=1, {cores} cores available)");
-    let cells = full_matrix(Scale::Tiny);
-    let seq_csv = to_csv(&run_cells(&cells, 1, None).expect("all cells verify"));
-    let mut rows = Vec::new();
-    let mut base = None;
-    for shards in [1usize, 2, 4] {
-        let start = Instant::now();
-        let results = run_cells_sharded(&cells, 1, None, shards).expect("all cells verify");
-        let t = start.elapsed();
-        // The byte-identity contract holds in the timed path too.
-        assert_eq!(
-            seq_csv,
-            to_csv(&results),
-            "sharded engine diverged at shards={shards}"
-        );
-        let speedup = base.get_or_insert(t).as_secs_f64() / t.as_secs_f64();
-        println!(
-            "  shards={shards}: {t:>10.2?} for {} cells  ({speedup:.2}x vs shards=1)",
-            cells.len()
-        );
-        rows.push((shards, t));
-    }
-    rows
-}
-
-/// Times the Tiny matrix on the sharded engine at shards=4 and records
-/// the throughput in `BENCH_throughput_shards.json` (or
-/// `$BENCH_SHARDS_OUT`) — the baseline the CI `shard-smoke` perf step
-/// compares against at 2x tolerance. The record names the shard count
-/// and the *effective* thread count (pool workers x shards, after the
-/// jobs x shards budget), so a baseline captured on a single-core
-/// machine is honest about how much parallelism it actually measured.
-fn bench_sharded_baseline() {
-    const REPS: usize = 3;
-    const SHARDS: usize = 4;
-    let cells = full_matrix(Scale::Tiny);
-    let mut best = None;
-    let mut sim_cycles: u64 = 0;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let results = run_cells_sharded(&cells, 1, None, SHARDS).expect("all cells verify");
-        let t = start.elapsed();
-        sim_cycles = results.iter().map(|r| r.stats.cycles).sum();
-        best = Some(best.map_or(t, |b: std::time::Duration| b.min(t)));
-    }
-    let wall = best.expect("at least one rep");
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let cycles_per_sec = sim_cycles as f64 / wall.as_secs_f64();
-    let pool_workers = budget_workers(1, SHARDS);
-    let threads = pool_workers * SHARDS;
-    println!(
-        "\nthree_panels Tiny matrix (shards={SHARDS}, jobs=1, best of {REPS}): {wall_ms:.2}ms, \
-         {sim_cycles} sim cycles, {cycles_per_sec:.0} cycles/sec ({threads} worker threads)"
-    );
-    let out =
-        std::env::var("BENCH_SHARDS_OUT").unwrap_or_else(|_| "BENCH_throughput_shards.json".into());
-    let json = format!(
-        "{{\n  \"case\": \"three_panels_tiny_matrix_sharded\",\n  \"scale\": \"Tiny\",\n  \
-         \"jobs\": 1,\n  \"shards\": {SHARDS},\n  \"threads\": {threads},\n  \"cells\": {},\n  \
-         \"reps\": {REPS},\n  \
-         \"wall_ms\": {wall_ms:.2},\n  \"sim_cycles\": {sim_cycles},\n  \
-         \"cycles_per_sec\": {cycles_per_sec:.0}\n}}\n",
-        cells.len()
-    );
-    std::fs::write(&out, json).expect("write sharded throughput baseline");
-    println!("sharded baseline written to {out}");
 }
 
 fn main() {
@@ -212,13 +138,6 @@ fn main() {
         gsim_core::QueueKind::Calendar,
         "throughput bench must run on the calendar event queue"
     );
-    // And the sequential baseline really is sequential: the sharded
-    // engine is opt-in via with_shards / --shards, never the default.
-    assert_eq!(
-        SystemConfig::micro15(ProtocolConfig::Gd).engine,
-        EngineKind::Sequential,
-        "throughput bench default must be the sequential engine"
-    );
     println!("simulator throughput ({ITERS} iterations per case, Tiny scale)");
     for protocol in [ProtocolConfig::Gd, ProtocolConfig::Gh, ProtocolConfig::Dd] {
         bench_config("SPM_G", protocol);
@@ -226,7 +145,5 @@ fn main() {
         bench_config("SGEMM", protocol);
     }
     bench_harness_scaling();
-    bench_shard_scaling();
     bench_matrix_baseline();
-    bench_sharded_baseline();
 }

@@ -11,44 +11,6 @@ use gsim_prof::ProfSpec;
 use gsim_protocol::L2Config;
 use gsim_types::{Cycle, ProtocolConfig};
 
-/// Which execution engine advances a run.
-///
-/// Both engines produce **byte-identical** [`crate::SimStats`] for any
-/// run (enforced by the root crate's `sharded` differential tests and
-/// the `shard-smoke` CI job): `Sharded` is purely a wall-clock
-/// optimization. It partitions the fabric's nodes (CUs + L1s, L2 banks,
-/// their DRAM banks) into contiguous shards, each advanced by its own
-/// worker thread over per-shard calendar queues, synchronized with a
-/// conservative epoch barrier per populated cycle. Cross-shard traffic
-/// is exchanged at the barrier and replayed through the one global mesh
-/// in the exact order the sequential engine would have sent it (the
-/// token-walk interleaver in `gsim-shard`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The single-threaded reference engine.
-    Sequential,
-    /// Sharded parallel engine.
-    Sharded {
-        /// Worker-shard count; clamped to the fabric's node count. `1`
-        /// is legal (and useful for testing: the full
-        /// coordinator/worker machinery with no cross-shard traffic).
-        shards: usize,
-        /// Conservative lookahead in cycles: the minimum latency of any
-        /// cross-shard delivery, i.e.
-        /// [`Topology::min_remote_latency`] — the router plus the
-        /// cheapest link crossing of **any** class in the fabric (mesh
-        /// hop or inter-device link, whichever is faster). Every
-        /// cross-shard arrival is runtime-asserted to land at least
-        /// this far past its send cycle. The engine's barriers are per
-        /// populated cycle, which is *stricter* than the lookahead
-        /// requires — the slack is what would permit multi-cycle
-        /// epochs, at the cost of the byte-identity guarantee
-        /// (shared-link arbitration order would diverge; see DESIGN.md
-        /// §7i).
-        lookahead: Cycle,
-    },
-}
-
 /// Configuration of one simulated heterogeneous system.
 ///
 /// [`SystemConfig::micro15`] reproduces the paper's Table 3: 15 GPU CUs
@@ -136,12 +98,6 @@ pub struct SystemConfig {
     /// and never perturbs timing, so stats are identical with it on or
     /// off (asserted by the root crate's `lens` tests).
     pub lens: LensSpec,
-    /// Which execution engine advances the run. `Sequential` is the
-    /// default; `Sharded` is byte-identical and exists purely for
-    /// wall-clock speed on multi-core hosts. Runs with observers
-    /// attached (trace/prof/flow/lens) or a `Controlled` queue fall
-    /// back to the sequential engine regardless of this setting.
-    pub engine: EngineKind,
 }
 
 impl SystemConfig {
@@ -164,7 +120,6 @@ impl SystemConfig {
             prof: ProfSpec::default_for_build(),
             flow: FlowSpec::default_for_build(),
             lens: LensSpec::default_for_build(),
-            engine: EngineKind::Sequential,
         }
     }
 
@@ -198,22 +153,6 @@ impl SystemConfig {
         assert!(banks <= 255, "{banks} L2 banks exceed the u8 home map");
         config.l2.banks = banks;
         config
-    }
-
-    /// Switches the run to the sharded parallel engine with `shards`
-    /// worker shards, deriving the conservative lookahead from the
-    /// minimum cross-node latency over **every** link class in the
-    /// topology (mesh hops and inter-device links — an inter-device
-    /// link faster than a mesh hop lowers the bound). `shards == 0` or
-    /// `1` still selects the sharded engine (single-shard coordinator)
-    /// so the machinery stays testable at every count; use
-    /// [`EngineKind::Sequential`] for the reference engine.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.engine = EngineKind::Sharded {
-            shards: shards.max(1),
-            lookahead: self.topology.min_remote_latency(),
-        };
-        self
     }
 
     /// Total CU count across all devices.
@@ -253,36 +192,6 @@ mod tests {
         assert_eq!(c.l2.bank_geometry.size_bytes * c.l2.banks as u64, 4 << 20);
         assert_eq!(c.topology.nodes(), 16);
         assert_eq!(c.tbs_per_cu, 3);
-    }
-
-    #[test]
-    fn with_shards_derives_lookahead_from_the_topology() {
-        let c = SystemConfig::micro15(ProtocolConfig::Gd);
-        assert_eq!(c.engine, EngineKind::Sequential);
-        let s = c.with_shards(4);
-        assert_eq!(
-            s.engine,
-            EngineKind::Sharded {
-                shards: 4,
-                lookahead: s.topology.min_remote_latency()
-            }
-        );
-        // Zero clamps to the single-shard coordinator, not sequential.
-        assert!(matches!(
-            c.with_shards(0).engine,
-            EngineKind::Sharded { shards: 1, .. }
-        ));
-        // Multi-device: an inter-device link faster than a mesh hop
-        // must lower the lookahead (the old mesh-only derivation would
-        // overshoot and trip the runtime cross-shard assertion).
-        let mut fast = SystemConfig::fabric(ProtocolConfig::Gd, 2, 1);
-        fast.topology.xlink.cycles_per_flit = 1;
-        let mesh_only = fast.topology.mesh.min_remote_latency();
-        let EngineKind::Sharded { lookahead, .. } = fast.with_shards(2).engine else {
-            panic!("sharded");
-        };
-        assert!(lookahead < mesh_only, "{lookahead} vs {mesh_only}");
-        assert_eq!(lookahead, fast.topology.mesh.router_latency + 1);
     }
 
     #[test]

@@ -233,9 +233,8 @@ impl<T> CalendarQueue<T> {
     ///
     /// Non-mutating: the cursor does not advance and no overflow
     /// migration happens, so the ring scan is O(horizon) worst case.
-    /// Callers use this at cycle/kernel boundaries (the sequential
-    /// engine's deferred kernel transitions, the sharded coordinator's
-    /// epoch scheduling), not on the per-event hot path.
+    /// The engine calls this at cycle boundaries (its deferred kernel
+    /// transitions), not on the per-event hot path.
     ///
     /// The overflow heap must be consulted even when the ring is
     /// non-empty: pops migrate overflow *before* advancing the cursor,
@@ -1033,31 +1032,25 @@ mod tests {
         assert_eq!(q.next_cycle(), None);
     }
 
-    /// Epoch-boundary shape used by the sharded engine: events exactly at
-    /// `epoch + lookahead` must be visible to `next_cycle` and pop after
-    /// every event of the current cycle, for all three implementations.
+    /// Cycle-boundary shape: events one short message latency past the
+    /// current cycle must be visible to `next_cycle` and pop after every
+    /// event of the current cycle, for all three implementations.
     #[test]
-    fn events_exactly_at_epoch_plus_lookahead_order_after_current_cycle() {
-        const LOOKAHEAD: u64 = 3; // mesh router + one hop (min_remote_latency)
+    fn events_just_past_the_current_cycle_order_after_it() {
+        const DELAY: u64 = 3; // mesh router + one hop
         for kind in [QueueKind::Calendar, QueueKind::Heap, QueueKind::Controlled] {
             let mut q: EventQueue<u32> = EventQueue::new(kind);
             let epoch = 41u64;
             q.push(epoch, 0);
-            q.push(epoch + LOOKAHEAD, 10); // cross-shard delivery, earliest legal
+            q.push(epoch + DELAY, 10); // an adjacent-node delivery
             q.push(epoch, 1); // same-cycle tie: FIFO after 0
-            q.push(epoch + LOOKAHEAD, 11);
+            q.push(epoch + DELAY, 11);
             assert_eq!(q.next_cycle(), Some(epoch));
             assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 0)));
             assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 1)));
-            assert_eq!(q.next_cycle(), Some(epoch + LOOKAHEAD), "{kind:?}");
-            assert_eq!(
-                q.pop().map(|(at, _, v)| (at, v)),
-                Some((epoch + LOOKAHEAD, 10))
-            );
-            assert_eq!(
-                q.pop().map(|(at, _, v)| (at, v)),
-                Some((epoch + LOOKAHEAD, 11))
-            );
+            assert_eq!(q.next_cycle(), Some(epoch + DELAY), "{kind:?}");
+            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch + DELAY, 10)));
+            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch + DELAY, 11)));
             assert_eq!(q.pop(), None);
         }
     }

@@ -23,11 +23,10 @@ pub mod equeue;
 pub mod kernel;
 pub mod pending;
 pub mod proto;
-mod sharded;
 pub mod sim;
 pub mod workload;
 
-pub use config::{EngineKind, SystemConfig};
+pub use config::SystemConfig;
 pub use equeue::QueueKind;
 pub use gsim_check::{CheckLevel, CheckReport};
 pub use gsim_noc::{MeshConfig, Topology, XLinkConfig};

@@ -9,12 +9,6 @@
 //! `id - base` and advances `base` over the drained prefix — O(1)
 //! amortized insert and remove, no hashing, no rehash pauses.
 //!
-//! The sharded engine mints ids with the shard index in the top bits
-//! (`shard << 56 | counter`), which keeps each worker's id stream dense
-//! and monotone from its own huge base. The first insert snaps `base`
-//! to that first id, so the window works unchanged at any shard prefix
-//! — nothing here assumes ids start near zero.
-//!
 //! # Examples
 //!
 //! ```
@@ -203,21 +197,20 @@ mod tests {
         assert_eq!(ids, [2, 3, 5, 9]);
     }
 
-    /// The sharded engine's id scheme: each worker mints from a shard
-    /// prefix in the top bits, so the window must work when the very
-    /// first id is enormous and the whole stream stays near it.
+    /// The first insert snaps the window to its id, so the table works
+    /// when the very first id is enormous and the whole stream stays
+    /// near it.
     #[test]
-    fn window_works_at_shard_prefixed_bases() {
-        const SHARD_SHIFT: u32 = 56;
-        for shard in [0u64, 1, 3, 255] {
-            let base = shard << SHARD_SHIFT;
+    fn window_works_from_a_large_first_id() {
+        for high in [0u64, 1, 3, 255] {
+            let base = high << 56;
             let mut t: PendingTable<u64> = PendingTable::new();
             for i in 1..=64 {
                 t.insert(ReqId(base | i), i);
             }
-            // Ids from another shard's prefix are simply unknown, not a
-            // corruption: below-window lookups return None.
-            if shard > 0 {
+            // Ids below the window are simply unknown, not a
+            // corruption: lookups return None.
+            if high > 0 {
                 assert_eq!(t.remove(ReqId(7)), None);
                 assert_eq!(t.get(ReqId(7)), None);
             }
@@ -225,10 +218,7 @@ mod tests {
                 assert_eq!(t.remove(ReqId(base | i)), Some(i));
             }
             assert_eq!(t.len(), 1);
-            assert!(
-                t.slots.len() <= 1,
-                "window failed to slide at prefix {shard}"
-            );
+            assert!(t.slots.len() <= 1, "window failed to slide at base {base}");
             assert_eq!(t.iter().next(), Some((ReqId(base | 64), &64)));
             assert_eq!(t.remove(ReqId(base | 64)), Some(64));
             assert!(t.is_empty());

@@ -40,11 +40,10 @@ use gsim_protocol::{Action, Issue, L1Config};
 use gsim_trace::{TraceEvent, TraceHandle};
 use gsim_types::{
     AtomicOp, Component, Counts, Cycle, FxHashMap, LatencyBreakdown, Msg, NodeId, ReqId, Scope,
-    SimStats, SyncOrd, TbId, Value, WordAddr,
+    SimStats, TbId, Value, WordAddr,
 };
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Why a run failed.
@@ -155,19 +154,15 @@ struct SchedState {
     decisions: Vec<Decision>,
 }
 
-/// Shard-local [`ReqId`]s carry their shard in the top byte so the ids
-/// minted by different workers never collide (the protocol treats ids
-/// opaquely; the sequential engine uses base 0, i.e. the same ids as
-/// before).
-pub(crate) const REQ_SHARD_SHIFT: u32 = 56;
-
 /// Where the engine stands in the kernel-launch lifecycle. Transitions
 /// happen only at *cycle boundaries* (no event left at the current
-/// cycle) — identically in the sequential and sharded engines, which is
-/// what lets a shard run a whole cycle without observing the others
-/// mid-cycle.
+/// cycle): the last thread block to retire, or the last end-of-kernel
+/// drain to complete, does not advance the kernel itself. Every event
+/// of its cycle is processed first, so the timing of a kernel switch
+/// never depends on where in a cycle's event order that event fell.
+/// The golden stats pin this timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KernelPhase {
+enum KernelPhase {
     /// About to launch kernel `i` (or finish, if `i` is past the end).
     Launch(usize),
     /// Thread blocks executing; ready to advance when all have retired.
@@ -176,131 +171,6 @@ pub(crate) enum KernelPhase {
     Draining,
     /// All kernels done.
     Finished,
-}
-
-/// A race-detector operation recorded by a worker shard for the
-/// coordinator to apply, in the global event order, to the one shared
-/// [`RaceDetector`]. Thread blocks are identified by their *global* id
-/// (equal to the engine-local index on the sequential engine).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RaceOp {
-    DataRead {
-        tb: usize,
-        word: WordAddr,
-    },
-    DataWrite {
-        tb: usize,
-        word: WordAddr,
-    },
-    SyncHit {
-        tb: usize,
-        word: WordAddr,
-        key: SyncKey,
-        ord: SyncOrd,
-        writes: bool,
-    },
-    SyncPending {
-        req: ReqId,
-        tb: usize,
-        word: WordAddr,
-        key: SyncKey,
-        ord: SyncOrd,
-        writes: bool,
-    },
-    SyncFinish {
-        req: ReqId,
-    },
-}
-
-impl RaceOp {
-    pub(crate) fn apply(self, r: &mut RaceDetector) {
-        match self {
-            RaceOp::DataRead { tb, word } => r.data_read(tb, word),
-            RaceOp::DataWrite { tb, word } => r.data_write(tb, word),
-            RaceOp::SyncHit {
-                tb,
-                word,
-                key,
-                ord,
-                writes,
-            } => r.sync_hit(tb, word, key, ord, writes),
-            RaceOp::SyncPending {
-                req,
-                tb,
-                word,
-                key,
-                ord,
-                writes,
-            } => r.sync_pending(req, tb, word, key, ord, writes),
-            RaceOp::SyncFinish { req } => r.sync_finish(req),
-        }
-    }
-}
-
-/// One side effect a worker shard recorded while processing an event
-/// (or running a kernel-boundary step), for the coordinator to replay
-/// in the global order.
-#[derive(Debug)]
-pub(crate) enum FxItem {
-    /// A same-cycle event was pushed onto this shard's own queue (and
-    /// will be processed later in the same phase). The coordinator only
-    /// needs the marker: it spawns the interleaver token that keeps the
-    /// global pop order reconstructible.
-    LocalPush,
-    /// A future-cycle event for this shard's own queue. Never pushed
-    /// locally: the coordinator pushes it so the interleaver sees the
-    /// global push order.
-    Future { at: Cycle, ev: Event },
-    /// A mesh send. The coordinator routes it through the one global
-    /// mesh (link arbitration is shared state) and schedules the
-    /// `Deliver` on the destination's shard.
-    Send { delay: Cycle, msg: Msg },
-    /// A race-detector operation (only recorded under
-    /// [`CheckLevel::Full`]).
-    Race(RaceOp),
-}
-
-/// Everything one event (or boundary step) did, in order.
-pub(crate) type EventFx = Vec<FxItem>;
-
-/// Worker-shard recording state. `Some` turns the [`Machine`] into a
-/// shard worker: scheduling and mesh sends are captured into `cur`
-/// instead of (or in addition to) acting locally.
-#[derive(Debug, Default)]
-struct ShardCtx {
-    /// The side effects of the event currently being processed.
-    cur: EventFx,
-    /// Inside `run_phase` (same-cycle pushes may act locally) vs. a
-    /// boundary step (everything is deferred to the coordinator).
-    in_phase: bool,
-}
-
-/// Per-shard progress the coordinator polls to drive kernel boundaries.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardStatus {
-    pub tbs_finished: usize,
-    pub tbs_total: usize,
-    pub drain_left: usize,
-}
-
-/// What a worker shard hands back at the end of a run: its slice of the
-/// audit/stats/memory state for the coordinator to merge.
-#[derive(Debug)]
-pub(crate) struct ShardFinish {
-    /// Violations this shard's checkers found (shard-local audits).
-    pub report: CheckReport,
-    /// Engine + L1 + L2 counters for this shard's nodes.
-    pub counts: Counts,
-    /// Engine-attributed latency histograms for this shard's requests.
-    pub latency: LatencyBreakdown,
-    /// Registered words still owned by this shard's L1s at the end,
-    /// with their owning node: `(word, node, value)`.
-    pub owned: Vec<(WordAddr, usize, Value)>,
-    /// The L2 registry entries of this shard's banks.
-    pub registry: Vec<(WordAddr, NodeId)>,
-    /// This shard's final memory image (its banks' lines are
-    /// authoritative; other lines hold only initial values).
-    pub memory: MemoryImage,
 }
 
 /// The public entry point: runs workloads under one [`SystemConfig`].
@@ -404,29 +274,9 @@ impl Simulator {
         workload: &Workload,
         trace: TraceHandle,
     ) -> Result<(SimStats, Option<ProfileReport>), SimError> {
-        if let Some((shards, lookahead)) = self.sharded_engine(&trace) {
-            return crate::sharded::run_sharded(&self.config, workload, shards, lookahead)
-                .map(|stats| (stats, None));
-        }
         Machine::new(&self.config, workload, trace)
             .run(workload)
             .map(|out| (out.stats, out.profile))
-    }
-
-    /// Whether this run goes to the sharded engine: configured for it,
-    /// and no observer or controlled queue is attached (those paths
-    /// need the single-machine engine; results are byte-identical
-    /// either way, so falling back only costs wall-clock).
-    fn sharded_engine(&self, trace: &TraceHandle) -> Option<(usize, Cycle)> {
-        let crate::config::EngineKind::Sharded { shards, lookahead } = self.config.engine else {
-            return None;
-        };
-        let sequential_only = trace.is_enabled()
-            || self.config.prof.enabled()
-            || self.config.flow.enabled()
-            || self.config.lens.enabled()
-            || matches!(self.config.event_queue, QueueKind::Controlled);
-        (!sequential_only).then_some((shards, lookahead))
     }
 
     /// As [`run`](Self::run), additionally returning the flow report
@@ -442,12 +292,7 @@ impl Simulator {
         &self,
         workload: &Workload,
     ) -> Result<(SimStats, Option<FlowReport>), SimError> {
-        let trace = TraceHandle::disabled();
-        if let Some((shards, lookahead)) = self.sharded_engine(&trace) {
-            return crate::sharded::run_sharded(&self.config, workload, shards, lookahead)
-                .map(|stats| (stats, None));
-        }
-        Machine::new(&self.config, workload, trace)
+        Machine::new(&self.config, workload, TraceHandle::disabled())
             .run(workload)
             .map(|out| (out.stats, out.flow))
     }
@@ -466,12 +311,7 @@ impl Simulator {
         &self,
         workload: &Workload,
     ) -> Result<(SimStats, Option<LensReport>), SimError> {
-        let trace = TraceHandle::disabled();
-        if let Some((shards, lookahead)) = self.sharded_engine(&trace) {
-            return crate::sharded::run_sharded(&self.config, workload, shards, lookahead)
-                .map(|stats| (stats, None));
-        }
-        Machine::new(&self.config, workload, trace)
+        Machine::new(&self.config, workload, TraceHandle::disabled())
             .run(workload)
             .map(|out| (out.stats, out.lens))
     }
@@ -569,14 +409,11 @@ enum TbStatus {
     Done,
 }
 
-/// One resident or queued thread block.
+/// One resident or queued thread block. Its index into `Machine::tbs`
+/// is its index in the kernel launch, i.e. its [`TbId`] (register 0 by
+/// workload convention).
 #[derive(Debug)]
 struct Tb {
-    /// The *global* thread-block id (register 0 by workload
-    /// convention). On a worker shard the engine-local index only runs
-    /// over the shard's own thread blocks, so traces and race-detector
-    /// keys go through this id instead.
-    id: TbId,
     cu: usize,
     slot: usize,
     pc: usize,
@@ -607,7 +444,7 @@ struct Cu {
 }
 
 #[derive(Debug)]
-pub(crate) enum Event {
+enum Event {
     /// Issue one instruction on the CU.
     CuTick(usize),
     /// A network message arrives.
@@ -618,7 +455,7 @@ pub(crate) enum Event {
     TbWake { tb: usize },
 }
 
-pub(crate) struct Machine {
+struct Machine {
     protocol: gsim_types::ProtocolConfig,
     /// CUs **per device** (the default thread-block mapping's modulus).
     gpu_cus: usize,
@@ -649,9 +486,6 @@ pub(crate) struct Machine {
     /// histograms), slot-indexed by the densely minted [`ReqId`]s.
     pending: PendingTable<(Target, Cycle)>,
     next_req: u64,
-    /// OR-ed into every minted [`ReqId`]: `shard << REQ_SHARD_SHIFT`
-    /// on a worker shard, `0` on the sequential engine.
-    req_base: u64,
 
     kernels_done: usize,
     tbs_finished: usize,
@@ -661,10 +495,6 @@ pub(crate) struct Machine {
     /// Where the engine stands in the kernel lifecycle (advanced only
     /// at cycle boundaries; see [`KernelPhase`]).
     phase: KernelPhase,
-    /// First mesh node this machine owns (0 on the sequential engine).
-    node_lo: usize,
-    /// One past the last owned node (`mesh.nodes()` when sequential).
-    node_hi: usize,
     /// Engine-side counters (instructions, scratch, active cycles).
     counts: Counts,
     /// Engine-attributed latency histograms.
@@ -693,16 +523,9 @@ pub(crate) struct Machine {
     /// Conformance-checking level for this run.
     check: CheckLevel,
     /// The happens-before race detector (only under [`CheckLevel::Full`];
-    /// boxed because its maps dwarf the rest of the machine). On worker
-    /// shards this is `None` — the coordinator owns the one detector
-    /// and workers record [`RaceOp`]s instead (see `race_hooks`).
+    /// boxed because its maps dwarf the rest of the machine). Thread
+    /// blocks are keyed by their index into `tbs`.
     races: Option<Box<RaceDetector>>,
-    /// Race hooks are live: either `races` is `Some` (sequential) or
-    /// the shard context records the ops (worker under `Full`).
-    race_hooks: bool,
-    /// Worker-shard recording state (`None` on the sequential engine:
-    /// the hot paths pay one branch).
-    shard: Option<ShardCtx>,
     /// Violations accumulated by every checker layer.
     report: CheckReport,
     /// Schedule controller for exploration/replay runs (`None` on the
@@ -777,14 +600,11 @@ impl Machine {
             tbs: Vec::new(),
             pending: PendingTable::new(),
             next_req: 0,
-            req_base: 0,
             kernels_done: 0,
             tbs_finished: 0,
             drain_left: 0,
             kernel_index: 0,
             phase: KernelPhase::Launch(0),
-            node_lo: 0,
-            node_hi: nodes,
             counts: Counts::default(),
             latency: LatencyBreakdown::default(),
             trace,
@@ -798,34 +618,10 @@ impl Machine {
             sync_inflight: 0,
             check: config.check,
             races: config.check.races().then(|| Box::new(RaceDetector::new())),
-            race_hooks: config.check.races(),
-            shard: None,
             report: CheckReport::default(),
             sched: None,
             obs_words: Vec::new(),
         }
-    }
-
-    /// Builds a worker machine for one shard of a sharded run: it owns
-    /// the mesh nodes in `nodes` (CUs/L1s and the L2 banks homed
-    /// there), mints shard-prefixed request ids, and records every
-    /// cross-cutting side effect into its [`ShardCtx`] instead of (or
-    /// in addition to) acting locally. The race detector, the mesh, and
-    /// the trace/prof/flow observers all live on the coordinator side —
-    /// a worker's own copies stay disabled/unused.
-    pub(crate) fn new_worker(
-        config: &SystemConfig,
-        workload: &Workload,
-        shard: usize,
-        nodes: Range<usize>,
-    ) -> Machine {
-        let mut m = Machine::new(config, workload, TraceHandle::disabled());
-        m.node_lo = nodes.start;
-        m.node_hi = nodes.end;
-        m.req_base = (shard as u64) << REQ_SHARD_SHIFT;
-        m.races = None; // the coordinator owns the one detector
-        m.shard = Some(ShardCtx::default());
-        m
     }
 
     /// Pops the next event: the production path is a straight
@@ -960,45 +756,9 @@ impl Machine {
         }
     }
 
-    #[inline]
-    fn schedule(&mut self, at: Cycle, ev: Event) {
-        if let Some(ctx) = &mut self.shard {
-            if !ctx.in_phase || at > self.now {
-                // Future events go through the coordinator so its
-                // interleaver sees the global push order; so do *all*
-                // pushes from kernel-boundary steps.
-                ctx.cur.push(FxItem::Future { at, ev });
-                return;
-            }
-            // A same-cycle push during a phase stays local (it is
-            // processed later in this very phase); the marker lets the
-            // coordinator keep the global pop order reconstructible.
-            ctx.cur.push(FxItem::LocalPush);
-        }
-        self.events.push(at, ev);
-    }
-
     fn alloc_req(&mut self) -> ReqId {
         self.next_req += 1;
-        ReqId(self.req_base | self.next_req)
-    }
-
-    /// Feeds one race-detector operation to wherever it belongs: the
-    /// local detector (sequential engine) or the shard log (worker).
-    /// Callers gate on [`Machine::race_hooks`] so the argument is never
-    /// built when checking is off.
-    fn race_op(&mut self, op: RaceOp) {
-        if let Some(ctx) = &mut self.shard {
-            ctx.cur.push(FxItem::Race(op));
-        } else if let Some(r) = &mut self.races {
-            op.apply(r);
-        }
-    }
-
-    /// The *global* thread-block id race operations are keyed by (the
-    /// engine-local index only equals it on the sequential engine).
-    fn global_tb(&self, tb: usize) -> usize {
-        self.tbs[tb].id.0 as usize
+        ReqId(self.next_req)
     }
 
     /// Maps a program-level scope to the effective locality under the
@@ -1007,17 +767,11 @@ impl Machine {
         self.protocol.honours_scopes() && scope == Scope::Local
     }
 
-    /// The CU nodes this machine owns: all of them on the sequential
-    /// engine, the shard's node slice on a worker — minus the last node
-    /// of each device's mesh (the CPU/L2-only node).
+    /// Every CU node: all nodes minus the last node of each device's
+    /// mesh (the CPU/L2-only node).
     fn cu_nodes(&self) -> impl Iterator<Item = usize> + 'static {
         let (per, cus) = (self.nodes_per_dev, self.gpu_cus);
-        (self.node_lo..self.node_hi).filter(move |n| n % per < cus)
-    }
-
-    /// Whether `node` is a CU node owned by this machine.
-    fn owns_cu_node(&self, node: usize) -> bool {
-        node >= self.node_lo && node < self.node_hi && node % self.nodes_per_dev < self.gpu_cus
+        (0..self.cus.len()).filter(move |n| n % per < cus)
     }
 
     /// The node hosting dense CU index `cu` (mirrors
@@ -1055,7 +809,7 @@ impl Machine {
     fn ensure_tick(&mut self, cu: usize, at: Cycle) {
         if !self.cus[cu].tick_scheduled {
             self.cus[cu].tick_scheduled = true;
-            self.schedule(at, Event::CuTick(cu));
+            self.events.push(at, Event::CuTick(cu));
         }
     }
 
@@ -1067,19 +821,12 @@ impl Machine {
         for a in actions.drain(..) {
             match a {
                 Action::Send { msg, delay } => {
-                    if let Some(ctx) = &mut self.shard {
-                        // Link arbitration is global state: the
-                        // coordinator replays this send through the one
-                        // mesh, in the global order, and schedules the
-                        // `Deliver` on the destination's shard.
-                        ctx.cur.push(FxItem::Send { delay, msg });
-                    } else {
-                        let arrival = self.mesh.send(self.now + delay, &msg);
-                        self.schedule(arrival, Event::Deliver(msg));
-                    }
+                    let arrival = self.mesh.send(self.now + delay, &msg);
+                    self.events.push(arrival, Event::Deliver(msg));
                 }
                 Action::Complete { req, value, delay } => {
-                    self.schedule(self.now + delay, Event::Finish { req, value });
+                    self.events
+                        .push(self.now + delay, Event::Finish { req, value });
                 }
             }
         }
@@ -1092,8 +839,8 @@ impl Machine {
             index: index as u32,
             tbs: launch.tbs.len() as u32,
         });
-        // Kernel-launch acquire on every owned CU (paper §1: invalidate
-        // at the start of the kernel).
+        // Kernel-launch acquire on every CU (paper §1: invalidate at the
+        // start of the kernel).
         for cu in self.cu_nodes() {
             self.global_acquire(cu, false);
         }
@@ -1115,12 +862,7 @@ impl Machine {
                 Some(c) => self.cu_node_of(c),
                 None => i % self.gpu_cus,
             };
-            if !self.owns_cu_node(cu) {
-                continue; // another shard's thread block
-            }
-            let tb = self.tbs.len();
             self.tbs.push(Tb {
-                id: TbId(i as u32),
                 cu,
                 slot: usize::MAX,
                 pc: 0,
@@ -1132,14 +874,14 @@ impl Machine {
                 sync_started: None,
                 wait: StallKind::Issue,
             });
-            self.cus[cu].queue.push_back(tb);
+            self.cus[cu].queue.push_back(i);
         }
         for cu in self.cu_nodes() {
             for slot in 0..self.tbs_per_cu {
                 if let Some(tb) = self.cus[cu].queue.pop_front() {
                     self.cus[cu].slots[slot] = Some(tb);
                     self.tbs[tb].slot = slot;
-                    let id = self.tbs[tb].id;
+                    let id = TbId(tb as u32);
                     self.trace.emit(|| TraceEvent::TbLaunch {
                         tb: id,
                         cu: NodeId(cu as u8),
@@ -1160,7 +902,7 @@ impl Machine {
         }
     }
 
-    /// End-of-kernel release on every owned CU; the next kernel starts
+    /// End-of-kernel release on every CU; the next kernel starts
     /// when every flush completes (a [`KernelPhase::Draining`] boundary).
     fn end_kernel(&mut self) {
         debug_assert_eq!(self.drain_left, 0);
@@ -1189,11 +931,6 @@ impl Machine {
         self.kernels_done += 1;
         let index = self.kernel_index as u32;
         self.trace.emit(|| TraceEvent::KernelEnd { index });
-        self.audit_kernel_drain(index);
-    }
-
-    /// The drained-kernel store-buffer audit, shared by both engines.
-    fn audit_kernel_drain(&mut self, index: u32) {
         if self.check.invariants() {
             let mut dirty = Vec::new();
             for (cu, l1) in self.l1s.iter().enumerate() {
@@ -1217,7 +954,7 @@ impl Machine {
         self.tbs[tb].status = TbStatus::Done;
         self.cus[cu].slots[slot] = None;
         self.tbs_finished += 1;
-        let id = self.tbs[tb].id;
+        let id = TbId(tb as u32);
         self.trace.emit(|| TraceEvent::TbRetire {
             tb: id,
             cu: NodeId(cu as u8),
@@ -1225,7 +962,7 @@ impl Machine {
         if let Some(next) = self.cus[cu].queue.pop_front() {
             self.cus[cu].slots[slot] = Some(next);
             self.tbs[next].slot = slot;
-            let id = self.tbs[next].id;
+            let id = TbId(next as u32);
             self.trace.emit(|| TraceEvent::TbLaunch {
                 tb: id,
                 cu: NodeId(cu as u8),
@@ -1238,9 +975,7 @@ impl Machine {
                 .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
         }
         // The last retirement does NOT end the kernel here: that is a
-        // cycle-boundary step (the run loop fires it once no event
-        // remains at the current cycle), so a shard can finish a whole
-        // cycle without observing the other shards' progress.
+        // cycle-boundary step (see `KernelPhase`).
     }
 
     /// Executes one instruction (or one phase of a releasing sync op)
@@ -1276,9 +1011,8 @@ impl Machine {
                 let issue = self.l1s[cu].load(word, region, req, &mut self.actions);
                 if matches!(issue, Issue::Hit(_) | Issue::Pending) {
                     self.prof.line_access(cu, word.line());
-                    if self.race_hooks {
-                        let t = self.global_tb(tb);
-                        self.race_op(RaceOp::DataRead { tb: t, word });
+                    if let Some(r) = &mut self.races {
+                        r.data_read(tb, word);
                     }
                 }
                 let bucket = match issue {
@@ -1322,7 +1056,7 @@ impl Machine {
                         self.tbs[tb].status = TbStatus::Blocked;
                         self.tbs[tb].wait = StallKind::LoadUse;
                         let at = self.now + d;
-                        self.schedule(at, Event::TbWake { tb });
+                        self.events.push(at, Event::TbWake { tb });
                         StallKind::LoadUse
                     }
                 };
@@ -1341,9 +1075,8 @@ impl Machine {
                 };
                 self.l1s[cu].store(word, v, &mut self.actions);
                 self.prof.line_access(cu, word.line());
-                if self.race_hooks {
-                    let t = self.global_tb(tb);
-                    self.race_op(RaceOp::DataWrite { tb: t, word });
+                if let Some(r) = &mut self.races {
+                    r.data_write(tb, word);
                 }
                 self.tbs[tb].pc += 1;
                 self.process_actions();
@@ -1419,7 +1152,7 @@ impl Machine {
                     self.l1s[cu].atomic(word, op, operands, ord, local, req, &mut self.actions);
                 if matches!(issue, Issue::Hit(_) | Issue::Pending) {
                     self.prof.line_access(cu, word.line());
-                    let id = self.tbs[tb].id;
+                    let id = TbId(tb as u32);
                     self.trace.emit(|| TraceEvent::AtomicIssue {
                         tb: id,
                         cu: NodeId(cu as u8),
@@ -1427,31 +1160,17 @@ impl Machine {
                         ord,
                         scope,
                     });
-                    if self.race_hooks {
+                    if let Some(r) = &mut self.races {
                         let key = if local {
                             SyncKey::Local(NodeId(cu as u8))
                         } else {
                             SyncKey::Global
                         };
                         let writes = !matches!(op, AtomicOp::Read);
-                        let t = self.global_tb(tb);
                         if matches!(issue, Issue::Hit(_)) {
-                            self.race_op(RaceOp::SyncHit {
-                                tb: t,
-                                word,
-                                key,
-                                ord,
-                                writes,
-                            });
+                            r.sync_hit(tb, word, key, ord, writes);
                         } else {
-                            self.race_op(RaceOp::SyncPending {
-                                req,
-                                tb: t,
-                                word,
-                                key,
-                                ord,
-                                writes,
-                            });
+                            r.sync_pending(req, tb, word, key, ord, writes);
                         }
                     }
                 }
@@ -1509,7 +1228,7 @@ impl Machine {
                         self.tbs[tb].status = TbStatus::Blocked;
                         self.tbs[tb].wait = sync_kind;
                         let at = self.now + d;
-                        self.schedule(at, Event::TbWake { tb });
+                        self.events.push(at, Event::TbWake { tb });
                         sync_kind
                     }
                 };
@@ -1549,7 +1268,7 @@ impl Machine {
                     // stall.
                     self.tbs[tb].wait = StallKind::Issue;
                     let at = self.now + n;
-                    self.schedule(at, Event::TbWake { tb });
+                    self.events.push(at, Event::TbWake { tb });
                 }
                 StallKind::Issue
             }
@@ -1669,8 +1388,8 @@ impl Machine {
                         let started = self.tbs[tb].sync_started.take().unwrap_or(issued_at);
                         self.latency.barrier_wait.record(self.now - started);
                         self.tbs[tb].regs[dst as usize] = value;
-                        if self.race_hooks {
-                            self.race_op(RaceOp::SyncFinish { req });
+                        if let Some(r) = &mut self.races {
+                            r.sync_finish(req);
                         }
                         if let Some(local) = acquire {
                             let cu = self.tbs[tb].cu;
@@ -1729,8 +1448,7 @@ impl Machine {
         }
     }
 
-    /// Processes one popped event (shared by the sequential run loop
-    /// and a worker shard's phase loop).
+    /// Processes one popped event.
     fn handle_event(&mut self, ev: Event) {
         match ev {
             Event::CuTick(cu) => self.on_cu_tick(cu),
@@ -1764,8 +1482,7 @@ impl Machine {
         let total_kernels = workload.kernels.len();
         loop {
             // Kernel transitions fire only once the current cycle has
-            // fully drained — the same boundary the sharded engine
-            // synchronizes its shards on.
+            // fully drained (see `KernelPhase`).
             while self.boundary_ready() && self.events.next_cycle() != Some(self.now) {
                 self.kernel_boundary_step(workload);
             }
@@ -1928,31 +1645,6 @@ impl Machine {
     /// disjoint, at most one L1 may hold each word registered, and the
     /// LLC registry must agree with the L1s about every owner.
     fn end_of_run_audit(&mut self) {
-        self.audit_quiesce_and_masks();
-        let busy = self.mesh.links_busy_after(self.now);
-        if busy > 0 {
-            self.violation(
-                CheckKind::QuiesceLeak,
-                format!("{busy} NoC link(s) busy past the final cycle (alloc event: msg-send)"),
-            );
-        }
-        let mut owned = Vec::new();
-        for (cu, l1) in self.l1s.iter().enumerate() {
-            owned.extend(l1.owned_words().into_iter().map(|(w, _)| (w, cu)));
-        }
-        let registry = self.l2.registry_owners();
-        for (kind, detail) in audit_ownership(&owned, &registry) {
-            self.violation(kind, detail);
-        }
-    }
-
-    /// The shard-local half of the end-of-run audit: every structure
-    /// that holds in-flight state must have drained to zero, and the
-    /// valid/owned word masks must be disjoint. (Mesh-link and
-    /// cross-shard ownership checks live with whoever owns the mesh and
-    /// the full owner view: [`Self::end_of_run_audit`] sequentially,
-    /// the coordinator on a sharded run.)
-    fn audit_quiesce_and_masks(&mut self) {
         let mut found: Vec<(CheckKind, String)> = Vec::new();
 
         // Quiesce: leaked resources, each named with its allocating
@@ -1988,132 +1680,25 @@ impl Machine {
         for (kind, detail) in found {
             self.violation(kind, detail);
         }
-    }
-
-    /// Runs one synchronized phase on a worker shard: processes `batch`
-    /// (this shard's events at cycle `now`, already in the global
-    /// order) plus whatever same-cycle events they push locally, and
-    /// returns one [`EventFx`] log per processed event, in processing
-    /// order. The queue is empty again when the phase returns — every
-    /// future-cycle push was captured for the coordinator instead.
-    pub(crate) fn run_phase(&mut self, now: Cycle, batch: Vec<Event>) -> Vec<EventFx> {
-        debug_assert_eq!(self.events.len(), 0, "a phase starts with an empty queue");
-        self.now = now;
-        {
-            let ctx = self.shard.as_mut().expect("run_phase needs a worker");
-            debug_assert!(ctx.cur.is_empty());
-            ctx.in_phase = true;
+        let busy = self.mesh.links_busy_after(self.now);
+        if busy > 0 {
+            self.violation(
+                CheckKind::QuiesceLeak,
+                format!("{busy} NoC link(s) busy past the final cycle (alloc event: msg-send)"),
+            );
         }
-        for ev in batch {
-            self.events.push(now, ev);
-        }
-        let mut log = Vec::new();
-        while let Some((at, _seq, ev)) = self.events.pop() {
-            debug_assert_eq!(at, now, "a phase only processes its own cycle");
-            self.handle_event(ev);
-            let ctx = self.shard.as_mut().expect("run_phase needs a worker");
-            log.push(std::mem::take(&mut ctx.cur));
-        }
-        self.shard
-            .as_mut()
-            .expect("run_phase needs a worker")
-            .in_phase = false;
-        log
-    }
-
-    /// Kernel-launch boundary on a worker shard: launches this shard's
-    /// slice of the kernel's thread blocks and returns the deferred
-    /// side effects (the initial CU ticks) for the coordinator to
-    /// replay.
-    pub(crate) fn shard_start_kernel(
-        &mut self,
-        now: Cycle,
-        index: usize,
-        launch: &KernelLaunch,
-    ) -> EventFx {
-        self.now = now;
-        self.start_kernel(index, launch);
-        self.take_boundary_fx()
-    }
-
-    /// Kernel-end boundary on a worker shard: issues the end-of-kernel
-    /// releases on this shard's CUs and returns the deferred side
-    /// effects (flush traffic, drain completions).
-    pub(crate) fn shard_end_kernel(&mut self, now: Cycle) -> EventFx {
-        self.now = now;
-        self.end_kernel();
-        self.take_boundary_fx()
-    }
-
-    /// Kernel-drained boundary on a worker shard (runs the store-buffer
-    /// audit over this shard's CUs).
-    pub(crate) fn shard_kernel_drained(&mut self) {
-        self.on_kernel_drained();
-    }
-
-    fn take_boundary_fx(&mut self) -> EventFx {
-        let ctx = self.shard.as_mut().expect("a worker boundary step");
-        debug_assert!(!ctx.in_phase, "boundaries run between phases");
-        std::mem::take(&mut ctx.cur)
-    }
-
-    /// This shard's kernel-lifecycle progress, polled by the
-    /// coordinator to decide boundary transitions.
-    pub(crate) fn shard_status(&self) -> ShardStatus {
-        ShardStatus {
-            tbs_finished: self.tbs_finished,
-            tbs_total: self.tbs.len(),
-            drain_left: self.drain_left,
-        }
-    }
-
-    /// End of a sharded run: runs the shard-local audits and the
-    /// functional drain over this shard's slice, and hands the
-    /// coordinator everything it needs to merge the run result.
-    pub(crate) fn shard_finish(mut self) -> ShardFinish {
-        if self.check.invariants() {
-            self.audit_quiesce_and_masks();
-        } else {
-            for l1 in &self.l1s {
-                assert!(
-                    l1.quiesced(),
-                    "an L1 still has in-flight state at end of run"
-                );
-            }
-        }
-        // The sequential engine's functional drain, restricted to this
-        // shard's nodes: registered words and dirty L2 lines reach this
-        // shard's memory image. Each line is authoritative in exactly
-        // one shard's image (its home bank's); owned words whose home
-        // bank lives on another shard are re-applied by the coordinator
-        // from the `owned` list.
         let mut owned = Vec::new();
-        for node in self.node_lo..self.node_hi {
-            for (w, v) in self.l1s[node].owned_words() {
-                owned.push((w, node, v));
-            }
+        for (cu, l1) in self.l1s.iter().enumerate() {
+            owned.extend(l1.owned_words().into_iter().map(|(w, _)| (w, cu)));
         }
-        for &(w, _, v) in &owned {
-            self.l2.memory_mut().write_word(w, v);
-        }
-        self.l2.flush_to_memory();
-        let mut counts = self.counts;
-        for l1 in &self.l1s {
-            counts += *l1.counts();
-        }
-        counts += *self.l2.counts();
-        ShardFinish {
-            report: self.report,
-            counts,
-            latency: self.latency,
-            owned,
-            registry: self.l2.registry_owners(),
-            memory: self.l2.memory().clone(),
+        let registry = self.l2.registry_owners();
+        for (kind, detail) in audit_ownership(&owned, &registry) {
+            self.violation(kind, detail);
         }
     }
 
     /// Summarizes thread-block and request state when the watchdog fires.
-    pub(crate) fn watchdog_report(&self) -> String {
+    fn watchdog_report(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let mut by_state: HashMap<(TbStatus, usize, bool), usize> = HashMap::new();
@@ -2167,11 +1752,8 @@ impl Machine {
 
 /// Cross-L1 ownership audit: at most one L1 may hold each registered
 /// word, and the LLC registry must agree with the L1s about every owner
-/// in both directions. Free-standing (over plain `(word, node)` slices)
-/// so the sharded coordinator can run it across the shards'
-/// concatenated views — which, shards being contiguous node ranges, is
-/// exactly the sequential engine's node-order view.
-pub(crate) fn audit_ownership(
+/// in both directions. `owned` lists `(word, node)` in node order.
+fn audit_ownership(
     owned: &[(WordAddr, usize)],
     registry: &[(WordAddr, NodeId)],
 ) -> Vec<(CheckKind, String)> {

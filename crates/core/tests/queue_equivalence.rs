@@ -177,72 +177,3 @@ fn default_config_uses_calendar_queue() {
         EventQueue::Calendar(_)
     ));
 }
-
-/// The sharded engine's merge property: per-shard calendar queues,
-/// popped in the order dictated by a parallel `(cycle, seq)` token
-/// queue (pushed in lockstep with every event push, exactly as the
-/// sharded coordinator maintains it), must reproduce the pop order of
-/// one global queue receiving the same pushes. This is the structural
-/// invariant that makes the sharded engine's cross-shard replay
-/// byte-identical to sequential execution.
-#[test]
-fn sharded_queues_merged_by_token_order_match_one_global_queue() {
-    use gsim_types::Rng64;
-    const SHARDS: usize = 4;
-    let mut rng = Rng64::seed_from_u64(0x5eed_caf3);
-    let mut global: CalendarQueue<(usize, u32)> = CalendarQueue::new();
-    let mut shards: Vec<CalendarQueue<(usize, u32)>> =
-        (0..SHARDS).map(|_| CalendarQueue::new()).collect();
-    let mut order: CalendarQueue<usize> = CalendarQueue::new();
-
-    let mut now = 0u64;
-    let mut item = 0u32;
-    let mut queued = 0usize;
-    let mut drained = 0usize;
-    let drain = |global: &mut CalendarQueue<(usize, u32)>,
-                 shards: &mut Vec<CalendarQueue<(usize, u32)>>,
-                 order: &mut CalendarQueue<usize>,
-                 now: &mut u64| {
-        let (gc, _gseq, gpayload) = global.pop().expect("global queue empty mid-replay");
-        let (oc, _oseq, s) = order.pop().expect("token queue empty mid-replay");
-        let (sc, _sseq, spayload) = shards[s].pop().expect("shard queue empty mid-replay");
-        assert_eq!(gc, oc, "token cycle diverged from global pop cycle");
-        assert_eq!(sc, gc, "shard pop cycle diverged from global pop cycle");
-        assert_eq!(gpayload, spayload, "merged pop order diverged from global");
-        *now = gc;
-    };
-
-    for _ in 0..5_000 {
-        // A burst of pushes at future cycles — same-cycle work stays
-        // local to a shard in the real coordinator (handled by the
-        // token walk, never the order queue), so the property covers
-        // `at > now` pushes: short latencies, same-target collisions
-        // within a burst, and kilocycle sleeps past the ring horizon.
-        for _ in 0..rng.gen_u32(1, 4) {
-            let s = rng.gen_usize(0, SHARDS);
-            let at = now + rng.gen_u64(1, 1500);
-            global.push(at, (s, item));
-            shards[s].push(at, (s, item));
-            order.push(at, s);
-            item += 1;
-            queued += 1;
-        }
-        for _ in 0..rng.gen_u32(0, 3) {
-            if queued == drained {
-                break;
-            }
-            drain(&mut global, &mut shards, &mut order, &mut now);
-            drained += 1;
-        }
-    }
-    while drained < queued {
-        drain(&mut global, &mut shards, &mut order, &mut now);
-        drained += 1;
-    }
-    assert!(queued > 5_000, "property exercised a real population");
-    assert_eq!(global.pop(), None);
-    assert_eq!(order.pop(), None);
-    for q in &mut shards {
-        assert_eq!(q.pop(), None, "a shard queue kept an undrained event");
-    }
-}

@@ -39,9 +39,7 @@ pub mod pool;
 pub use cache::{CacheKey, ResultCache, SCHEMA_VERSION};
 pub use matrix::{
     cell_key, cell_key_flowed, cell_key_profiled, full_matrix, group_matrix, matrix_of, run_cell,
-    run_cell_flowed, run_cell_profiled, run_cell_sharded, run_cells, run_cells_flowed,
-    run_cells_profiled, run_cells_sharded, to_csv, to_json, Cell, CellResult, FabricSpec,
+    run_cell_flowed, run_cell_profiled, run_cells, run_cells_flowed, run_cells_profiled, to_csv,
+    to_json, Cell, CellResult, FabricSpec,
 };
-pub use pool::{
-    budget_workers, default_jobs, effective_workers, run_parallel, run_parallel_meta, PoolRun,
-};
+pub use pool::{default_jobs, effective_workers, run_parallel, run_parallel_meta, PoolRun};

@@ -241,47 +241,6 @@ pub fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, 
     })
 }
 
-/// Runs one cell on the sharded parallel engine (`shards` worker
-/// threads; 0 and 1 clamp to the single-shard coordinator), consulting
-/// the cache first. The cache key is **the same** as [`run_cell`]'s:
-/// the engines are byte-identical in their statistics (the contract on
-/// [`gsim_core::EngineKind`]), so sequential and sharded runs serve
-/// each other's cache entries freely.
-pub fn run_cell_sharded(
-    cell: &Cell,
-    cache: Option<&ResultCache>,
-    shards: usize,
-) -> Result<CellResult, String> {
-    let key = cell_key(cell)?;
-    if let Some(c) = cache {
-        if let Some(stats) = c.get(&key) {
-            return Ok(CellResult {
-                cell: cell.clone(),
-                stats,
-                profile: None,
-                flow: None,
-                lens: None,
-                from_cache: true,
-            });
-        }
-    }
-    let b = registry::by_name(&cell.bench).expect("checked by cell_key");
-    let stats = Simulator::new(cell.system().with_shards(shards))
-        .run(&(b.build)(cell.scale))
-        .map_err(|e| format!("{} under {}: {e}", cell.bench, cell.config))?;
-    if let Some(c) = cache {
-        c.put(&key, &stats);
-    }
-    Ok(CellResult {
-        cell: cell.clone(),
-        stats,
-        profile: None,
-        flow: None,
-        lens: None,
-        from_cache: false,
-    })
-}
-
 /// Runs one cell with profiling, consulting the cache first. The hot
 /// lines of the resulting report are annotated with the benchmark's
 /// named regions (when it declares any) before caching, so cached and
@@ -429,25 +388,6 @@ pub fn run_cells(
     cache: Option<&ResultCache>,
 ) -> Result<Vec<CellResult>, String> {
     pool::run_parallel(cells, jobs, |cell| run_cell(cell, cache))
-        .into_iter()
-        .collect()
-}
-
-/// [`run_cells`] on the sharded parallel engine: every cell runs with
-/// `shards` worker threads. Because each cell brings its own threads,
-/// the pool width is budgeted as [`pool::budget_workers`]`(jobs,
-/// shards)` so `--jobs × --shards` never oversubscribes the host.
-/// Results are byte-identical to [`run_cells`] for any shard count
-/// (same cache keys, same emitter bytes — asserted by the root crate's
-/// `sharded` tests and the `shard-smoke` CI job).
-pub fn run_cells_sharded(
-    cells: &[Cell],
-    jobs: usize,
-    cache: Option<&ResultCache>,
-    shards: usize,
-) -> Result<Vec<CellResult>, String> {
-    let workers = pool::budget_workers(jobs, shards.max(1));
-    pool::run_parallel(cells, workers, |cell| run_cell_sharded(cell, cache, shards))
         .into_iter()
         .collect()
 }
@@ -735,34 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cells_match_sequential_and_share_the_cache() {
-        let dir = std::env::temp_dir().join(format!("gsim-shard-matrix-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let cells = matrix_of(
-            &["SPM_G", "UTS"],
-            &[ProtocolConfig::Dd, ProtocolConfig::Gd],
-            Scale::Tiny,
-        );
-
-        let seq = run_cells(&cells, 1, None).unwrap();
-        for shards in [1, 4] {
-            let par = run_cells_sharded(&cells, 0, None, shards).unwrap();
-            assert_eq!(to_csv(&seq), to_csv(&par), "shards={shards}");
-            assert_eq!(to_json(&seq), to_json(&par), "shards={shards}");
-        }
-
-        // Same cache key: a sharded sweep populates the cache and a
-        // sequential sweep is served from it (and vice versa).
-        let fresh = run_cells_sharded(&cells, 0, Some(&cache), 2).unwrap();
-        assert!(fresh.iter().all(|r| !r.from_cache));
-        let served = run_cells(&cells, 1, Some(&cache)).unwrap();
-        assert!(served.iter().all(|r| r.from_cache));
-        assert_eq!(to_csv(&fresh), to_csv(&served));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fabric_cells_key_separately_and_single_device_keys_are_unchanged() {
         let cell = &matrix_of(&["SPM_G"], &[ProtocolConfig::Dd], Scale::Tiny)[0];
         let plain = cell_key(cell).unwrap();
@@ -804,10 +716,6 @@ mod tests {
         let many = run_cells(&cells, 4, None).unwrap();
         assert_eq!(to_csv(&one), to_csv(&many));
         assert_eq!(to_json(&one), to_json(&many));
-
-        // The sharded engine reproduces the same bytes on the fabric.
-        let sharded = run_cells_sharded(&cells, 0, None, 4).unwrap();
-        assert_eq!(to_csv(&one), to_csv(&sharded));
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub fn default_jobs() -> usize {
 
 /// The worker count [`run_parallel`] actually uses for a request:
 /// `workers` (0 = [`default_jobs`]) clamped to the job count, floor 1.
-/// Exposed so callers can report or budget around the real thread
-/// count instead of the requested one.
+/// Exposed so callers can report the real thread count instead of the
+/// requested one.
 pub fn effective_workers(workers: usize, jobs: usize) -> usize {
     let workers = if workers == 0 {
         default_jobs()
@@ -32,22 +32,6 @@ pub fn effective_workers(workers: usize, jobs: usize) -> usize {
         workers
     };
     workers.min(jobs).max(1)
-}
-
-/// Caps a requested pool width so that `workers × threads_per_job`
-/// stays within the machine's parallelism. When every job itself spawns
-/// threads (a sharded simulation brings `shards` worker threads), the
-/// pool must divide the core budget by the per-job thread count or
-/// `--jobs × --shards` oversubscribes the host. `workers == 0` still
-/// means auto; the result is always at least 1.
-pub fn budget_workers(workers: usize, threads_per_job: usize) -> usize {
-    let want = if workers == 0 {
-        default_jobs()
-    } else {
-        workers
-    };
-    let per = threads_per_job.max(1);
-    want.min((default_jobs() / per).max(1)).max(1)
 }
 
 /// Metadata about one [`run_parallel_meta`] execution: what was asked
@@ -214,22 +198,6 @@ mod tests {
         let (_, meta) = run_parallel_meta(&jobs, 0, |&j| j);
         assert_eq!(meta.requested, 0);
         assert_eq!(meta.effective, default_jobs().min(3));
-    }
-
-    #[test]
-    fn budget_divides_the_machine_by_per_job_threads() {
-        let cores = default_jobs();
-        // One thread per job: the budget is the plain request (capped at
-        // the machine).
-        assert_eq!(budget_workers(1, 1), 1);
-        assert_eq!(budget_workers(0, 1), cores);
-        // Per-job thread fan-out divides the budget; never below 1.
-        assert_eq!(budget_workers(cores, cores.max(2)), 1);
-        assert_eq!(budget_workers(3, usize::MAX), 1);
-        assert!(budget_workers(0, 4) >= 1);
-        assert!(budget_workers(0, 4) * 4 <= cores.max(4));
-        // threads_per_job == 0 is treated as 1, not a division by zero.
-        assert_eq!(budget_workers(1, 0), 1);
     }
 
     #[test]

@@ -208,35 +208,6 @@ impl MemoryImage {
     pub fn touched_lines(&self) -> usize {
         self.touched
     }
-
-    /// Every line ever written, in ascending address order. Built on
-    /// demand from the per-page bitsets — an end-of-run operation (the
-    /// sharded engine merges per-shard images by copying each shard's
-    /// touched lines), not a hot path.
-    pub fn touched_line_addrs(&self) -> Vec<LineAddr> {
-        fn scan(page: u64, p: &Page, out: &mut Vec<LineAddr>) {
-            for (w, &word) in p.touched.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    out.push(LineAddr((page << PAGE_SHIFT) | (w * 64 + b) as u64));
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(self.touched);
-        for (i, p) in self.pages.iter().enumerate() {
-            if let Some(p) = p {
-                scan(i as u64, p, &mut out);
-            }
-        }
-        let mut high: Vec<_> = self.high.iter().collect();
-        high.sort_unstable_by_key(|&(&i, _)| i);
-        for (&i, p) in high {
-            scan(i, p, &mut out);
-        }
-        out
-    }
 }
 
 /// DRAM timing parameters.
@@ -444,31 +415,6 @@ mod tests {
                     assert_eq!(mem.read_word(WordAddr(w)), v);
                 }
             }
-        }
-
-        #[test]
-        fn touched_line_addrs_lists_every_written_line_sorted() {
-            let mut mem = MemoryImage::new();
-            assert!(mem.touched_line_addrs().is_empty());
-            // Scattered writes: same line twice, a far dense page, and a
-            // sparse high page beyond the dense span.
-            mem.write_word(WordAddr(17), 1); // line 1
-            mem.write_word(WordAddr(18), 2); // line 1 again
-            mem.write_word(WordAddr(0), 3); // line 0
-            mem.write_line(LineAddr(300_000), WordMask::full(), &[9; WORDS_PER_LINE]);
-            let high_line = (super::DENSE_PAGES as u64) << super::PAGE_SHIFT;
-            mem.write_word(WordAddr(high_line * WORDS_PER_LINE as u64 + 4), 5);
-            let lines = mem.touched_line_addrs();
-            assert_eq!(
-                lines,
-                vec![
-                    LineAddr(0),
-                    LineAddr(1),
-                    LineAddr(300_000),
-                    LineAddr(high_line)
-                ]
-            );
-            assert_eq!(lines.len(), mem.touched_lines());
         }
 
         #[test]

@@ -153,14 +153,6 @@ impl MeshConfig {
         (self.cols as usize - 1) + (self.rows as usize - 1)
     }
 
-    /// The cheapest single link crossing: the cycles one flit spends
-    /// traversing one link (wire plus downstream router). Every
-    /// non-local message pays at least this once; it is the per-link
-    /// floor under every figure the latency accessors below build on.
-    pub fn min_link_latency(&self) -> Cycle {
-        self.hop_latency
-    }
-
     /// Uncontended arrival delta of a `flits`-flit message from `src` to
     /// `dst`: exactly what [`Mesh::send`] returns on an idle
     /// single-device mesh, as a latency rather than an absolute cycle.
@@ -168,25 +160,6 @@ impl MeshConfig {
         let hops = self.hops(src, dst) as Cycle;
         let tail = if hops > 0 { flits as Cycle - 1 } else { 0 };
         self.router_latency + hops * self.hop_latency + tail
-    }
-
-    /// The minimum uncontended latency of any message between two
-    /// *distinct* nodes: a single-flit message over one link. This is
-    /// the conservative-lookahead bound for partitioned simulation — a
-    /// message generated at cycle `t` whose destination is another node
-    /// can never arrive before `t + min_remote_latency()`, and link
-    /// contention only pushes arrivals later.
-    pub fn min_remote_latency(&self) -> Cycle {
-        self.router_latency + self.min_link_latency()
-    }
-
-    /// The minimum uncontended latency of a message that stays on its
-    /// own node (crosses no links): just the injecting router. This is
-    /// the floor for *every* message, so any delivery scheduled by a
-    /// send at cycle `t` lands strictly after `t` — the property that
-    /// makes one-cycle epochs safe to run without intra-epoch exchange.
-    pub fn min_local_latency(&self) -> Cycle {
-        self.router_latency
     }
 
     /// The XY dimension-order route from `src` to `dst`, as the sequence
@@ -419,10 +392,7 @@ impl Topology {
 
     /// Uncontended arrival delta of a `flits`-flit message from `src` to
     /// `dst`: exactly what [`Mesh::send`] returns on an idle fabric, as
-    /// a latency rather than an absolute cycle. The single source of
-    /// truth for engine-side latency reasoning (lookahead derivation,
-    /// epoch sizing) — scheduling code must derive bounds from this
-    /// rather than hardcoding network constants.
+    /// a latency rather than an absolute cycle.
     pub fn base_latency(&self, src: NodeId, dst: NodeId, flits: u32) -> Cycle {
         let (sd, dd) = (self.device_of(src), self.device_of(dst));
         if sd == dd {
@@ -438,27 +408,6 @@ impl Topology {
             + mesh_hops * self.mesh.hop_latency
             + self.xlink.latency
             + (flits as Cycle - 1) * self.xlink.cpf()
-    }
-
-    /// The minimum uncontended latency of any message between two
-    /// *distinct* nodes: the injecting router plus the cheapest link
-    /// crossing of **any** class present in the fabric. With one device
-    /// this is the mesh's remote floor; with several it also considers
-    /// the inter-device class (which matters when an xlink is configured
-    /// faster than a mesh hop). The conservative-lookahead bound for
-    /// partitioned simulation.
-    pub fn min_remote_latency(&self) -> Cycle {
-        let mut link = self.mesh.min_link_latency();
-        if self.devices > 1 {
-            link = link.min(self.xlink.latency);
-        }
-        self.mesh.router_latency + link
-    }
-
-    /// The floor for a message that stays on its own node (crosses no
-    /// links): just the injecting router.
-    pub fn min_local_latency(&self) -> Cycle {
-        self.mesh.router_latency
     }
 }
 
@@ -787,28 +736,23 @@ mod tests {
     }
 
     #[test]
-    fn min_latencies_are_tight_floors() {
+    fn latency_floors_are_tight() {
         let cfg = MeshConfig::default();
-        assert_eq!(cfg.min_link_latency(), cfg.hop_latency);
-        assert_eq!(cfg.min_local_latency(), cfg.router_latency);
-        assert_eq!(
-            cfg.min_remote_latency(),
-            cfg.router_latency + cfg.hop_latency
-        );
-        // Tight: an adjacent-node single-flit message achieves the remote
-        // floor, a same-node message the local floor.
+        let (local, remote) = (cfg.router_latency, cfg.router_latency + cfg.hop_latency);
+        // Tight: an adjacent-node single-flit message pays the router
+        // and one hop, a same-node message the router alone.
         let mut m = Mesh::new(cfg);
-        assert_eq!(m.send(0, &ctrl(0, 1)), cfg.min_remote_latency());
-        assert_eq!(m.send(50, &ctrl(9, 9)), 50 + cfg.min_local_latency());
+        assert_eq!(m.send(0, &ctrl(0, 1)), remote);
+        assert_eq!(m.send(50, &ctrl(9, 9)), 50 + local);
         // Floors: no (src, dst, flits) combination beats them, and
-        // distinct nodes never beat the remote floor.
+        // distinct nodes never beat router plus one hop.
         for a in all_nodes(&cfg) {
             for b in all_nodes(&cfg) {
                 for msg in [ctrl(a, b), data(a, b, 3)] {
                     let base = cfg.base_latency(NodeId(a), NodeId(b), msg.flits());
-                    assert!(base >= cfg.min_local_latency());
+                    assert!(base >= local);
                     if a != b {
-                        assert!(base >= cfg.min_remote_latency(), "{a}->{b}");
+                        assert!(base >= remote, "{a}->{b}");
                     }
                 }
             }
@@ -931,8 +875,6 @@ mod tests {
             let cfg = MeshConfig::default();
             let t = Topology::single(cfg);
             assert_eq!(t.nodes(), cfg.nodes());
-            assert_eq!(t.min_remote_latency(), cfg.min_remote_latency());
-            assert_eq!(t.min_local_latency(), cfg.min_local_latency());
             assert_eq!(t.max_route_len(), cfg.max_route_len());
             for a in all_nodes(&cfg) {
                 for b in all_nodes(&cfg) {
@@ -1052,16 +994,17 @@ mod tests {
         }
 
         #[test]
-        fn min_remote_latency_considers_every_link_class() {
-            // Slow xlink: the mesh hop stays the floor (the common case).
+        fn one_link_arrivals_follow_the_link_class() {
+            // Slow xlink: an adjacent mesh hop is the cheapest crossing
+            // (the common case).
             let slow = two_dev();
+            let mut m = Mesh::with_topology(slow);
             assert_eq!(
-                slow.min_remote_latency(),
+                m.send(0, &ctrl(0, 1)),
                 slow.mesh.router_latency + slow.mesh.hop_latency
             );
-            // Fast xlink (faster than a mesh hop): the floor must
-            // follow it — deriving lookahead from the mesh alone would
-            // overshoot and miss early cross-device arrivals.
+            // Fast xlink (faster than a mesh hop): a gateway-to-gateway
+            // message arrives after the router and the xlink alone.
             let fast = Topology::fabric(
                 MeshConfig::default(),
                 2,
@@ -1070,9 +1013,8 @@ mod tests {
                     cycles_per_flit: 1,
                 },
             );
-            assert_eq!(fast.min_remote_latency(), fast.mesh.router_latency + 1);
             let mut m = Mesh::with_topology(fast);
-            assert_eq!(m.send(0, &ctrl(0, 16)), fast.min_remote_latency());
+            assert_eq!(m.send(0, &ctrl(0, 16)), fast.mesh.router_latency + 1);
         }
 
         #[test]

@@ -45,20 +45,23 @@ fn usage() -> ExitCode {
         "usage:\n  \
          gpu-denovo list\n  \
          gpu-denovo run <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] [--detail] [--hist]\n              \
-         [--shards N] [--devices N] [--xlink-latency N]\n  \
-         gpu-denovo compare <BENCH> [--paper] [--shards N] [--devices N] [--xlink-latency N]\n  \
+         [--devices N] [--xlink-latency N]\n  \
+         gpu-denovo compare <BENCH> [--paper] [--devices N] [--xlink-latency N]\n  \
          gpu-denovo sweep [--group nosync|global|local|extension|fabric] [--paper] [--jobs N]\n                   \
-         [--shards N] [--devices N] [--xlink-latency N]\n                   \
-         [--out FILE.csv|FILE.json] [--no-cache]\n  \
-         gpu-denovo matrix [--paper] [--jobs N] [--shards N] [--out FILE.csv|FILE.json]\n                    \
+         [--devices N] [--xlink-latency N] [--out FILE.csv|FILE.json] [--no-cache]\n  \
+         gpu-denovo matrix [--paper] [--jobs N] [--out FILE.csv|FILE.json]\n                    \
          [--devices N] [--xlink-latency N] [--no-cache]\n  \
-         gpu-denovo trace <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] --out <FILE>\n  \
+         gpu-denovo trace <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] --out <FILE>\n                   \
+         [--devices N] [--xlink-latency N]\n  \
          gpu-denovo profile <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] [--interval N]\n                     \
-         [--topn N] [--json] [--out FILE.csv|FILE.json|FILE.perfetto.json]\n  \
+         [--topn N] [--json] [--out FILE.csv|FILE.json|FILE.perfetto.json]\n                     \
+         [--devices N] [--xlink-latency N]\n  \
          gpu-denovo flow <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] [--interval N]\n                  \
-         [--period N] [--topn N] [--json] [--out FILE.csv|FILE.json|FILE.perfetto.json]\n  \
+         [--period N] [--topn N] [--json] [--out FILE.csv|FILE.json|FILE.perfetto.json]\n                  \
+         [--devices N] [--xlink-latency N]\n  \
          gpu-denovo lens <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] [--topk N]\n                  \
-         [--topn N] [--json] [--out FILE.csv|FILE.json|FILE.perfetto.json]\n  \
+         [--topn N] [--json] [--out FILE.csv|FILE.json|FILE.perfetto.json]\n                  \
+         [--devices N] [--xlink-latency N]\n  \
          gpu-denovo check [--bench <BENCH>] [--paper]\n  \
          gpu-denovo explore [--shape <NAME>] [--config GD|GH|DD|DD+RO|DH] [--budget N]\n                     \
          [--naive] [--json] [--replay <ID>]\n\n\
@@ -68,11 +71,6 @@ fn usage() -> ExitCode {
          Both run cells on `--jobs` worker threads (0 or default = all\n\
          cores) and cache results in target/gsim-cache/; output is\n\
          byte-identical regardless of --jobs.\n\
-         `--shards N` advances each run on the sharded parallel engine\n\
-         (N worker threads per run; sweeps budget --jobs x --shards to\n\
-         the core count). Results are byte-identical to the sequential\n\
-         engine for any N; observer commands (trace/profile/flow) fall\n\
-         back to sequential.\n\
          `--devices N` joins N device meshes into one fabric over a\n\
          slower inter-device link (`--xlink-latency`, default 40 cycles);\n\
          L2 homes stripe across all devices. The fabric group's XDEV_D /\n\
@@ -111,9 +109,72 @@ fn usage() -> ExitCode {
          with a replayable schedule id per outcome. --naive disables\n\
          DPOR pruning (ground truth); --budget caps schedules per cell\n\
          (default 4096); --replay ID re-runs one schedule (requires\n\
-         --shape, and --config unless the default DD is meant)."
+         --shape, and --config unless the default DD is meant).\n\
+         Every command rejects a flag it does not accept."
     );
     ExitCode::FAILURE
+}
+
+/// The flags each subcommand accepts, space-separated. Any other
+/// `--flag` is an error, so a typo never silently falls back to a
+/// default.
+const FLAGS: &[(&str, &str)] = &[
+    ("list", ""),
+    (
+        "run",
+        "--config --paper --detail --hist --devices --xlink-latency",
+    ),
+    ("compare", "--paper --devices --xlink-latency"),
+    (
+        "sweep",
+        "--group --paper --jobs --devices --xlink-latency --out --no-cache",
+    ),
+    (
+        "matrix",
+        "--paper --jobs --out --devices --xlink-latency --no-cache",
+    ),
+    ("trace", "--config --paper --out --devices --xlink-latency"),
+    (
+        "profile",
+        "--config --paper --interval --topn --json --out --devices --xlink-latency",
+    ),
+    (
+        "flow",
+        "--config --paper --interval --period --topn --json --out --devices --xlink-latency",
+    ),
+    (
+        "lens",
+        "--config --paper --topk --topn --json --out --devices --xlink-latency",
+    ),
+    ("check", "--bench --paper"),
+    (
+        "explore",
+        "--shape --config --budget --naive --json --replay",
+    ),
+];
+
+/// Rejects the first `--flag` that `cmd` does not accept, naming it and
+/// the flags `cmd` does accept. Unknown commands pass (they print usage).
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let Some((_, accepted)) = FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        return Ok(());
+    };
+    let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.split(' ').any(|f| f == a.as_str()))
+    else {
+        return Ok(());
+    };
+    if accepted.is_empty() {
+        Err(format!(
+            "unknown flag {flag} for `{cmd}`: it accepts no flags"
+        ))
+    } else {
+        Err(format!(
+            "unknown flag {flag} for `{cmd}`: accepted flags are {}",
+            accepted.replace(' ', ", ")
+        ))
+    }
 }
 
 /// The value following `flag`, if the flag is present. `Err` means the
@@ -187,22 +248,6 @@ fn parse_fabric(args: &[String]) -> Result<FabricSpec, String> {
     Ok(fabric)
 }
 
-/// `--shards N`: advance the run on the sharded parallel engine with
-/// `N` worker threads. Absent means the sequential reference engine;
-/// results are byte-identical either way (the `EngineKind` contract),
-/// so the flag is purely a wall-clock choice.
-fn parse_shards(args: &[String]) -> Result<Option<usize>, String> {
-    let Some(s) = flag_value(args, "--shards").map_err(|e| format!("{e} (a shard count)"))? else {
-        return Ok(None);
-    };
-    match s.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(format!(
-            "invalid --shards value {s:?}: expected a positive shard count"
-        )),
-    }
-}
-
 /// `--jobs N`; absent or 0 means auto (all cores).
 fn parse_jobs(args: &[String]) -> Result<usize, String> {
     let Some(s) = flag_value(args, "--jobs").map_err(|e| format!("{e} (a worker count)"))? else {
@@ -252,15 +297,10 @@ fn run_one(
     name: &str,
     p: ProtocolConfig,
     s: Scale,
-    shards: Option<usize>,
     fabric: FabricSpec,
 ) -> Result<SimStats, String> {
     let b = lookup_bench(name)?;
-    let mut cfg = fabric.system(p);
-    if let Some(n) = shards {
-        cfg = cfg.with_shards(n);
-    }
-    Simulator::new(cfg)
+    Simulator::new(fabric.system(p))
         .run(&(b.build)(s))
         .map_err(|e| format!("{name} under {p}: {e}"))
 }
@@ -538,7 +578,6 @@ fn header() {
 /// the results for command-specific presentation.
 fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String> {
     let jobs = parse_jobs(args)?;
-    let shards = parse_shards(args)?;
     let fabric = parse_fabric(args)?;
     let cells: Vec<Cell> = cells.iter().map(|c| c.clone().on_fabric(fabric)).collect();
     let cells = cells.as_slice();
@@ -551,14 +590,7 @@ fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String
                 .map_err(|e| format!("opening cache {:?}: {e}", ResultCache::default_dir()))?,
         )
     };
-
-    // Sharded cells bring their own worker threads, so the pool width
-    // is budgeted inside `run_cells_sharded`; results and cache entries
-    // are byte-identical to the sequential runner either way.
-    let results = match shards {
-        Some(n) => harness::run_cells_sharded(cells, jobs, cache.as_ref(), n)?,
-        None => harness::run_cells(cells, jobs, cache.as_ref())?,
-    };
+    let results = harness::run_cells(cells, jobs, cache.as_ref())?;
 
     if let Some((path, format)) = out {
         let text = match format {
@@ -593,6 +625,9 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    if let Err(e) = check_flags(cmd, &args) {
+        return fail(e);
+    }
     match cmd.as_str() {
         "list" => {
             println!("{:<10} {:<12} Table 4 input", "name", "group");
@@ -618,15 +653,11 @@ fn main() -> ExitCode {
                 Ok(c) => c,
                 Err(e) => return fail(e),
             };
-            let shards = match parse_shards(&args) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
             let fabric = match parse_fabric(&args) {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
-            match run_one(name, config, scale(&args), shards, fabric) {
+            match run_one(name, config, scale(&args), fabric) {
                 Ok(stats) => {
                     header();
                     print_row(config, &stats);
@@ -693,14 +724,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            match parse_shards(&args) {
-                Ok(Some(_)) => eprintln!(
-                    "note: profiling observers force the sequential engine; \
-                     --shards is ignored (stats are identical by contract)"
-                ),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
             let mut spec = ProfSpec::on();
             match flag_value(&args, "--interval") {
                 Ok(Some(v)) => match v.parse::<u64>() {
@@ -822,14 +845,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            match parse_shards(&args) {
-                Ok(Some(_)) => eprintln!(
-                    "note: flow observers force the sequential engine; \
-                     --shards is ignored (stats are identical by contract)"
-                ),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
             let mut spec = FlowSpec::on();
             match flag_value(&args, "--interval") {
                 Ok(Some(v)) => match v.parse::<u64>() {
@@ -973,14 +988,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            match parse_shards(&args) {
-                Ok(Some(_)) => eprintln!(
-                    "note: lens observers force the sequential engine; \
-                     --shards is ignored (stats are identical by contract)"
-                ),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
             let mut spec = LensSpec::on();
             match flag_value(&args, "--topk") {
                 Ok(Some(v)) => match v.parse::<usize>() {
@@ -1108,17 +1115,13 @@ fn main() -> ExitCode {
             if let Err(e) = lookup_bench(name) {
                 return fail(e);
             }
-            let shards = match parse_shards(&args) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
             let fabric = match parse_fabric(&args) {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
             header();
             for p in ProtocolConfig::ALL {
-                match run_one(name, p, scale(&args), shards, fabric) {
+                match run_one(name, p, scale(&args), fabric) {
                     Ok(stats) => print_row(p, &stats),
                     Err(e) => return fail(e),
                 }

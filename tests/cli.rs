@@ -1,0 +1,49 @@
+//! Command-line contract: every subcommand accepts only its own flags.
+//! A mistyped or retired flag must fail loudly instead of silently
+//! running the defaults.
+
+use std::process::{Command, Output};
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gpu-denovo"))
+        .args(args)
+        .output()
+        .expect("spawn gpu-denovo")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn unknown_flags_exit_1_naming_the_flag_and_the_accepted_ones() {
+    for args in [
+        &["run", "SPM_G", "--shards", "4"][..],
+        &["run", "SPM_G", "--cofnig", "GD"][..],
+    ] {
+        let out = cli(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(args[2]), "{args:?} must name the flag: {err}");
+        assert!(
+            err.contains("--config") && err.contains("--xlink-latency"),
+            "{args:?} must list the accepted flags: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let out = cli(&["list", "--json"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("--json"));
+}
+
+#[test]
+fn accepted_flags_still_run() {
+    let out = cli(&["run", "SPM_G", "--config", "GD"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stdout.contains("\nGD "),
+        "ran the requested config: {stdout}"
+    );
+    assert!(stdout.contains("run verified functionally."));
+}

@@ -1,6 +1,6 @@
 //! Multi-device fabric integration tests: the litmus battery on
 //! non-default geometries, observer reconciliation on the multi-device
-//! link set, and engine equivalence on a fabric.
+//! link set, and sweep determinism on a fabric.
 //!
 //! The consistency arguments of the paper are geometry-free — the same
 //! SC-for-DRF outcomes must hold whether the L2 home of a line is one
@@ -104,28 +104,8 @@ fn flow_reconciles_on_a_two_device_run() {
     }
 }
 
-/// The sharded engine is byte-identical to the sequential reference on
-/// a two-device fabric (the `EngineKind` contract, now with the
-/// lookahead derived from the minimum over *all* link classes).
-#[test]
-fn sharded_engine_matches_sequential_on_two_devices() {
-    for bench in ["XDEV_D", "XDEV_S", "XPC"] {
-        let b = registry::by_name(bench).unwrap();
-        let seq = Simulator::new(SystemConfig::fabric(ProtocolConfig::Dd, 2, 40))
-            .run(&(b.build)(Scale::Tiny))
-            .unwrap();
-        for shards in [2, 4] {
-            let par =
-                Simulator::new(SystemConfig::fabric(ProtocolConfig::Dd, 2, 40).with_shards(shards))
-                    .run(&(b.build)(Scale::Tiny))
-                    .unwrap();
-            assert_eq!(seq, par, "{bench} with {shards} shards diverged");
-        }
-    }
-}
-
 /// A two-device harness sweep is byte-deterministic across worker
-/// counts and engines, and shows the device- vs system-scope gap in its
+/// counts, and shows the device- vs system-scope gap in its
 /// emitted rows.
 #[test]
 fn fabric_sweep_bytes_are_stable_and_show_the_gap() {
