@@ -112,24 +112,8 @@ fn main() {
         gsim_core::CheckLevel::Off,
         "throughput bench must run with conformance checking off"
     );
-    // Same for the profiler: it defaults to off in every build, and the
-    // committed baseline must never include its hook overhead.
-    assert!(
-        !SystemConfig::micro15(ProtocolConfig::Gd).prof.enabled(),
-        "throughput bench must run with profiling off"
-    );
-    // And for flow observation: off in every build, never in the timed
-    // path.
-    assert!(
-        !SystemConfig::micro15(ProtocolConfig::Gd).flow.enabled(),
-        "throughput bench must run with flow collection off"
-    );
-    // And for the coherence-lifecycle lens: off in every build, never
-    // in the timed path.
-    assert!(
-        !SystemConfig::micro15(ProtocolConfig::Gd).lens.enabled(),
-        "throughput bench must run with lens collection off"
-    );
+    // Observers (trace, prof, flow, lens) are per-run arguments of
+    // Simulator::run_observed; the plain `run` timed here has none.
     // The schedule explorer's controlled event queue is opt-in via
     // Simulator::run_explored; the production pop path (and so this
     // baseline) stays on the calendar queue.

@@ -3,11 +3,8 @@
 
 use crate::equeue::QueueKind;
 use gsim_check::CheckLevel;
-use gsim_flow::FlowSpec;
-use gsim_lens::LensSpec;
 use gsim_mem::CacheGeometry;
 use gsim_noc::{MeshConfig, Topology, XLinkConfig};
-use gsim_prof::ProfSpec;
 use gsim_protocol::L2Config;
 use gsim_types::{Cycle, ProtocolConfig};
 
@@ -78,29 +75,13 @@ pub struct SystemConfig {
     /// benchmark throughput is unaffected). Checking never perturbs
     /// timing — only observes — so results are identical across levels.
     pub check: CheckLevel,
-    /// How much profiling the run collects (cycle attribution, hot-line
-    /// sketches, interval time-series). Defaults to off in **every**
-    /// build; like checking, profiling only observes and never perturbs
-    /// timing, so stats are identical with it on or off (asserted by the
-    /// root crate's `profiler` tests).
-    pub prof: ProfSpec,
-    /// How much memory-system flow observation the run collects
-    /// (per-link traffic attribution, occupancy time-series, sampled
-    /// request journeys). Defaults to off in **every** build; like
-    /// profiling, flow collection only observes and never perturbs
-    /// timing, so stats are identical with it on or off (asserted by
-    /// the root crate's `flow` tests).
-    pub flow: FlowSpec,
-    /// How much per-line coherence lifecycle observation the run
-    /// collects (acquire invalidation-waste ledger, per-line lifecycle
-    /// table, cross-sync reuse histograms). Defaults to off in **every**
-    /// build; like profiling and flow, lens collection only observes
-    /// and never perturbs timing, so stats are identical with it on or
-    /// off (asserted by the root crate's `lens` tests).
-    pub lens: LensSpec,
 }
 
 impl SystemConfig {
+    /// The most L2 banks a system can have: each L1's home map names a
+    /// bank with a `u8`.
+    pub const MAX_L2_BANKS: usize = 255;
+
     /// The paper's Table 3 system running `protocol`.
     pub fn micro15(protocol: ProtocolConfig) -> Self {
         SystemConfig {
@@ -117,9 +98,6 @@ impl SystemConfig {
             max_cycles: 2_000_000_000,
             event_queue: QueueKind::Calendar,
             check: CheckLevel::default_for_build(),
-            prof: ProfSpec::default_for_build(),
-            flow: FlowSpec::default_for_build(),
-            lens: LensSpec::default_for_build(),
         }
     }
 
@@ -137,8 +115,7 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the fabric exceeds the 256-node id space or the
-    /// 255-bank L1 home-map (u8) capacity.
+    /// Panics if `devices` exceeds [`max_devices`](Self::max_devices).
     pub fn fabric(protocol: ProtocolConfig, devices: u8, xlink_latency: Cycle) -> Self {
         let mut config = SystemConfig::micro15(protocol);
         if devices <= 1 {
@@ -150,9 +127,20 @@ impl SystemConfig {
         };
         config.topology = Topology::fabric(MeshConfig::default(), devices, xlink);
         let banks = config.topology.nodes();
-        assert!(banks <= 255, "{banks} L2 banks exceed the u8 home map");
+        assert!(
+            banks <= Self::MAX_L2_BANKS,
+            "{banks} L2 banks exceed the u8 home map"
+        );
         config.l2.banks = banks;
         config
+    }
+
+    /// The largest device count [`fabric`](Self::fabric) accepts: one
+    /// L2 bank per node, so both the node id space and the home map
+    /// bound it.
+    pub fn max_devices() -> u8 {
+        let limit = Self::MAX_L2_BANKS.min(Topology::MAX_NODES);
+        (limit / MeshConfig::default().nodes()) as u8
     }
 
     /// Total CU count across all devices.
@@ -209,6 +197,18 @@ mod tests {
             SystemConfig::micro15(ProtocolConfig::Dd).topology
         );
         assert_eq!(one.l2.banks, 16);
+    }
+
+    #[test]
+    fn max_devices_is_the_largest_fabric_that_builds() {
+        let max = SystemConfig::max_devices();
+        assert_eq!(max, 15, "255 banks / 16 nodes per device");
+        let c = SystemConfig::fabric(ProtocolConfig::Dd, max, 40);
+        assert!(c.l2.banks <= SystemConfig::MAX_L2_BANKS);
+        let over = std::panic::catch_unwind(|| {
+            SystemConfig::fabric(ProtocolConfig::Dd, max + 1, 40);
+        });
+        assert!(over.is_err(), "one device more must not build");
     }
 
     #[test]

@@ -30,5 +30,7 @@ pub use config::SystemConfig;
 pub use equeue::QueueKind;
 pub use gsim_check::{CheckLevel, CheckReport};
 pub use gsim_noc::{MeshConfig, Topology, XLinkConfig};
-pub use sim::{Candidate, Decision, ExploredRun, Footprint, SimError, Simulator};
+pub use sim::{
+    Candidate, Decision, ExploredRun, Footprint, ObserveSpec, Reports, SimError, Simulator,
+};
 pub use workload::{KernelLaunch, TbSpec, Workload};

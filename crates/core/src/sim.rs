@@ -31,11 +31,11 @@ use crate::proto::{L1, L2};
 use crate::workload::{KernelLaunch, Workload};
 use gsim_check::{CheckKind, CheckLevel, CheckReport, RaceDetector, SyncKey, Violation};
 use gsim_energy::EnergyModel;
-use gsim_flow::{FlowHandle, FlowReport, JourneyKind};
-use gsim_lens::{LensHandle, LensReport};
+use gsim_flow::{FlowHandle, FlowReport, FlowSpec, JourneyKind};
+use gsim_lens::{LensHandle, LensReport, LensSpec};
 use gsim_mem::MemoryImage;
 use gsim_noc::Mesh;
-use gsim_prof::{IntervalSample, ProfHandle, ProfileReport, ReportInputs, StallKind};
+use gsim_prof::{IntervalSample, ProfHandle, ProfSpec, ProfileReport, ReportInputs, StallKind};
 use gsim_protocol::{Action, Issue, L1Config};
 use gsim_trace::{TraceEvent, TraceHandle};
 use gsim_types::{
@@ -63,6 +63,9 @@ pub enum SimError {
         /// The rendered [`CheckReport`]: one line per violation.
         report: String,
     },
+    /// The workload does not fit the system (a thread block pinned to a
+    /// CU the topology lacks); nothing was simulated.
+    Workload(String),
 }
 
 impl fmt::Display for SimError {
@@ -76,6 +79,7 @@ impl fmt::Display for SimError {
             }
             SimError::Verify(msg) => write!(f, "verification failed: {msg}"),
             SimError::Check { report } => write!(f, "conformance check failed: {report}"),
+            SimError::Workload(msg) => write!(f, "workload does not fit the system: {msg}"),
         }
     }
 }
@@ -173,6 +177,37 @@ enum KernelPhase {
     Finished,
 }
 
+/// What one run observes, beyond the [`SimStats`] every run returns.
+/// The default observes nothing.
+///
+/// Each observer is a per-run argument, not part of the simulated
+/// machine: its hooks are one branch on a disabled handle, and switching
+/// it on never changes the stats.
+#[derive(Clone, Debug, Default)]
+pub struct ObserveSpec {
+    /// Structured events (disabled by default).
+    pub trace: TraceHandle,
+    /// Cycle attribution, hot lines and interval samples (`None` = off).
+    pub prof: Option<ProfSpec>,
+    /// Per-link traffic, occupancy samples and request journeys
+    /// (`None` = off).
+    pub flow: Option<FlowSpec>,
+    /// The coherence-lifecycle lens (`None` = off).
+    pub lens: Option<LensSpec>,
+}
+
+/// The observer reports of one run: each is `Some` exactly when its
+/// spec in the run's [`ObserveSpec`] was.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Reports {
+    /// The profile report.
+    pub profile: Option<ProfileReport>,
+    /// The flow report.
+    pub flow: Option<FlowReport>,
+    /// The lens report.
+    pub lens: Option<LensReport>,
+}
+
 /// The public entry point: runs workloads under one [`SystemConfig`].
 ///
 /// # Examples
@@ -226,15 +261,14 @@ impl Simulator {
     /// # Errors
     ///
     /// [`SimError::Watchdog`] if the cycle limit is exceeded,
-    /// [`SimError::Verify`] if the functional check fails.
+    /// [`SimError::Verify`] if the functional check fails,
+    /// [`SimError::Workload`] if the workload does not fit the system.
     pub fn run(&self, workload: &Workload) -> Result<SimStats, SimError> {
-        self.run_traced(workload, TraceHandle::disabled())
+        self.run_observed(workload, &ObserveSpec::default())
+            .map(|(stats, _)| stats)
     }
 
     /// As [`run`](Self::run), emitting structured events through `trace`.
-    ///
-    /// Every component (engine, L1s, L2 banks, mesh) gets a clone of the
-    /// handle; with [`TraceHandle::disabled`] this is exactly [`run`](Self::run).
     ///
     /// # Errors
     ///
@@ -244,76 +278,33 @@ impl Simulator {
         workload: &Workload,
         trace: TraceHandle,
     ) -> Result<SimStats, SimError> {
-        self.run_traced_profiled(workload, trace).map(|(s, _)| s)
+        let observe = ObserveSpec {
+            trace,
+            ..ObserveSpec::default()
+        };
+        self.run_observed(workload, &observe)
+            .map(|(stats, _)| stats)
     }
 
-    /// As [`run`](Self::run), additionally returning the profile report
-    /// when [`SystemConfig::prof`] enables collection (`None` otherwise).
+    /// As [`run`](Self::run), with the observers `observe` switches on.
+    /// Every component gets a clone of each enabled handle; a disabled
+    /// one costs a single branch per hook.
     ///
-    /// Profiling only observes: the returned `SimStats` are identical
-    /// to what [`run`](Self::run) produces with profiling off.
+    /// Observers only observe: the returned `SimStats` are identical to
+    /// what [`run`](Self::run) produces (asserted by the root crate's
+    /// `trace`, `profiler`, `flow` and `lens` tests).
     ///
     /// # Errors
     ///
     /// As [`run`](Self::run).
-    pub fn run_profiled(
+    pub fn run_observed(
         &self,
         workload: &Workload,
-    ) -> Result<(SimStats, Option<ProfileReport>), SimError> {
-        self.run_traced_profiled(workload, TraceHandle::disabled())
-    }
-
-    /// Tracing and profiling together (each independently optional via
-    /// its handle/config).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_traced_profiled(
-        &self,
-        workload: &Workload,
-        trace: TraceHandle,
-    ) -> Result<(SimStats, Option<ProfileReport>), SimError> {
-        Machine::new(&self.config, workload, trace)
+        observe: &ObserveSpec,
+    ) -> Result<(SimStats, Reports), SimError> {
+        Machine::new(&self.config, workload, observe)?
             .run(workload)
-            .map(|out| (out.stats, out.profile))
-    }
-
-    /// As [`run`](Self::run), additionally returning the flow report
-    /// when [`SystemConfig::flow`] enables collection (`None` otherwise).
-    ///
-    /// Flow collection only observes: the returned `SimStats` are
-    /// identical to what [`run`](Self::run) produces with it off.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_flow(
-        &self,
-        workload: &Workload,
-    ) -> Result<(SimStats, Option<FlowReport>), SimError> {
-        Machine::new(&self.config, workload, TraceHandle::disabled())
-            .run(workload)
-            .map(|out| (out.stats, out.flow))
-    }
-
-    /// As [`run`](Self::run), additionally returning the lens report
-    /// when [`SystemConfig::lens`] enables collection (`None`
-    /// otherwise).
-    ///
-    /// Lens collection only observes: the returned `SimStats` are
-    /// identical to what [`run`](Self::run) produces with it off.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_lens(
-        &self,
-        workload: &Workload,
-    ) -> Result<(SimStats, Option<LensReport>), SimError> {
-        Machine::new(&self.config, workload, TraceHandle::disabled())
-            .run(workload)
-            .map(|out| (out.stats, out.lens))
+            .map(|out| (out.stats, out.reports))
     }
 
     /// Runs `workload` under explorer control: the run uses the
@@ -341,7 +332,7 @@ impl Simulator {
     ) -> Result<ExploredRun, SimError> {
         let mut cfg = self.config;
         cfg.event_queue = QueueKind::Controlled;
-        let mut m = Machine::new(&cfg, workload, TraceHandle::disabled());
+        let mut m = Machine::new(&cfg, workload, &ObserveSpec::default())?;
         m.sched = Some(SchedState {
             prefix: prefix.to_vec(),
             decisions: Vec::new(),
@@ -366,9 +357,7 @@ const ACTION_SINK_CAPACITY: usize = 64;
 #[derive(Debug)]
 struct RunOut {
     stats: SimStats,
-    profile: Option<ProfileReport>,
-    flow: Option<FlowReport>,
-    lens: Option<LensReport>,
+    reports: Reports,
     /// Decision trace (empty unless the run was scheduled).
     decisions: Vec<Decision>,
     /// Final values of `Machine::obs_words` (empty unless requested).
@@ -536,12 +525,35 @@ struct Machine {
 }
 
 impl Machine {
-    fn new(config: &SystemConfig, workload: &Workload, trace: TraceHandle) -> Machine {
+    /// Builds the machine for one run of `workload`, with the observers
+    /// `observe` switches on. Every run passes through here, so this is
+    /// where a workload that does not fit the system is rejected.
+    fn new(
+        config: &SystemConfig,
+        workload: &Workload,
+        observe: &ObserveSpec,
+    ) -> Result<Machine, SimError> {
+        let total_cus = config.total_cus();
+        for (k, launch) in workload.kernels.iter().enumerate() {
+            let mut pins = launch.tbs.iter().filter_map(|tb| tb.cu);
+            if let Some(cu) = pins.find(|&cu| cu >= total_cus) {
+                return Err(SimError::Workload(format!(
+                    "kernel {k} pins a thread block to CU {cu}, but the system has {total_cus} CUs \
+                     ({} device(s) x {} CUs)",
+                    config.topology.devices, config.gpu_cus
+                )));
+            }
+        }
         let mut memory = MemoryImage::new();
         (workload.init)(&mut memory);
         let nodes = config.topology.nodes();
-        let prof = ProfHandle::new(config.prof, config.total_cus(), nodes);
-        let lens = LensHandle::new(config.lens, nodes);
+        let trace = observe.trace.clone();
+        let prof = observe.prof.map_or_else(ProfHandle::disabled, |s| {
+            ProfHandle::new(s, total_cus, nodes)
+        });
+        let lens = observe
+            .lens
+            .map_or_else(LensHandle::disabled, |s| LensHandle::new(s, nodes));
         let l1s = (0..nodes as u8)
             .map(NodeId)
             .map(|n| {
@@ -574,7 +586,9 @@ impl Machine {
                 tick_scheduled: false,
             })
             .collect();
-        let flow = FlowHandle::new(config.flow, nodes, config.l2.latency);
+        let flow = observe.flow.map_or_else(FlowHandle::disabled, |s| {
+            FlowHandle::new(s, nodes, config.l2.latency)
+        });
         let mut mesh = Mesh::with_topology(config.topology);
         mesh.set_trace(&trace);
         mesh.set_flow(&flow);
@@ -584,7 +598,7 @@ impl Machine {
         l2.set_lens(&lens);
         let prof_interval = prof.sample_interval();
         let flow_interval = flow.sample_interval();
-        Machine {
+        Ok(Machine {
             protocol: config.protocol,
             gpu_cus: config.gpu_cus,
             nodes_per_dev: config.topology.nodes_per_device(),
@@ -621,7 +635,7 @@ impl Machine {
             report: CheckReport::default(),
             sched: None,
             obs_words: Vec::new(),
-        }
+        })
     }
 
     /// Pops the next event: the production path is a straight
@@ -776,15 +790,10 @@ impl Machine {
 
     /// The node hosting dense CU index `cu` (mirrors
     /// [`SystemConfig::node_of_cu`]): device `cu / gpu_cus`, local CU
-    /// `cu % gpu_cus`. Resolves `TbSpec::on_cu` pins.
+    /// `cu % gpu_cus`. Resolves `TbSpec::on_cu` pins, which
+    /// [`Machine::new`] has checked against the topology.
     fn cu_node_of(&self, cu: usize) -> usize {
-        let node = (cu / self.gpu_cus) * self.nodes_per_dev + cu % self.gpu_cus;
-        assert!(
-            node < self.cus.len(),
-            "thread block pinned to CU {cu}, beyond the topology's {} CUs",
-            self.cus.len() / self.nodes_per_dev * self.gpu_cus
-        );
-        node
+        (cu / self.gpu_cus) * self.nodes_per_dev + cu % self.gpu_cus
     }
 
     /// Dense CU attribution row of a CU node (`device * gpu_cus + local
@@ -1548,15 +1557,15 @@ impl Machine {
             .map(|&w| self.l2.memory().read_word(w))
             .collect();
         let stats = self.stats();
-        let profile = self.take_profile();
-        let flow = self.take_flow();
-        let lens = self.take_lens();
+        let reports = Reports {
+            profile: self.take_profile(),
+            flow: self.flow.take_report(self.now),
+            lens: self.lens.take_report(self.now),
+        };
         let decisions = self.sched.take().map_or(Vec::new(), |s| s.decisions);
         Ok(RunOut {
             stats,
-            profile,
-            flow,
-            lens,
+            reports,
             decisions,
             observed,
         })
@@ -1627,16 +1636,6 @@ impl Machine {
             messages_sent,
             flit_hops,
         })
-    }
-
-    /// Assembles the flow report (`None` when flow collection is off).
-    fn take_flow(&mut self) -> Option<FlowReport> {
-        self.flow.take_report(self.now)
-    }
-
-    /// Assembles the lens report (`None` when lens collection is off).
-    fn take_lens(&mut self) -> Option<LensReport> {
-        self.lens.take_report(self.now)
     }
 
     /// The end-of-run audit (replaces the bare quiesce assertions when
@@ -2158,7 +2157,7 @@ mod tests {
             let w = one_tb(b, 3, 7);
             let mut cfg = SystemConfig::micro15(p);
             cfg.check = CheckLevel::Invariants;
-            let mut m = Machine::new(&cfg, &w, TraceHandle::disabled());
+            let mut m = Machine::new(&cfg, &w, &ObserveSpec::default()).unwrap();
             // A line far outside the workload's footprint.
             m.l1s[0].debug_leak_mshr_entry(gsim_types::LineAddr(0xdead0));
             let err = m.run(&w).expect_err("the quiesce audit must fail the run");

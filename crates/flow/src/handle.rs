@@ -122,11 +122,8 @@ impl FlowHandle {
 
     /// A handle for `spec` on a `nodes`-node mesh whose L2 banks have
     /// `l2_latency` cycles of service time (used only to render busy
-    /// fractions); disabled when the spec is off.
+    /// fractions).
     pub fn new(spec: FlowSpec, nodes: usize, l2_latency: Cycle) -> Self {
-        if !spec.enabled() {
-            return FlowHandle::disabled();
-        }
         FlowHandle {
             inner: Some(Rc::new(RefCell::new(FlowCollector::new(
                 spec, nodes, l2_latency,
@@ -386,12 +383,11 @@ mod tests {
         h.begin_journey(ReqId(1), NodeId(0), LineAddr(7), JourneyKind::Load, 10);
         h.end_journey(ReqId(1), 50);
         assert!(h.take_report(100).is_none());
-        assert!(!FlowHandle::new(FlowSpec::off(), 16, 26).is_enabled());
     }
 
     #[test]
     fn shared_handles_reach_one_collector() {
-        let h = FlowHandle::new(FlowSpec::on(), 16, 26);
+        let h = FlowHandle::new(FlowSpec::default(), 16, 26);
         let clone = h.share();
         h.link_crossing(NodeId(0), NodeId(1), MsgClass::Read, 2, 3, 2);
         clone.link_crossing(NodeId(0), NodeId(1), MsgClass::WbWt, 5, 0, 2);
@@ -407,8 +403,10 @@ mod tests {
 
     #[test]
     fn journey_sampling_follows_the_period() {
-        let mut spec = FlowSpec::on();
-        spec.journey_period = 4;
+        let spec = FlowSpec {
+            journey_period: 4,
+            ..FlowSpec::default()
+        };
         let h = FlowHandle::new(spec, 16, 26);
         for req in 1..=9u64 {
             h.begin_journey(ReqId(req), NodeId(0), LineAddr(req), JourneyKind::Load, req);
@@ -421,8 +419,10 @@ mod tests {
 
     #[test]
     fn journeys_collect_matching_messages_only() {
-        let mut spec = FlowSpec::on();
-        spec.journey_period = 1;
+        let spec = FlowSpec {
+            journey_period: 1,
+            ..FlowSpec::default()
+        };
         let h = FlowHandle::new(spec, 16, 26);
         h.begin_journey(ReqId(1), NodeId(0), LineAddr(7), JourneyKind::Load, 10);
         h.msg_sent(&read_req(0, 5, 7), 12, 20, 1); // same line, same cu
@@ -441,8 +441,10 @@ mod tests {
 
     #[test]
     fn unfinished_journeys_are_discarded() {
-        let mut spec = FlowSpec::on();
-        spec.journey_period = 1;
+        let spec = FlowSpec {
+            journey_period: 1,
+            ..FlowSpec::default()
+        };
         let h = FlowHandle::new(spec, 16, 26);
         h.begin_journey(ReqId(1), NodeId(0), LineAddr(1), JourneyKind::Load, 5);
         h.begin_journey(ReqId(2), NodeId(1), LineAddr(2), JourneyKind::Atomic, 6);
@@ -454,7 +456,7 @@ mod tests {
 
     #[test]
     fn sample_captures_cumulative_totals_and_gauges() {
-        let h = FlowHandle::new(FlowSpec::on(), 16, 26);
+        let h = FlowHandle::new(FlowSpec::default(), 16, 26);
         h.link_crossing(NodeId(0), NodeId(1), MsgClass::Atomic, 1, 2, 2);
         h.record_sample(1024, 3, 4, 5);
         h.link_crossing(NodeId(1), NodeId(2), MsgClass::Atomic, 1, 0, 2);

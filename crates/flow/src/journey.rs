@@ -45,14 +45,6 @@ impl JourneyKind {
             JourneyKind::Atomic => "atomic",
         }
     }
-
-    fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "load" => Some(JourneyKind::Load),
-            "atomic" => Some(JourneyKind::Atomic),
-            _ => None,
-        }
-    }
 }
 
 /// One mesh message observed on behalf of a journey.
@@ -194,51 +186,6 @@ impl Journey {
             ),
         ])
     }
-
-    /// Parses the [`to_json_value`](Self::to_json_value) form.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        fn field(v: &JsonValue, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("journey: missing or non-integer field {key:?}"))
-        }
-        let kind = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .and_then(JourneyKind::from_label)
-            .ok_or("journey: missing or unknown field \"kind\"")?;
-        let hops = v
-            .get("hops")
-            .and_then(JsonValue::as_arr)
-            .ok_or("journey: missing field \"hops\"")?
-            .iter()
-            .map(|h| {
-                let class = MsgClass::ALL
-                    .into_iter()
-                    .find(|c| Some(c.index() as u64) == h.get("class").and_then(JsonValue::as_u64))
-                    .ok_or("journey hop: bad class index")?;
-                Ok(JourneyHop {
-                    src: NodeId(field(h, "src")? as u8),
-                    dst: NodeId(field(h, "dst")? as u8),
-                    to_l2: field(h, "to_l2")? != 0,
-                    class,
-                    flits: field(h, "flits")? as u32,
-                    inject: field(h, "inject")?,
-                    arrival: field(h, "arrival")?,
-                    queue: field(h, "queue")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Journey {
-            req: field(v, "req")?,
-            cu: NodeId(field(v, "cu")? as u8),
-            kind,
-            line: field(v, "line")?,
-            start: field(v, "start")?,
-            end: field(v, "end")?,
-            hops,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -310,20 +257,5 @@ mod tests {
         };
         let s = j.stages();
         assert_eq!(s.iter().sum::<Cycle>(), 10);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let j = Journey {
-            req: 129,
-            cu: NodeId(14),
-            kind: JourneyKind::Atomic,
-            line: 4242,
-            start: 7,
-            end: 77,
-            hops: vec![hop(true, 9, 21, 2), hop(false, 40, 55, 1)],
-        };
-        let back = Journey::from_json_value(&j.to_json_value()).unwrap();
-        assert_eq!(j, back);
     }
 }

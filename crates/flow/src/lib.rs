@@ -3,8 +3,9 @@
 //! Memory-system flow observability for the `gpu-denovo` simulator:
 //! where the paper's third metric — network traffic — actually goes.
 //!
-//! Three views, all opt-in via [`FlowSpec`] (`SystemConfig::flow`) and
-//! all observation-only:
+//! Three views, switched on per run by `flow: Some(FlowSpec)` in the
+//! `ObserveSpec` given to `Simulator::run_observed`, and all
+//! observation-only:
 //!
 //! 1. **Per-link traffic attribution** — flit counts and
 //!    queueing-vs-transit cycles for every directed mesh link, split by
@@ -35,4 +36,4 @@ pub use handle::{FlowCollector, FlowHandle, MAX_JOURNEYS};
 pub use journey::{Journey, JourneyHop, JourneyKind, STAGE_LABELS};
 pub use report::{FlowReport, LinkRow};
 pub use sample::{FlowSample, SampleRing, MAX_SAMPLES};
-pub use spec::{FlowLevel, FlowSpec};
+pub use spec::FlowSpec;

@@ -1,6 +1,6 @@
 //! The flow report: the immutable result of a flow-observed run, with
 //! reconciliation against the mesh's aggregate traffic, JSON
-//! round-trip, CSV/Perfetto exports, and text renderers.
+//! export, CSV/Perfetto exports, and text renderers.
 
 use crate::journey::{Journey, STAGE_LABELS};
 use crate::sample::FlowSample;
@@ -98,7 +98,7 @@ impl FlowReport {
 
     // ---- JSON ----
 
-    /// The report as a JSON tree (stable schema; see `from_json_value`).
+    /// The report as a JSON tree (stable schema).
     pub fn to_json_value(&self) -> JsonValue {
         let links = self
             .links
@@ -160,92 +160,9 @@ impl FlowReport {
         ])
     }
 
-    /// Parses a tree produced by [`to_json_value`](Self::to_json_value).
-    pub fn from_json_value(v: &JsonValue) -> Result<FlowReport, String> {
-        fn field(v: &JsonValue, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("flow report: missing or non-numeric `{key}`"))
-        }
-        fn u64_arr(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-            v.get(key)
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| format!("flow report: missing `{key}`"))?
-                .iter()
-                .map(|e| {
-                    e.as_u64()
-                        .ok_or_else(|| format!("flow report: non-integer entry in `{key}`"))
-                })
-                .collect()
-        }
-        let links = v
-            .get("links")
-            .and_then(JsonValue::as_arr)
-            .ok_or("flow report: missing `links`")?
-            .iter()
-            .map(|l| {
-                let fv = u64_arr(l, "flits")?;
-                let flits: [u64; 4] = fv
-                    .try_into()
-                    .map_err(|_| "flow report: link `flits` is not 4 classes".to_string())?;
-                Ok(LinkRow {
-                    from: field(l, "from")? as u8,
-                    to: field(l, "to")? as u8,
-                    flits,
-                    msgs: field(l, "msgs")?,
-                    queue_cycles: field(l, "queue_cycles")?,
-                    transit_cycles: field(l, "transit_cycles")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let samples = v
-            .get("samples")
-            .and_then(JsonValue::as_arr)
-            .ok_or("flow report: missing `samples`")?
-            .iter()
-            .map(|s| {
-                Ok(FlowSample {
-                    cycle: field(s, "cycle")?,
-                    flits: field(s, "flits")?,
-                    queue_cycles: field(s, "queue_cycles")?,
-                    l2_msgs: field(s, "l2_msgs")?,
-                    mshr_occupancy: field(s, "mshr_occupancy")?,
-                    sb_occupancy: field(s, "sb_occupancy")?,
-                    pending_reqs: field(s, "pending_reqs")?,
-                    active_journeys: field(s, "active_journeys")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let journeys = v
-            .get("journeys")
-            .and_then(JsonValue::as_arr)
-            .ok_or("flow report: missing `journeys`")?
-            .iter()
-            .map(Journey::from_json_value)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(FlowReport {
-            cycles: field(v, "cycles")?,
-            interval: field(v, "interval")?,
-            journey_period: field(v, "journey_period")?,
-            nodes: field(v, "nodes")? as usize,
-            l2_latency: field(v, "l2_latency")?,
-            links,
-            bank_msgs: u64_arr(v, "bank_msgs")?,
-            samples,
-            dropped_samples: field(v, "dropped_samples")?,
-            journeys,
-            dropped_journeys: field(v, "dropped_journeys")?,
-        })
-    }
-
     /// Compact JSON text.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
-    }
-
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<FlowReport, String> {
-        Self::from_json_value(&JsonValue::parse(text)?)
     }
 
     // ---- exports ----
@@ -572,13 +489,6 @@ mod tests {
             }],
             dropped_journeys: 0,
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = sample_report();
-        let back = FlowReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

@@ -1,51 +1,12 @@
-//! Flow-observability level and parameters, wired through
-//! `SystemConfig::flow` the same way `ProfSpec` is wired through
-//! `SystemConfig::prof`.
+//! Flow-observation parameters. A run is flow-observed when the
+//! `ObserveSpec` it is given carries `Some(FlowSpec)`; `None` leaves
+//! every hook one branch.
 
 use gsim_types::Cycle;
-
-/// Whether flow observation is collected for a run.
-///
-/// Mirrors `gsim_prof::ProfLevel`: the default is `Off` in **every**
-/// build, flow collection is pure observation that callers opt into per
-/// run, and the committed perf baseline (`sim_throughput`) asserts it
-/// stays out of the timed path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FlowLevel {
-    /// No collection: every hook is a single branch on a `None`.
-    #[default]
-    Off,
-    /// Full collection: per-link traffic attribution, occupancy
-    /// sampling, and journey tracing.
-    On,
-}
-
-impl FlowLevel {
-    /// The default level for the current build profile. Always `Off`.
-    pub fn default_for_build() -> Self {
-        FlowLevel::Off
-    }
-
-    /// Whether any collection happens at this level.
-    #[inline]
-    pub fn enabled(self) -> bool {
-        self == FlowLevel::On
-    }
-
-    /// Short lowercase label (CLI output, cache keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            FlowLevel::Off => "off",
-            FlowLevel::On => "on",
-        }
-    }
-}
 
 /// Flow-observability parameters for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FlowSpec {
-    /// Collection level.
-    pub level: FlowLevel,
     /// Sampling period of the occupancy time-series, in cycles.
     pub interval: Cycle,
     /// Journey sampling period: every `journey_period`-th memory
@@ -55,83 +16,11 @@ pub struct FlowSpec {
     pub journey_period: u64,
 }
 
-impl FlowSpec {
-    /// The default occupancy sampling period.
-    pub const DEFAULT_INTERVAL: Cycle = 1024;
-    /// The default journey sampling period.
-    pub const DEFAULT_JOURNEY_PERIOD: u64 = 64;
-
-    /// Flow collection disabled (the `SystemConfig` default).
-    pub fn off() -> Self {
-        FlowSpec {
-            level: FlowLevel::Off,
-            interval: Self::DEFAULT_INTERVAL,
-            journey_period: Self::DEFAULT_JOURNEY_PERIOD,
-        }
-    }
-
-    /// Flow collection enabled with the default periods.
-    pub fn on() -> Self {
-        FlowSpec {
-            level: FlowLevel::On,
-            ..Self::off()
-        }
-    }
-
-    /// The default for the current build profile: off (see
-    /// [`FlowLevel::default_for_build`]).
-    pub fn default_for_build() -> Self {
-        FlowSpec {
-            level: FlowLevel::default_for_build(),
-            ..Self::off()
-        }
-    }
-
-    /// Whether this spec collects anything.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level.enabled()
-    }
-
-    /// A canonical token for cache keys: distinct parameters must yield
-    /// distinct cached flow reports.
-    pub fn cache_token(&self) -> String {
-        format!(
-            "flow={};i{};n{}",
-            self.level.label(),
-            self.interval,
-            self.journey_period
-        )
-    }
-}
-
 impl Default for FlowSpec {
     fn default() -> Self {
-        FlowSpec::off()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_off() {
-        assert!(!FlowSpec::default().enabled());
-        assert!(!FlowSpec::default_for_build().enabled());
-        assert_eq!(FlowLevel::default_for_build(), FlowLevel::Off);
-        assert!(FlowSpec::on().enabled());
-    }
-
-    #[test]
-    fn cache_token_distinguishes_parameters() {
-        let a = FlowSpec::on();
-        let mut b = a;
-        b.interval = 256;
-        let mut c = a;
-        c.journey_period = 1;
-        assert_ne!(a.cache_token(), b.cache_token());
-        assert_ne!(a.cache_token(), c.cache_token());
-        assert_ne!(FlowSpec::off().cache_token(), a.cache_token());
+        FlowSpec {
+            interval: 1024,
+            journey_period: 64,
+        }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every matrix cell is keyed by everything that determines its result:
 //! benchmark name, protocol configuration, scale, the workload
-//! parameters, and the crate version (plus a cache schema version). The
+//! parameters, the crate version, a cache schema version, and a hash of
+//! the simulator's sources ([`SOURCE_HASH`]). The
 //! key's canonical string is hashed (FNV-1a 64) into the file name under
 //! the cache directory, and each file stores the canonical key alongside
 //! the serialized [`SimStats`] so a fingerprint collision is detected
@@ -10,17 +11,14 @@
 //!
 //! The simulator is deterministic, which is what makes caching sound:
 //! a cell's stats are a pure function of its key. Repeated sweeps and
-//! A/B comparisons then only re-run cells whose key changed — a version
-//! bump invalidates everything, a new benchmark or config only adds
-//! cells.
+//! A/B comparisons then only re-run cells whose key changed — any edit
+//! to the simulator's sources or a version bump invalidates everything,
+//! a new benchmark or config only adds cells.
 //!
 //! Writes are atomic (`tmp` + rename), so concurrent workers — or
 //! concurrent *processes* — racing on the same cell at worst both
 //! compute it; neither can observe a torn file.
 
-use gsim_flow::FlowReport;
-use gsim_lens::LensReport;
-use gsim_prof::ProfileReport;
 use gsim_types::{JsonValue, ProtocolConfig, SimStats};
 use gsim_workloads::Scale;
 use std::path::{Path, PathBuf};
@@ -37,7 +35,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// v4: cells can additionally carry an optional lens report, and lensed
 /// keys embed the lens parameters (level and top-k).
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: entries hold stats only (observer reports are no longer cached),
+/// and keys carry the source hash as `src=`.
+pub const SCHEMA_VERSION: u32 = 5;
+
+/// FNV-1a 64 over the sources a cached result depends on: the `.rs`
+/// files under `src/`, any `build.rs`, and the `Cargo.toml` of this
+/// crate and of every workspace crate it depends on, directly or not,
+/// in sorted path order (computed by `build.rs`). Any edit to simulator
+/// code or to a configuration default changes it, so entries written
+/// by an older build are misses, never hits.
+pub const SOURCE_HASH: &str = env!("GSIM_SOURCE_HASH");
 
 /// FNV-1a 64-bit: tiny, dependency-free, stable across platforms and
 /// releases (unlike `DefaultHasher`, whose output is explicitly not
@@ -71,9 +80,10 @@ impl CacheKey {
     /// to the fingerprint.
     pub fn canonical(&self) -> String {
         format!(
-            "schema={};crate={};bench={};config={};scale={:?};params={}",
+            "schema={};crate={};src={};bench={};config={};scale={:?};params={}",
             SCHEMA_VERSION,
             env!("CARGO_PKG_VERSION"),
+            SOURCE_HASH,
             self.bench,
             self.config.abbrev(),
             self.scale,
@@ -135,41 +145,10 @@ impl ResultCache {
     }
 
     /// Looks a cell up. A malformed file, a schema mismatch, or a
-    /// fingerprint collision (stored canonical key differs) all count
-    /// as misses — the caller recomputes and overwrites.
+    /// stored canonical key that differs from `key`'s (a fingerprint
+    /// collision, or an entry from other sources) all count as misses —
+    /// the caller recomputes and overwrites.
     pub fn get(&self, key: &CacheKey) -> Option<SimStats> {
-        self.get_profiled(key).map(|(stats, _)| stats)
-    }
-
-    /// As [`get`](Self::get), additionally returning the stored profile
-    /// report when the cell was cached by a profiled run.
-    pub fn get_profiled(&self, key: &CacheKey) -> Option<(SimStats, Option<ProfileReport>)> {
-        self.get_full(key)
-            .map(|(stats, profile, _, _)| (stats, profile))
-    }
-
-    /// As [`get`](Self::get), additionally returning the stored flow
-    /// report when the cell was cached by a flow-observed run.
-    pub fn get_flowed(&self, key: &CacheKey) -> Option<(SimStats, Option<FlowReport>)> {
-        self.get_full(key).map(|(stats, _, flow, _)| (stats, flow))
-    }
-
-    /// As [`get`](Self::get), additionally returning the stored lens
-    /// report when the cell was cached by a lens-observed run.
-    pub fn get_lensed(&self, key: &CacheKey) -> Option<(SimStats, Option<LensReport>)> {
-        self.get_full(key).map(|(stats, _, _, lens)| (stats, lens))
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn get_full(
-        &self,
-        key: &CacheKey,
-    ) -> Option<(
-        SimStats,
-        Option<ProfileReport>,
-        Option<FlowReport>,
-        Option<LensReport>,
-    )> {
         let found = self.lookup(key);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -178,87 +157,23 @@ impl ResultCache {
         found
     }
 
-    #[allow(clippy::type_complexity)]
-    fn lookup(
-        &self,
-        key: &CacheKey,
-    ) -> Option<(
-        SimStats,
-        Option<ProfileReport>,
-        Option<FlowReport>,
-        Option<LensReport>,
-    )> {
+    fn lookup(&self, key: &CacheKey) -> Option<SimStats> {
         let text = std::fs::read_to_string(self.path_of(key)).ok()?;
         let doc = JsonValue::parse(&text).ok()?;
         if doc.get("key")?.as_str()? != key.canonical() {
-            return None; // fingerprint collision or stale schema
+            return None;
         }
-        let stats = SimStats::from_json_value(doc.get("stats")?).ok()?;
-        // A present-but-unparsable report blob poisons the whole entry:
-        // the caller would otherwise silently lose its report to a
-        // schema drift.
-        let profile = match doc.get("profile") {
-            None => None,
-            Some(p) => Some(ProfileReport::from_json_value(p).ok()?),
-        };
-        let flow = match doc.get("flow") {
-            None => None,
-            Some(f) => Some(FlowReport::from_json_value(f).ok()?),
-        };
-        let lens = match doc.get("lens") {
-            None => None,
-            Some(l) => Some(LensReport::from_json_value(l).ok()?),
-        };
-        Some((stats, profile, flow, lens))
+        SimStats::from_json_value(doc.get("stats")?).ok()
     }
 
     /// Stores a cell's result. Errors are deliberately swallowed — a
     /// read-only or full disk degrades to "no cache", never to a failed
     /// sweep.
     pub fn put(&self, key: &CacheKey, stats: &SimStats) {
-        self.put_profiled(key, stats, None);
-    }
-
-    /// As [`put`](Self::put), additionally storing a profile report so a
-    /// later [`get_profiled`](Self::get_profiled) is served whole.
-    pub fn put_profiled(&self, key: &CacheKey, stats: &SimStats, profile: Option<&ProfileReport>) {
-        self.put_full(key, stats, profile, None, None);
-    }
-
-    /// As [`put`](Self::put), additionally storing a flow report so a
-    /// later [`get_flowed`](Self::get_flowed) is served whole.
-    pub fn put_flowed(&self, key: &CacheKey, stats: &SimStats, flow: Option<&FlowReport>) {
-        self.put_full(key, stats, None, flow, None);
-    }
-
-    /// As [`put`](Self::put), additionally storing a lens report so a
-    /// later [`get_lensed`](Self::get_lensed) is served whole.
-    pub fn put_lensed(&self, key: &CacheKey, stats: &SimStats, lens: Option<&LensReport>) {
-        self.put_full(key, stats, None, None, lens);
-    }
-
-    fn put_full(
-        &self,
-        key: &CacheKey,
-        stats: &SimStats,
-        profile: Option<&ProfileReport>,
-        flow: Option<&FlowReport>,
-        lens: Option<&LensReport>,
-    ) {
-        let mut fields = vec![
+        let doc = JsonValue::Obj(vec![
             ("key".into(), JsonValue::Str(key.canonical())),
             ("stats".into(), stats.to_json_value()),
-        ];
-        if let Some(p) = profile {
-            fields.push(("profile".into(), p.to_json_value()));
-        }
-        if let Some(f) = flow {
-            fields.push(("flow".into(), f.to_json_value()));
-        }
-        if let Some(l) = lens {
-            fields.push(("lens".into(), l.to_json_value()));
-        }
-        let doc = JsonValue::Obj(fields);
+        ]);
         let tmp = self.dir.join(format!(
             "{:016x}.tmp.{}.{}",
             key.fingerprint(),
@@ -372,6 +287,26 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("bench=NN", "bench=XX")).unwrap();
         assert_eq!(cache.get(&k), None, "mismatched key must not be served");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn entry_from_other_sources_is_a_miss() {
+        let cache = ResultCache::open(tmp_dir("stale-src")).unwrap();
+        let k = key("FAM_G", ProtocolConfig::Gd);
+        assert!(k.canonical().contains(&format!(";src={SOURCE_HASH};")));
+        cache.put(&k, &SimStats::default());
+        // The same entry as an older build would have written it.
+        let path = cache.dir().join(format!("{:016x}.json", k.fingerprint()));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let stale = text.replace(&format!("src={SOURCE_HASH}"), "src=0000000000000000");
+        assert_ne!(stale, text);
+        std::fs::write(&path, stale).unwrap();
+        assert_eq!(
+            cache.get(&k),
+            None,
+            "an entry from other sources must not be served"
+        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -12,8 +12,9 @@
 //!   and `--jobs 8` produce byte-identical CSV/JSON.
 //! - [`cache`] — one JSON file per cell under `target/gsim-cache/`,
 //!   keyed by a hash of (benchmark, config, scale, workload params,
-//!   crate version). Sound because the simulator is deterministic; a
-//!   second unchanged sweep is served almost entirely from disk.
+//!   crate version, simulator sources). Sound because the simulator is
+//!   deterministic; a second unchanged sweep is served almost entirely
+//!   from disk, and a sweep after a code change recomputes.
 //! - [`matrix`] — the cell vocabulary ([`Cell`], [`CellResult`]), grid
 //!   builders, the cached parallel runner [`run_cells`], and the stable
 //!   [`to_csv`]/[`to_json`] emitters.
@@ -36,10 +37,9 @@ pub mod cache;
 pub mod matrix;
 pub mod pool;
 
-pub use cache::{CacheKey, ResultCache, SCHEMA_VERSION};
+pub use cache::{CacheKey, ResultCache, SCHEMA_VERSION, SOURCE_HASH};
 pub use matrix::{
-    cell_key, cell_key_flowed, cell_key_profiled, full_matrix, group_matrix, matrix_of, run_cell,
-    run_cell_flowed, run_cell_profiled, run_cells, run_cells_flowed, run_cells_profiled, to_csv,
-    to_json, Cell, CellResult, FabricSpec,
+    cell_key, full_matrix, group_matrix, matrix_of, run_cell, run_cells, to_csv, to_json, Cell,
+    CellResult, FabricSpec,
 };
 pub use pool::{default_jobs, effective_workers, run_parallel, run_parallel_meta, PoolRun};

@@ -11,9 +11,6 @@
 use crate::cache::{CacheKey, ResultCache};
 use crate::pool;
 use gsim_core::{Simulator, SystemConfig, XLinkConfig};
-use gsim_flow::{FlowReport, FlowSpec};
-use gsim_lens::{LensReport, LensSpec};
-use gsim_prof::{ProfSpec, ProfileReport};
 use gsim_types::{Cycle, JsonValue, ProtocolConfig, SimStats};
 use gsim_workloads::registry::{self, Group};
 use gsim_workloads::Scale;
@@ -108,17 +105,6 @@ pub struct CellResult {
     pub cell: Cell,
     /// Its (functionally verified) statistics.
     pub stats: SimStats,
-    /// The profile report, when the cell ran under
-    /// [`run_cells_profiled`] (hot lines already annotated with the
-    /// benchmark's regions). Always `None` from [`run_cells`].
-    pub profile: Option<ProfileReport>,
-    /// The flow report, when the cell ran under [`run_cells_flowed`].
-    /// Always `None` from [`run_cells`].
-    pub flow: Option<FlowReport>,
-    /// The lens report, when the cell ran under [`run_cells_lensed`]
-    /// (per-line rows already annotated with the benchmark's regions).
-    /// Always `None` from [`run_cells`].
-    pub lens: Option<LensReport>,
     /// Whether the result came from the cache instead of a fresh run.
     pub from_cache: bool,
 }
@@ -181,33 +167,6 @@ pub fn cell_key(cell: &Cell) -> Result<CacheKey, String> {
     })
 }
 
-/// The cache key of a *profiled* cell: [`cell_key`] plus the profiling
-/// parameters, so runs with different intervals or sketch sizes never
-/// serve each other's reports.
-pub fn cell_key_profiled(cell: &Cell, prof: &ProfSpec) -> Result<CacheKey, String> {
-    let mut key = cell_key(cell)?;
-    key.params = format!("{};{}", key.params, prof.cache_token());
-    Ok(key)
-}
-
-/// The cache key of a *flow-observed* cell: [`cell_key`] plus the flow
-/// parameters, so runs with different sampling intervals or journey
-/// periods never serve each other's reports.
-pub fn cell_key_flowed(cell: &Cell, flow: &FlowSpec) -> Result<CacheKey, String> {
-    let mut key = cell_key(cell)?;
-    key.params = format!("{};{}", key.params, flow.cache_token());
-    Ok(key)
-}
-
-/// The cache key of a *lens-observed* cell: [`cell_key`] plus the lens
-/// parameters, so runs with different top-k never serve each other's
-/// reports.
-pub fn cell_key_lensed(cell: &Cell, lens: &LensSpec) -> Result<CacheKey, String> {
-    let mut key = cell_key(cell)?;
-    key.params = format!("{};{}", key.params, lens.cache_token());
-    Ok(key)
-}
-
 /// Runs one cell, consulting the cache first. Fresh results are
 /// functionally verified by the simulator before they are stored.
 pub fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, String> {
@@ -217,9 +176,6 @@ pub fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, 
             return Ok(CellResult {
                 cell: cell.clone(),
                 stats,
-                profile: None,
-                flow: None,
-                lens: None,
                 from_cache: true,
             });
         }
@@ -234,147 +190,6 @@ pub fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, 
     Ok(CellResult {
         cell: cell.clone(),
         stats,
-        profile: None,
-        flow: None,
-        lens: None,
-        from_cache: false,
-    })
-}
-
-/// Runs one cell with profiling, consulting the cache first. The hot
-/// lines of the resulting report are annotated with the benchmark's
-/// named regions (when it declares any) before caching, so cached and
-/// fresh reports are identical. A `prof` with profiling off degrades to
-/// [`run_cell`].
-pub fn run_cell_profiled(
-    cell: &Cell,
-    cache: Option<&ResultCache>,
-    prof: ProfSpec,
-) -> Result<CellResult, String> {
-    if !prof.enabled() {
-        return run_cell(cell, cache);
-    }
-    let key = cell_key_profiled(cell, &prof)?;
-    if let Some(c) = cache {
-        if let Some((stats, profile @ Some(_))) = c.get_profiled(&key) {
-            return Ok(CellResult {
-                cell: cell.clone(),
-                stats,
-                profile,
-                flow: None,
-                lens: None,
-                from_cache: true,
-            });
-        }
-    }
-    let b = registry::by_name(&cell.bench).expect("checked by cell_key");
-    let mut config = cell.system();
-    config.prof = prof;
-    let (stats, mut profile) = Simulator::new(config)
-        .run_profiled(&(b.build)(cell.scale))
-        .map_err(|e| format!("{} under {}: {e}", cell.bench, cell.config))?;
-    if let (Some(p), Some(regions)) = (profile.as_mut(), b.regions) {
-        p.annotate(&regions(cell.scale));
-    }
-    if let Some(c) = cache {
-        c.put_profiled(&key, &stats, profile.as_ref());
-    }
-    Ok(CellResult {
-        cell: cell.clone(),
-        stats,
-        profile,
-        flow: None,
-        lens: None,
-        from_cache: false,
-    })
-}
-
-/// Runs one cell with flow observation, consulting the cache first. A
-/// `flow` spec with collection off degrades to [`run_cell`].
-pub fn run_cell_flowed(
-    cell: &Cell,
-    cache: Option<&ResultCache>,
-    flow: FlowSpec,
-) -> Result<CellResult, String> {
-    if !flow.enabled() {
-        return run_cell(cell, cache);
-    }
-    let key = cell_key_flowed(cell, &flow)?;
-    if let Some(c) = cache {
-        if let Some((stats, report @ Some(_))) = c.get_flowed(&key) {
-            return Ok(CellResult {
-                cell: cell.clone(),
-                stats,
-                profile: None,
-                flow: report,
-                lens: None,
-                from_cache: true,
-            });
-        }
-    }
-    let b = registry::by_name(&cell.bench).expect("checked by cell_key");
-    let mut config = cell.system();
-    config.flow = flow;
-    let (stats, report) = Simulator::new(config)
-        .run_flow(&(b.build)(cell.scale))
-        .map_err(|e| format!("{} under {}: {e}", cell.bench, cell.config))?;
-    if let Some(c) = cache {
-        c.put_flowed(&key, &stats, report.as_ref());
-    }
-    Ok(CellResult {
-        cell: cell.clone(),
-        stats,
-        profile: None,
-        flow: report,
-        lens: None,
-        from_cache: false,
-    })
-}
-
-/// Runs one cell with lens observation, consulting the cache first. The
-/// per-line rows of the resulting report are annotated with the
-/// benchmark's named regions (when it declares any) before caching, so
-/// cached and fresh reports are identical. A `lens` spec with
-/// collection off degrades to [`run_cell`].
-pub fn run_cell_lensed(
-    cell: &Cell,
-    cache: Option<&ResultCache>,
-    lens: LensSpec,
-) -> Result<CellResult, String> {
-    if !lens.enabled() {
-        return run_cell(cell, cache);
-    }
-    let key = cell_key_lensed(cell, &lens)?;
-    if let Some(c) = cache {
-        if let Some((stats, report @ Some(_))) = c.get_lensed(&key) {
-            return Ok(CellResult {
-                cell: cell.clone(),
-                stats,
-                profile: None,
-                flow: None,
-                lens: report,
-                from_cache: true,
-            });
-        }
-    }
-    let b = registry::by_name(&cell.bench).expect("checked by cell_key");
-    let mut config = cell.system();
-    config.lens = lens;
-    let (stats, mut report) = Simulator::new(config)
-        .run_lens(&(b.build)(cell.scale))
-        .map_err(|e| format!("{} under {}: {e}", cell.bench, cell.config))?;
-    if let (Some(r), Some(regions)) = (report.as_mut(), b.regions) {
-        r.annotate(&regions(cell.scale));
-    }
-    if let Some(c) = cache {
-        c.put_lensed(&key, &stats, report.as_ref());
-    }
-    Ok(CellResult {
-        cell: cell.clone(),
-        stats,
-        profile: None,
-        flow: None,
-        lens: report,
         from_cache: false,
     })
 }
@@ -388,51 +203,6 @@ pub fn run_cells(
     cache: Option<&ResultCache>,
 ) -> Result<Vec<CellResult>, String> {
     pool::run_parallel(cells, jobs, |cell| run_cell(cell, cache))
-        .into_iter()
-        .collect()
-}
-
-/// [`run_cells`] with profiling: every cell runs under `prof`, and each
-/// result carries its annotated [`ProfileReport`]. Deterministic in the
-/// cell list like [`run_cells`] (profiling never perturbs the
-/// simulation, and reports are themselves deterministic).
-pub fn run_cells_profiled(
-    cells: &[Cell],
-    jobs: usize,
-    cache: Option<&ResultCache>,
-    prof: ProfSpec,
-) -> Result<Vec<CellResult>, String> {
-    pool::run_parallel(cells, jobs, |cell| run_cell_profiled(cell, cache, prof))
-        .into_iter()
-        .collect()
-}
-
-/// [`run_cells`] with flow observation: every cell runs under `flow`,
-/// and each result carries its [`FlowReport`]. Deterministic in the cell
-/// list like [`run_cells`] (flow collection never perturbs the
-/// simulation, and reports are themselves deterministic).
-pub fn run_cells_flowed(
-    cells: &[Cell],
-    jobs: usize,
-    cache: Option<&ResultCache>,
-    flow: FlowSpec,
-) -> Result<Vec<CellResult>, String> {
-    pool::run_parallel(cells, jobs, |cell| run_cell_flowed(cell, cache, flow))
-        .into_iter()
-        .collect()
-}
-
-/// [`run_cells`] with lens observation: every cell runs under `lens`,
-/// and each result carries its annotated [`LensReport`]. Deterministic
-/// in the cell list like [`run_cells`] (lens collection never perturbs
-/// the simulation, and reports are themselves deterministic).
-pub fn run_cells_lensed(
-    cells: &[Cell],
-    jobs: usize,
-    cache: Option<&ResultCache>,
-    lens: LensSpec,
-) -> Result<Vec<CellResult>, String> {
-    pool::run_parallel(cells, jobs, |cell| run_cell_lensed(cell, cache, lens))
         .into_iter()
         .collect()
 }
@@ -468,7 +238,7 @@ pub fn to_json(results: &[CellResult]) -> String {
     let cells = results
         .iter()
         .map(|r| {
-            let mut fields = vec![
+            JsonValue::Obj(vec![
                 ("benchmark".into(), JsonValue::Str(r.cell.bench.clone())),
                 (
                     "config".into(),
@@ -476,17 +246,7 @@ pub fn to_json(results: &[CellResult]) -> String {
                 ),
                 ("scale".into(), JsonValue::Str(scale_slug(r.cell.scale))),
                 ("stats".into(), r.stats.to_json_value()),
-            ];
-            if let Some(p) = &r.profile {
-                fields.push(("profile".into(), p.to_json_value()));
-            }
-            if let Some(f) = &r.flow {
-                fields.push(("flow".into(), f.to_json_value()));
-            }
-            if let Some(l) = &r.lens {
-                fields.push(("lens".into(), l.to_json_value()));
-            }
-            JsonValue::Obj(fields)
+            ])
         })
         .collect();
     JsonValue::Obj(vec![
@@ -539,139 +299,6 @@ mod tests {
         assert!(csv.starts_with("benchmark,config,scale,cycles,"));
         assert_eq!(csv.lines().count(), 1 + 10, "header + one row per cell");
         assert!(csv.contains("SPM_G,DD+RO,tiny,"));
-    }
-
-    #[test]
-    fn profiled_cells_reconcile_cache_and_leave_stats_untouched() {
-        let dir = std::env::temp_dir().join(format!("gsim-prof-matrix-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let cells = matrix_of(&["SPM_L"], &[ProtocolConfig::Dd], Scale::Tiny);
-        let prof = ProfSpec::on();
-
-        let first = run_cells_profiled(&cells, 1, Some(&cache), prof).unwrap();
-        let r = &first[0];
-        assert!(!r.from_cache);
-        let p = r.profile.as_ref().expect("profile collected");
-        p.reconcile(r.stats.cycles, &r.stats.counts).unwrap();
-        assert!(
-            p.hot_lines
-                .iter()
-                .any(|h| h.region.as_deref().is_some_and(|s| s.starts_with("lock"))),
-            "hot lines annotated with the benchmark's regions"
-        );
-
-        // Zero perturbation: the plain runner sees identical stats.
-        let plain = run_cells(&cells, 1, None).unwrap();
-        assert_eq!(plain[0].stats, r.stats);
-        assert_eq!(plain[0].profile, None);
-
-        // Second profiled sweep is served whole from the cache.
-        let second = run_cells_profiled(&cells, 1, Some(&cache), prof).unwrap();
-        assert!(second[0].from_cache);
-        assert_eq!(second[0].profile, r.profile);
-        assert_eq!(second[0].stats, r.stats);
-
-        // The profiled key is distinct from the plain key.
-        assert_ne!(
-            cell_key(&cells[0]).unwrap().fingerprint(),
-            cell_key_profiled(&cells[0], &prof).unwrap().fingerprint()
-        );
-
-        // Profiled results surface the report in the JSON emitter.
-        assert!(to_json(&first).contains("\"profile\""));
-        assert!(!to_json(&plain).contains("\"profile\""));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flowed_cells_reconcile_traffic_and_round_trip_the_cache() {
-        let dir = std::env::temp_dir().join(format!("gsim-flow-matrix-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let cells = matrix_of(&["SPM_G"], &[ProtocolConfig::Dd], Scale::Tiny);
-        let flow = FlowSpec::on();
-
-        let first = run_cells_flowed(&cells, 1, Some(&cache), flow).unwrap();
-        let r = &first[0];
-        assert!(!r.from_cache);
-        let f = r.flow.as_ref().expect("flow report collected");
-        f.reconcile(&r.stats.traffic).unwrap();
-
-        // Zero perturbation: the plain runner sees identical stats.
-        let plain = run_cells(&cells, 1, None).unwrap();
-        assert_eq!(plain[0].stats, r.stats);
-        assert_eq!(plain[0].flow, None);
-
-        // Second flowed sweep is served whole from the cache.
-        let second = run_cells_flowed(&cells, 1, Some(&cache), flow).unwrap();
-        assert!(second[0].from_cache);
-        assert_eq!(second[0].flow, r.flow);
-        assert_eq!(second[0].stats, r.stats);
-
-        // The flowed key is distinct from the plain and profiled keys.
-        assert_ne!(
-            cell_key(&cells[0]).unwrap().fingerprint(),
-            cell_key_flowed(&cells[0], &flow).unwrap().fingerprint()
-        );
-        assert_ne!(
-            cell_key_profiled(&cells[0], &ProfSpec::on())
-                .unwrap()
-                .fingerprint(),
-            cell_key_flowed(&cells[0], &flow).unwrap().fingerprint()
-        );
-
-        // Flowed results surface the report in the JSON emitter.
-        assert!(to_json(&first).contains("\"flow\""));
-        assert!(!to_json(&plain).contains("\"flow\""));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lensed_cells_reconcile_counts_and_round_trip_the_cache() {
-        let dir = std::env::temp_dir().join(format!("gsim-lens-matrix-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open(&dir).unwrap();
-        let cells = matrix_of(&["SPM_L"], &[ProtocolConfig::Gd], Scale::Tiny);
-        let lens = LensSpec::on();
-
-        let first = run_cells_lensed(&cells, 1, Some(&cache), lens).unwrap();
-        let r = &first[0];
-        assert!(!r.from_cache);
-        let l = r.lens.as_ref().expect("lens report collected");
-        l.reconcile(&r.stats.counts).unwrap();
-        assert!(
-            l.lines.iter().any(|row| row.region.is_some()),
-            "per-line rows annotated with the benchmark's regions"
-        );
-
-        // Zero perturbation: the plain runner sees identical stats.
-        let plain = run_cells(&cells, 1, None).unwrap();
-        assert_eq!(plain[0].stats, r.stats);
-        assert_eq!(plain[0].lens, None);
-
-        // Second lensed sweep is served whole from the cache.
-        let second = run_cells_lensed(&cells, 1, Some(&cache), lens).unwrap();
-        assert!(second[0].from_cache);
-        assert_eq!(second[0].lens, r.lens);
-        assert_eq!(second[0].stats, r.stats);
-
-        // The lensed key is distinct from the plain and flowed keys.
-        assert_ne!(
-            cell_key(&cells[0]).unwrap().fingerprint(),
-            cell_key_lensed(&cells[0], &lens).unwrap().fingerprint()
-        );
-        assert_ne!(
-            cell_key_flowed(&cells[0], &FlowSpec::on())
-                .unwrap()
-                .fingerprint(),
-            cell_key_lensed(&cells[0], &lens).unwrap().fingerprint()
-        );
-
-        // Lensed results surface the report in the JSON emitter.
-        assert!(to_json(&first).contains("\"lens\""));
-        assert!(!to_json(&plain).contains("\"lens\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

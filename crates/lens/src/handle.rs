@@ -140,12 +140,8 @@ impl LensHandle {
         LensHandle { inner: None }
     }
 
-    /// A handle for `spec` on a `nodes`-node fabric; disabled when the
-    /// spec is off.
+    /// A handle collecting under `spec` on a `nodes`-node fabric.
     pub fn new(spec: LensSpec, nodes: usize) -> Self {
-        if !spec.enabled() {
-            return LensHandle::disabled();
-        }
         LensHandle {
             inner: Some(Rc::new(RefCell::new(LensCollector::new(spec, nodes)))),
         }
@@ -454,12 +450,11 @@ mod tests {
         h.ownership_writeback(0, LineAddr(1), 4);
         h.l2_register(LineAddr(1), 4);
         assert!(h.take_report(100).is_none());
-        assert!(!LensHandle::new(LensSpec::off(), 16).is_enabled());
     }
 
     #[test]
     fn shared_handles_reach_one_collector() {
-        let h = LensHandle::new(LensSpec::on(), 16);
+        let h = LensHandle::new(LensSpec::default(), 16);
         let clone = h.share();
         h.sync_boundary(3, 50);
         clone.flash(3);
@@ -480,7 +475,7 @@ mod tests {
 
     #[test]
     fn refetch_watch_counts_waste_and_overwrites() {
-        let h = LensHandle::new(LensSpec::on(), 16);
+        let h = LensHandle::new(LensSpec::default(), 16);
         let line = LineAddr(7);
         h.sync_boundary(0, 10);
         // Drop words 0..=4 while valid; word 0 is overwritten locally,
@@ -516,7 +511,7 @@ mod tests {
 
     #[test]
     fn unwatched_misses_do_not_charge_stalls() {
-        let h = LensHandle::new(LensSpec::on(), 16);
+        let h = LensHandle::new(LensSpec::default(), 16);
         h.load_miss(0, LineAddr(7).word(1), ReqId(5));
         h.load_done(ReqId(5), 100);
         h.load_done(ReqId(6), 100); // never missed at all
@@ -527,7 +522,7 @@ mod tests {
 
     #[test]
     fn reuse_distances_cross_acquire_epochs() {
-        let h = LensHandle::new(LensSpec::on(), 16);
+        let h = LensHandle::new(LensSpec::default(), 16);
         let line = LineAddr(3);
         h.access(0, line, false); // first touch: starts the clock only
         h.access(0, line, true); // distance 0, hit
@@ -551,7 +546,7 @@ mod tests {
 
     #[test]
     fn ownership_lifecycle_accumulates_globally_and_per_line() {
-        let h = LensHandle::new(LensSpec::on(), 16);
+        let h = LensHandle::new(LensSpec::default(), 16);
         h.l2_register(LineAddr(1), 4);
         h.l2_transfer(LineAddr(1), 3);
         h.ownership_stolen(2, LineAddr(1), 2);
@@ -572,8 +567,7 @@ mod tests {
 
     #[test]
     fn line_table_ranks_by_activity_and_truncates_to_topk() {
-        let mut spec = LensSpec::on();
-        spec.topk = 2;
+        let spec = LensSpec { topk: 2 };
         let h = LensHandle::new(spec, 16);
         h.sync_boundary(0, 1);
         h.invalidated(0, LineAddr(10), WordMask::single(0));

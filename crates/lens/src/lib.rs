@@ -4,8 +4,9 @@
 //! simulator: what the paper's protocols actually do to a cache line,
 //! and what it costs.
 //!
-//! Three views, all opt-in via [`LensSpec`] (`SystemConfig::lens`) and
-//! all observation-only:
+//! Three views, switched on per run by `lens: Some(LensSpec)` in the
+//! `ObserveSpec` given to `Simulator::run_observed`, and all
+//! observation-only:
 //!
 //! 1. **Acquire cost ledger** — per global acquire, how many
 //!    still-valid words the invalidation sweep dropped, and (by
@@ -39,4 +40,4 @@ pub use handle::{LensCollector, LensHandle, MAX_EVENTS, MAX_TRACKED_LINES};
 pub use report::{
     reuse_bucket, AcquireEvent, AcquireLedger, LensReport, LineRow, REUSE_BUCKETS, REUSE_LABELS,
 };
-pub use spec::{LensLevel, LensSpec};
+pub use spec::LensSpec;

@@ -1,5 +1,5 @@
 //! The lens report: the immutable result of a lens-observed run, with
-//! exact reconciliation against the protocol counters, JSON round-trip,
+//! exact reconciliation against the protocol counters, JSON export,
 //! CSV/Perfetto exports, and text renderers.
 
 use gsim_prof::RegionMap;
@@ -310,7 +310,7 @@ impl LensReport {
 
     // ---- JSON ----
 
-    /// The report as a JSON tree (stable schema; see `from_json_value`).
+    /// The report as a JSON tree (stable schema).
     pub fn to_json_value(&self) -> JsonValue {
         fn hist(h: &[u64; REUSE_BUCKETS]) -> JsonValue {
             JsonValue::Arr(h.iter().map(|&v| JsonValue::num(v)).collect())
@@ -399,112 +399,9 @@ impl LensReport {
         ])
     }
 
-    /// Parses a tree produced by [`to_json_value`](Self::to_json_value).
-    pub fn from_json_value(v: &JsonValue) -> Result<LensReport, String> {
-        fn field(v: &JsonValue, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("lens report: missing or non-numeric `{key}`"))
-        }
-        fn hist(v: &JsonValue, key: &str) -> Result<[u64; REUSE_BUCKETS], String> {
-            v.get(key)
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| format!("lens report: missing `{key}`"))?
-                .iter()
-                .map(|e| {
-                    e.as_u64()
-                        .ok_or_else(|| format!("lens report: non-integer entry in `{key}`"))
-                })
-                .collect::<Result<Vec<_>, _>>()?
-                .try_into()
-                .map_err(|_| format!("lens report: `{key}` is not {REUSE_BUCKETS} buckets"))
-        }
-        let ledger = v
-            .get("ledger")
-            .and_then(JsonValue::as_arr)
-            .ok_or("lens report: missing `ledger`")?
-            .iter()
-            .map(|l| {
-                Ok(AcquireLedger {
-                    node: field(l, "node")? as u32,
-                    acquires: field(l, "acquires")?,
-                    flash_acquires: field(l, "flash_acquires")?,
-                    words_dropped: field(l, "words_dropped")?,
-                    words_refetched: field(l, "words_refetched")?,
-                    refetch_flits: field(l, "refetch_flits")?,
-                    refetch_misses: field(l, "refetch_misses")?,
-                    stall_cycles: field(l, "stall_cycles")?,
-                    words_overwritten: field(l, "words_overwritten")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let lines = v
-            .get("lines")
-            .and_then(JsonValue::as_arr)
-            .ok_or("lens report: missing `lines`")?
-            .iter()
-            .map(|r| {
-                Ok(LineRow {
-                    line: field(r, "line")?,
-                    region: r
-                        .get("region")
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_owned),
-                    inv_words: field(r, "inv_words")?,
-                    refetch_words: field(r, "refetch_words")?,
-                    valid_installs: field(r, "valid_installs")?,
-                    owned_installs: field(r, "owned_installs")?,
-                    steals: field(r, "steals")?,
-                    wb_words: field(r, "wb_words")?,
-                    l2_reg_words: field(r, "l2_reg_words")?,
-                    l2_transfer_words: field(r, "l2_transfer_words")?,
-                    hits_same: field(r, "hits_same")?,
-                    hits_cross: field(r, "hits_cross")?,
-                    miss_same: field(r, "miss_same")?,
-                    miss_cross: field(r, "miss_cross")?,
-                    reuse: hist(r, "reuse")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let events = v
-            .get("events")
-            .and_then(JsonValue::as_arr)
-            .ok_or("lens report: missing `events`")?
-            .iter()
-            .map(|e| {
-                Ok(AcquireEvent {
-                    cycle: field(e, "cycle")?,
-                    node: field(e, "node")? as u32,
-                    words_dropped: field(e, "words_dropped")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(LensReport {
-            cycles: field(v, "cycles")?,
-            nodes: field(v, "nodes")? as usize,
-            topk: field(v, "topk")? as usize,
-            ledger,
-            lines,
-            dropped_lines: field(v, "dropped_lines")?,
-            ownership_wb_words: field(v, "ownership_wb_words")?,
-            steal_words: field(v, "steal_words")?,
-            l2_reg_words: field(v, "l2_reg_words")?,
-            l2_transfer_words: field(v, "l2_transfer_words")?,
-            reuse_hits: hist(v, "reuse_hits")?,
-            reuse_misses: hist(v, "reuse_misses")?,
-            events,
-            dropped_events: field(v, "dropped_events")?,
-        })
-    }
-
     /// Compact JSON text.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
-    }
-
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<LensReport, String> {
-        Self::from_json_value(&JsonValue::parse(text)?)
     }
 
     // ---- exports ----
@@ -802,13 +699,6 @@ mod tests {
         assert_eq!(reuse_bucket(7), 3);
         assert_eq!(reuse_bucket(8), 4);
         assert_eq!(reuse_bucket(1_000_000), 4);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = sample_report();
-        let back = LensReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

@@ -1,121 +1,17 @@
-//! Lens-observability level and parameters, wired through
-//! `SystemConfig::lens` the same way `FlowSpec` is wired through
-//! `SystemConfig::flow`.
-
-/// Whether coherence-lifecycle observation is collected for a run.
-///
-/// Mirrors `gsim_flow::FlowLevel`: the default is `Off` in **every**
-/// build, lens collection is pure observation that callers opt into per
-/// run, and the committed perf baseline (`sim_throughput`) asserts it
-/// stays out of the timed path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LensLevel {
-    /// No collection: every hook is a single branch on a `None`.
-    #[default]
-    Off,
-    /// Full collection: acquire cost ledger, per-line lifecycle table,
-    /// and cross-sync reuse histograms.
-    On,
-}
-
-impl LensLevel {
-    /// The default level for the current build profile. Always `Off`.
-    pub fn default_for_build() -> Self {
-        LensLevel::Off
-    }
-
-    /// Whether any collection happens at this level.
-    #[inline]
-    pub fn enabled(self) -> bool {
-        self == LensLevel::On
-    }
-
-    /// Short lowercase label (CLI output, cache keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            LensLevel::Off => "off",
-            LensLevel::On => "on",
-        }
-    }
-}
+//! Lens parameters. A run is lens-observed when the `ObserveSpec` it is
+//! given carries `Some(LensSpec)`; `None` leaves every hook one branch.
 
 /// Coherence-lifecycle observability parameters for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LensSpec {
-    /// Collection level.
-    pub level: LensLevel,
     /// How many of the hottest lines the per-line lifecycle table keeps
     /// (ranked by total lifecycle activity; ties break toward the lower
     /// line address, so the cut is deterministic).
     pub topk: usize,
 }
 
-impl LensSpec {
-    /// The default per-line table size.
-    pub const DEFAULT_TOPK: usize = 32;
-
-    /// Lens collection disabled (the `SystemConfig` default).
-    pub fn off() -> Self {
-        LensSpec {
-            level: LensLevel::Off,
-            topk: Self::DEFAULT_TOPK,
-        }
-    }
-
-    /// Lens collection enabled with the default table size.
-    pub fn on() -> Self {
-        LensSpec {
-            level: LensLevel::On,
-            ..Self::off()
-        }
-    }
-
-    /// The default for the current build profile: off (see
-    /// [`LensLevel::default_for_build`]).
-    pub fn default_for_build() -> Self {
-        LensSpec {
-            level: LensLevel::default_for_build(),
-            ..Self::off()
-        }
-    }
-
-    /// Whether this spec collects anything.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level.enabled()
-    }
-
-    /// A canonical token for cache keys: distinct parameters must yield
-    /// distinct cached lens reports.
-    pub fn cache_token(&self) -> String {
-        format!("lens={};k{}", self.level.label(), self.topk)
-    }
-}
-
 impl Default for LensSpec {
     fn default() -> Self {
-        LensSpec::off()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_off() {
-        assert!(!LensSpec::default().enabled());
-        assert!(!LensSpec::default_for_build().enabled());
-        assert_eq!(LensLevel::default_for_build(), LensLevel::Off);
-        assert!(LensSpec::on().enabled());
-    }
-
-    #[test]
-    fn cache_token_distinguishes_parameters() {
-        let a = LensSpec::on();
-        let mut b = a;
-        b.topk = 8;
-        assert_ne!(a.cache_token(), b.cache_token());
-        assert_ne!(LensSpec::off().cache_token(), a.cache_token());
+        LensSpec { topk: 32 }
     }
 }

@@ -253,19 +253,23 @@ impl Topology {
         }
     }
 
+    /// The most nodes a fabric can have: node ids are a `u8`.
+    pub const MAX_NODES: usize = 256;
+
     /// A multi-device fabric.
     ///
     /// # Panics
     ///
     /// Panics if `devices` is zero or the global node count would not
-    /// fit a `NodeId` (`devices * mesh.nodes() > 256`).
+    /// fit a `NodeId` (`devices * mesh.nodes() > MAX_NODES`).
     pub fn fabric(mesh: MeshConfig, devices: u8, xlink: XLinkConfig) -> Self {
         assert!(devices >= 1, "a fabric needs at least one device");
         assert!(
-            devices as usize * mesh.nodes() <= 256,
-            "{} devices x {} nodes exceeds the 256-node id space",
+            devices as usize * mesh.nodes() <= Self::MAX_NODES,
+            "{} devices x {} nodes exceeds the {}-node id space",
             devices,
-            mesh.nodes()
+            mesh.nodes(),
+            Self::MAX_NODES
         );
         Topology {
             mesh,
@@ -819,7 +823,7 @@ mod tests {
     #[test]
     fn flow_attribution_reconciles_with_aggregate_traffic() {
         use gsim_flow::{FlowHandle, FlowSpec};
-        let h = FlowHandle::new(FlowSpec::on(), MeshConfig::default().nodes(), 26);
+        let h = FlowHandle::new(FlowSpec::default(), MeshConfig::default().nodes(), 26);
         let mut m = Mesh::new(MeshConfig::default());
         m.set_flow(&h);
         m.send(0, &data(0, 15, WORDS_PER_LINE));
@@ -1031,7 +1035,7 @@ mod tests {
         fn flow_reconciles_on_the_multi_device_link_set() {
             use gsim_flow::{FlowHandle, FlowSpec};
             let t = two_dev();
-            let h = FlowHandle::new(FlowSpec::on(), t.nodes(), 26);
+            let h = FlowHandle::new(FlowSpec::default(), t.nodes(), 26);
             let mut m = Mesh::with_topology(t);
             m.set_flow(&h);
             m.send(0, &data(5, 22, WORDS_PER_LINE));

@@ -16,7 +16,7 @@ use crate::attr::{CuAttr, StallKind};
 use crate::interval::{IntervalRing, IntervalSample};
 use crate::report::{CuRow, ProfileReport};
 use crate::sketch::{LineTally, SpaceSaving};
-use crate::spec::ProfSpec;
+use crate::spec::{ProfSpec, SKETCH_LINES};
 use gsim_types::{Counts, Cycle, LineAddr};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -40,10 +40,8 @@ impl Profiler {
             gpu_cus,
             attr: vec![CuAttr::default(); gpu_cus],
             cu_counts: vec![Counts::default(); gpu_cus],
-            l1_sketches: (0..nodes)
-                .map(|_| SpaceSaving::new(spec.sketch_lines))
-                .collect(),
-            l2_sketch: SpaceSaving::new(spec.sketch_lines),
+            l1_sketches: (0..nodes).map(|_| SpaceSaving::new(SKETCH_LINES)).collect(),
+            l2_sketch: SpaceSaving::new(SKETCH_LINES),
             ring: IntervalRing::default(),
         }
     }
@@ -78,12 +76,9 @@ impl ProfHandle {
         ProfHandle { inner: None }
     }
 
-    /// A handle for `spec`; disabled when the spec is off. `gpu_cus`
-    /// CUs get attribution rows, `nodes` L1s get sketches.
+    /// A handle collecting under `spec`. `gpu_cus` CUs get attribution
+    /// rows, `nodes` L1s get sketches.
     pub fn new(spec: ProfSpec, gpu_cus: usize, nodes: usize) -> Self {
-        if !spec.enabled() {
-            return ProfHandle::disabled();
-        }
         ProfHandle {
             inner: Some(Rc::new(RefCell::new(Profiler::new(spec, gpu_cus, nodes)))),
         }
@@ -284,7 +279,7 @@ impl ProfHandle {
             cus,
             other,
             hot_lines,
-            sketch_capacity: spec.sketch_lines,
+            sketch_capacity: SKETCH_LINES,
             sketch_updates,
             samples,
             dropped_samples,
@@ -329,12 +324,11 @@ mod tests {
         h.instr(0);
         h.line_access(0, LineAddr(1));
         assert!(h.take_report(inputs(10, 2)).is_none());
-        assert!(!ProfHandle::new(ProfSpec::off(), 4, 5).is_enabled());
     }
 
     #[test]
     fn shared_handles_reach_one_profiler() {
-        let h = ProfHandle::new(ProfSpec::on(), 2, 3);
+        let h = ProfHandle::new(ProfSpec::default(), 2, 3);
         let clone = h.share();
         h.instr(0);
         clone.instr(0);
@@ -347,7 +341,7 @@ mod tests {
 
     #[test]
     fn report_charges_tails_to_cycles() {
-        let h = ProfHandle::new(ProfSpec::on(), 2, 2);
+        let h = ProfHandle::new(ProfSpec::default(), 2, 2);
         h.set_state(0, 0, StallKind::Issue);
         h.tick(0, 10, StallKind::Issue, Some(StallKind::GlobalSpin));
         let r = h.take_report(inputs(50, 2)).unwrap();

@@ -7,8 +7,9 @@
 //! locally synchronized benchmarks because acquire spins stay in the L1
 //! and flash invalidations disappear. Whole-run aggregates
 //! ([`SimStats`](gsim_types::SimStats)) cannot show that; this crate
-//! can. It adds three views, all wired through `SystemConfig::prof` and
-//! all *observation-only* — a profiled run produces byte-identical
+//! can. It adds three views, switched on per run by `prof: Some(ProfSpec)`
+//! in the `ObserveSpec` given to `Simulator::run_observed`, and all
+//! *observation-only* — a profiled run produces byte-identical
 //! statistics to an unprofiled one:
 //!
 //! 1. **Cycle attribution** ([`StallKind`], [`CuRow`]): the engine
@@ -48,4 +49,4 @@ pub use interval::{IntervalRing, IntervalSample, MAX_SAMPLES};
 pub use region::RegionMap;
 pub use report::{CuRow, HotLine, ProfileReport};
 pub use sketch::{LineTally, SpaceSaving};
-pub use spec::{ProfLevel, ProfSpec};
+pub use spec::{ProfSpec, SKETCH_LINES};

@@ -1,5 +1,5 @@
 //! The profile report: the immutable result of a profiled run, with
-//! reconciliation, annotation, JSON round-trip, and renderers.
+//! reconciliation, annotation, JSON export, and renderers.
 
 use crate::attr::{StallKind, NUM_STALL_KINDS, STALL_KINDS};
 use crate::interval::IntervalSample;
@@ -143,7 +143,7 @@ impl ProfileReport {
 
     // ---- JSON ----
 
-    /// The report as a JSON tree (stable schema; see `from_json_value`).
+    /// The report as a JSON tree (stable schema).
     pub fn to_json_value(&self) -> JsonValue {
         let cus = self
             .cus
@@ -224,95 +224,9 @@ impl ProfileReport {
         ])
     }
 
-    /// Parses a tree produced by [`to_json_value`](Self::to_json_value).
-    pub fn from_json_value(v: &JsonValue) -> Result<ProfileReport, String> {
-        fn field(v: &JsonValue, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("profile report: missing or non-numeric `{key}`"))
-        }
-        let cus = v
-            .get("cus")
-            .and_then(JsonValue::as_arr)
-            .ok_or("profile report: missing `cus`")?
-            .iter()
-            .map(|row| {
-                let bv = row
-                    .get("buckets")
-                    .ok_or("profile report: CU row missing `buckets`")?;
-                let mut buckets = [0u64; NUM_STALL_KINDS];
-                for k in STALL_KINDS {
-                    buckets[k as usize] = field(bv, k.label())?;
-                }
-                let counts = Counts::from_json_value(
-                    row.get("counts")
-                        .ok_or("profile report: CU row missing `counts`")?,
-                )?;
-                Ok(CuRow { buckets, counts })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let hot_lines = v
-            .get("hot_lines")
-            .and_then(JsonValue::as_arr)
-            .ok_or("profile report: missing `hot_lines`")?
-            .iter()
-            .map(|h| {
-                Ok(HotLine {
-                    line: field(h, "line")?,
-                    region: h
-                        .get("region")
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_owned),
-                    accesses: field(h, "accesses")?,
-                    invalidations: field(h, "invalidations")?,
-                    transfers: field(h, "transfers")?,
-                    forwards: field(h, "forwards")?,
-                    err: field(h, "err")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let samples = v
-            .get("samples")
-            .and_then(JsonValue::as_arr)
-            .ok_or("profile report: missing `samples`")?
-            .iter()
-            .map(|s| {
-                Ok(IntervalSample {
-                    cycle: field(s, "cycle")?,
-                    instructions: field(s, "instructions")?,
-                    l1_load_hits: field(s, "l1_load_hits")?,
-                    l1_load_misses: field(s, "l1_load_misses")?,
-                    messages: field(s, "messages")?,
-                    flits: field(s, "flits")?,
-                    mshr_occupancy: field(s, "mshr_occupancy")?,
-                    sb_occupancy: field(s, "sb_occupancy")?,
-                    outstanding_syncs: field(s, "outstanding_syncs")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ProfileReport {
-            cycles: field(v, "cycles")?,
-            interval: field(v, "interval")?,
-            cus,
-            other: Counts::from_json_value(
-                v.get("other").ok_or("profile report: missing `other`")?,
-            )?,
-            hot_lines,
-            sketch_capacity: field(v, "sketch_capacity")? as usize,
-            sketch_updates: field(v, "sketch_updates")?,
-            samples,
-            dropped_samples: field(v, "dropped_samples")?,
-        })
-    }
-
     /// Compact JSON text.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
-    }
-
-    /// Parses [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<ProfileReport, String> {
-        Self::from_json_value(&JsonValue::parse(text)?)
     }
 
     // ---- time-series exports ----
@@ -543,14 +457,6 @@ mod tests {
             ],
             dropped_samples: 0,
         }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let mut r = sample_report();
-        r.hot_lines[0].region = Some("lock[]".into());
-        let back = ProfileReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

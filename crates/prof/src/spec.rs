@@ -1,138 +1,22 @@
-//! Profiling level and parameters, wired through `SystemConfig::prof`
-//! the same way `CheckLevel` is wired through `SystemConfig::check`.
+//! Profiling parameters. A run is profiled when the `ObserveSpec` it is
+//! given carries `Some(ProfSpec)`; `None` leaves every hook one branch.
 
 use gsim_types::Cycle;
 
-/// Whether profiling is collected for a run.
-///
-/// Mirrors `gsim_check::CheckLevel` in how it reaches the engine (a
-/// `SystemConfig` field with a build-dependent default), but unlike
-/// checking the default is `Off` in **every** build: profiling is pure
-/// observation that callers opt into per run, and the committed perf
-/// baseline (`sim_throughput`) asserts it stays out of the timed path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ProfLevel {
-    /// No profiling: every hook is a single branch on a `None`.
-    #[default]
-    Off,
-    /// Full profiling: cycle attribution, hot-line sketches, and
-    /// interval sampling.
-    On,
-}
-
-impl ProfLevel {
-    /// The default level for the current build profile. Always `Off`
-    /// (see the type docs for why this differs from
-    /// `CheckLevel::default_for_build`).
-    pub fn default_for_build() -> Self {
-        ProfLevel::Off
-    }
-
-    /// Whether any profiling work happens at this level.
-    #[inline]
-    pub fn enabled(self) -> bool {
-        self == ProfLevel::On
-    }
-
-    /// Short lowercase label (CLI output, cache keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            ProfLevel::Off => "off",
-            ProfLevel::On => "on",
-        }
-    }
-}
+/// Capacity of each space-saving hot-line sketch (one per L1, one at
+/// the L2 registry). Any line whose true event count exceeds
+/// `total / SKETCH_LINES` is guaranteed to be present.
+pub const SKETCH_LINES: usize = 64;
 
 /// Profiling parameters for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ProfSpec {
-    /// Collection level.
-    pub level: ProfLevel,
     /// Sampling period of the interval time-series, in cycles.
     pub interval: Cycle,
-    /// Capacity of each space-saving hot-line sketch (one per L1, one
-    /// at the L2 registry). Any line whose true event count exceeds
-    /// `total / sketch_lines` is guaranteed to be present.
-    pub sketch_lines: usize,
-}
-
-impl ProfSpec {
-    /// The default sampling period.
-    pub const DEFAULT_INTERVAL: Cycle = 1024;
-    /// The default sketch capacity.
-    pub const DEFAULT_SKETCH_LINES: usize = 64;
-
-    /// Profiling disabled (the `SystemConfig` default).
-    pub fn off() -> Self {
-        ProfSpec {
-            level: ProfLevel::Off,
-            interval: Self::DEFAULT_INTERVAL,
-            sketch_lines: Self::DEFAULT_SKETCH_LINES,
-        }
-    }
-
-    /// Profiling enabled with the default interval and sketch size.
-    pub fn on() -> Self {
-        ProfSpec {
-            level: ProfLevel::On,
-            ..Self::off()
-        }
-    }
-
-    /// The default for the current build profile: off (see
-    /// [`ProfLevel::default_for_build`]).
-    pub fn default_for_build() -> Self {
-        ProfSpec {
-            level: ProfLevel::default_for_build(),
-            ..Self::off()
-        }
-    }
-
-    /// Whether this spec collects anything.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level.enabled()
-    }
-
-    /// A canonical token for cache keys: distinct parameters must yield
-    /// distinct cached profiles.
-    pub fn cache_token(&self) -> String {
-        format!(
-            "prof={};i{};s{}",
-            self.level.label(),
-            self.interval,
-            self.sketch_lines
-        )
-    }
 }
 
 impl Default for ProfSpec {
     fn default() -> Self {
-        ProfSpec::off()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_off() {
-        assert!(!ProfSpec::default().enabled());
-        assert!(!ProfSpec::default_for_build().enabled());
-        assert_eq!(ProfLevel::default_for_build(), ProfLevel::Off);
-        assert!(ProfSpec::on().enabled());
-    }
-
-    #[test]
-    fn cache_token_distinguishes_parameters() {
-        let a = ProfSpec::on();
-        let mut b = a;
-        b.interval = 256;
-        let mut c = a;
-        c.sketch_lines = 8;
-        assert_ne!(a.cache_token(), b.cache_token());
-        assert_ne!(a.cache_token(), c.cache_token());
-        assert_ne!(ProfSpec::off().cache_token(), a.cache_token());
+        ProfSpec { interval: 1024 }
     }
 }

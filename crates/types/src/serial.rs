@@ -98,15 +98,6 @@ impl Counts {
     pub fn to_json_value(&self) -> JsonValue {
         counts_to_json(self)
     }
-
-    /// The inverse of [`Counts::to_json_value`].
-    ///
-    /// # Errors
-    ///
-    /// If any counter field is missing or not a `u64`.
-    pub fn from_json_value(v: &JsonValue) -> Result<Counts, String> {
-        counts_from_json(v)
-    }
 }
 
 fn hist_to_json(h: &LatencyHistogram) -> JsonValue {

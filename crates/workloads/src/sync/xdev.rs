@@ -267,7 +267,7 @@ pub fn pc_regions(scale: Scale) -> RegionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsim_core::{Simulator, SystemConfig};
+    use gsim_core::{SimError, Simulator, SystemConfig};
     use gsim_types::ProtocolConfig;
 
     fn fabric(p: ProtocolConfig) -> SystemConfig {
@@ -344,9 +344,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "beyond the topology")]
-    fn producer_consumer_panics_on_one_device() {
-        let _ = Simulator::new(SystemConfig::micro15(ProtocolConfig::Dd))
-            .run(&producer_consumer(Scale::Tiny));
+    fn producer_consumer_is_rejected_on_one_device() {
+        let err = Simulator::new(SystemConfig::micro15(ProtocolConfig::Dd))
+            .run(&producer_consumer(Scale::Tiny))
+            .expect_err("device 1's CUs do not exist on one device");
+        assert!(matches!(err, SimError::Workload(_)), "{err}");
+        assert!(err.to_string().contains("CU 15"), "{err}");
     }
 }

@@ -32,8 +32,9 @@ use gpu_denovo::trace::{
 use gpu_denovo::types::{JsonValue, MsgClass};
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, ProfSpec, ProfileReport,
-    ProtocolConfig, Scale, SimError, SimStats, Simulator, StallKind, SystemConfig,
+    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, ObserveSpec, ProfSpec,
+    ProfileReport, ProtocolConfig, Reports, Scale, SimError, SimStats, Simulator, StallKind,
+    SystemConfig,
 };
 use std::process::ExitCode;
 
@@ -224,11 +225,14 @@ fn parse_group(args: &[String]) -> Result<Option<registry::Group>, String> {
 fn parse_fabric(args: &[String]) -> Result<FabricSpec, String> {
     let mut fabric = FabricSpec::default();
     if let Some(v) = flag_value(args, "--devices").map_err(|e| format!("{e} (a device count)"))? {
+        let max = SystemConfig::max_devices();
         fabric.devices = match v.parse::<u8>() {
-            Ok(n) if n > 0 => n,
+            Ok(n) if (1..=max).contains(&n) => n,
             _ => {
                 return Err(format!(
-                    "invalid --devices value {v:?}: expected a positive device count"
+                    "invalid --devices value {v:?}: expected a device count from 1 to {max} \
+                     (one L2 bank per node, at most {} banks)",
+                    SystemConfig::MAX_L2_BANKS
                 ))
             }
         };
@@ -323,74 +327,39 @@ fn trace_one(
     Ok((stats, handle))
 }
 
-/// One profiled run: build, run, annotate hot lines with the
-/// benchmark's regions, and sanity-check the report against the stats.
-fn profile_one(
+/// One observed run: build, run with the observers `observe` switches
+/// on, annotate every report that names lines with the benchmark's
+/// regions, and reconcile each report against the run's stats.
+fn observe_one(
     b: &registry::Benchmark,
     p: ProtocolConfig,
     s: Scale,
-    spec: ProfSpec,
     fabric: FabricSpec,
-) -> Result<(SimStats, ProfileReport), String> {
-    let mut cfg = fabric.system(p);
-    cfg.prof = spec;
-    let (stats, profile) = Simulator::new(cfg)
-        .run_profiled(&(b.build)(s))
+    observe: &ObserveSpec,
+) -> Result<(SimStats, Reports), String> {
+    let (stats, mut reports) = Simulator::new(fabric.system(p))
+        .run_observed(&(b.build)(s), observe)
         .map_err(|e| format!("{} under {p}: {e}", b.name))?;
-    let mut profile = profile.expect("profiling enabled");
-    if let Some(regions) = b.regions {
-        profile.annotate(&regions(s));
+    let regions = b.regions.map(|r| r(s));
+    let drift =
+        |view: &str, e: String| format!("{} under {p}: {view} does not reconcile: {e}", b.name);
+    if let Some(r) = &mut reports.profile {
+        if let Some(m) = &regions {
+            r.annotate(m);
+        }
+        r.reconcile(stats.cycles, &stats.counts)
+            .map_err(|e| drift("profile", e))?;
     }
-    profile
-        .reconcile(stats.cycles, &stats.counts)
-        .map_err(|e| format!("{} under {p}: profile does not reconcile: {e}", b.name))?;
-    Ok((stats, profile))
-}
-
-/// One flow-observed run: build, run, and sanity-check the report's
-/// per-link sums against the aggregate traffic breakdown.
-fn flow_one(
-    b: &registry::Benchmark,
-    p: ProtocolConfig,
-    s: Scale,
-    spec: FlowSpec,
-    fabric: FabricSpec,
-) -> Result<(SimStats, FlowReport), String> {
-    let mut cfg = fabric.system(p);
-    cfg.flow = spec;
-    let (stats, report) = Simulator::new(cfg)
-        .run_flow(&(b.build)(s))
-        .map_err(|e| format!("{} under {p}: {e}", b.name))?;
-    let report = report.expect("flow collection enabled");
-    report
-        .reconcile(&stats.traffic)
-        .map_err(|e| format!("{} under {p}: flow does not reconcile: {e}", b.name))?;
-    Ok((stats, report))
-}
-
-/// One lens-observed run: build, run, annotate per-line rows with the
-/// benchmark's regions, and prove the ledger sums reproduce the
-/// aggregate invalidation/ownership counters exactly.
-fn lens_one(
-    b: &registry::Benchmark,
-    p: ProtocolConfig,
-    s: Scale,
-    spec: LensSpec,
-    fabric: FabricSpec,
-) -> Result<(SimStats, LensReport), String> {
-    let mut cfg = fabric.system(p);
-    cfg.lens = spec;
-    let (stats, report) = Simulator::new(cfg)
-        .run_lens(&(b.build)(s))
-        .map_err(|e| format!("{} under {p}: {e}", b.name))?;
-    let mut report = report.expect("lens collection enabled");
-    if let Some(regions) = b.regions {
-        report.annotate(&regions(s));
+    if let Some(r) = &reports.flow {
+        r.reconcile(&stats.traffic).map_err(|e| drift("flow", e))?;
     }
-    report
-        .reconcile(&stats.counts)
-        .map_err(|e| format!("{} under {p}: lens does not reconcile: {e}", b.name))?;
-    Ok((stats, report))
+    if let Some(r) = &mut reports.lens {
+        if let Some(m) = &regions {
+            r.annotate(m);
+        }
+        r.reconcile(&stats.counts).map_err(|e| drift("lens", e))?;
+    }
+    Ok((stats, reports))
 }
 
 /// The cross-config invalidation-waste table (the paper's reuse story
@@ -724,7 +693,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            let mut spec = ProfSpec::on();
+            let mut spec = ProfSpec::default();
             match flag_value(&args, "--interval") {
                 Ok(Some(v)) => match v.parse::<u64>() {
                     Ok(n) if n > 0 => spec.interval = n,
@@ -760,10 +729,14 @@ fn main() -> ExitCode {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
+            let observe = ObserveSpec {
+                prof: Some(spec),
+                ..ObserveSpec::default()
+            };
             let mut rows = Vec::new();
             for p in &configs {
-                match profile_one(&b, *p, s, spec, fabric) {
-                    Ok((stats, profile)) => rows.push((*p, stats, profile)),
+                match observe_one(&b, *p, s, fabric, &observe) {
+                    Ok((stats, r)) => rows.push((*p, stats, r.profile.expect("profiling on"))),
                     Err(e) => return fail(e),
                 }
             }
@@ -812,7 +785,8 @@ fn main() -> ExitCode {
             }
             println!(
                 "profile of {name} at {s:?} scale (interval {} cycles, sketch {} lines)\n",
-                spec.interval, spec.sketch_lines
+                spec.interval,
+                gpu_denovo::prof::SKETCH_LINES
             );
             if single {
                 let (p, stats, r) = &rows[0];
@@ -845,7 +819,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            let mut spec = FlowSpec::on();
+            let mut spec = FlowSpec::default();
             match flag_value(&args, "--interval") {
                 Ok(Some(v)) => match v.parse::<u64>() {
                     Ok(n) if n > 0 => spec.interval = n,
@@ -893,10 +867,14 @@ fn main() -> ExitCode {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
+            let observe = ObserveSpec {
+                flow: Some(spec),
+                ..ObserveSpec::default()
+            };
             let mut rows = Vec::new();
             for p in &configs {
-                match flow_one(&b, *p, s, spec, fabric) {
-                    Ok((stats, report)) => rows.push((*p, stats, report)),
+                match observe_one(&b, *p, s, fabric, &observe) {
+                    Ok((stats, r)) => rows.push((*p, stats, r.flow.expect("flow on"))),
                     Err(e) => return fail(e),
                 }
             }
@@ -988,7 +966,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            let mut spec = LensSpec::on();
+            let mut spec = LensSpec::default();
             match flag_value(&args, "--topk") {
                 Ok(Some(v)) => match v.parse::<usize>() {
                     Ok(n) if n > 0 => spec.topk = n,
@@ -1024,10 +1002,14 @@ fn main() -> ExitCode {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
+            let observe = ObserveSpec {
+                lens: Some(spec),
+                ..ObserveSpec::default()
+            };
             let mut rows = Vec::new();
             for p in &configs {
-                match lens_one(&b, *p, s, spec, fabric) {
-                    Ok((stats, report)) => rows.push((*p, stats, report)),
+                match observe_one(&b, *p, s, fabric, &observe) {
+                    Ok((stats, r)) => rows.push((*p, stats, r.lens.expect("lens on"))),
                     Err(e) => return fail(e),
                 }
             }

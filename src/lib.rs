@@ -71,8 +71,8 @@ pub use gsim_workloads as workloads;
 
 pub use gsim_check::CheckLevel;
 pub use gsim_core::{
-    KernelLaunch, MeshConfig, SimError, Simulator, SystemConfig, TbSpec, Topology, Workload,
-    XLinkConfig,
+    KernelLaunch, MeshConfig, ObserveSpec, Reports, SimError, Simulator, SystemConfig, TbSpec,
+    Topology, Workload, XLinkConfig,
 };
 pub use gsim_explore::{Budget, ExploreMode, ScheduleId, ShapeReport};
 pub use gsim_flow::{FlowReport, FlowSpec};

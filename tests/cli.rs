@@ -1,4 +1,5 @@
-//! Command-line contract: every subcommand accepts only its own flags.
+//! Command-line contract: every subcommand accepts only its own flags,
+//! and a command line the system cannot run exits 1 with a message.
 //! A mistyped or retired flag must fail loudly instead of silently
 //! running the defaults.
 
@@ -46,4 +47,31 @@ fn accepted_flags_still_run() {
         "ran the requested config: {stdout}"
     );
     assert!(stdout.contains("run verified functionally."));
+}
+
+#[test]
+fn command_lines_that_do_not_fit_the_fabric_exit_1_with_a_message() {
+    const PINNED: &str = "pins a thread block to CU 15, but the system has 15 CUs";
+    const BANKS: &str = "expected a device count from 1 to 15";
+    for (args, says) in [
+        (&["run", "XPC"][..], PINNED),
+        (&["compare", "XPC"][..], PINNED),
+        (&["profile", "XPC"][..], PINNED),
+        (&["flow", "XPC"][..], PINNED),
+        (&["lens", "XPC"][..], PINNED),
+        (
+            &["sweep", "--group", "fabric", "--jobs", "1", "--no-cache"][..],
+            PINNED,
+        ),
+        (&["run", "SPM_G", "--devices", "16"][..], BANKS),
+        (&["run", "SPM_G", "--devices", "20"][..], BANKS),
+    ] {
+        let out = cli(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(says), "{args:?} must say why: {err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+    }
+    let out = cli(&["run", "XPC", "--devices", "2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }

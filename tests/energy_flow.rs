@@ -12,7 +12,7 @@
 use gpu_denovo::energy::EnergyModel;
 use gpu_denovo::types::MsgClass;
 use gpu_denovo::workloads::litmus;
-use gpu_denovo::{FlowSpec, ProtocolConfig, Simulator, SystemConfig};
+use gpu_denovo::{FlowSpec, ObserveSpec, ProtocolConfig, Simulator, SystemConfig};
 
 #[test]
 fn energy_traffic_agrees_with_flow_link_sums_class_for_class() {
@@ -20,10 +20,14 @@ fn energy_traffic_agrees_with_flow_link_sums_class_for_class() {
     for shape in litmus::battery() {
         let w = (shape.build)();
         for p in ProtocolConfig::ALL {
-            let mut cfg = SystemConfig::micro15(p);
-            cfg.flow = FlowSpec::on();
-            let (stats, report) = Simulator::new(cfg).run_flow(&w).expect("run succeeds");
-            let report = report.expect("flow collection enabled");
+            let observe = ObserveSpec {
+                flow: Some(FlowSpec::default()),
+                ..ObserveSpec::default()
+            };
+            let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
+                .run_observed(&w, &observe)
+                .expect("run succeeds");
+            let report = reports.flow.expect("flow collection enabled");
 
             // Per-link sums == the aggregate breakdown, class by class.
             let sums = report.class_totals();

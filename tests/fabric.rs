@@ -12,7 +12,8 @@ use gpu_denovo::types::NodeId;
 use gpu_denovo::workloads::registry;
 use gpu_denovo::workloads::{litmus, Scale};
 use gpu_denovo::{
-    CheckLevel, FlowSpec, MeshConfig, ProfSpec, ProtocolConfig, Simulator, SystemConfig, Topology,
+    CheckLevel, FlowSpec, MeshConfig, ObserveSpec, ProfSpec, ProtocolConfig, Simulator,
+    SystemConfig, Topology,
 };
 
 /// Full-checking config on an arbitrary topology. The L2 keeps one bank
@@ -64,12 +65,16 @@ fn litmus_battery_is_clean_on_two_devices() {
 fn profile_reconciles_on_a_two_device_run() {
     for bench in ["XDEV_S", "XPC"] {
         let b = registry::by_name(bench).unwrap();
-        let mut cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
-        cfg.prof = ProfSpec::on();
-        let (stats, profile) = Simulator::new(cfg)
-            .run_profiled(&(b.build)(Scale::Tiny))
+        let cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
+        let observe = ObserveSpec {
+            prof: Some(ProfSpec::default()),
+            ..ObserveSpec::default()
+        };
+        let (stats, reports) = Simulator::new(cfg)
+            .run_observed(&(b.build)(Scale::Tiny), &observe)
             .unwrap_or_else(|e| panic!("{bench}: {e}"));
-        profile
+        reports
+            .profile
             .expect("profiling enabled")
             .reconcile(stats.cycles, &stats.counts)
             .unwrap_or_else(|e| panic!("{bench}: profile does not reconcile: {e}"));
@@ -84,12 +89,15 @@ fn profile_reconciles_on_a_two_device_run() {
 fn flow_reconciles_on_a_two_device_run() {
     for bench in ["XDEV_S", "XPC"] {
         let b = registry::by_name(bench).unwrap();
-        let mut cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
-        cfg.flow = FlowSpec::on();
-        let (stats, report) = Simulator::new(cfg)
-            .run_flow(&(b.build)(Scale::Tiny))
+        let cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
+        let observe = ObserveSpec {
+            flow: Some(FlowSpec::default()),
+            ..ObserveSpec::default()
+        };
+        let (stats, reports) = Simulator::new(cfg)
+            .run_observed(&(b.build)(Scale::Tiny), &observe)
             .unwrap_or_else(|e| panic!("{bench}: {e}"));
-        let report = report.expect("flow enabled");
+        let report = reports.flow.expect("flow enabled");
         report
             .reconcile(&stats.traffic)
             .unwrap_or_else(|e| panic!("{bench}: flow does not reconcile: {e}"));

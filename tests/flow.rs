@@ -17,19 +17,23 @@ use gpu_denovo::flow::{JourneyKind, STAGE_LABELS};
 use gpu_denovo::types::Cycle;
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, FlowReport, FlowSpec, ProtocolConfig, Scale, SimStats, Simulator, SystemConfig,
-    Workload,
+    registry, FlowReport, FlowSpec, ObserveSpec, ProtocolConfig, Scale, SimStats, Simulator,
+    SystemConfig, Workload,
 };
 
 fn flowed_with(p: ProtocolConfig, w: &Workload, spec: FlowSpec) -> (SimStats, FlowReport) {
-    let mut cfg = SystemConfig::micro15(p);
-    cfg.flow = spec;
-    let (stats, report) = Simulator::new(cfg).run_flow(w).expect("run succeeds");
-    (stats, report.expect("flow collection enabled"))
+    let observe = ObserveSpec {
+        flow: Some(spec),
+        ..ObserveSpec::default()
+    };
+    let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
+        .run_observed(w, &observe)
+        .expect("run succeeds");
+    (stats, reports.flow.expect("flow collection enabled"))
 }
 
 fn flowed(p: ProtocolConfig, w: &Workload) -> (SimStats, FlowReport) {
-    flowed_with(p, w, FlowSpec::on())
+    flowed_with(p, w, FlowSpec::default())
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -106,8 +110,10 @@ fn reports_are_deterministic_across_runs() {
 fn journeys_decompose_latency_exactly() {
     let b = registry::by_name("SPM_G").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let mut spec = FlowSpec::on();
-    spec.journey_period = 1; // follow every request
+    let spec = FlowSpec {
+        journey_period: 1, // follow every request
+        ..FlowSpec::default()
+    };
     for p in ProtocolConfig::ALL {
         let (_, report) = flowed_with(p, &w, spec);
         assert!(!report.journeys.is_empty(), "{p}: no journeys sampled");
@@ -145,8 +151,10 @@ fn journeys_decompose_latency_exactly() {
 fn samples_land_on_interval_boundaries() {
     let b = registry::by_name("SPM_L").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let mut spec = FlowSpec::on();
-    spec.interval = 256;
+    let spec = FlowSpec {
+        interval: 256,
+        ..FlowSpec::default()
+    };
     let (stats, report) = flowed_with(ProtocolConfig::Dd, &w, spec);
     assert!(!report.samples.is_empty());
     for s in &report.samples {

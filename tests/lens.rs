@@ -18,19 +18,23 @@
 
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, LensReport, LensSpec, ProtocolConfig, Scale, SimStats, Simulator, SystemConfig,
-    Workload,
+    registry, LensReport, LensSpec, ObserveSpec, ProtocolConfig, Scale, SimStats, Simulator,
+    SystemConfig, Workload,
 };
 
 fn lensed_with(p: ProtocolConfig, w: &Workload, spec: LensSpec) -> (SimStats, LensReport) {
-    let mut cfg = SystemConfig::micro15(p);
-    cfg.lens = spec;
-    let (stats, report) = Simulator::new(cfg).run_lens(w).expect("run succeeds");
-    (stats, report.expect("lens collection enabled"))
+    let observe = ObserveSpec {
+        lens: Some(spec),
+        ..ObserveSpec::default()
+    };
+    let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
+        .run_observed(w, &observe)
+        .expect("run succeeds");
+    (stats, reports.lens.expect("lens collection enabled"))
 }
 
 fn lensed(p: ProtocolConfig, w: &Workload) -> (SimStats, LensReport) {
-    lensed_with(p, w, LensSpec::on())
+    lensed_with(p, w, LensSpec::default())
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -188,9 +192,7 @@ fn gpu_coherence_wastes_what_denovo_retains() {
 fn topk_caps_the_line_table_not_the_ledger() {
     let b = registry::by_name("UTS").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let mut small = LensSpec::on();
-    small.topk = 2;
-    let (stats, capped) = lensed_with(ProtocolConfig::Gd, &w, small);
+    let (stats, capped) = lensed_with(ProtocolConfig::Gd, &w, LensSpec { topk: 2 });
     let (_, full) = lensed(ProtocolConfig::Gd, &w);
     assert!(capped.lines.len() <= 2);
     assert!(full.lines.len() >= capped.lines.len());
@@ -203,4 +205,21 @@ fn topk_caps_the_line_table_not_the_ledger() {
     for pair in capped.lines.windows(2) {
         assert!(pair[0].activity() >= pair[1].activity());
     }
+}
+
+#[test]
+fn per_line_rows_annotate_with_the_benchmark_regions() {
+    let b = registry::by_name("SPM_L").unwrap();
+    let regions = b.regions.expect("SPM_L declares its regions");
+    let (stats, mut report) = lensed(ProtocolConfig::Gd, &(b.build)(Scale::Tiny));
+    assert!(report.lines.iter().all(|row| row.region.is_none()));
+    report.annotate(&regions(Scale::Tiny));
+    assert!(
+        report.lines.iter().any(|row| row.region.is_some()),
+        "per-line rows annotated with the benchmark's regions"
+    );
+    // Annotation labels rows; it never changes what was counted.
+    report
+        .reconcile(&stats.counts)
+        .expect("annotated report reconciles");
 }

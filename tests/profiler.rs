@@ -16,15 +16,23 @@
 
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, ProfSpec, ProfileReport, ProtocolConfig, Scale, SimStats, Simulator, StallKind,
-    SystemConfig, Workload,
+    registry, ObserveSpec, ProfSpec, ProfileReport, ProtocolConfig, Scale, SimStats, Simulator,
+    StallKind, SystemConfig, Workload,
 };
 
+fn profiled_with(p: ProtocolConfig, w: &Workload, spec: ProfSpec) -> (SimStats, ProfileReport) {
+    let observe = ObserveSpec {
+        prof: Some(spec),
+        ..ObserveSpec::default()
+    };
+    let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
+        .run_observed(w, &observe)
+        .expect("run succeeds");
+    (stats, reports.profile.expect("profiling enabled"))
+}
+
 fn profiled(p: ProtocolConfig, w: &Workload) -> (SimStats, ProfileReport) {
-    let mut cfg = SystemConfig::micro15(p);
-    cfg.prof = ProfSpec::on();
-    let (stats, profile) = Simulator::new(cfg).run_profiled(w).expect("run succeeds");
-    (stats, profile.expect("profiling enabled"))
+    profiled_with(p, w, ProfSpec::default())
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -100,11 +108,7 @@ fn dd_spins_less_on_global_acquires_than_gd_on_local_sync() {
 fn interval_samples_land_on_boundaries_and_regions_annotate() {
     let b = registry::by_name("SPM_L").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let mut cfg = SystemConfig::micro15(ProtocolConfig::Dd);
-    cfg.prof = ProfSpec::on();
-    cfg.prof.interval = 256;
-    let (stats, profile) = Simulator::new(cfg).run_profiled(&w).unwrap();
-    let mut profile = profile.unwrap();
+    let (stats, mut profile) = profiled_with(ProtocolConfig::Dd, &w, ProfSpec { interval: 256 });
     assert!(!profile.samples.is_empty());
     for s in &profile.samples {
         assert_eq!(s.cycle % 256, 0, "samples land on interval boundaries");
