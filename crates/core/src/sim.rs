@@ -432,16 +432,62 @@ struct Cu {
     tick_scheduled: bool,
 }
 
+/// One queued engine event. Every payload is an index or a completion's
+/// `(ReqId, Value)`, so an event is 16 bytes and a calendar ring entry
+/// (`(cycle, seq, Event)`) 32. A delivery names the slot of
+/// [`Machine::in_flight`] its message waits in instead of carrying it.
 #[derive(Debug)]
 enum Event {
-    /// Issue one instruction on the CU.
-    CuTick(usize),
-    /// A network message arrives.
-    Deliver(Msg),
+    /// Issue one instruction on the CU node.
+    CuTick(u32),
+    /// The message in this slot of [`Machine::in_flight`] arrives.
+    Deliver(u32),
     /// A delayed completion fires.
     Finish { req: ReqId, value: Value },
-    /// A compute-blocked thread block becomes ready.
-    TbWake { tb: usize },
+    /// A compute-blocked thread block (index into `Machine::tbs`)
+    /// becomes ready.
+    TbWake { tb: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+/// Messages between their send and their delivery: a slab of slots with
+/// a last-in first-out free list. A slot number only links a queued
+/// [`Event::Deliver`] to its message; deliveries pop in the queue's
+/// `(cycle, seq)` order whatever slot they name, so slot reuse cannot
+/// reach `SimStats`.
+#[derive(Debug, Default)]
+struct MsgSlab {
+    msgs: Vec<Msg>,
+    free: Vec<u32>,
+}
+
+impl MsgSlab {
+    /// Parks `msg` in a free slot (the most recently freed one, else a
+    /// new one) and returns the slot.
+    fn insert(&mut self, msg: Msg) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.msgs[slot as usize] = msg;
+                slot
+            }
+            None => {
+                self.msgs.push(msg);
+                u32::try_from(self.msgs.len() - 1).expect("fewer than 2^32 messages in flight")
+            }
+        }
+    }
+
+    /// The message parked in `slot`.
+    fn get(&self, slot: u32) -> &Msg {
+        &self.msgs[slot as usize]
+    }
+
+    /// Takes the message out of `slot`, freeing the slot.
+    fn take(&mut self, slot: u32) -> Msg {
+        self.free.push(slot);
+        self.msgs[slot as usize]
+    }
 }
 
 struct Machine {
@@ -458,6 +504,8 @@ struct Machine {
     /// The calendar queue (or, for differential testing, the heap
     /// reference) ordering events by `(cycle, push sequence)`.
     events: EventQueue<Event>,
+    /// The messages of the queued [`Event::Deliver`]s.
+    in_flight: MsgSlab,
 
     mesh: Mesh,
     l1s: Vec<L1>,
@@ -606,6 +654,7 @@ impl Machine {
             max_cycles: config.max_cycles,
             now: 0,
             events: EventQueue::new(config.event_queue),
+            in_flight: MsgSlab::default(),
             mesh,
             l1s,
             l2,
@@ -700,11 +749,14 @@ impl Machine {
     fn event_footprint(&self, ev: &Event) -> Footprint {
         match ev {
             Event::CuTick(cu) => Footprint::L1Node(*cu as u8),
-            Event::TbWake { tb } => Footprint::L1Node(self.tbs[*tb].cu as u8),
-            Event::Deliver(msg) => match msg.dst_comp {
-                Component::L1 => Footprint::L1Node(msg.dst.0),
-                Component::L2 => Footprint::L2Bank(msg.dst.0),
-            },
+            Event::TbWake { tb } => Footprint::L1Node(self.tbs[*tb as usize].cu as u8),
+            Event::Deliver(slot) => {
+                let msg = self.in_flight.get(*slot);
+                match msg.dst_comp {
+                    Component::L1 => Footprint::L1Node(msg.dst.0),
+                    Component::L2 => Footprint::L2Bank(msg.dst.0),
+                }
+            }
             Event::Finish { req, .. } => {
                 let cu = match self
                     .pending
@@ -818,7 +870,7 @@ impl Machine {
     fn ensure_tick(&mut self, cu: usize, at: Cycle) {
         if !self.cus[cu].tick_scheduled {
             self.cus[cu].tick_scheduled = true;
-            self.events.push(at, Event::CuTick(cu));
+            self.events.push(at, Event::CuTick(cu as u32));
         }
     }
 
@@ -831,7 +883,8 @@ impl Machine {
             match a {
                 Action::Send { msg, delay } => {
                     let arrival = self.mesh.send(self.now + delay, &msg);
-                    self.events.push(arrival, Event::Deliver(msg));
+                    let slot = self.in_flight.insert(msg);
+                    self.events.push(arrival, Event::Deliver(slot));
                 }
                 Action::Complete { req, value, delay } => {
                     self.events
@@ -1065,7 +1118,7 @@ impl Machine {
                         self.tbs[tb].status = TbStatus::Blocked;
                         self.tbs[tb].wait = StallKind::LoadUse;
                         let at = self.now + d;
-                        self.events.push(at, Event::TbWake { tb });
+                        self.events.push(at, Event::TbWake { tb: tb as u32 });
                         StallKind::LoadUse
                     }
                 };
@@ -1237,7 +1290,7 @@ impl Machine {
                         self.tbs[tb].status = TbStatus::Blocked;
                         self.tbs[tb].wait = sync_kind;
                         let at = self.now + d;
-                        self.events.push(at, Event::TbWake { tb });
+                        self.events.push(at, Event::TbWake { tb: tb as u32 });
                         sync_kind
                     }
                 };
@@ -1277,7 +1330,7 @@ impl Machine {
                     // stall.
                     self.tbs[tb].wait = StallKind::Issue;
                     let at = self.now + n;
-                    self.events.push(at, Event::TbWake { tb });
+                    self.events.push(at, Event::TbWake { tb: tb as u32 });
                 }
                 StallKind::Issue
             }
@@ -1460,8 +1513,9 @@ impl Machine {
     /// Processes one popped event.
     fn handle_event(&mut self, ev: Event) {
         match ev {
-            Event::CuTick(cu) => self.on_cu_tick(cu),
-            Event::Deliver(msg) => {
+            Event::CuTick(cu) => self.on_cu_tick(cu as usize),
+            Event::Deliver(slot) => {
+                let msg = self.in_flight.take(slot);
                 self.trace.emit(|| TraceEvent::MsgDeliver {
                     src: msg.src,
                     dst: msg.dst,
@@ -1478,6 +1532,7 @@ impl Machine {
             }
             Event::Finish { req, value } => self.finish_req(req, value),
             Event::TbWake { tb } => {
+                let tb = tb as usize;
                 if self.tbs[tb].status == TbStatus::Blocked {
                     self.tbs[tb].status = TbStatus::Ready;
                 }
@@ -1487,7 +1542,7 @@ impl Machine {
         }
     }
 
-    fn run(mut self, workload: &Workload) -> Result<RunOut, SimError> {
+    fn run(&mut self, workload: &Workload) -> Result<RunOut, SimError> {
         let total_kernels = workload.kernels.len();
         loop {
             // Kernel transitions fire only once the current cycle has
@@ -1723,7 +1778,16 @@ impl Machine {
             let _ = writeln!(s, "  {req:?}: {t:?}");
         }
         for (at, ev) in self.events.iter().take(8) {
-            let _ = writeln!(s, "  event at {at}: {ev:?}");
+            let _ = match ev {
+                Event::Deliver(slot) => {
+                    writeln!(
+                        s,
+                        "  event at {at}: Deliver({:?})",
+                        self.in_flight.get(*slot)
+                    )
+                }
+                _ => writeln!(s, "  event at {at}: {ev:?}"),
+            };
         }
         s
     }
@@ -2140,6 +2204,64 @@ mod tests {
             .run(&mk())
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_message_slot_is_free_again_after_a_run() {
+        // 45 thread blocks each store 16 private words and bump one
+        // shared counter 16 times: thousands of messages, many in
+        // flight at once, so slots are freed and reused all run long.
+        const TBS: u32 = 45;
+        const ITERS: u32 = 16;
+        for p in ProtocolConfig::ALL {
+            let mut b = KernelBuilder::new();
+            b.mov(1, imm(0));
+            b.alu(2, r(0), AluOp::Mul, imm(ITERS));
+            for j in 0..ITERS {
+                b.st(b.at(2, 64 + j), imm(j));
+                b.atomic(
+                    3,
+                    b.at(1, 0),
+                    AtomicOp::Add,
+                    imm(1),
+                    imm(0),
+                    SyncOrd::AcqRel,
+                    Scope::Global,
+                );
+            }
+            b.halt();
+            let w = Workload {
+                name: "slab".into(),
+                init: Box::new(|_| {}),
+                kernels: vec![KernelLaunch {
+                    program: b.build(),
+                    tbs: vec![crate::workload::TbSpec::with_regs(&[]); TBS as usize],
+                }],
+                verify: Box::new(|mem| {
+                    let got = mem.read_word(WordAddr(0));
+                    (got == TBS * ITERS)
+                        .then_some(())
+                        .ok_or_else(|| format!("counter: got {got}"))
+                }),
+            };
+            let cfg = SystemConfig::micro15(p);
+            let mut m = Machine::new(&cfg, &w, &ObserveSpec::default()).unwrap();
+            let out = m.run(&w).unwrap();
+            let slots = m.in_flight.msgs.len();
+            let mut free = m.in_flight.free.clone();
+            free.sort_unstable();
+            assert_eq!(
+                free,
+                (0..slots as u32).collect::<Vec<_>>(),
+                "{p}: every slot must be on the free list exactly once"
+            );
+            assert!(slots > 1, "{p}: messages overlapped in flight");
+            assert!(
+                out.stats.counts.messages_sent > 10 * slots as u64,
+                "{p}: {} messages through {slots} slots should reuse them",
+                out.stats.counts.messages_sent
+            );
+        }
     }
 
     #[test]

@@ -227,3 +227,26 @@ fn stats_are_internally_consistent() {
         "engine and mesh agree on traffic"
     );
 }
+
+/// A watchdog report lists the queued events, and a queued delivery
+/// shows its message (source, destination, kind), not just where the
+/// engine parked it.
+#[test]
+fn watchdog_report_shows_queued_messages() {
+    let build = gsim_workloads::by_name("SPM_G").expect("registered").build;
+    let mut cfg = SystemConfig::micro15(ProtocolConfig::Gd);
+    cfg.max_cycles = 300;
+    let err = Simulator::new(cfg)
+        .run(&build(gsim_workloads::Scale::Tiny))
+        .unwrap_err();
+    let SimError::Watchdog { report, .. } = err else {
+        panic!("expected a watchdog");
+    };
+    let delivery = report
+        .lines()
+        .find(|l| l.contains("Deliver("))
+        .unwrap_or_else(|| panic!("no queued delivery in the report:\n{report}"));
+    for field in ["src:", "dst:", "kind:"] {
+        assert!(delivery.contains(field), "{delivery} lacks {field}");
+    }
+}

@@ -80,11 +80,21 @@ fn run_with(
     protocol: ProtocolConfig,
     kind: QueueKind,
 ) -> (SimStats, Vec<(u64, gsim_trace::TraceEvent)>) {
-    let mut cfg = SystemConfig::micro15(protocol);
+    run_on(SystemConfig::micro15(protocol), kind, &contended_workload())
+}
+
+/// Runs `workload` on `cfg` under queue `kind`, recording every trace
+/// event.
+fn run_on(
+    mut cfg: SystemConfig,
+    kind: QueueKind,
+    workload: &Workload,
+) -> (SimStats, Vec<(u64, gsim_trace::TraceEvent)>) {
+    let protocol = cfg.protocol;
     cfg.event_queue = kind;
     let trace = TraceHandle::new(RingRecorder::new(4_000_000));
     let stats = Simulator::new(cfg)
-        .run_traced(&contended_workload(), trace.clone())
+        .run_traced(workload, trace.clone())
         .unwrap_or_else(|e| panic!("{protocol} under {kind:?}: {e}"));
     let rec = trace.recorder().expect("recording handle").borrow();
     assert_eq!(rec.dropped(), 0, "trace ring too small for the comparison");
@@ -111,6 +121,34 @@ fn calendar_and_heap_runs_are_bit_identical_across_all_configs() {
         for (i, (c, h)) in cal_trace.iter().zip(&heap_trace).enumerate() {
             assert_eq!(c, h, "{protocol}: trace event {i} diverged");
         }
+    }
+}
+
+/// The same on a two-device fabric running the system-scope mutex
+/// (XDEV_S): every lock and data access crosses the inter-device link,
+/// so deliveries with long, mixed latencies keep many messages parked
+/// in the engine's in-flight slab at once.
+#[test]
+fn calendar_and_heap_agree_on_a_two_device_fabric() {
+    let workload = || gsim_workloads::sync::xdev::system_scope(gsim_workloads::Scale::Tiny);
+    for protocol in ProtocolConfig::ALL {
+        let cfg = SystemConfig::fabric(protocol, 2, 40);
+        let (cal_stats, cal_trace) = run_on(cfg, QueueKind::Calendar, &workload());
+        let (heap_stats, heap_trace) = run_on(cfg, QueueKind::Heap, &workload());
+        assert!(
+            cal_stats.counts.messages_sent > 1_000,
+            "{protocol}: XDEV_S sent only {} messages",
+            cal_stats.counts.messages_sent
+        );
+        assert_eq!(
+            cal_stats.to_json(),
+            heap_stats.to_json(),
+            "{protocol} on 2 devices: SimStats JSON diverged between queue kinds"
+        );
+        assert_eq!(
+            cal_trace, heap_trace,
+            "{protocol} on 2 devices: trace streams diverged between queue kinds"
+        );
     }
 }
 

@@ -16,8 +16,9 @@
 //!   deterministic; a second unchanged sweep is served almost entirely
 //!   from disk, and a sweep after a code change recomputes.
 //! - [`matrix`] — the cell vocabulary ([`Cell`], [`CellResult`]), grid
-//!   builders, the cached parallel runner [`run_cells`], and the stable
-//!   [`to_csv`]/[`to_json`] emitters.
+//!   builders, the cached parallel runners [`run_cells`] (every cell or
+//!   the first error) and [`run_each_cell`] (one outcome per cell), and
+//!   the stable [`to_csv`]/[`to_json`] emitters.
 //!
 //! # Examples
 //!
@@ -39,7 +40,7 @@ pub mod pool;
 
 pub use cache::{CacheKey, ResultCache, SCHEMA_VERSION, SOURCE_HASH};
 pub use matrix::{
-    cell_key, full_matrix, group_matrix, matrix_of, run_cell, run_cells, to_csv, to_json, Cell,
-    CellResult, FabricSpec,
+    cell_key, full_matrix, group_matrix, matrix_of, run_cell, run_cells, run_each_cell, to_csv,
+    to_json, Cell, CellResult, FabricSpec,
 };
 pub use pool::{default_jobs, effective_workers, run_parallel, run_parallel_meta, PoolRun};

@@ -194,17 +194,26 @@ pub fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, 
     })
 }
 
+/// Executes every cell on `jobs` workers (0 = auto), returning each
+/// cell's own outcome in cell order: a failing cell costs only its own
+/// result. Failures are never cached, so they rerun every time.
+pub fn run_each_cell(
+    cells: &[Cell],
+    jobs: usize,
+    cache: Option<&ResultCache>,
+) -> Vec<Result<CellResult, String>> {
+    pool::run_parallel(cells, jobs, |cell| run_cell(cell, cache))
+}
+
 /// Executes every cell on `jobs` workers (0 = auto), returning results
 /// in cell order. The first failing cell's error is returned (all
-/// in-flight cells still finish first).
+/// cells still run first; [`run_each_cell`] keeps the others' results).
 pub fn run_cells(
     cells: &[Cell],
     jobs: usize,
     cache: Option<&ResultCache>,
 ) -> Result<Vec<CellResult>, String> {
-    pool::run_parallel(cells, jobs, |cell| run_cell(cell, cache))
-        .into_iter()
-        .collect()
+    run_each_cell(cells, jobs, cache).into_iter().collect()
 }
 
 fn scale_slug(scale: Scale) -> String {
@@ -286,6 +295,35 @@ mod tests {
         let cells = matrix_of(&["NOPE"], &[ProtocolConfig::Dd], Scale::Tiny);
         let err = run_cells(&cells, 1, None).unwrap_err();
         assert!(err.contains("NOPE"), "error names the benchmark: {err}");
+    }
+
+    #[test]
+    fn a_failing_cell_costs_only_its_own_result() {
+        let dir = std::env::temp_dir().join(format!("gsim-each-cell-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        // XPC pins a block to device 1, so it cannot run on one device.
+        let cells = matrix_of(
+            &["XDEV_D", "XPC", "XDEV_S"],
+            &[ProtocolConfig::Dd],
+            Scale::Tiny,
+        );
+        for pass in 0..2 {
+            let out = run_each_cell(&cells, 2, Some(&cache));
+            assert_eq!(out.len(), 3);
+            assert_eq!(out[0].as_ref().unwrap().cell, cells[0]);
+            let err = out[1].as_ref().unwrap_err();
+            assert!(
+                err.starts_with("XPC under DD:") && err.contains("CU 15"),
+                "{err}"
+            );
+            assert_eq!(out[2].as_ref().unwrap().cell, cells[2]);
+            assert_eq!(out[2].as_ref().unwrap().from_cache, pass == 1);
+        }
+        assert_eq!(cache.stores(), 2, "the failure is never cached");
+        assert_eq!(cache.hits(), 2);
+        assert!(run_cells(&cells, 1, Some(&cache)).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

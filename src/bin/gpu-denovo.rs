@@ -543,9 +543,11 @@ fn header() {
 }
 
 /// Shared tail of `sweep` and `matrix`: run the cells through the
-/// harness, write `--out` if asked, report cache accounting. Returns
-/// the results for command-specific presentation.
-fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String> {
+/// harness, write `--out` for the cells that ran if asked, report cache
+/// accounting. Returns the cells that ran, in cell order, for
+/// command-specific presentation, and the errors of those that failed
+/// (for [`matrix_exit`]).
+fn run_matrix(cells: &[Cell], args: &[String]) -> Result<(Vec<CellResult>, Vec<String>), String> {
     let jobs = parse_jobs(args)?;
     let fabric = parse_fabric(args)?;
     let cells: Vec<Cell> = cells.iter().map(|c| c.clone().on_fabric(fabric)).collect();
@@ -559,7 +561,14 @@ fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String
                 .map_err(|e| format!("opening cache {:?}: {e}", ResultCache::default_dir()))?,
         )
     };
-    let results = harness::run_cells(cells, jobs, cache.as_ref())?;
+    let mut results = Vec::with_capacity(cells.len());
+    let mut failures = Vec::new();
+    for outcome in harness::run_each_cell(cells, jobs, cache.as_ref()) {
+        match outcome {
+            Ok(r) => results.push(r),
+            Err(e) => failures.push(e),
+        }
+    }
 
     if let Some((path, format)) = out {
         let text = match format {
@@ -574,14 +583,27 @@ fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String
             let served = results.iter().filter(|r| r.from_cache).count();
             eprintln!(
                 "cache: {served}/{} cells served from {} ({} stored this run)",
-                results.len(),
+                cells.len(),
                 c.dir().display(),
                 c.stores(),
             );
         }
         None => eprintln!("cache: disabled (--no-cache)"),
     }
-    Ok(results)
+    Ok((results, failures))
+}
+
+/// How `sweep` and `matrix` end once the cells that ran are printed:
+/// success, or each failed cell's error on stderr and exit 1.
+fn matrix_exit(failures: &[String], cells: usize) -> ExitCode {
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("{} of {cells} cells failed:", failures.len());
+    for e in failures {
+        eprintln!("  {e}");
+    }
+    ExitCode::FAILURE
 }
 
 fn fail(e: String) -> ExitCode {
@@ -1116,18 +1138,18 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let cells = harness::group_matrix(group, scale(&args));
-            let results = match run_matrix(&cells, &args) {
+            let (results, failures) = match run_matrix(&cells, &args) {
                 Ok(r) => r,
                 Err(e) => return fail(e),
             };
-            for chunk in results.chunks(ProtocolConfig::ALL.len()) {
+            for chunk in results.chunk_by(|a, b| a.cell.bench == b.cell.bench) {
                 println!("\n== {} ==", chunk[0].cell.bench);
                 header();
                 for r in chunk {
                     print_row(r.cell.config, &r.stats);
                 }
             }
-            ExitCode::SUCCESS
+            matrix_exit(&failures, cells.len())
         }
         "check" => {
             let mut failures: Vec<String> = Vec::new();
@@ -1359,12 +1381,12 @@ fn main() -> ExitCode {
         "matrix" => {
             let cells = harness::full_matrix(scale(&args));
             match run_matrix(&cells, &args) {
-                Ok(results) => {
+                Ok((results, failures)) => {
                     // Without --out, the grid itself goes to stdout.
                     if parse_out(&args).ok().flatten().is_none() {
                         print!("{}", harness::to_csv(&results));
                     }
-                    ExitCode::SUCCESS
+                    matrix_exit(&failures, cells.len())
                 }
                 Err(e) => fail(e),
             }

@@ -75,3 +75,49 @@ fn command_lines_that_do_not_fit_the_fabric_exit_1_with_a_message() {
     let out = cli(&["run", "XPC", "--devices", "2"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
+
+#[test]
+fn a_sweep_keeps_the_cells_that_ran_and_names_each_failure() {
+    // On one device the three fabric benches split: XDEV_D and XDEV_S
+    // run, while XPC pins a block to device 1 and fails under every
+    // config.
+    let csv = std::env::temp_dir().join(format!("gsim-cli-sweep-{}.csv", std::process::id()));
+    let csv_arg = csv.to_str().expect("utf-8 temp path");
+    let out = cli(&[
+        "sweep",
+        "--group",
+        "fabric",
+        "--jobs",
+        "1",
+        "--no-cache",
+        "--out",
+        csv_arg,
+    ]);
+    let (stdout, err) = (String::from_utf8_lossy(&out.stdout), stderr(&out));
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    for bench in ["XDEV_D", "XDEV_S"] {
+        let section = stdout
+            .split("\n== ")
+            .find(|s| s.starts_with(&format!("{bench} ==")))
+            .unwrap_or_else(|| panic!("no {bench} table:\n{stdout}"));
+        for config in ["GD", "GH", "DD", "DD+RO", "DH"] {
+            assert!(
+                section.contains(&format!("\n{config} ")),
+                "{bench} lacks {config}:\n{section}"
+            );
+        }
+    }
+    assert!(!stdout.contains("== XPC =="), "{stdout}");
+    assert!(err.contains("5 of 15 cells failed"), "{err}");
+    for config in ["GD", "GH", "DD", "DD+RO", "DH"] {
+        assert!(err.contains(&format!("XPC under {config}: ")), "{err}");
+    }
+    let rows = std::fs::read_to_string(&csv).expect("--out written");
+    let _ = std::fs::remove_file(&csv);
+    assert_eq!(
+        rows.lines().count(),
+        1 + 10,
+        "header + the 10 cells that ran"
+    );
+    assert!(!rows.contains("XPC"));
+}
