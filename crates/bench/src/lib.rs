@@ -11,7 +11,7 @@
 
 use gsim_core::{Simulator, SystemConfig};
 use gsim_harness::{matrix_of, run_cells, ResultCache};
-use gsim_types::{EnergyBreakdown, MsgClass, ProtocolConfig, SimStats};
+use gsim_types::{MsgClass, ProtocolConfig, SimStats};
 use gsim_workloads::{registry, Scale};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -42,17 +42,6 @@ pub fn save(file: &str, content: &str) {
     let path = results_dir().join(file);
     std::fs::write(&path, content).expect("write results file");
     println!("[saved {}]", path.display());
-}
-
-/// The five-component energy split (the paper's stacked energy bars).
-pub fn energy_components(e: &EnergyBreakdown) -> [(&'static str, f64); 5] {
-    [
-        ("GPU Core+", e.core_pj),
-        ("Scratch", e.scratch_pj),
-        ("L1 D$", e.l1_pj),
-        ("L2 $", e.l2_pj),
-        ("N/W", e.noc_pj),
-    ]
 }
 
 /// One figure panel: a metric per (benchmark, configuration), printed as

@@ -391,11 +391,6 @@ impl RaceDetector {
         std::mem::take(&mut self.found)
     }
 
-    /// Whether any race has been found (including already-drained ones).
-    pub fn any_found(&self) -> bool {
-        !self.found.is_empty() || !self.reported.is_empty()
-    }
-
     /// Conflicting-pair checks performed so far.
     pub fn checks(&self) -> u64 {
         self.checks

@@ -7,6 +7,7 @@
 use gsim_mem::MemoryImage;
 use gsim_protocol::denovo::DnConfig;
 use gsim_protocol::{Action, DnL1, DnL2, GpuL1, GpuL2, Issue, L1Config, L2Config};
+use gsim_trace::TraceHandle;
 use gsim_types::{
     AtomicOp, Counts, Cycle, Msg, ProtocolConfig, Region, ReqId, SyncOrd, Value, WordAddr,
 };
@@ -21,48 +22,31 @@ pub enum L1 {
 }
 
 impl L1 {
-    /// Builds the right controller for `protocol`.
+    /// Builds the right controller for `protocol`, reporting through
+    /// `trace`.
     pub fn build(
         protocol: ProtocolConfig,
         l1: L1Config,
         dh_delayed: bool,
         sync_backoff: bool,
+        trace: &TraceHandle,
     ) -> L1 {
         match protocol {
-            ProtocolConfig::Gd | ProtocolConfig::Gh => L1::Gpu(GpuL1::new(l1)),
+            ProtocolConfig::Gd | ProtocolConfig::Gh => {
+                let mut c = GpuL1::new(l1);
+                c.set_trace(trace);
+                L1::Gpu(c)
+            }
             ProtocolConfig::Dd | ProtocolConfig::DdRo | ProtocolConfig::Dh => {
-                L1::Dn(DnL1::new(DnConfig {
+                let mut c = DnL1::new(DnConfig {
                     l1,
                     read_only_region: protocol.read_only_region(),
                     delayed_local_ownership: protocol == ProtocolConfig::Dh && dh_delayed,
                     sync_read_backoff: sync_backoff,
-                }))
+                });
+                c.set_trace(trace);
+                L1::Dn(c)
             }
-        }
-    }
-
-    /// Installs a trace handle on the controller.
-    pub fn set_trace(&mut self, trace: &gsim_trace::TraceHandle) {
-        match self {
-            L1::Gpu(c) => c.set_trace(trace),
-            L1::Dn(c) => c.set_trace(trace),
-        }
-    }
-
-    /// Installs a profiling handle on the controller.
-    pub fn set_prof(&mut self, prof: &gsim_prof::ProfHandle) {
-        match self {
-            L1::Gpu(c) => c.set_prof(prof),
-            L1::Dn(c) => c.set_prof(prof),
-        }
-    }
-
-    /// Installs a lens handle on the controller (observation-only
-    /// per-line lifecycle collection).
-    pub fn set_lens(&mut self, lens: &gsim_lens::LensHandle) {
-        match self {
-            L1::Gpu(c) => c.set_lens(lens),
-            L1::Dn(c) => c.set_lens(lens),
         }
     }
 
@@ -236,37 +220,25 @@ pub enum L2 {
 }
 
 impl L2 {
-    /// Builds the right L2 for `protocol` over an initial memory image.
-    pub fn build(protocol: ProtocolConfig, config: L2Config, memory: MemoryImage) -> L2 {
+    /// Builds the right L2 for `protocol` over an initial memory image,
+    /// reporting through `trace`.
+    pub fn build(
+        protocol: ProtocolConfig,
+        config: L2Config,
+        memory: MemoryImage,
+        trace: &TraceHandle,
+    ) -> L2 {
         match protocol {
-            ProtocolConfig::Gd | ProtocolConfig::Gh => L2::Gpu(GpuL2::new(config, memory)),
-            _ => L2::Dn(DnL2::new(config, memory)),
-        }
-    }
-
-    /// Installs a trace handle on every bank.
-    pub fn set_trace(&mut self, trace: &gsim_trace::TraceHandle) {
-        match self {
-            L2::Gpu(c) => c.set_trace(trace),
-            L2::Dn(c) => c.set_trace(trace),
-        }
-    }
-
-    /// Installs a profiling handle on every bank.
-    pub fn set_prof(&mut self, prof: &gsim_prof::ProfHandle) {
-        match self {
-            L2::Gpu(c) => c.set_prof(prof),
-            L2::Dn(c) => c.set_prof(prof),
-        }
-    }
-
-    /// Installs a lens handle. Only the DeNovo registry produces lens
-    /// events (registration churn, ownership transfers); the GPU L2 has
-    /// none, so this is a no-op there.
-    pub fn set_lens(&mut self, lens: &gsim_lens::LensHandle) {
-        match self {
-            L2::Gpu(_) => {}
-            L2::Dn(c) => c.set_lens(lens),
+            ProtocolConfig::Gd | ProtocolConfig::Gh => {
+                let mut c = GpuL2::new(config, memory);
+                c.set_trace(trace);
+                L2::Gpu(c)
+            }
+            _ => {
+                let mut c = DnL2::new(config, memory);
+                c.set_trace(trace);
+                L2::Dn(c)
+            }
         }
     }
 
@@ -330,8 +302,9 @@ mod tests {
     #[test]
     fn build_picks_the_family() {
         for p in ProtocolConfig::ALL {
-            let l1 = L1::build(p, L1Config::micro15(NodeId(0)), false, false);
-            let l2 = L2::build(p, L2Config::default(), MemoryImage::new());
+            let off = TraceHandle::disabled();
+            let l1 = L1::build(p, L1Config::micro15(NodeId(0)), false, false, &off);
+            let l2 = L2::build(p, L2Config::default(), MemoryImage::new(), &off);
             let gpu = matches!(p, ProtocolConfig::Gd | ProtocolConfig::Gh);
             assert_eq!(matches!(l1, L1::Gpu(_)), gpu, "{p}");
             assert_eq!(matches!(l2, L2::Gpu(_)), gpu, "{p}");
@@ -345,6 +318,7 @@ mod tests {
             L1Config::micro15(NodeId(0)),
             false,
             false,
+            &TraceHandle::disabled(),
         );
         assert!(l1.owned_words().is_empty());
         assert!(l1.quiesced());

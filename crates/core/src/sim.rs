@@ -31,19 +31,21 @@ use crate::proto::{L1, L2};
 use crate::workload::{KernelLaunch, Workload};
 use gsim_check::{CheckKind, CheckLevel, CheckReport, RaceDetector, SyncKey, Violation};
 use gsim_energy::EnergyModel;
-use gsim_flow::{FlowHandle, FlowReport, FlowSpec, JourneyKind};
-use gsim_lens::{LensHandle, LensReport, LensSpec};
+use gsim_flow::{FlowCollector, FlowReport, FlowSpec};
+use gsim_lens::{LensCollector, LensReport, LensSpec};
 use gsim_mem::MemoryImage;
 use gsim_noc::Mesh;
-use gsim_prof::{IntervalSample, ProfHandle, ProfSpec, ProfileReport, ReportInputs, StallKind};
+use gsim_prof::{ProfSpec, ProfileReport, Profiler, ReportInputs};
 use gsim_protocol::{Action, Issue, L1Config};
-use gsim_trace::{TraceEvent, TraceHandle};
+use gsim_trace::{IntervalSample, JourneyKind, StallKind, TraceEvent, TraceHandle, TraceSink};
 use gsim_types::{
     AtomicOp, Component, Counts, Cycle, FxHashMap, LatencyBreakdown, Msg, NodeId, ReqId, Scope,
     SimStats, TbId, Value, WordAddr,
 };
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Why a run failed.
@@ -181,8 +183,10 @@ enum KernelPhase {
 /// The default observes nothing.
 ///
 /// Each observer is a per-run argument, not part of the simulated
-/// machine: its hooks are one branch on a disabled handle, and switching
-/// it on never changes the stats.
+/// machine: the engine installs the enabled ones as consumers on the one
+/// trace handle every component reports through, so an unobserved run
+/// pays one branch per hook, and switching an observer on never changes
+/// the stats.
 #[derive(Clone, Debug, Default)]
 pub struct ObserveSpec {
     /// Structured events (disabled by default).
@@ -287,8 +291,8 @@ impl Simulator {
     }
 
     /// As [`run`](Self::run), with the observers `observe` switches on.
-    /// Every component gets a clone of each enabled handle; a disabled
-    /// one costs a single branch per hook.
+    /// Every component gets a clone of one trace handle carrying every
+    /// enabled observer; with none enabled, each hook costs one branch.
     ///
     /// Observers only observe: the returned `SimStats` are identical to
     /// what [`run`](Self::run) produces (asserted by the root crate's
@@ -536,23 +540,26 @@ struct Machine {
     counts: Counts,
     /// Engine-attributed latency histograms.
     latency: LatencyBreakdown,
+    /// The run's one observation handle: every component reports
+    /// through a clone of it, and it fans each report out to the
+    /// observers below and the caller's trace sink (no consumer: every
+    /// hook is one branch).
     trace: TraceHandle,
-    /// The profiler (disabled: every hook is one branch).
-    prof: ProfHandle,
+    /// The observers installed on `trace`, kept to read their sampling
+    /// intervals and take their reports (`None` = off).
+    prof: Option<Rc<RefCell<Profiler>>>,
+    flow: Option<Rc<RefCell<FlowCollector>>>,
+    lens: Option<Rc<RefCell<LensCollector>>>,
     /// The next interval-sample boundary (`Cycle::MAX` when not
     /// profiling, so the hot-loop test never fires).
     prof_next_sample: Cycle,
-    /// The sampling period, cached off the handle.
+    /// The sampling period, cached off the profiler.
     prof_interval: Cycle,
-    /// The flow collector (disabled: every hook is one branch).
-    flow: FlowHandle,
     /// The next flow-sample boundary (`Cycle::MAX` when flow collection
     /// is off, so the hot-loop test never fires).
     flow_next_sample: Cycle,
-    /// The flow sampling period, cached off the handle.
+    /// The flow sampling period, cached off the collector.
     flow_interval: Cycle,
-    /// The lens collector (disabled: every hook is one branch).
-    lens: LensHandle,
     /// Sync operations (atomics) currently in flight — a profiler
     /// gauge, maintained unconditionally (one integer).
     sync_inflight: u64,
@@ -595,17 +602,32 @@ impl Machine {
         let mut memory = MemoryImage::new();
         (workload.init)(&mut memory);
         let nodes = config.topology.nodes();
-        let trace = observe.trace.clone();
-        let prof = observe.prof.map_or_else(ProfHandle::disabled, |s| {
-            ProfHandle::new(s, total_cus, nodes)
+        let nodes_per_dev = config.topology.nodes_per_device();
+        let prof = (observe.prof).map(|s| {
+            Rc::new(RefCell::new(Profiler::new(
+                s,
+                config.gpu_cus,
+                nodes_per_dev,
+                nodes,
+            )))
         });
-        let lens = observe
-            .lens
-            .map_or_else(LensHandle::disabled, |s| LensHandle::new(s, nodes));
+        let flow = (observe.flow).map(|s| {
+            Rc::new(RefCell::new(FlowCollector::new(
+                s,
+                nodes,
+                config.l2.latency,
+            )))
+        });
+        let lens = (observe.lens).map(|s| Rc::new(RefCell::new(LensCollector::new(s, nodes))));
+        let trace = observe.trace.with_consumers(
+            (prof.iter().map(consumer))
+                .chain(flow.iter().map(consumer))
+                .chain(lens.iter().map(consumer)),
+        );
         let l1s = (0..nodes as u8)
             .map(NodeId)
             .map(|n| {
-                let mut l1 = L1::build(
+                L1::build(
                     config.protocol,
                     L1Config {
                         node: n,
@@ -616,11 +638,8 @@ impl Machine {
                     },
                     config.dh_delayed_ownership,
                     config.denovo_sync_backoff,
-                );
-                l1.set_trace(&trace);
-                l1.set_prof(&prof);
-                l1.set_lens(&lens);
-                l1
+                    &trace,
+                )
             })
             .collect();
         // One slot per node: the entries at each device's non-CU node
@@ -634,22 +653,19 @@ impl Machine {
                 tick_scheduled: false,
             })
             .collect();
-        let flow = observe.flow.map_or_else(FlowHandle::disabled, |s| {
-            FlowHandle::new(s, nodes, config.l2.latency)
-        });
         let mut mesh = Mesh::with_topology(config.topology);
         mesh.set_trace(&trace);
-        mesh.set_flow(&flow);
-        let mut l2 = L2::build(config.protocol, config.l2, memory);
-        l2.set_trace(&trace);
-        l2.set_prof(&prof);
-        l2.set_lens(&lens);
-        let prof_interval = prof.sample_interval();
-        let flow_interval = flow.sample_interval();
+        let l2 = L2::build(config.protocol, config.l2, memory, &trace);
+        let prof_interval = prof
+            .as_ref()
+            .map_or(Cycle::MAX, |p| p.borrow().sample_interval());
+        let flow_interval = flow
+            .as_ref()
+            .map_or(Cycle::MAX, |f| f.borrow().sample_interval());
         Ok(Machine {
             protocol: config.protocol,
             gpu_cus: config.gpu_cus,
-            nodes_per_dev: config.topology.nodes_per_device(),
+            nodes_per_dev,
             tbs_per_cu: config.tbs_per_cu,
             max_cycles: config.max_cycles,
             now: 0,
@@ -672,12 +688,12 @@ impl Machine {
             latency: LatencyBreakdown::default(),
             trace,
             prof,
+            flow,
+            lens,
             prof_next_sample: prof_interval,
             prof_interval,
-            flow,
             flow_next_sample: flow_interval,
             flow_interval,
-            lens,
             sync_inflight: 0,
             check: config.check,
             races: config.check.races().then(|| Box::new(RaceDetector::new())),
@@ -808,13 +824,13 @@ impl Machine {
     }
 
     /// The one acquire path. Every acquire — kernel launch, an acquiring
-    /// sync that hit, or an acquiring sync completion — marks the lens
-    /// sync boundary (global acquires only; local ones are free and
+    /// sync that hit, or an acquiring sync completion — reports the
+    /// acquire boundary (global acquires only; local ones are free and
     /// invalidate nothing), runs the L1's self-invalidation, and audits
     /// the post-acquire invariant.
     fn global_acquire(&mut self, cu: usize, local: bool) {
         if !local {
-            self.lens.sync_boundary(cu, self.now);
+            self.trace.global_acquire(NodeId(cu as u8), self.now);
         }
         self.l1s[cu].acquire(local);
         if !local {
@@ -846,25 +862,6 @@ impl Machine {
     /// [`Machine::new`] has checked against the topology.
     fn cu_node_of(&self, cu: usize) -> usize {
         (cu / self.gpu_cus) * self.nodes_per_dev + cu % self.gpu_cus
-    }
-
-    /// Dense CU attribution row of a CU node (`device * gpu_cus + local
-    /// CU`): the profiler's rows skip each device's non-CU node.
-    /// Identity on a single device.
-    #[inline]
-    fn prof_cu(&self, node: usize) -> usize {
-        (node / self.nodes_per_dev) * self.gpu_cus + node % self.nodes_per_dev
-    }
-
-    /// Bumps one per-CU profiler counter (`ProfHandle::instr`,
-    /// `scratch` or `cu_active`) for CU node `cu`. The issue loop calls
-    /// this every instruction, so the row mapping's divisions run only
-    /// when profiling is on.
-    #[inline]
-    fn prof_count(&self, cu: usize, counter: fn(&ProfHandle, usize)) {
-        if self.prof.is_enabled() {
-            counter(&self.prof, self.prof_cu(cu));
-        }
     }
 
     fn ensure_tick(&mut self, cu: usize, at: Cycle) {
@@ -955,11 +952,11 @@ impl Machine {
             if self.cus[cu].slots.iter().any(Option::is_some) {
                 let at = self.now + 1;
                 self.ensure_tick(cu, at);
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Issue);
+                self.trace
+                    .cu_state(NodeId(cu as u8), self.now, StallKind::Issue);
             } else {
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+                self.trace
+                    .cu_state(NodeId(cu as u8), self.now, StallKind::Idle);
             }
         }
     }
@@ -975,11 +972,11 @@ impl Machine {
                 self.pending
                     .insert(req, (Target::KernelDrain { cu }, self.now));
                 self.drain_left += 1;
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::SbDrain);
+                self.trace
+                    .cu_state(NodeId(cu as u8), self.now, StallKind::SbDrain);
             } else {
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+                self.trace
+                    .cu_state(NodeId(cu as u8), self.now, StallKind::Idle);
             }
         }
         self.process_actions();
@@ -1033,8 +1030,8 @@ impl Machine {
         if self.cus[cu].slots.iter().all(Option::is_none) {
             // The CU emptied mid-kernel: idle until the next kernel
             // boundary (which may override to a drain wait).
-            self.prof
-                .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+            self.trace
+                .cu_state(NodeId(cu as u8), self.now, StallKind::Idle);
         }
         // The last retirement does NOT end the kernel here: that is a
         // cycle-boundary step (see `KernelPhase`).
@@ -1052,7 +1049,6 @@ impl Machine {
         match instr {
             Instr::Mov { dst, src } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 let v = src.eval(&self.tbs[tb].regs);
                 self.tbs[tb].regs[dst as usize] = v;
                 self.tbs[tb].pc += 1;
@@ -1060,7 +1056,6 @@ impl Machine {
             }
             Instr::Alu { dst, a, op, b } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 let regs = &self.tbs[tb].regs;
                 let v = op.apply(a.eval(regs), b.eval(regs));
                 self.tbs[tb].regs[dst as usize] = v;
@@ -1072,7 +1067,6 @@ impl Machine {
                 let req = self.alloc_req();
                 let issue = self.l1s[cu].load(word, region, req, &mut self.actions);
                 if matches!(issue, Issue::Hit(_) | Issue::Pending) {
-                    self.prof.line_access(cu, word.line());
                     if let Some(r) = &mut self.races {
                         r.data_read(tb, word);
                     }
@@ -1080,7 +1074,6 @@ impl Machine {
                 let bucket = match issue {
                     Issue::Hit(v) => {
                         self.counts.instructions += 1;
-                        self.prof_count(cu, ProfHandle::instr);
                         self.latency.load_to_use.record(1);
                         self.tbs[tb].regs[dst as usize] = v;
                         self.tbs[tb].pc += 1;
@@ -1088,10 +1081,9 @@ impl Machine {
                     }
                     Issue::Pending => {
                         self.counts.instructions += 1;
-                        self.prof_count(cu, ProfHandle::instr);
                         self.tbs[tb].status = TbStatus::Blocked;
                         self.tbs[tb].wait = StallKind::LoadUse;
-                        self.flow.begin_journey(
+                        self.trace.request_issued(
                             req,
                             NodeId(cu as u8),
                             word.line(),
@@ -1127,16 +1119,14 @@ impl Machine {
             }
             Instr::St { addr, src } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 let regs = &self.tbs[tb].regs;
                 let (word, v) = (addr.word(regs), src.eval(regs));
-                let overflows_before = if self.prof.is_enabled() {
+                let overflows_before = if self.trace.is_enabled() {
                     self.l1s[cu].counts().sb_overflow_flushes
                 } else {
                     0
                 };
                 self.l1s[cu].store(word, v, &mut self.actions);
-                self.prof.line_access(cu, word.line());
                 if let Some(r) = &mut self.races {
                     r.data_write(tb, word);
                 }
@@ -1144,7 +1134,7 @@ impl Machine {
                 self.process_actions();
                 // A store that forced an overflow flush spent its cycle
                 // on a full store buffer, not useful issue.
-                if self.prof.is_enabled()
+                if self.trace.is_enabled()
                     && self.l1s[cu].counts().sb_overflow_flushes > overflows_before
                 {
                     StallKind::SbFull
@@ -1171,7 +1161,6 @@ impl Machine {
                 // release — run the release phase first, once.
                 if ord.releases() && !self.tbs[tb].released {
                     self.counts.instructions += 1;
-                    self.prof_count(cu, ProfHandle::instr);
                     let req = self.alloc_req();
                     let issue = self.l1s[cu].release(local, req, &mut self.actions);
                     match issue {
@@ -1213,7 +1202,6 @@ impl Machine {
                 let issue =
                     self.l1s[cu].atomic(word, op, operands, ord, local, req, &mut self.actions);
                 if matches!(issue, Issue::Hit(_) | Issue::Pending) {
-                    self.prof.line_access(cu, word.line());
                     let id = TbId(tb as u32);
                     self.trace.emit(|| TraceEvent::AtomicIssue {
                         tb: id,
@@ -1239,7 +1227,6 @@ impl Machine {
                 let bucket = match issue {
                     Issue::Hit(old) => {
                         self.counts.instructions += 1;
-                        self.prof_count(cu, ProfHandle::instr);
                         self.latency.atomic_rtt.record(1);
                         let started = self.tbs[tb].sync_started.take().unwrap_or(self.now);
                         self.latency.barrier_wait.record(self.now - started);
@@ -1256,11 +1243,10 @@ impl Machine {
                     }
                     Issue::Pending => {
                         self.counts.instructions += 1;
-                        self.prof_count(cu, ProfHandle::instr);
                         self.tbs[tb].status = TbStatus::Blocked;
                         self.tbs[tb].wait = sync_kind;
                         self.sync_inflight += 1;
-                        self.flow.begin_journey(
+                        self.trace.request_issued(
                             req,
                             NodeId(cu as u8),
                             word.line(),
@@ -1300,8 +1286,6 @@ impl Machine {
             Instr::LdScratch { dst, addr } => {
                 self.counts.instructions += 1;
                 self.counts.scratch_accesses += 1;
-                self.prof_count(cu, ProfHandle::instr);
-                self.prof_count(cu, ProfHandle::scratch);
                 let idx = addr.word(&self.tbs[tb].regs).0 as usize;
                 let v = self.tbs[tb].scratch[idx];
                 self.tbs[tb].regs[dst as usize] = v;
@@ -1311,8 +1295,6 @@ impl Machine {
             Instr::StScratch { addr, src } => {
                 self.counts.instructions += 1;
                 self.counts.scratch_accesses += 1;
-                self.prof_count(cu, ProfHandle::instr);
-                self.prof_count(cu, ProfHandle::scratch);
                 let regs = &self.tbs[tb].regs;
                 let (idx, v) = (addr.word(regs).0 as usize, src.eval(regs));
                 self.tbs[tb].scratch[idx] = v;
@@ -1321,7 +1303,6 @@ impl Machine {
             }
             Instr::Compute { cycles } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 let n = cycles.eval(&self.tbs[tb].regs) as Cycle;
                 self.tbs[tb].pc += 1;
                 if n > 0 {
@@ -1336,27 +1317,23 @@ impl Machine {
             }
             Instr::Jmp { target } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 self.tbs[tb].pc = target;
                 StallKind::Issue
             }
             Instr::Bnz { cond, target } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 let taken = cond.eval(&self.tbs[tb].regs) != 0;
                 self.tbs[tb].pc = if taken { target } else { self.tbs[tb].pc + 1 };
                 StallKind::Issue
             }
             Instr::Bz { cond, target } => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 let taken = cond.eval(&self.tbs[tb].regs) == 0;
                 self.tbs[tb].pc = if taken { target } else { self.tbs[tb].pc + 1 };
                 StallKind::Issue
             }
             Instr::Halt => {
                 self.counts.instructions += 1;
-                self.prof_count(cu, ProfHandle::instr);
                 self.on_tb_finished(tb);
                 StallKind::Issue
             }
@@ -1387,7 +1364,7 @@ impl Machine {
         };
         self.cus[cu].rr = if s + 1 == slots { 0 } else { s + 1 };
         self.counts.cu_active_cycles += 1;
-        self.prof_count(cu, ProfHandle::cu_active);
+        let (instructions, scratch) = (self.counts.instructions, self.counts.scratch_accesses);
         let bucket = self.exec_step(tb);
         // Keep issuing while any resident block is ready.
         let any_ready = self.cus[cu]
@@ -1399,7 +1376,7 @@ impl Machine {
             let at = self.now + 1;
             self.ensure_tick(cu, at);
         }
-        if self.prof.is_enabled() {
+        if self.trace.is_enabled() {
             // What the CU does after this cycle: keep issuing, wait on
             // the highest-priority reason among its blocked thread
             // blocks, or — when the step emptied the CU — whatever
@@ -1417,21 +1394,28 @@ impl Machine {
                 }
                 Some(k)
             };
-            self.prof.tick(self.prof_cu(cu), self.now, bucket, next);
+            self.trace.cu_tick(
+                NodeId(cu as u8),
+                self.now,
+                bucket,
+                next,
+                self.counts.instructions - instructions,
+                self.counts.scratch_accesses - scratch,
+            );
         }
     }
 
     fn finish_req(&mut self, req: ReqId, value: Value) {
-        self.flow.end_journey(req, self.now);
         let (target, issued_at) = self
             .pending
             .remove(req)
             .expect("completion for an unknown request");
+        self.trace.request_done(req, issued_at, self.now);
         match target {
             Target::KernelDrain { cu } => {
                 self.latency.sb_drain.record(self.now - issued_at);
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+                self.trace
+                    .cu_state(NodeId(cu as u8), self.now, StallKind::Idle);
                 // `drain_left == 0` fires `on_kernel_drained` at the
                 // next cycle boundary (see `kernel_boundary_step`).
                 self.drain_left -= 1;
@@ -1440,7 +1424,6 @@ impl Machine {
                 match cont {
                     Cont::Load { dst } => {
                         self.latency.load_to_use.record(self.now - issued_at);
-                        self.lens.load_done(req, self.now - issued_at);
                         self.tbs[tb].regs[dst as usize] = value;
                         self.tbs[tb].pc += 1;
                     }
@@ -1524,7 +1507,7 @@ impl Machine {
                 match msg.dst_comp {
                     Component::L1 => self.l1s[msg.dst.index()].handle(&msg, &mut self.actions),
                     Component::L2 => {
-                        self.flow.l2_delivery(msg.dst);
+                        self.trace.l2_delivery(msg.dst);
                         self.l2.handle(self.now, &msg, &mut self.actions)
                     }
                 }
@@ -1614,8 +1597,8 @@ impl Machine {
         let stats = self.stats();
         let reports = Reports {
             profile: self.take_profile(),
-            flow: self.flow.take_report(self.now),
-            lens: self.lens.take_report(self.now),
+            flow: (self.flow.as_ref()).map(|f| f.borrow_mut().take_report(self.now)),
+            lens: (self.lens.as_ref()).map(|l| l.borrow_mut().take_report(self.now)),
         };
         let decisions = self.sched.take().map_or(Vec::new(), |s| s.decisions);
         Ok(RunOut {
@@ -1650,7 +1633,7 @@ impl Machine {
             sb_occupancy += l1.sb_occupancy() as u64;
         }
         let (messages, flits) = self.mesh_counters();
-        self.prof.record_sample(IntervalSample {
+        self.trace.interval_sample(&IntervalSample {
             cycle: self.prof_next_sample,
             instructions: self.counts.instructions,
             l1_load_hits,
@@ -1673,24 +1656,22 @@ impl Machine {
             mshr += l1.mshr_outstanding() as u64;
             sb += l1.sb_occupancy() as u64;
         }
-        self.flow
-            .record_sample(self.flow_next_sample, mshr, sb, self.pending.len() as u64);
+        self.trace
+            .occupancy_sample(self.flow_next_sample, mshr, sb, self.pending.len() as u64);
     }
 
     /// Assembles the profile report (`None` when profiling is off).
-    fn take_profile(&mut self) -> Option<ProfileReport> {
-        if !self.prof.is_enabled() {
-            return None;
-        }
+    fn take_profile(&self) -> Option<ProfileReport> {
+        let prof = self.prof.as_ref()?;
         let l1_counts: Vec<Counts> = self.l1s.iter().map(|l| *l.counts()).collect();
         let (messages_sent, flit_hops) = self.mesh_counters();
-        self.prof.take_report(ReportInputs {
+        Some(prof.borrow_mut().take_report(ReportInputs {
             end: self.now,
             l1_counts,
             l2_counts: *self.l2.counts(),
             messages_sent,
             flit_hops,
-        })
+        }))
     }
 
     /// The end-of-run audit (replaces the bare quiesce assertions when
@@ -1811,6 +1792,11 @@ impl Machine {
             latency: self.latency,
         }
     }
+}
+
+/// An installed observer as the trace handle holds it.
+fn consumer<T: TraceSink + 'static>(c: &Rc<RefCell<T>>) -> Rc<RefCell<dyn TraceSink>> {
+    c.clone()
 }
 
 /// Cross-L1 ownership audit: at most one L1 may hold each registered
@@ -2298,7 +2284,13 @@ mod tests {
         // naming directly on the controller.
         use gsim_protocol::L1Config;
         for p in ProtocolConfig::ALL {
-            let mut l1 = L1::build(p, L1Config::micro15(NodeId(0)), false, false);
+            let mut l1 = L1::build(
+                p,
+                L1Config::micro15(NodeId(0)),
+                false,
+                false,
+                &TraceHandle::disabled(),
+            );
             l1.debug_leak_sb_word(WordAddr(40), 1);
             assert!(!l1.quiesced(), "{p}");
             let leaks = l1.quiesce_leaks();

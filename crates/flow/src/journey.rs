@@ -13,6 +13,7 @@
 //! an exact-sum guarantee: the seven stage durations always add up to
 //! the journey's latency.
 
+use gsim_trace::JourneyKind;
 use gsim_types::{Cycle, JsonValue, MsgClass, NodeId};
 
 /// Stage labels, in pipeline order. `Journey::stages` returns durations
@@ -26,26 +27,6 @@ pub const STAGE_LABELS: [&str; 7] = [
     "reply-transit",
     "complete",
 ];
-
-/// What kind of request a journey follows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JourneyKind {
-    /// A load that missed in the L1 (or coalesced into an outstanding
-    /// miss).
-    Load,
-    /// A read-modify-write executed at the L2 bank.
-    Atomic,
-}
-
-impl JourneyKind {
-    /// Short lowercase label (JSON, Perfetto span names).
-    pub fn label(self) -> &'static str {
-        match self {
-            JourneyKind::Load => "load",
-            JourneyKind::Atomic => "atomic",
-        }
-    }
-}
 
 /// One mesh message observed on behalf of a journey.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

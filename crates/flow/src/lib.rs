@@ -21,19 +21,22 @@
 //!    spans from L1 miss to reply ([`Journey`]), decomposed into an
 //!    exact-sum latency waterfall and exported as Perfetto spans.
 //!
-//! The collection plumbing mirrors `gsim-trace`/`gsim-prof`: the
-//! engine and mesh hold [`FlowHandle`] clones, every hook is one
-//! branch when disabled, and a flow-observed run's `SimStats` are
-//! byte-identical to an unobserved run's.
+//! The [`FlowCollector`] is a `gsim-trace`
+//! [`TraceSink`](gsim_trace::TraceSink) consumer: the engine installs it
+//! on the run's trace handle, and the mesh and engine reach it through
+//! the hooks they already report there. An unobserved run has no
+//! consumer, so each hook is one branch, and a flow-observed run's
+//! `SimStats` are byte-identical to an unobserved run's.
 
-pub mod handle;
+pub mod collector;
 pub mod journey;
 pub mod report;
 pub mod sample;
 pub mod spec;
 
-pub use handle::{FlowCollector, FlowHandle, MAX_JOURNEYS};
-pub use journey::{Journey, JourneyHop, JourneyKind, STAGE_LABELS};
+pub use collector::{FlowCollector, MAX_JOURNEYS};
+pub use gsim_trace::JourneyKind;
+pub use journey::{Journey, JourneyHop, STAGE_LABELS};
 pub use report::{FlowReport, LinkRow};
 pub use sample::{FlowSample, SampleRing, MAX_SAMPLES};
 pub use spec::FlowSpec;

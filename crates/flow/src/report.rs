@@ -4,7 +4,7 @@
 
 use crate::journey::{Journey, STAGE_LABELS};
 use crate::sample::FlowSample;
-use gsim_trace::JourneySpan;
+use gsim_trace::{JourneyKind, JourneySpan};
 use gsim_types::{Cycle, JsonValue, MsgClass, TrafficBreakdown};
 use std::fmt::Write as _;
 
@@ -354,7 +354,7 @@ impl FlowReport {
         let loads = self
             .journeys
             .iter()
-            .filter(|j| j.kind == crate::journey::JourneyKind::Load)
+            .filter(|j| j.kind == JourneyKind::Load)
             .count();
         let mut out = format!(
             "journey waterfall ({} journeys, every {}th request: {} loads, {} atomics",
@@ -401,7 +401,7 @@ impl FlowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journey::{JourneyHop, JourneyKind};
+    use crate::journey::JourneyHop;
     use gsim_types::NodeId;
 
     fn sample_report() -> FlowReport {

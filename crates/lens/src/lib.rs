@@ -26,17 +26,19 @@
 //!    synchronization points" mechanism (GPU coherence shows its reuse
 //!    as cross-boundary *misses*, DeNovo as cross-boundary *hits*).
 //!
-//! The collection plumbing mirrors `gsim-trace`/`gsim-prof`/
-//! `gsim-flow`: the engine and both protocols' controllers hold
-//! [`LensHandle`] clones, every hook is one branch when disabled, and
-//! a lens-observed run's `SimStats` are byte-identical to an
-//! unobserved run's.
+//! The [`LensCollector`] is a `gsim-trace`
+//! [`TraceSink`](gsim_trace::TraceSink) consumer: the engine installs it
+//! on the run's trace handle, and both protocols' controllers and the
+//! engine reach it through the hooks they already report there. An
+//! unobserved run has no consumer, so each hook is one branch, and a
+//! lens-observed run's `SimStats` are byte-identical to an unobserved
+//! run's.
 
-pub mod handle;
+pub mod collector;
 pub mod report;
 pub mod spec;
 
-pub use handle::{LensCollector, LensHandle, MAX_EVENTS, MAX_TRACKED_LINES};
+pub use collector::{LensCollector, MAX_EVENTS, MAX_TRACKED_LINES};
 pub use report::{
     reuse_bucket, AcquireEvent, AcquireLedger, LensReport, LineRow, REUSE_BUCKETS, REUSE_LABELS,
 };

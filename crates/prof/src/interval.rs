@@ -8,37 +8,13 @@
 //! compute per-interval deltas so a CSV row or a Perfetto counter point
 //! describes one interval.
 
-use gsim_types::Cycle;
+use gsim_trace::IntervalSample;
 
 /// Ring capacity: samples beyond this are counted as dropped rather
 /// than recorded (keeping the *earliest* window, like the trace ring
 /// keeps its earliest events; a paper-scale run at the default interval
 /// stays well under this).
 pub const MAX_SAMPLES: usize = 1 << 16;
-
-/// One snapshot. Counter fields are cumulative since cycle 0;
-/// `*_occupancy` and `outstanding_syncs` are instantaneous gauges.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IntervalSample {
-    /// The sample boundary (a multiple of the sampling interval).
-    pub cycle: Cycle,
-    /// Cumulative instructions retired.
-    pub instructions: u64,
-    /// Cumulative L1 load hits (all L1s).
-    pub l1_load_hits: u64,
-    /// Cumulative L1 load misses (all L1s).
-    pub l1_load_misses: u64,
-    /// Cumulative mesh messages sent.
-    pub messages: u64,
-    /// Cumulative flit-hop crossings.
-    pub flits: u64,
-    /// MSHR entries in flight across all L1s, at sample time.
-    pub mshr_occupancy: u64,
-    /// Store-buffer lines held across all L1s, at sample time.
-    pub sb_occupancy: u64,
-    /// Sync operations (atomics) in flight, at sample time.
-    pub outstanding_syncs: u64,
-}
 
 /// The bounded sample store.
 #[derive(Clone, Debug, Default)]

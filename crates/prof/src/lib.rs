@@ -30,22 +30,24 @@
 //!    occupancies into a bounded ring, exported as delta CSV and as
 //!    Perfetto counter tracks.
 //!
-//! The engine talks to the profiler through a [`ProfHandle`] — an
-//! `Option<Rc<RefCell<...>>>` mirroring `gsim-trace`'s `TraceHandle`,
-//! so a disabled handle costs one branch per hook and the profiler
-//! never schedules events or mutates simulation state.
+//! The [`Profiler`] is a `gsim-trace` [`TraceSink`](gsim_trace::TraceSink)
+//! consumer: the engine installs it on the run's trace handle, and it
+//! reads the hooks every component already reports through that handle.
+//! An unobserved run has no consumer, so each hook costs one branch, and
+//! the profiler never schedules events or mutates simulation state.
 
 mod attr;
-mod handle;
 mod interval;
+mod profiler;
 mod region;
 mod report;
 mod sketch;
 mod spec;
 
-pub use attr::{CuAttr, StallKind, NUM_STALL_KINDS, STALL_KINDS};
-pub use handle::{ProfHandle, Profiler, ReportInputs};
-pub use interval::{IntervalRing, IntervalSample, MAX_SAMPLES};
+pub use attr::CuAttr;
+pub use gsim_trace::{IntervalSample, StallKind, NUM_STALL_KINDS, STALL_KINDS};
+pub use interval::{IntervalRing, MAX_SAMPLES};
+pub use profiler::{Profiler, ReportInputs};
 pub use region::RegionMap;
 pub use report::{CuRow, HotLine, ProfileReport};
 pub use sketch::{LineTally, SpaceSaving};

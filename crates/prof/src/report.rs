@@ -1,9 +1,8 @@
 //! The profile report: the immutable result of a profiled run, with
 //! reconciliation, annotation, JSON export, and renderers.
 
-use crate::attr::{StallKind, NUM_STALL_KINDS, STALL_KINDS};
-use crate::interval::IntervalSample;
 use crate::region::RegionMap;
+use gsim_trace::{IntervalSample, StallKind, NUM_STALL_KINDS, STALL_KINDS};
 use gsim_types::{Counts, Cycle, JsonValue, LineAddr};
 use std::fmt::Write as _;
 

@@ -77,11 +77,6 @@ impl Issue {
     pub fn is_hit(self) -> bool {
         matches!(self, Issue::Hit(_))
     }
-
-    /// Whether the operation must be reissued (either retry flavour).
-    pub fn is_retry(self) -> bool {
-        matches!(self, Issue::Retry | Issue::RetryAfter(_))
-    }
 }
 
 /// Sink helpers shared by the controllers' unit tests.

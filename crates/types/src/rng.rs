@@ -47,11 +47,6 @@ impl Rng64 {
         z ^ (z >> 31)
     }
 
-    /// The next raw 32-bit output (the high half, which mixes best).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `u64` in `[lo, hi)` via widening multiply (Lemire's
     /// nearly-divisionless method, without the rejection step — the bias
     /// is ≤ 2⁻⁶⁴ · span, irrelevant for test-input generation).
