@@ -121,3 +121,68 @@ fn a_sweep_keeps_the_cells_that_ran_and_names_each_failure() {
     );
     assert!(!rows.contains("XPC"));
 }
+
+#[test]
+fn view_commands_reject_bad_values_and_outputs_with_one_line() {
+    // Every observed view parses its own flags and dispatches `--out`
+    // by extension; each bad command line exits 1 with exactly this
+    // message and prints nothing to stdout. The paths are never
+    // written: both `--out` errors come before any file write.
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let csv = format!("{dir}/gsim-cli-view.csv");
+    let txt = format!("{dir}/gsim-cli-view.txt");
+    let unsupported =
+        format!("unsupported --out file {txt:?}: expected .csv, .json, or .perfetto.json\n");
+    let mut cases: Vec<(Vec<&str>, String)> = vec![
+        (
+            vec!["profile", "SPM_G", "--interval", "0"],
+            "invalid --interval value \"0\": expected a positive cycle count\n".into(),
+        ),
+        (
+            vec!["flow", "SPM_G", "--interval", "0"],
+            "invalid --interval value \"0\": expected a positive cycle count\n".into(),
+        ),
+        (
+            vec!["flow", "SPM_G", "--period", "x"],
+            "invalid --period value \"x\": expected a positive request count\n".into(),
+        ),
+        (
+            vec!["lens", "SPM_G", "--topk", "0"],
+            "invalid --topk value \"0\": expected a positive line count\n".into(),
+        ),
+        (
+            vec!["profile", "SPM_G", "--topn"],
+            "missing value after --topn (a line count)\n".into(),
+        ),
+        (
+            vec!["flow", "SPM_G", "--topn"],
+            "missing value after --topn (a link count)\n".into(),
+        ),
+        (
+            vec!["lens", "SPM_G", "--topn"],
+            "missing value after --topn (a line count)\n".into(),
+        ),
+    ];
+    for view in ["profile", "flow", "lens"] {
+        cases.push((
+            vec![view, "SPM_G", "--topn", "x"],
+            "invalid --topn value \"x\": expected an integer\n".into(),
+        ));
+        cases.push((
+            vec![view, "SPM_G", "--out", &csv],
+            format!("{view} --out needs a single run: add --config\n"),
+        ));
+        cases.push((
+            vec![view, "SPM_G", "--out", &txt, "--config", "DD"],
+            unsupported.clone(),
+        ));
+    }
+    for (args, want) in cases {
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), want, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+    assert!(!std::path::Path::new(&csv).exists(), "{csv} was written");
+    assert!(!std::path::Path::new(&txt).exists(), "{txt} was written");
+}
