@@ -35,7 +35,7 @@ use gsim_flow::{FlowCollector, FlowReport, FlowSpec};
 use gsim_lens::{LensCollector, LensReport, LensSpec};
 use gsim_mem::MemoryImage;
 use gsim_noc::Mesh;
-use gsim_prof::{ProfSpec, ProfileReport, Profiler, ReportInputs};
+use gsim_prof::{ProfileReport, Profiler, ReportInputs};
 use gsim_protocol::{Action, Issue, L1Config};
 use gsim_trace::{IntervalSample, JourneyKind, StallKind, TraceEvent, TraceHandle, TraceSink};
 use gsim_types::{
@@ -187,12 +187,17 @@ enum KernelPhase {
 /// trace handle every component reports through, so an unobserved run
 /// pays one branch per hook, and switching an observer on never changes
 /// the stats.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ObserveSpec {
     /// Structured events (disabled by default).
     pub trace: TraceHandle,
-    /// Cycle attribution, hot lines and interval samples (`None` = off).
-    pub prof: Option<ProfSpec>,
+    /// The period of every time series, in cycles (default 1024; 0 is
+    /// taken as 1): the engine's one sampling clock, armed only when
+    /// the profiler or flow is on.
+    pub interval: Cycle,
+    /// Cycle attribution, hot lines and interval samples (off by
+    /// default).
+    pub prof: bool,
     /// Per-link traffic, occupancy samples and request journeys
     /// (`None` = off).
     pub flow: Option<FlowSpec>,
@@ -200,8 +205,20 @@ pub struct ObserveSpec {
     pub lens: Option<LensSpec>,
 }
 
-/// The observer reports of one run: each is `Some` exactly when its
-/// spec in the run's [`ObserveSpec`] was.
+impl Default for ObserveSpec {
+    fn default() -> Self {
+        ObserveSpec {
+            trace: TraceHandle::default(),
+            interval: 1024,
+            prof: false,
+            flow: None,
+            lens: None,
+        }
+    }
+}
+
+/// The observer reports of one run: each is `Some` exactly when the
+/// run's [`ObserveSpec`] switched its observer on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Reports {
     /// The profile report.
@@ -545,21 +562,16 @@ struct Machine {
     /// observers below and the caller's trace sink (no consumer: every
     /// hook is one branch).
     trace: TraceHandle,
-    /// The observers installed on `trace`, kept to read their sampling
-    /// intervals and take their reports (`None` = off).
+    /// The observers installed on `trace`, kept to take their reports
+    /// (`None` = off).
     prof: Option<Rc<RefCell<Profiler>>>,
     flow: Option<Rc<RefCell<FlowCollector>>>,
     lens: Option<Rc<RefCell<LensCollector>>>,
-    /// The next interval-sample boundary (`Cycle::MAX` when not
-    /// profiling, so the hot-loop test never fires).
-    prof_next_sample: Cycle,
-    /// The sampling period, cached off the profiler.
-    prof_interval: Cycle,
-    /// The next flow-sample boundary (`Cycle::MAX` when flow collection
-    /// is off, so the hot-loop test never fires).
-    flow_next_sample: Cycle,
-    /// The flow sampling period, cached off the collector.
-    flow_interval: Cycle,
+    /// The next sample boundary (`Cycle::MAX` when neither the profiler
+    /// nor flow is on, so the hot-loop test never fires).
+    next_sample: Cycle,
+    /// The sampling period ([`ObserveSpec::interval`], at least 1).
+    interval: Cycle,
     /// Sync operations (atomics) currently in flight — a profiler
     /// gauge, maintained unconditionally (one integer).
     sync_inflight: u64,
@@ -603,9 +615,10 @@ impl Machine {
         (workload.init)(&mut memory);
         let nodes = config.topology.nodes();
         let nodes_per_dev = config.topology.nodes_per_device();
-        let prof = (observe.prof).map(|s| {
+        let interval = observe.interval.max(1);
+        let prof = (observe.prof).then(|| {
             Rc::new(RefCell::new(Profiler::new(
-                s,
+                interval,
                 config.gpu_cus,
                 nodes_per_dev,
                 nodes,
@@ -614,10 +627,16 @@ impl Machine {
         let flow = (observe.flow).map(|s| {
             Rc::new(RefCell::new(FlowCollector::new(
                 s,
+                interval,
                 nodes,
                 config.l2.latency,
             )))
         });
+        let next_sample = if prof.is_some() || flow.is_some() {
+            interval
+        } else {
+            Cycle::MAX
+        };
         let lens = (observe.lens).map(|s| Rc::new(RefCell::new(LensCollector::new(s, nodes))));
         let trace = observe.trace.with_consumers(
             (prof.iter().map(consumer))
@@ -656,12 +675,6 @@ impl Machine {
         let mut mesh = Mesh::with_topology(config.topology);
         mesh.set_trace(&trace);
         let l2 = L2::build(config.protocol, config.l2, memory, &trace);
-        let prof_interval = prof
-            .as_ref()
-            .map_or(Cycle::MAX, |p| p.borrow().sample_interval());
-        let flow_interval = flow
-            .as_ref()
-            .map_or(Cycle::MAX, |f| f.borrow().sample_interval());
         Ok(Machine {
             protocol: config.protocol,
             gpu_cus: config.gpu_cus,
@@ -690,10 +703,8 @@ impl Machine {
             prof,
             flow,
             lens,
-            prof_next_sample: prof_interval,
-            prof_interval,
-            flow_next_sample: flow_interval,
-            flow_interval,
+            next_sample,
+            interval,
             sync_inflight: 0,
             check: config.check,
             races: config.check.races().then(|| Box::new(RaceDetector::new())),
@@ -1542,13 +1553,9 @@ impl Machine {
             // Lazy interval sampling: catch up on every boundary the
             // event gap crossed (identical snapshots over an idle gap
             // honestly render as zero-delta intervals).
-            while self.now >= self.prof_next_sample {
+            while self.now >= self.next_sample {
                 self.record_sample();
-                self.prof_next_sample += self.prof_interval;
-            }
-            while self.now >= self.flow_next_sample {
-                self.record_flow_sample();
-                self.flow_next_sample += self.flow_interval;
+                self.next_sample += self.interval;
             }
             if self.now > self.max_cycles {
                 return Err(SimError::Watchdog {
@@ -1618,8 +1625,9 @@ impl Machine {
         (self.mesh.messages_sent(), self.mesh.flit_hops())
     }
 
-    /// One interval snapshot: cumulative counters plus instantaneous
-    /// occupancies, gathered across the engine, the L1s, and the mesh.
+    /// One tick of the sampling clock: cumulative counters plus
+    /// instantaneous occupancies, gathered across the engine, the L1s,
+    /// and the mesh, in the one snapshot every time series reads.
     fn record_sample(&mut self) {
         let mut l1_load_hits = 0;
         let mut l1_load_misses = 0;
@@ -1634,7 +1642,7 @@ impl Machine {
         }
         let (messages, flits) = self.mesh_counters();
         self.trace.interval_sample(&IntervalSample {
-            cycle: self.prof_next_sample,
+            cycle: self.next_sample,
             instructions: self.counts.instructions,
             l1_load_hits,
             l1_load_misses,
@@ -1642,22 +1650,9 @@ impl Machine {
             flits,
             mshr_occupancy,
             sb_occupancy,
+            pending_reqs: self.pending.len() as u64,
             outstanding_syncs: self.sync_inflight,
         });
-    }
-
-    /// One flow occupancy snapshot: the collector holds the cumulative
-    /// network counters; the engine contributes the instantaneous
-    /// resource gauges.
-    fn record_flow_sample(&mut self) {
-        let mut mshr = 0;
-        let mut sb = 0;
-        for l1 in &self.l1s {
-            mshr += l1.mshr_outstanding() as u64;
-            sb += l1.sb_occupancy() as u64;
-        }
-        self.trace
-            .occupancy_sample(self.flow_next_sample, mshr, sb, self.pending.len() as u64);
     }
 
     /// Assembles the profile report (`None` when profiling is off).

@@ -2,9 +2,9 @@
 //! traffic, sampling occupancy and following sampled request journeys.
 //!
 //! The engine installs one [`FlowCollector`] on the run's trace handle
-//! and keeps an `Rc` to it to read the sampling interval and take the
-//! report; the mesh's link crossings, the engine's L2 deliveries and
-//! journey milestones all reach it through hooks of that handle. It
+//! and keeps an `Rc` to it to take the report; the mesh's link
+//! crossings, the engine's L2 deliveries, interval samples and journey
+//! milestones all reach it through hooks of that handle. It
 //! only observes: no hook schedules an event, touches protocol or
 //! network state, or returns anything the engine acts on.
 
@@ -12,7 +12,7 @@ use crate::journey::{Journey, JourneyHop};
 use crate::report::{FlowReport, LinkRow};
 use crate::sample::{FlowSample, SampleRing};
 use crate::spec::FlowSpec;
-use gsim_trace::{JourneyKind, TraceEvent, TraceSink};
+use gsim_trace::{IntervalSample, JourneyKind, TraceEvent, TraceSink};
 use gsim_types::{Component, Cycle, FxHashMap, LineAddr, Msg, MsgClass, MsgKind, NodeId, ReqId};
 
 /// Journey store capacity: journeys begun beyond this are counted as
@@ -47,6 +47,8 @@ struct LinkStats {
 #[derive(Clone, Debug)]
 pub struct FlowCollector {
     spec: FlowSpec,
+    /// The engine's sampling interval, echoed in the report.
+    interval: Cycle,
     nodes: usize,
     l2_latency: Cycle,
     /// Per-directed-link stats, indexed `from * nodes + to`.
@@ -68,10 +70,11 @@ pub struct FlowCollector {
 impl FlowCollector {
     /// A collector for `spec` on a `nodes`-node fabric whose L2 banks
     /// have `l2_latency` cycles of service time (used only to render
-    /// busy fractions).
-    pub fn new(spec: FlowSpec, nodes: usize, l2_latency: Cycle) -> Self {
+    /// busy fractions). `interval` is the period the engine samples at.
+    pub fn new(spec: FlowSpec, interval: Cycle, nodes: usize, l2_latency: Cycle) -> Self {
         FlowCollector {
             spec,
+            interval,
             nodes,
             l2_latency,
             links: vec![LinkStats::default(); nodes * nodes],
@@ -106,11 +109,6 @@ fn msg_line(kind: &MsgKind) -> LineAddr {
 }
 
 impl FlowCollector {
-    /// The occupancy sampling interval (at least 1).
-    pub fn sample_interval(&self) -> Cycle {
-        self.spec.interval.max(1)
-    }
-
     /// Assembles the report at end-of-run cycle `end`, draining the
     /// collector. Journeys still in flight are discarded (the quiesced
     /// engine has none in a clean run).
@@ -137,7 +135,7 @@ impl FlowCollector {
         let (samples, dropped_samples) = std::mem::take(&mut self.ring).into_parts();
         FlowReport {
             cycles: end,
-            interval: self.sample_interval(),
+            interval: self.interval,
             journey_period: self.spec.journey_period.max(1),
             nodes,
             l2_latency: self.l2_latency,
@@ -213,18 +211,19 @@ impl TraceSink for FlowCollector {
         self.total_l2_msgs += 1;
     }
 
-    fn occupancy_sample(&mut self, cycle: Cycle, mshr: u64, sb: u64, pending: u64) {
-        let s = FlowSample {
-            cycle,
+    /// The collector's cumulative network counters beside the engine's
+    /// memory-system gauges.
+    fn interval_sample(&mut self, s: &IntervalSample) {
+        self.ring.push(FlowSample {
+            cycle: s.cycle,
             flits: self.total_flits,
             queue_cycles: self.total_queue,
             l2_msgs: self.total_l2_msgs,
-            mshr_occupancy: mshr,
-            sb_occupancy: sb,
-            pending_reqs: pending,
+            mshr_occupancy: s.mshr_occupancy,
+            sb_occupancy: s.sb_occupancy,
+            pending_reqs: s.pending_reqs,
             active_journeys: self.by_req.len() as u64,
-        };
-        self.ring.push(s);
+        });
     }
 
     // ---- journey sampling (engine hooks) ----
@@ -303,6 +302,7 @@ mod tests {
     fn hooks_through_a_shared_handle_reach_one_collector() {
         let c = Rc::new(RefCell::new(FlowCollector::new(
             FlowSpec::default(),
+            1024,
             16,
             26,
         )));
@@ -322,11 +322,8 @@ mod tests {
 
     #[test]
     fn journey_sampling_follows_the_period() {
-        let spec = FlowSpec {
-            journey_period: 4,
-            ..FlowSpec::default()
-        };
-        let mut h = FlowCollector::new(spec, 16, 26);
+        let spec = FlowSpec { journey_period: 4 };
+        let mut h = FlowCollector::new(spec, 1024, 16, 26);
         for req in 1..=9u64 {
             h.request_issued(ReqId(req), NodeId(0), LineAddr(req), JourneyKind::Load, req);
             h.request_done(ReqId(req), 0, req + 10);
@@ -338,11 +335,8 @@ mod tests {
 
     #[test]
     fn journeys_collect_matching_messages_only() {
-        let spec = FlowSpec {
-            journey_period: 1,
-            ..FlowSpec::default()
-        };
-        let mut h = FlowCollector::new(spec, 16, 26);
+        let spec = FlowSpec { journey_period: 1 };
+        let mut h = FlowCollector::new(spec, 1024, 16, 26);
         h.request_issued(ReqId(1), NodeId(0), LineAddr(7), JourneyKind::Load, 10);
         h.msg_sent(&read_req(0, 5, 7), 12, 20, 1); // same line, same cu
         h.msg_sent(&read_req(3, 5, 7), 12, 20, 1); // same line, other cu
@@ -360,11 +354,8 @@ mod tests {
 
     #[test]
     fn unfinished_journeys_are_discarded() {
-        let spec = FlowSpec {
-            journey_period: 1,
-            ..FlowSpec::default()
-        };
-        let mut h = FlowCollector::new(spec, 16, 26);
+        let spec = FlowSpec { journey_period: 1 };
+        let mut h = FlowCollector::new(spec, 1024, 16, 26);
         h.request_issued(ReqId(1), NodeId(0), LineAddr(1), JourneyKind::Load, 5);
         h.request_issued(ReqId(2), NodeId(1), LineAddr(2), JourneyKind::Atomic, 6);
         h.request_done(ReqId(2), 0, 30);
@@ -375,11 +366,20 @@ mod tests {
 
     #[test]
     fn sample_captures_cumulative_totals_and_gauges() {
-        let mut h = FlowCollector::new(FlowSpec::default(), 16, 26);
+        let mut h = FlowCollector::new(FlowSpec::default(), 1024, 16, 26);
         h.link_crossing(NodeId(0), NodeId(1), MsgClass::Atomic, 1, 2, 2);
-        h.occupancy_sample(1024, 3, 4, 5);
+        h.interval_sample(&IntervalSample {
+            cycle: 1024,
+            mshr_occupancy: 3,
+            sb_occupancy: 4,
+            pending_reqs: 5,
+            ..IntervalSample::default()
+        });
         h.link_crossing(NodeId(1), NodeId(2), MsgClass::Atomic, 1, 0, 2);
-        h.occupancy_sample(2048, 0, 0, 0);
+        h.interval_sample(&IntervalSample {
+            cycle: 2048,
+            ..IntervalSample::default()
+        });
         let r = h.take_report(4096);
         assert_eq!(r.samples.len(), 2);
         assert_eq!(r.samples[0].flits, 1);

@@ -1,10 +1,11 @@
 //! The occupancy time-series: periodic snapshots of cumulative flow
 //! counters and instantaneous memory-system occupancies.
 //!
-//! Sampling mirrors `gsim_prof`'s interval ring: the engine samples at
-//! every multiple of `FlowSpec::interval` it crosses (lazily, from the
-//! event loop), samples hold *cumulative* counter values, and exports
-//! compute per-interval deltas.
+//! Sampling shares `gsim_prof`'s clock: at every multiple of
+//! `ObserveSpec::interval` the engine crosses it reports one
+//! `interval_sample` hook, and the collector turns it into a
+//! [`FlowSample`] of its own cumulative counters plus the engine's
+//! gauges. Exports compute per-interval deltas.
 
 use gsim_types::Cycle;
 

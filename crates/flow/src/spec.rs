@@ -1,14 +1,11 @@
 //! Flow-observation parameters. A run is flow-observed when the
 //! `ObserveSpec` it is given carries `Some(FlowSpec)`; `None` leaves
-//! every hook one branch.
-
-use gsim_types::Cycle;
+//! every hook one branch. The occupancy time-series samples on the
+//! engine's one clock, `ObserveSpec::interval`.
 
 /// Flow-observability parameters for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FlowSpec {
-    /// Sampling period of the occupancy time-series, in cycles.
-    pub interval: Cycle,
     /// Journey sampling period: every `journey_period`-th memory
     /// request (by issue order — request ids are minted densely, so
     /// this is deterministic and seed-stable) records a full per-hop
@@ -18,9 +15,6 @@ pub struct FlowSpec {
 
 impl Default for FlowSpec {
     fn default() -> Self {
-        FlowSpec {
-            interval: 1024,
-            journey_period: 64,
-        }
+        FlowSpec { journey_period: 64 }
     }
 }

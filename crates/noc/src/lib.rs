@@ -817,7 +817,7 @@ mod tests {
 
     /// A trace handle feeding a fresh flow collector on `nodes` nodes.
     fn flow_collector(nodes: usize) -> (TraceHandle, Rc<RefCell<FlowCollector>>) {
-        let flow = FlowCollector::new(FlowSpec::default(), nodes, 26);
+        let flow = FlowCollector::new(FlowSpec::default(), 1024, nodes, 26);
         let flow = Rc::new(RefCell::new(flow));
         let h = TraceHandle::disabled().with_consumers([flow.clone() as _]);
         (h, flow)

@@ -1,10 +1,13 @@
 //! The interval time-series: periodic snapshots of cumulative counters
 //! and instantaneous occupancies.
 //!
-//! The engine samples at every multiple of `ProfSpec::interval` it
-//! crosses (lazily, from the event loop — an idle gap spanning several
-//! boundaries yields several identical snapshots, which honestly render
-//! as zero-delta intervals). Samples hold *cumulative* values; exports
+//! The engine keeps one sampling clock for every time series: at each
+//! multiple of `ObserveSpec::interval` it crosses (lazily, from the
+//! event loop — an idle gap spanning several boundaries yields several
+//! identical snapshots, which honestly render as zero-delta intervals)
+//! it reports one `interval_sample` hook. The profiler keeps that
+//! [`IntervalSample`] here as is; the flow collector builds its own
+//! sample from the same hook. Samples hold *cumulative* values; exports
 //! compute per-interval deltas so a CSV row or a Perfetto counter point
 //! describes one interval.
 

@@ -7,8 +7,8 @@
 //! locally synchronized benchmarks because acquire spins stay in the L1
 //! and flash invalidations disappear. Whole-run aggregates
 //! ([`SimStats`](gsim_types::SimStats)) cannot show that; this crate
-//! can. It adds three views, switched on per run by `prof: Some(ProfSpec)`
-//! in the `ObserveSpec` given to `Simulator::run_observed`, and all
+//! can. It adds three views, switched on per run by `prof: true` in the
+//! `ObserveSpec` given to `Simulator::run_observed`, and all
 //! *observation-only* — a profiled run produces byte-identical
 //! statistics to an unprofiled one:
 //!
@@ -25,10 +25,10 @@
 //!    ownership transfers (ping-pong), and registry forwards. Reports
 //!    annotate lines with workload region names (`lock[3]`, `data[]`)
 //!    via [`RegionMap`].
-//! 3. **Interval time-series** ([`IntervalSample`]): every `interval`
-//!    cycles the engine snapshots cumulative counters and instantaneous
-//!    occupancies into a bounded ring, exported as delta CSV and as
-//!    Perfetto counter tracks.
+//! 3. **Interval time-series** ([`IntervalSample`]): every
+//!    `ObserveSpec::interval` cycles the engine snapshots cumulative
+//!    counters and instantaneous occupancies into a bounded ring,
+//!    exported as delta CSV and as Perfetto counter tracks.
 //!
 //! The [`Profiler`] is a `gsim-trace` [`TraceSink`](gsim_trace::TraceSink)
 //! consumer: the engine installs it on the run's trace handle, and it
@@ -42,7 +42,6 @@ mod profiler;
 mod region;
 mod report;
 mod sketch;
-mod spec;
 
 pub use attr::CuAttr;
 pub use gsim_trace::{IntervalSample, StallKind, NUM_STALL_KINDS, STALL_KINDS};
@@ -50,5 +49,4 @@ pub use interval::{IntervalRing, MAX_SAMPLES};
 pub use profiler::{Profiler, ReportInputs};
 pub use region::RegionMap;
 pub use report::{CuRow, HotLine, ProfileReport};
-pub use sketch::{LineTally, SpaceSaving};
-pub use spec::{ProfSpec, SKETCH_LINES};
+pub use sketch::{LineTally, SpaceSaving, SKETCH_LINES};

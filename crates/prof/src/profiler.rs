@@ -2,23 +2,22 @@
 //! attribution, hot-line sketches and interval samples.
 //!
 //! The engine installs one [`Profiler`] on the run's trace handle and
-//! keeps an `Rc` to it to read the sampling interval and take the
-//! report; every component reaches it through the hooks it already
+//! keeps an `Rc` to it to take the report; every component reaches it through the hooks it already
 //! reports. It only observes: no hook schedules an event, touches
 //! protocol state, or returns anything the engine acts on.
 
 use crate::attr::CuAttr;
 use crate::interval::IntervalRing;
 use crate::report::{CuRow, ProfileReport};
-use crate::sketch::{LineTally, SpaceSaving};
-use crate::spec::{ProfSpec, SKETCH_LINES};
+use crate::sketch::{LineTally, SpaceSaving, SKETCH_LINES};
 use gsim_trace::{IntervalSample, StallKind, TraceEvent, TraceSink};
 use gsim_types::{Counts, Cycle, LineAddr, NodeId, WordAddr, WordMask};
 
 /// The collection state of one profiled run.
 #[derive(Clone, Debug)]
 pub struct Profiler {
-    spec: ProfSpec,
+    /// The engine's sampling interval, echoed in the report.
+    interval: Cycle,
     /// CUs per device and nodes per device: a CU node's attribution row
     /// is `device * cus_per_device + local node` (rows skip each
     /// device's non-CU node).
@@ -49,19 +48,19 @@ pub struct ReportInputs {
 }
 
 impl Profiler {
-    /// A profiler collecting under `spec` on a fabric of `nodes` nodes,
-    /// `nodes_per_device` per device, the first `cus_per_device` of each
-    /// device hosting a CU: every CU gets an attribution row, every L1 a
-    /// sketch.
+    /// A profiler on a fabric of `nodes` nodes, `nodes_per_device` per
+    /// device, the first `cus_per_device` of each device hosting a CU:
+    /// every CU gets an attribution row, every L1 a sketch. `interval`
+    /// is the period the engine samples at.
     pub fn new(
-        spec: ProfSpec,
+        interval: Cycle,
         cus_per_device: usize,
         nodes_per_device: usize,
         nodes: usize,
     ) -> Self {
         let cus = nodes / nodes_per_device * cus_per_device;
         Profiler {
-            spec,
+            interval,
             cus_per_device,
             nodes_per_device,
             attr: vec![CuAttr::default(); cus],
@@ -70,11 +69,6 @@ impl Profiler {
             l2_sketch: SpaceSaving::new(SKETCH_LINES),
             ring: IntervalRing::default(),
         }
-    }
-
-    /// The sampling interval (at least 1).
-    pub fn sample_interval(&self) -> Cycle {
-        self.spec.interval.max(1)
     }
 
     /// The attribution row of CU node `node`.
@@ -144,7 +138,7 @@ impl Profiler {
         let (samples, dropped_samples) = std::mem::take(&mut self.ring).into_parts();
         ProfileReport {
             cycles: inputs.end,
-            interval: self.sample_interval(),
+            interval: self.interval,
             cus: rows,
             other,
             hot_lines,
@@ -256,7 +250,7 @@ mod tests {
 
     #[test]
     fn hooks_through_a_shared_handle_reach_one_profiler() {
-        let p = Rc::new(RefCell::new(Profiler::new(ProfSpec::default(), 2, 3, 3)));
+        let p = Rc::new(RefCell::new(Profiler::new(1024, 2, 3, 3)));
         let h = TraceHandle::disabled().with_consumers([p.clone() as Rc<RefCell<dyn TraceSink>>]);
         let clone = h.share();
         h.cu_tick(NodeId(0), 0, StallKind::Issue, None, 1, 0);
@@ -274,7 +268,7 @@ mod tests {
     fn rows_skip_each_devices_non_cu_node() {
         // Two devices of 4 nodes with 3 CUs each: node 5 is device 1's
         // second CU, row 4.
-        let mut p = Profiler::new(ProfSpec::default(), 3, 4, 8);
+        let mut p = Profiler::new(1024, 3, 4, 8);
         p.cu_tick(NodeId(5), 0, StallKind::Issue, None, 1, 0);
         let r = p.take_report(inputs(10, 8));
         assert_eq!(r.cus.len(), 6);
@@ -283,7 +277,7 @@ mod tests {
 
     #[test]
     fn report_charges_tails_to_cycles() {
-        let mut p = Profiler::new(ProfSpec::default(), 2, 2, 2);
+        let mut p = Profiler::new(1024, 2, 2, 2);
         p.cu_state(NodeId(0), 0, StallKind::Issue);
         p.cu_tick(
             NodeId(0),

@@ -440,6 +440,7 @@ mod tests {
                     flits: 12,
                     mshr_occupancy: 1,
                     sb_occupancy: 2,
+                    pending_reqs: 0,
                     outstanding_syncs: 0,
                 },
                 IntervalSample {
@@ -451,6 +452,7 @@ mod tests {
                     flits: 30,
                     mshr_occupancy: 0,
                     sb_occupancy: 0,
+                    pending_reqs: 0,
                     outstanding_syncs: 3,
                 },
             ],

@@ -16,6 +16,11 @@
 
 use gsim_types::{FxHashMap, LineAddr};
 
+/// Capacity of each space-saving hot-line sketch (one per L1, one at
+/// the L2 registry). Any line whose true event count exceeds
+/// `total / SKETCH_LINES` is guaranteed to be present.
+pub const SKETCH_LINES: usize = 64;
+
 /// Per-line event counters tracked by the sketch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LineTally {

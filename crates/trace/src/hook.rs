@@ -134,8 +134,9 @@ impl JourneyKind {
     }
 }
 
-/// One snapshot. Counter fields are cumulative since cycle 0;
-/// `*_occupancy` and `outstanding_syncs` are instantaneous gauges.
+/// One snapshot, taken every `ObserveSpec::interval` cycles. Counter
+/// fields are cumulative since cycle 0; `*_occupancy`, `pending_reqs`
+/// and `outstanding_syncs` are instantaneous gauges.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntervalSample {
     /// The sample boundary (a multiple of the sampling interval).
@@ -154,6 +155,8 @@ pub struct IntervalSample {
     pub mshr_occupancy: u64,
     /// Store-buffer lines held across all L1s, at sample time.
     pub sb_occupancy: u64,
+    /// Requests in the engine's pending table, at sample time.
+    pub pending_reqs: u64,
     /// Sync operations (atomics) in flight, at sample time.
     pub outstanding_syncs: u64,
 }

@@ -117,11 +117,9 @@ hooks! {
     fn request_done(req: ReqId, issued: Cycle, now: Cycle);
     /// A message reached the L2 bank on `bank`.
     fn l2_delivery(bank: NodeId);
-    /// The engine's counter snapshot at a profiling boundary.
+    /// The engine's counter snapshot at a sample boundary (one clock
+    /// serves every time series).
     fn interval_sample(sample: &IntervalSample);
-    /// Occupancy gauges at the flow-sampling boundary `cycle`: MSHR
-    /// entries, store-buffer lines and pending requests, system-wide.
-    fn occupancy_sample(cycle: Cycle, mshr: u64, sb: u64, pending: u64);
 
     // ---- L1 controllers ----
 

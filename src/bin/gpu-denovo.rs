@@ -26,15 +26,13 @@
 use gpu_denovo::explore::{self, Budget, ExploreMode, ScheduleId};
 use gpu_denovo::harness::{self, Cell, CellResult, FabricSpec, ResultCache};
 use gpu_denovo::trace::{
-    chrome_json_full, chrome_json_with_counters, to_chrome_json, CounterTrack, JourneySpan,
-    RingRecorder, TraceHandle,
+    chrome_json_full, to_chrome_json, CounterTrack, JourneySpan, RingRecorder, TraceHandle,
 };
-use gpu_denovo::types::{JsonValue, MsgClass};
+use gpu_denovo::types::{Cycle, JsonValue, MsgClass};
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, ObserveSpec, ProfSpec,
-    ProfileReport, ProtocolConfig, Reports, Scale, SimError, SimStats, Simulator, StallKind,
-    SystemConfig,
+    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, ObserveSpec, ProfileReport,
+    ProtocolConfig, Reports, Scale, SimError, SimStats, Simulator, StallKind, SystemConfig,
 };
 use std::process::ExitCode;
 
@@ -362,52 +360,319 @@ fn observe_one(
     Ok((stats, reports))
 }
 
-/// The cross-config invalidation-waste table (the paper's reuse story
-/// measured directly): how many still-valid words each configuration's
-/// acquires dropped, and how many of those it provably re-fetched
-/// before overwriting — pure waste, priced in flits and load-use stall
-/// cycles. Expect GD ≫ DD on reuse-heavy benchmarks.
-fn print_lens_compare(rows: &[(ProtocolConfig, SimStats, LensReport)]) {
-    println!(
-        "{:<8} {:>12} {:>9} {:>10} {:>10} {:>7} {:>10} {:>11} {:>10}",
-        "config",
-        "cycles",
-        "acquires",
-        "dropped",
-        "refetched",
-        "waste%",
-        "re-flits",
-        "stall-cyc",
-        "x-sync-hit"
-    );
-    for (p, stats, r) in rows {
-        println!(
-            "{:<8} {:>12} {:>9} {:>10} {:>10} {:>6.1}% {:>10} {:>11} {:>10}",
-            p.to_string(),
-            stats.cycles,
-            r.acquires(),
-            r.words_dropped(),
-            r.words_refetched(),
-            r.waste_pct(),
-            r.refetch_flits(),
-            r.stall_cycles(),
-            r.cross_sync_hits(),
-        );
+/// One observed view of a run: `profile`, `flow` or `lens`. The driver
+/// [`observe_view`] owns what the views share (the bench, scale and
+/// fabric, `--config` and `--topn`, the runs, `--json`, `--out`
+/// dispatch and both layouts); an impl holds only what differs.
+trait View: Sized {
+    /// The subcommand, also the report's key in the `--json` array.
+    const NAME: &'static str;
+    /// What `--topn` counts (its missing-value message names it).
+    const TOPN_OF: &'static str;
+    /// The note under the cross-config table.
+    const LEGEND: &'static str;
+    /// Switches the view on in `observe`, applying its own flags.
+    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String>;
+    /// The view's report among one run's reports.
+    fn take(reports: Reports) -> Self;
+    /// The run parameters the banner names.
+    fn params(observe: &ObserveSpec) -> String;
+    /// The report's JSON tree (`--json`, `--out FILE.json`).
+    fn json(&self) -> JsonValue;
+    /// The `--out FILE.csv` payload.
+    fn csv(&self) -> String;
+    /// The Perfetto counter tracks of `--out FILE.perfetto.json`.
+    fn counters(&self) -> Vec<(String, Vec<(Cycle, f64)>)>;
+    /// The Perfetto journey spans of `--out FILE.perfetto.json`.
+    fn spans(&self) -> Vec<JourneySpan> {
+        Vec::new()
+    }
+    /// What a written `--out` file holds.
+    fn wrote(&self) -> String;
+    /// The single-run tables, printed a blank line apart.
+    fn sections(&self, topn: usize) -> [String; 3];
+    /// The line(s) under the single-run tables.
+    fn footer(&self) -> String;
+    /// The cross-config table's columns after `config`.
+    fn compare_header() -> String;
+    /// This run's cells in those columns.
+    fn compare_row(&self, stats: &SimStats) -> String;
+}
+
+/// A flag that must be a positive integer, if present: `what` names the
+/// unit in both error messages.
+fn positive_flag(args: &[String], flag: &str, what: &str) -> Result<Option<u64>, String> {
+    let Some(v) = flag_value(args, flag).map_err(|e| format!("{e} (a {what})"))? else {
+        return Ok(None);
+    };
+    match v.parse::<u64>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "invalid {flag} value {v:?}: expected a positive {what}"
+        )),
     }
 }
 
-/// The cross-config traffic matrix: per-class flit totals per
-/// configuration (the paper's §5.2 story: DeNovo trades the GPU
-/// protocols' writethrough traffic for registration traffic), plus the
-/// share of link time spent queueing and the journey sample count.
-fn print_flow_compare(rows: &[(ProtocolConfig, SimStats, FlowReport)]) {
+/// `--interval N`: the sampling period of the profile and flow time
+/// series.
+fn parse_interval(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
+    if let Some(n) = positive_flag(args, "--interval", "cycle count")? {
+        observe.interval = n;
+    }
+    Ok(())
+}
+
+/// A `profile`, `flow` or `lens` subcommand.
+fn observe_view<V: View>(args: &[String]) -> ExitCode {
+    let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
+        return usage();
+    };
+    match drive_view::<V>(name, args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(e),
+    }
+}
+
+/// Runs `name` under one config (`--config`) or all five with view `V`
+/// on, then prints the `--json` array, or writes `--out` (single run
+/// only) and prints the single-run tables or the cross-config table.
+fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
+    let b = lookup_bench(name)?;
+    let s = scale(args);
+    let mut observe = ObserveSpec::default();
+    V::parse(args, &mut observe)?;
+    let topn = match flag_value(args, "--topn").map_err(|e| format!("{e} ({})", V::TOPN_OF))? {
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| format!("invalid --topn value {v:?}: expected an integer"))?,
+        None => 10,
+    };
+    let single = args.iter().any(|a| a == "--config");
+    let configs = if single {
+        vec![parse_config(args)?]
+    } else {
+        ProtocolConfig::ALL.to_vec()
+    };
+    let fabric = parse_fabric(args)?;
+    let mut rows = Vec::new();
+    for p in configs {
+        let (stats, reports) = observe_one(&b, p, s, fabric, &observe)?;
+        rows.push((p, stats, V::take(reports)));
+    }
+    if args.iter().any(|a| a == "--json") {
+        let doc = JsonValue::Arr(
+            rows.iter()
+                .map(|(p, _, r)| {
+                    JsonValue::Obj(vec![
+                        ("config".into(), JsonValue::Str(p.abbrev().into())),
+                        (V::NAME.into(), r.json()),
+                    ])
+                })
+                .collect(),
+        );
+        println!("{doc}");
+        return Ok(());
+    }
+    if let Some(path) = flag_value(args, "--out").map_err(|e| format!("{e} (an output file)"))? {
+        let [(_, _, r)] = rows.as_slice() else {
+            return Err(format!(
+                "{} --out needs a single run: add --config",
+                V::NAME
+            ));
+        };
+        let text = if path.ends_with(".perfetto.json") {
+            let tracks: Vec<CounterTrack> = (r.counters().into_iter())
+                .map(|(name, points)| CounterTrack { name, points })
+                .collect();
+            chrome_json_full(&[], 0, &tracks, &r.spans())
+        } else if path.ends_with(".json") {
+            r.json().to_string()
+        } else if path.ends_with(".csv") {
+            r.csv()
+        } else {
+            return Err(format!(
+                "unsupported --out file {path:?}: expected .csv, .json, or .perfetto.json"
+            ));
+        };
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path} ({})", r.wrote());
+    }
     println!(
-        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9}",
-        "config", "flits", "read", "regist.", "wb/wt", "atomics", "queue%", "journeys"
+        "{} of {name} at {s:?} scale ({})\n",
+        V::NAME,
+        V::params(&observe)
     );
-    for (p, stats, r) in rows {
+    if single {
+        let (p, stats, r) = &rows[0];
+        println!("== {p} ({} cycles) ==", stats.cycles);
+        print!("{}", r.sections(topn).join("\n"));
+        println!("\n{}", r.footer());
+    } else {
+        println!("{:<8} {}", "config", V::compare_header());
+        for (p, stats, r) in &rows {
+            println!("{:<8} {}", p.to_string(), r.compare_row(stats));
+        }
+        println!("\n{}", V::LEGEND);
+    }
+    Ok(())
+}
+
+/// Where CU cycles go: the cross-config table puts the acquire-spin
+/// buckets front and center (the paper's §5 story).
+impl View for ProfileReport {
+    const NAME: &'static str = "profile";
+    const TOPN_OF: &'static str = "a line count";
+    const LEGEND: &'static str =
+        "(g-spin/l-spin: cycles CUs spent retrying global/local acquires,\n\
+         summed over CUs; every CU cycle lands in exactly one bucket.)";
+
+    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
+        parse_interval(args, observe)?;
+        observe.prof = true;
+        Ok(())
+    }
+    fn take(reports: Reports) -> Self {
+        reports.profile.expect("profiling on")
+    }
+    fn params(observe: &ObserveSpec) -> String {
+        format!(
+            "interval {} cycles, sketch {} lines",
+            observe.interval,
+            gpu_denovo::prof::SKETCH_LINES
+        )
+    }
+    fn json(&self) -> JsonValue {
+        self.to_json_value()
+    }
+    fn csv(&self) -> String {
+        self.intervals_csv()
+    }
+    fn counters(&self) -> Vec<(String, Vec<(Cycle, f64)>)> {
+        self.counter_series()
+    }
+    fn wrote(&self) -> String {
+        format!("{} interval samples", self.samples.len())
+    }
+    fn sections(&self, topn: usize) -> [String; 3] {
+        [
+            self.render_stalls(),
+            self.render_cus(),
+            self.render_hot_lines(topn),
+        ]
+    }
+    fn footer(&self) -> String {
+        format!(
+            "{} interval samples ({} dropped); export with --out FILE.csv",
+            self.samples.len(),
+            self.dropped_samples
+        )
+    }
+    fn compare_header() -> String {
+        format!(
+            "{:>12} {:>7} {:>12} {:>7} {:>12} {:>7} {:>7} {:>7}",
+            "cycles", "issue%", "g-spin", "g-spin%", "l-spin", "l-spin%", "barr%", "idle%"
+        )
+    }
+    fn compare_row(&self, stats: &SimStats) -> String {
+        let grand: u64 = self.bucket_totals().iter().sum();
+        let pct = |k: StallKind| {
+            if grand > 0 {
+                100.0 * self.bucket(k) as f64 / grand as f64
+            } else {
+                0.0
+            }
+        };
+        format!(
+            "{:>12} {:>6.1}% {:>12} {:>6.1}% {:>12} {:>6.1}% {:>6.1}% {:>6.1}%",
+            stats.cycles,
+            pct(StallKind::Issue),
+            self.bucket(StallKind::GlobalSpin),
+            pct(StallKind::GlobalSpin),
+            self.bucket(StallKind::LocalSpin),
+            pct(StallKind::LocalSpin),
+            pct(StallKind::Barrier),
+            pct(StallKind::Idle),
+        )
+    }
+}
+
+/// Where NoC traffic goes: the cross-config matrix shows per-class flit
+/// totals (the paper's §5.2 story: DeNovo trades the GPU protocols'
+/// writethrough traffic for registration traffic), the share of link
+/// time spent queueing, and the journey sample count.
+impl View for FlowReport {
+    const NAME: &'static str = "flow";
+    const TOPN_OF: &'static str = "a link count";
+    const LEGEND: &'static str =
+        "(per-link flit sums reconcile with the aggregate traffic breakdown\n\
+         class-for-class; queue%: share of link time spent waiting for a\n\
+         busy link rather than traversing it.)";
+
+    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
+        parse_interval(args, observe)?;
+        let mut spec = FlowSpec::default();
+        if let Some(n) = positive_flag(args, "--period", "request count")? {
+            spec.journey_period = n;
+        }
+        observe.flow = Some(spec);
+        Ok(())
+    }
+    fn take(reports: Reports) -> Self {
+        reports.flow.expect("flow on")
+    }
+    fn params(observe: &ObserveSpec) -> String {
+        let period = observe.flow.map_or(0, |f| f.journey_period);
+        format!(
+            "interval {} cycles, journey period {period}",
+            observe.interval
+        )
+    }
+    fn json(&self) -> JsonValue {
+        self.to_json_value()
+    }
+    fn csv(&self) -> String {
+        self.links_csv()
+    }
+    fn counters(&self) -> Vec<(String, Vec<(Cycle, f64)>)> {
+        self.counter_series()
+    }
+    fn spans(&self) -> Vec<JourneySpan> {
+        self.journey_spans()
+    }
+    fn wrote(&self) -> String {
+        format!(
+            "{} links, {} journeys, {} interval samples",
+            self.links.len(),
+            self.journeys.len(),
+            self.samples.len()
+        )
+    }
+    fn sections(&self, topn: usize) -> [String; 3] {
+        [
+            self.render_links(topn),
+            self.render_banks(),
+            self.render_waterfall(),
+        ]
+    }
+    fn footer(&self) -> String {
+        format!(
+            "{} journeys sampled ({} dropped); {} interval samples ({} dropped);\n\
+             export with --out FILE.csv|FILE.json|FILE.perfetto.json",
+            self.journeys.len(),
+            self.dropped_journeys,
+            self.samples.len(),
+            self.dropped_samples
+        )
+    }
+    fn compare_header() -> String {
+        format!(
+            "{:>12} {:>10} {:>10} {:>10} {:>10} {:>8} {:>9}",
+            "flits", "read", "regist.", "wb/wt", "atomics", "queue%", "journeys"
+        )
+    }
+    fn compare_row(&self, stats: &SimStats) -> String {
         let (mut queue, mut transit) = (0u64, 0u64);
-        for l in &r.links {
+        for l in &self.links {
             queue += l.queue_cycles;
             transit += l.transit_cycles;
         }
@@ -416,48 +681,104 @@ fn print_flow_compare(rows: &[(ProtocolConfig, SimStats, FlowReport)]) {
         } else {
             0.0
         };
-        println!(
-            "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>7.1}% {:>9}",
-            p.to_string(),
+        format!(
+            "{:>12} {:>10} {:>10} {:>10} {:>10} {:>7.1}% {:>9}",
             stats.traffic.total(),
             stats.traffic.class(MsgClass::Read),
             stats.traffic.class(MsgClass::Registration),
             stats.traffic.class(MsgClass::WbWt),
             stats.traffic.class(MsgClass::Atomic),
             queue_pct,
-            r.journeys.len(),
-        );
+            self.journeys.len(),
+        )
     }
 }
 
-/// The cross-config comparison table: one row per configuration with
-/// the acquire-spin buckets front and center (the paper's §5 story).
-fn print_profile_compare(rows: &[(ProtocolConfig, SimStats, ProfileReport)]) {
-    println!(
-        "{:<8} {:>12} {:>7} {:>12} {:>7} {:>12} {:>7} {:>7} {:>7}",
-        "config", "cycles", "issue%", "g-spin", "g-spin%", "l-spin", "l-spin%", "barr%", "idle%"
-    );
-    for (p, stats, r) in rows {
-        let grand: u64 = r.bucket_totals().iter().sum();
-        let pct = |k: StallKind| {
-            if grand > 0 {
-                100.0 * r.bucket(k) as f64 / grand as f64
-            } else {
-                0.0
-            }
-        };
-        println!(
-            "{:<8} {:>12} {:>6.1}% {:>12} {:>6.1}% {:>12} {:>6.1}% {:>6.1}% {:>6.1}%",
-            p.to_string(),
+/// What acquires cost in reuse: the cross-config table shows how many
+/// still-valid words each configuration's acquires dropped and how many
+/// it provably re-fetched before overwriting (pure waste, priced in
+/// flits and load-use stall cycles). Expect GD ≫ DD on reuse-heavy
+/// benchmarks.
+impl View for LensReport {
+    const NAME: &'static str = "lens";
+    const TOPN_OF: &'static str = "a line count";
+    const LEGEND: &'static str = "(dropped: still-valid words the acquire sweeps invalidated;\n\
+         refetched: the share provably re-fetched from L2 before any\n\
+         overwrite — pure waste the protocol's invalidation caused;\n\
+         x-sync-hit: L1 load hits that crossed an acquire boundary,\n\
+         i.e. reuse the protocol retained through synchronization.)";
+
+    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
+        let mut spec = LensSpec::default();
+        if let Some(n) = positive_flag(args, "--topk", "line count")? {
+            spec.topk = n as usize;
+        }
+        observe.lens = Some(spec);
+        Ok(())
+    }
+    fn take(reports: Reports) -> Self {
+        reports.lens.expect("lens on")
+    }
+    fn params(observe: &ObserveSpec) -> String {
+        let topk = observe.lens.map_or(0, |l| l.topk);
+        format!("tracking the {topk} hottest lines")
+    }
+    fn json(&self) -> JsonValue {
+        self.to_json_value()
+    }
+    fn csv(&self) -> String {
+        self.lines_csv()
+    }
+    fn counters(&self) -> Vec<(String, Vec<(Cycle, f64)>)> {
+        self.counter_series()
+    }
+    fn wrote(&self) -> String {
+        format!(
+            "{} lines kept, {} acquire events",
+            self.lines.len(),
+            self.events.len()
+        )
+    }
+    fn sections(&self, topn: usize) -> [String; 3] {
+        [
+            self.render_ledger(),
+            self.render_lines(topn),
+            self.render_reuse(),
+        ]
+    }
+    fn footer(&self) -> String {
+        format!(
+            "{} acquire events recorded ({} dropped);\n\
+             export with --out FILE.csv|FILE.json|FILE.perfetto.json",
+            self.events.len(),
+            self.dropped_events
+        )
+    }
+    fn compare_header() -> String {
+        format!(
+            "{:>12} {:>9} {:>10} {:>10} {:>7} {:>10} {:>11} {:>10}",
+            "cycles",
+            "acquires",
+            "dropped",
+            "refetched",
+            "waste%",
+            "re-flits",
+            "stall-cyc",
+            "x-sync-hit"
+        )
+    }
+    fn compare_row(&self, stats: &SimStats) -> String {
+        format!(
+            "{:>12} {:>9} {:>10} {:>10} {:>6.1}% {:>10} {:>11} {:>10}",
             stats.cycles,
-            pct(StallKind::Issue),
-            r.bucket(StallKind::GlobalSpin),
-            pct(StallKind::GlobalSpin),
-            r.bucket(StallKind::LocalSpin),
-            pct(StallKind::LocalSpin),
-            pct(StallKind::Barrier),
-            pct(StallKind::Idle),
-        );
+            self.acquires(),
+            self.words_dropped(),
+            self.words_refetched(),
+            self.waste_pct(),
+            self.refetch_flits(),
+            self.stall_cycles(),
+            self.cross_sync_hits(),
+        )
     }
 }
 
@@ -706,412 +1027,9 @@ fn main() -> ExitCode {
                 Err(e) => fail(e),
             }
         }
-        "profile" => {
-            let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
-            };
-            let b = match lookup_bench(name) {
-                Ok(b) => b,
-                Err(e) => return fail(e),
-            };
-            let s = scale(&args);
-            let mut spec = ProfSpec::default();
-            match flag_value(&args, "--interval") {
-                Ok(Some(v)) => match v.parse::<u64>() {
-                    Ok(n) if n > 0 => spec.interval = n,
-                    _ => {
-                        return fail(format!(
-                            "invalid --interval value {v:?}: expected a positive cycle count"
-                        ))
-                    }
-                },
-                Ok(None) => {}
-                Err(e) => return fail(format!("{e} (a cycle count)")),
-            }
-            let topn = match flag_value(&args, "--topn") {
-                Ok(Some(v)) => match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return fail(format!("invalid --topn value {v:?}: expected an integer"))
-                    }
-                },
-                Ok(None) => 10,
-                Err(e) => return fail(format!("{e} (a line count)")),
-            };
-            let single = args.iter().any(|a| a == "--config");
-            let configs: Vec<ProtocolConfig> = if single {
-                match parse_config(&args) {
-                    Ok(c) => vec![c],
-                    Err(e) => return fail(e),
-                }
-            } else {
-                ProtocolConfig::ALL.to_vec()
-            };
-            let fabric = match parse_fabric(&args) {
-                Ok(f) => f,
-                Err(e) => return fail(e),
-            };
-            let observe = ObserveSpec {
-                prof: Some(spec),
-                ..ObserveSpec::default()
-            };
-            let mut rows = Vec::new();
-            for p in &configs {
-                match observe_one(&b, *p, s, fabric, &observe) {
-                    Ok((stats, r)) => rows.push((*p, stats, r.profile.expect("profiling on"))),
-                    Err(e) => return fail(e),
-                }
-            }
-            if args.iter().any(|a| a == "--json") {
-                let doc = JsonValue::Arr(
-                    rows.iter()
-                        .map(|(p, _, r)| {
-                            JsonValue::Obj(vec![
-                                ("config".into(), JsonValue::Str(p.abbrev().into())),
-                                ("profile".into(), r.to_json_value()),
-                            ])
-                        })
-                        .collect(),
-                );
-                println!("{doc}");
-                return ExitCode::SUCCESS;
-            }
-            if let Some(path) = match flag_value(&args, "--out") {
-                Ok(v) => v.map(str::to_string),
-                Err(e) => return fail(format!("{e} (an output file)")),
-            } {
-                if rows.len() != 1 {
-                    return fail("profile --out needs a single run: add --config".into());
-                }
-                let r = &rows[0].2;
-                let text = if path.ends_with(".perfetto.json") {
-                    let tracks: Vec<CounterTrack> = r
-                        .counter_series()
-                        .into_iter()
-                        .map(|(name, points)| CounterTrack { name, points })
-                        .collect();
-                    chrome_json_with_counters(&[], 0, &tracks)
-                } else if path.ends_with(".json") {
-                    r.to_json()
-                } else if path.ends_with(".csv") {
-                    r.intervals_csv()
-                } else {
-                    return fail(format!(
-                        "unsupported --out file {path:?}: expected .csv, .json, or .perfetto.json"
-                    ));
-                };
-                if let Err(e) = std::fs::write(&path, text) {
-                    return fail(format!("writing {path}: {e}"));
-                }
-                eprintln!("wrote {path} ({} interval samples)", r.samples.len());
-            }
-            println!(
-                "profile of {name} at {s:?} scale (interval {} cycles, sketch {} lines)\n",
-                spec.interval,
-                gpu_denovo::prof::SKETCH_LINES
-            );
-            if single {
-                let (p, stats, r) = &rows[0];
-                println!("== {p} ({} cycles) ==", stats.cycles);
-                print!("{}", r.render_stalls());
-                println!();
-                print!("{}", r.render_cus());
-                println!();
-                print!("{}", r.render_hot_lines(topn));
-                println!(
-                    "\n{} interval samples ({} dropped); export with --out FILE.csv",
-                    r.samples.len(),
-                    r.dropped_samples
-                );
-            } else {
-                print_profile_compare(&rows);
-                println!(
-                    "\n(g-spin/l-spin: cycles CUs spent retrying global/local acquires,\n\
-                     summed over CUs; every CU cycle lands in exactly one bucket.)"
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        "flow" => {
-            let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
-            };
-            let b = match lookup_bench(name) {
-                Ok(b) => b,
-                Err(e) => return fail(e),
-            };
-            let s = scale(&args);
-            let mut spec = FlowSpec::default();
-            match flag_value(&args, "--interval") {
-                Ok(Some(v)) => match v.parse::<u64>() {
-                    Ok(n) if n > 0 => spec.interval = n,
-                    _ => {
-                        return fail(format!(
-                            "invalid --interval value {v:?}: expected a positive cycle count"
-                        ))
-                    }
-                },
-                Ok(None) => {}
-                Err(e) => return fail(format!("{e} (a cycle count)")),
-            }
-            match flag_value(&args, "--period") {
-                Ok(Some(v)) => match v.parse::<u64>() {
-                    Ok(n) if n > 0 => spec.journey_period = n,
-                    _ => {
-                        return fail(format!(
-                            "invalid --period value {v:?}: expected a positive request count"
-                        ))
-                    }
-                },
-                Ok(None) => {}
-                Err(e) => return fail(format!("{e} (a request count)")),
-            }
-            let topn = match flag_value(&args, "--topn") {
-                Ok(Some(v)) => match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return fail(format!("invalid --topn value {v:?}: expected an integer"))
-                    }
-                },
-                Ok(None) => 10,
-                Err(e) => return fail(format!("{e} (a link count)")),
-            };
-            let single = args.iter().any(|a| a == "--config");
-            let configs: Vec<ProtocolConfig> = if single {
-                match parse_config(&args) {
-                    Ok(c) => vec![c],
-                    Err(e) => return fail(e),
-                }
-            } else {
-                ProtocolConfig::ALL.to_vec()
-            };
-            let fabric = match parse_fabric(&args) {
-                Ok(f) => f,
-                Err(e) => return fail(e),
-            };
-            let observe = ObserveSpec {
-                flow: Some(spec),
-                ..ObserveSpec::default()
-            };
-            let mut rows = Vec::new();
-            for p in &configs {
-                match observe_one(&b, *p, s, fabric, &observe) {
-                    Ok((stats, r)) => rows.push((*p, stats, r.flow.expect("flow on"))),
-                    Err(e) => return fail(e),
-                }
-            }
-            if args.iter().any(|a| a == "--json") {
-                let doc = JsonValue::Arr(
-                    rows.iter()
-                        .map(|(p, _, r)| {
-                            JsonValue::Obj(vec![
-                                ("config".into(), JsonValue::Str(p.abbrev().into())),
-                                ("flow".into(), r.to_json_value()),
-                            ])
-                        })
-                        .collect(),
-                );
-                println!("{doc}");
-                return ExitCode::SUCCESS;
-            }
-            if let Some(path) = match flag_value(&args, "--out") {
-                Ok(v) => v.map(str::to_string),
-                Err(e) => return fail(format!("{e} (an output file)")),
-            } {
-                if rows.len() != 1 {
-                    return fail("flow --out needs a single run: add --config".into());
-                }
-                let r = &rows[0].2;
-                let text = if path.ends_with(".perfetto.json") {
-                    let tracks: Vec<CounterTrack> = r
-                        .counter_series()
-                        .into_iter()
-                        .map(|(name, points)| CounterTrack { name, points })
-                        .collect();
-                    let spans: Vec<JourneySpan> = r.journey_spans();
-                    chrome_json_full(&[], 0, &tracks, &spans)
-                } else if path.ends_with(".json") {
-                    r.to_json()
-                } else if path.ends_with(".csv") {
-                    r.links_csv()
-                } else {
-                    return fail(format!(
-                        "unsupported --out file {path:?}: expected .csv, .json, or .perfetto.json"
-                    ));
-                };
-                if let Err(e) = std::fs::write(&path, text) {
-                    return fail(format!("writing {path}: {e}"));
-                }
-                eprintln!(
-                    "wrote {path} ({} links, {} journeys, {} interval samples)",
-                    r.links.len(),
-                    r.journeys.len(),
-                    r.samples.len()
-                );
-            }
-            println!(
-                "flow of {name} at {s:?} scale (interval {} cycles, journey period {})\n",
-                spec.interval, spec.journey_period
-            );
-            if single {
-                let (p, stats, r) = &rows[0];
-                println!("== {p} ({} cycles) ==", stats.cycles);
-                print!("{}", r.render_links(topn));
-                println!();
-                print!("{}", r.render_banks());
-                println!();
-                print!("{}", r.render_waterfall());
-                println!(
-                    "\n{} journeys sampled ({} dropped); {} interval samples ({} dropped);\n\
-                     export with --out FILE.csv|FILE.json|FILE.perfetto.json",
-                    r.journeys.len(),
-                    r.dropped_journeys,
-                    r.samples.len(),
-                    r.dropped_samples
-                );
-            } else {
-                print_flow_compare(&rows);
-                println!(
-                    "\n(per-link flit sums reconcile with the aggregate traffic breakdown\n\
-                     class-for-class; queue%: share of link time spent waiting for a\n\
-                     busy link rather than traversing it.)"
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        "lens" => {
-            let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
-            };
-            let b = match lookup_bench(name) {
-                Ok(b) => b,
-                Err(e) => return fail(e),
-            };
-            let s = scale(&args);
-            let mut spec = LensSpec::default();
-            match flag_value(&args, "--topk") {
-                Ok(Some(v)) => match v.parse::<usize>() {
-                    Ok(n) if n > 0 => spec.topk = n,
-                    _ => {
-                        return fail(format!(
-                            "invalid --topk value {v:?}: expected a positive line count"
-                        ))
-                    }
-                },
-                Ok(None) => {}
-                Err(e) => return fail(format!("{e} (a line count)")),
-            }
-            let topn = match flag_value(&args, "--topn") {
-                Ok(Some(v)) => match v.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return fail(format!("invalid --topn value {v:?}: expected an integer"))
-                    }
-                },
-                Ok(None) => 10,
-                Err(e) => return fail(format!("{e} (a line count)")),
-            };
-            let single = args.iter().any(|a| a == "--config");
-            let configs: Vec<ProtocolConfig> = if single {
-                match parse_config(&args) {
-                    Ok(c) => vec![c],
-                    Err(e) => return fail(e),
-                }
-            } else {
-                ProtocolConfig::ALL.to_vec()
-            };
-            let fabric = match parse_fabric(&args) {
-                Ok(f) => f,
-                Err(e) => return fail(e),
-            };
-            let observe = ObserveSpec {
-                lens: Some(spec),
-                ..ObserveSpec::default()
-            };
-            let mut rows = Vec::new();
-            for p in &configs {
-                match observe_one(&b, *p, s, fabric, &observe) {
-                    Ok((stats, r)) => rows.push((*p, stats, r.lens.expect("lens on"))),
-                    Err(e) => return fail(e),
-                }
-            }
-            if args.iter().any(|a| a == "--json") {
-                let doc = JsonValue::Arr(
-                    rows.iter()
-                        .map(|(p, _, r)| {
-                            JsonValue::Obj(vec![
-                                ("config".into(), JsonValue::Str(p.abbrev().into())),
-                                ("lens".into(), r.to_json_value()),
-                            ])
-                        })
-                        .collect(),
-                );
-                println!("{doc}");
-                return ExitCode::SUCCESS;
-            }
-            if let Some(path) = match flag_value(&args, "--out") {
-                Ok(v) => v.map(str::to_string),
-                Err(e) => return fail(format!("{e} (an output file)")),
-            } {
-                if rows.len() != 1 {
-                    return fail("lens --out needs a single run: add --config".into());
-                }
-                let r = &rows[0].2;
-                let text = if path.ends_with(".perfetto.json") {
-                    let tracks: Vec<CounterTrack> = r
-                        .counter_series()
-                        .into_iter()
-                        .map(|(name, points)| CounterTrack { name, points })
-                        .collect();
-                    chrome_json_with_counters(&[], 0, &tracks)
-                } else if path.ends_with(".json") {
-                    r.to_json()
-                } else if path.ends_with(".csv") {
-                    r.lines_csv()
-                } else {
-                    return fail(format!(
-                        "unsupported --out file {path:?}: expected .csv, .json, or .perfetto.json"
-                    ));
-                };
-                if let Err(e) = std::fs::write(&path, text) {
-                    return fail(format!("writing {path}: {e}"));
-                }
-                eprintln!(
-                    "wrote {path} ({} lines kept, {} acquire events)",
-                    r.lines.len(),
-                    r.events.len()
-                );
-            }
-            println!(
-                "lens of {name} at {s:?} scale (tracking the {} hottest lines)\n",
-                spec.topk
-            );
-            if single {
-                let (p, stats, r) = &rows[0];
-                println!("== {p} ({} cycles) ==", stats.cycles);
-                print!("{}", r.render_ledger());
-                println!();
-                print!("{}", r.render_lines(topn));
-                println!();
-                print!("{}", r.render_reuse());
-                println!(
-                    "\n{} acquire events recorded ({} dropped);\n\
-                     export with --out FILE.csv|FILE.json|FILE.perfetto.json",
-                    r.events.len(),
-                    r.dropped_events
-                );
-            } else {
-                print_lens_compare(&rows);
-                println!(
-                    "\n(dropped: still-valid words the acquire sweeps invalidated;\n\
-                     refetched: the share provably re-fetched from L2 before any\n\
-                     overwrite — pure waste the protocol's invalidation caused;\n\
-                     x-sync-hit: L1 load hits that crossed an acquire boundary,\n\
-                     i.e. reuse the protocol retained through synchronization.)"
-                );
-            }
-            ExitCode::SUCCESS
-        }
+        "profile" => observe_view::<ProfileReport>(&args),
+        "flow" => observe_view::<FlowReport>(&args),
+        "lens" => observe_view::<LensReport>(&args),
         "compare" => {
             let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 return usage();

@@ -77,7 +77,7 @@ pub use gsim_core::{
 pub use gsim_explore::{Budget, ExploreMode, ScheduleId, ShapeReport};
 pub use gsim_flow::{FlowReport, FlowSpec};
 pub use gsim_lens::{LensReport, LensSpec};
-pub use gsim_prof::{ProfSpec, ProfileReport, StallKind};
+pub use gsim_prof::{ProfileReport, StallKind};
 pub use gsim_types::{ProtocolConfig, SimStats};
 pub use gsim_workloads::{registry, Scale};
 

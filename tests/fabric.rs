@@ -12,8 +12,8 @@ use gpu_denovo::types::NodeId;
 use gpu_denovo::workloads::registry;
 use gpu_denovo::workloads::{litmus, Scale};
 use gpu_denovo::{
-    CheckLevel, FlowSpec, MeshConfig, ObserveSpec, ProfSpec, ProtocolConfig, Simulator,
-    SystemConfig, Topology,
+    CheckLevel, FlowSpec, MeshConfig, ObserveSpec, ProtocolConfig, Simulator, SystemConfig,
+    Topology,
 };
 
 /// Full-checking config on an arbitrary topology. The L2 keeps one bank
@@ -67,7 +67,7 @@ fn profile_reconciles_on_a_two_device_run() {
         let b = registry::by_name(bench).unwrap();
         let cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
         let observe = ObserveSpec {
-            prof: Some(ProfSpec::default()),
+            prof: true,
             ..ObserveSpec::default()
         };
         let (stats, reports) = Simulator::new(cfg)

@@ -21,19 +21,22 @@ use gpu_denovo::{
     SystemConfig, Workload,
 };
 
-fn flowed_with(p: ProtocolConfig, w: &Workload, spec: FlowSpec) -> (SimStats, FlowReport) {
-    let observe = ObserveSpec {
-        flow: Some(spec),
-        ..ObserveSpec::default()
-    };
+fn flowed_with(p: ProtocolConfig, w: &Workload, observe: &ObserveSpec) -> (SimStats, FlowReport) {
     let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
-        .run_observed(w, &observe)
+        .run_observed(w, observe)
         .expect("run succeeds");
     (stats, reports.flow.expect("flow collection enabled"))
 }
 
 fn flowed(p: ProtocolConfig, w: &Workload) -> (SimStats, FlowReport) {
-    flowed_with(p, w, FlowSpec::default())
+    flowed_with(
+        p,
+        w,
+        &ObserveSpec {
+            flow: Some(FlowSpec::default()),
+            ..ObserveSpec::default()
+        },
+    )
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -110,12 +113,14 @@ fn reports_are_deterministic_across_runs() {
 fn journeys_decompose_latency_exactly() {
     let b = registry::by_name("SPM_G").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let spec = FlowSpec {
-        journey_period: 1, // follow every request
-        ..FlowSpec::default()
+    let observe = ObserveSpec {
+        flow: Some(FlowSpec {
+            journey_period: 1, // follow every request
+        }),
+        ..ObserveSpec::default()
     };
     for p in ProtocolConfig::ALL {
-        let (_, report) = flowed_with(p, &w, spec);
+        let (_, report) = flowed_with(p, &w, &observe);
         assert!(!report.journeys.is_empty(), "{p}: no journeys sampled");
         assert!(
             report
@@ -151,11 +156,12 @@ fn journeys_decompose_latency_exactly() {
 fn samples_land_on_interval_boundaries() {
     let b = registry::by_name("SPM_L").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let spec = FlowSpec {
+    let observe = ObserveSpec {
         interval: 256,
-        ..FlowSpec::default()
+        flow: Some(FlowSpec::default()),
+        ..ObserveSpec::default()
     };
-    let (stats, report) = flowed_with(ProtocolConfig::Dd, &w, spec);
+    let (stats, report) = flowed_with(ProtocolConfig::Dd, &w, &observe);
     assert!(!report.samples.is_empty());
     for s in &report.samples {
         assert_eq!(s.cycle % 256, 0, "samples land on interval boundaries");

@@ -16,13 +16,14 @@
 
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, ObserveSpec, ProfSpec, ProfileReport, ProtocolConfig, Scale, SimStats, Simulator,
-    StallKind, SystemConfig, Workload,
+    registry, ObserveSpec, ProfileReport, ProtocolConfig, Scale, SimStats, Simulator, StallKind,
+    SystemConfig, Workload,
 };
 
-fn profiled_with(p: ProtocolConfig, w: &Workload, spec: ProfSpec) -> (SimStats, ProfileReport) {
+fn profiled_with(p: ProtocolConfig, w: &Workload, interval: u64) -> (SimStats, ProfileReport) {
     let observe = ObserveSpec {
-        prof: Some(spec),
+        interval,
+        prof: true,
         ..ObserveSpec::default()
     };
     let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
@@ -32,7 +33,7 @@ fn profiled_with(p: ProtocolConfig, w: &Workload, spec: ProfSpec) -> (SimStats, 
 }
 
 fn profiled(p: ProtocolConfig, w: &Workload) -> (SimStats, ProfileReport) {
-    profiled_with(p, w, ProfSpec::default())
+    profiled_with(p, w, ObserveSpec::default().interval)
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -108,7 +109,7 @@ fn dd_spins_less_on_global_acquires_than_gd_on_local_sync() {
 fn interval_samples_land_on_boundaries_and_regions_annotate() {
     let b = registry::by_name("SPM_L").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let (stats, mut profile) = profiled_with(ProtocolConfig::Dd, &w, ProfSpec { interval: 256 });
+    let (stats, mut profile) = profiled_with(ProtocolConfig::Dd, &w, 256);
     assert!(!profile.samples.is_empty());
     for s in &profile.samples {
         assert_eq!(s.cycle % 256, 0, "samples land on interval boundaries");
