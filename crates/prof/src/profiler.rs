@@ -37,7 +37,7 @@ pub struct Profiler {
 pub struct ReportInputs {
     /// `SimStats::cycles` of the run.
     pub end: Cycle,
-    /// Final per-node L1 counters (all nodes, CU order first).
+    /// Final L1 counters, indexed by node (CU and non-CU nodes alike).
     pub l1_counts: Vec<Counts>,
     /// Final L2 counters.
     pub l2_counts: Counts,
@@ -77,6 +77,12 @@ impl Profiler {
         n / self.nodes_per_device * self.cus_per_device + n % self.nodes_per_device
     }
 
+    /// The node of attribution row `row` (the inverse of
+    /// [`row`](Self::row)).
+    fn node(&self, row: usize) -> usize {
+        row / self.cus_per_device * self.nodes_per_device + row % self.cus_per_device
+    }
+
     /// A program access to `line` from the L1 on `node`.
     fn line_access(&mut self, node: NodeId, line: LineAddr) {
         self.l1_sketches[node.index()].add(line, LineTally::access());
@@ -92,7 +98,7 @@ impl Profiler {
         let rows: Vec<CuRow> = (0..cus)
             .map(|cu| {
                 let mut counts = self.cu_counts[cu];
-                if let Some(l1) = inputs.l1_counts.get(cu) {
+                if let Some(l1) = inputs.l1_counts.get(self.node(cu)) {
                     counts += *l1;
                 }
                 CuRow {
@@ -101,12 +107,14 @@ impl Profiler {
                 }
             })
             .collect();
-        // Everything outside the CU rows: non-CU L1s (the functional
-        // CPU node), the L2, and the mesh counters — so the rows plus
-        // this residual sum exactly to the global `Counts`.
+        // Everything outside the CU rows: each device's non-CU L1 (the
+        // functional CPU node), the L2, and the mesh counters — so the
+        // rows plus this residual sum exactly to the global `Counts`.
         let mut other = Counts::default();
-        for l1 in inputs.l1_counts.iter().skip(cus) {
-            other += *l1;
+        for (node, l1) in inputs.l1_counts.iter().enumerate() {
+            if node % self.nodes_per_device >= self.cus_per_device {
+                other += *l1;
+            }
         }
         other += inputs.l2_counts;
         other.messages_sent = inputs.messages_sent;
@@ -270,9 +278,17 @@ mod tests {
         // second CU, row 4.
         let mut p = Profiler::new(1024, 3, 4, 8);
         p.cu_tick(NodeId(5), 0, StallKind::Issue, None, 1, 0);
-        let r = p.take_report(inputs(10, 8));
+        let mut ins = inputs(10, 8);
+        for (node, l1) in ins.l1_counts.iter_mut().enumerate() {
+            l1.l1_accesses = 1 << node;
+        }
+        let r = p.take_report(ins);
         assert_eq!(r.cus.len(), 6);
         assert_eq!(r.cus[4].counts.instructions, 1);
+        // Each row carries its own node's L1; nodes 3 and 7 go to `other`.
+        let rows: Vec<u64> = r.cus.iter().map(|c| c.counts.l1_accesses).collect();
+        assert_eq!(rows, [1 << 0, 1 << 1, 1 << 2, 1 << 4, 1 << 5, 1 << 6]);
+        assert_eq!(r.other.l1_accesses, (1 << 3) + (1 << 7));
     }
 
     #[test]

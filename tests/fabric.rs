@@ -81,6 +81,38 @@ fn profile_reconciles_on_a_two_device_run() {
     }
 }
 
+/// Each CU row carries its own node's L1 counters on a multi-device
+/// fabric, whose device-1 rows skip device 0's non-CU node. XPC runs
+/// its producer on CU 0 and pins its consumer to CU 15, the first CU of
+/// the second device: a row that ran nothing made no L1 access, and the
+/// consumer's row shows the atomics it spun on.
+#[test]
+fn profile_rows_carry_their_own_nodes_l1_on_two_devices() {
+    let b = registry::by_name("XPC").unwrap();
+    let observe = ObserveSpec {
+        prof: true,
+        ..ObserveSpec::default()
+    };
+    let (_, reports) = Simulator::new(SystemConfig::fabric(ProtocolConfig::Dd, 2, 40))
+        .run_observed(&(b.build)(Scale::Tiny), &observe)
+        .expect("XPC runs on two devices");
+    let rows = reports.profile.expect("profiling enabled").cus;
+    assert_eq!(rows.len(), 30);
+    for (row, cu) in rows.iter().enumerate() {
+        if cu.counts.instructions == 0 {
+            assert_eq!(
+                cu.counts.l1_accesses, 0,
+                "row {row} ran nothing but shows L1 accesses"
+            );
+        }
+    }
+    assert!(rows[15].counts.instructions > 0);
+    assert!(
+        rows[15].counts.l1_atomics > 0,
+        "the consumer's row lacks its atomics"
+    );
+}
+
 /// Flow observation reconciles on the multi-device link set: per-link
 /// flit sums (mesh links *and* the inter-device links) must match the
 /// aggregate traffic breakdown class for class, and the inter-device
