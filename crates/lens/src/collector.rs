@@ -329,10 +329,9 @@ impl TraceSink for LensCollector {
         }
     }
 
-    /// A registration of `words` words of `line` reached the registry.
-    /// The registry reports every requested word here, including those
-    /// it then moves from a previous owner (also reported to
-    /// [`l2_transfer`](Self::l2_transfer)).
+    /// The registry granted `words` free words of `line` at once; words
+    /// it moves from a previous owner arrive at
+    /// [`l2_transfer`](Self::l2_transfer) instead.
     fn l2_register(&mut self, line: LineAddr, words: u32) {
         self.l2_reg_words += words as u64;
         if let Some(row) = self.line_row(line.0) {

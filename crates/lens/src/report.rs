@@ -155,7 +155,8 @@ pub struct LensReport {
     pub ownership_wb_words: u64,
     /// Owned words transferred L1-to-L1 via forwarded registrations.
     pub steal_words: u64,
-    /// Words registered at the L2 (immediate grants), all lines.
+    /// Words registered at the L2 (immediate grants), all lines. With
+    /// `l2_transfer_words`, sums to `Counts::registrations`.
     pub l2_reg_words: u64,
     /// Words whose registration moved owners at the L2, all lines.
     pub l2_transfer_words: u64,
@@ -258,6 +259,11 @@ impl LensReport {
                 "ownership_writebacks",
                 self.ownership_wb_words,
                 counts.ownership_writebacks,
+            ),
+            (
+                "registrations",
+                self.l2_reg_words + self.l2_transfer_words,
+                counts.registrations,
             ),
         ];
         for (name, got, want) in checks {
@@ -708,9 +714,17 @@ mod tests {
             flash_invalidations: 5,
             words_invalidated: 48,
             ownership_writebacks: 3,
+            registrations: 6,
             ..Counts::default()
         };
         assert!(r.reconcile(&counts).is_ok());
+        counts.registrations = 4;
+        let err = r.reconcile(&counts).unwrap_err();
+        assert!(
+            err.contains("registrations"),
+            "granted + transferred: {err}"
+        );
+        counts.registrations = 6;
         counts.words_invalidated = 47;
         let err = r.reconcile(&counts).unwrap_err();
         assert!(err.contains("words_invalidated"), "{err}");
@@ -728,6 +742,7 @@ mod tests {
             flash_invalidations: 5,
             words_invalidated: 48,
             ownership_writebacks: 3,
+            registrations: 6,
             ..Counts::default()
         };
         let err = r.reconcile(&counts).unwrap_err();

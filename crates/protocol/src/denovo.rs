@@ -1520,7 +1520,7 @@ impl DnL2 {
             to: WState::Invalid,
         });
         let data = l.data;
-        self.trace.l2_register(line, mask.count());
+        self.trace.l2_register(line, granted.count());
         if !granted.is_empty() {
             // Sync grants carry the current value (the RMW reads it);
             // data grants are pure acks.

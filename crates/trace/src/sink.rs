@@ -160,7 +160,9 @@ hooks! {
     /// The registry moved `words` words of `line` from one owner to
     /// another (registration ping-pong).
     fn l2_transfer(line: LineAddr, words: u32);
-    /// A registration of `words` words of `line` reached the registry.
+    /// The registry granted a registration `words` free words of `line`
+    /// at once (words it moves from a previous owner are reported to
+    /// `l2_transfer`; with it, beside `Counts::registrations`).
     fn l2_register(line: LineAddr, words: u32);
 
     // ---- interconnect ----
