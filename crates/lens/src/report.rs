@@ -233,7 +233,7 @@ impl LensReport {
 
     /// Misses across an acquire boundary — reuse the protocol failed to
     /// retain.
-    pub fn cross_sync_misses(&self) -> u64 {
+    fn cross_sync_misses(&self) -> u64 {
         self.reuse_misses[1..].iter().sum()
     }
 
@@ -296,7 +296,7 @@ impl LensReport {
     /// per-line table: `(region, accesses-by-distance)` in first-seen
     /// order, unlabelled lines under `"-"`. Covers the top-k lines the
     /// table kept, which is what the per-region view is for.
-    pub fn region_reuse(&self) -> Vec<(String, [u64; REUSE_BUCKETS])> {
+    fn region_reuse(&self) -> Vec<(String, [u64; REUSE_BUCKETS])> {
         let mut out: Vec<(String, [u64; REUSE_BUCKETS])> = Vec::new();
         for row in &self.lines {
             let name = row.region.as_deref().unwrap_or("-");
@@ -442,30 +442,6 @@ impl LensReport {
                 r.reuse[2],
                 r.reuse[3],
                 r.reuse[4],
-            );
-        }
-        out
-    }
-
-    /// The per-node acquire ledger as CSV.
-    pub fn ledger_csv(&self) -> String {
-        let mut out = String::from(
-            "node,acquires,flash_acquires,words_dropped,words_refetched,refetch_flits,\
-             refetch_misses,stall_cycles,words_overwritten\n",
-        );
-        for l in &self.ledger {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{}",
-                l.node,
-                l.acquires,
-                l.flash_acquires,
-                l.words_dropped,
-                l.words_refetched,
-                l.refetch_flits,
-                l.refetch_misses,
-                l.stall_cycles,
-                l.words_overwritten,
             );
         }
         out
@@ -780,8 +756,6 @@ mod tests {
         let lines = r.lines_csv();
         assert!(lines.starts_with("line,region,"));
         assert!(lines.contains("0x40,lock,30,20,50,2,1,3,4,2,10,7,2,6,12,8,2,2,1"));
-        let ledger = r.ledger_csv();
-        assert!(ledger.contains("0,3,3,40,24,6,5,220,4"));
         let series = r.counter_series();
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].1, vec![(100, 25.0), (600, 15.0)]);

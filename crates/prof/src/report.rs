@@ -97,7 +97,7 @@ impl ProfileReport {
 
     /// Sum of all per-CU rows plus the residual — must equal the run's
     /// global `Counts`.
-    pub fn total_counts(&self) -> Counts {
+    fn total_counts(&self) -> Counts {
         let mut t = self.other;
         for cu in &self.cus {
             t += cu.counts;

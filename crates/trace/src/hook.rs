@@ -84,11 +84,6 @@ impl StallKind {
         }
     }
 
-    /// Parses a [`label`](Self::label) back (JSON round-trip).
-    pub fn from_label(s: &str) -> Option<Self> {
-        STALL_KINDS.into_iter().find(|k| k.label() == s)
-    }
-
     /// Priority when several blocked thread blocks disagree about why
     /// their CU is stalled (higher wins; see the type docs).
     pub fn priority(self) -> u8 {
@@ -164,14 +159,6 @@ pub struct IntervalSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for k in STALL_KINDS {
-            assert_eq!(StallKind::from_label(k.label()), Some(k));
-        }
-        assert_eq!(StallKind::from_label("nope"), None);
-    }
 
     #[test]
     fn priorities_are_distinct_and_sync_wins() {
