@@ -72,13 +72,6 @@ pub enum Issue {
     RetryAfter(Cycle),
 }
 
-impl Issue {
-    /// Whether the operation finished immediately.
-    pub fn is_hit(self) -> bool {
-        matches!(self, Issue::Hit(_))
-    }
-}
-
 /// Sink helpers shared by the controllers' unit tests.
 #[cfg(test)]
 pub(crate) mod testing {
@@ -123,8 +116,5 @@ mod tests {
                 delay: 0
             }
         );
-        assert!(Issue::Hit(0).is_hit());
-        assert!(!Issue::Pending.is_hit());
-        assert!(!Issue::Retry.is_hit());
     }
 }
