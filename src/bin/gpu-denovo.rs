@@ -361,7 +361,7 @@ fn observe_one(
 }
 
 /// One observed view of a run: `profile`, `flow` or `lens`. The driver
-/// [`observe_view`] owns what the views share (the bench, scale and
+/// [`drive_view`] owns what the views share (the bench, scale and
 /// fabric, `--config` and `--topn`, the runs, `--json`, `--out`
 /// dispatch and both layouts); an impl holds only what differs.
 trait View: Sized {
@@ -1216,17 +1216,9 @@ fn main() -> ExitCode {
                 Ok(None) => {}
                 Err(e) => return fail(format!("{e} (a schedule id)")),
             }
-            let budget = match flag_value(&args, "--budget") {
-                Ok(Some(v)) => match v.parse::<u64>() {
-                    Ok(n) if n > 0 => Budget::schedules(n),
-                    _ => {
-                        return fail(format!(
-                            "invalid --budget value {v:?}: expected a positive schedule count"
-                        ))
-                    }
-                },
-                Ok(None) => Budget::default(),
-                Err(e) => return fail(format!("{e} (a schedule count)")),
+            let budget = match positive_flag(&args, "--budget", "schedule count") {
+                Ok(n) => n.map_or_else(Budget::default, Budget::schedules),
+                Err(e) => return fail(e),
             };
             let mode = if args.iter().any(|a| a == "--naive") {
                 ExploreMode::Naive
