@@ -6,11 +6,11 @@
 
 use gsim_mem::MemoryImage;
 use gsim_protocol::denovo::DnConfig;
-use gsim_protocol::{Action, DnL1, DnL2, GpuL1, GpuL2, Issue, L1Config, L2Config};
-use gsim_trace::TraceHandle;
-use gsim_types::{
-    AtomicOp, Counts, Cycle, Msg, ProtocolConfig, Region, ReqId, SyncOrd, Value, WordAddr,
+use gsim_protocol::{
+    Action, DnL1, DnL2, GpuL1, GpuL2, Issue, L1Chassis, L1Config, L2Chassis, L2Config,
 };
+use gsim_trace::TraceHandle;
+use gsim_types::{AtomicOp, Cycle, Msg, ProtocolConfig, Region, ReqId, SyncOrd, Value, WordAddr};
 
 /// One node's private L1 controller.
 #[derive(Debug)]
@@ -34,7 +34,7 @@ impl L1 {
         match protocol {
             ProtocolConfig::Gd | ProtocolConfig::Gh => {
                 let mut c = GpuL1::new(l1);
-                c.set_trace(trace);
+                c.chassis_mut().set_trace(trace);
                 L1::Gpu(c)
             }
             ProtocolConfig::Dd | ProtocolConfig::DdRo | ProtocolConfig::Dh => {
@@ -44,25 +44,26 @@ impl L1 {
                     delayed_local_ownership: protocol == ProtocolConfig::Dh && dh_delayed,
                     sync_read_backoff: sync_backoff,
                 });
-                c.set_trace(trace);
+                c.chassis_mut().set_trace(trace);
                 L1::Dn(c)
             }
         }
     }
 
-    /// Store-buffer entries currently occupied (profiler gauge).
-    pub fn sb_occupancy(&self) -> usize {
+    /// The family-independent part of this L1: counters, occupancy
+    /// gauges, audits and the leak-test hooks.
+    pub fn chassis(&self) -> &dyn L1Chassis {
         match self {
-            L1::Gpu(c) => c.sb_occupancy(),
-            L1::Dn(c) => c.sb_occupancy(),
+            L1::Gpu(c) => c.chassis(),
+            L1::Dn(c) => c.chassis(),
         }
     }
 
-    /// MSHR lines currently outstanding (profiler gauge).
-    pub fn mshr_outstanding(&self) -> usize {
+    /// Mutable access to [`chassis`](Self::chassis).
+    pub fn chassis_mut(&mut self) -> &mut dyn L1Chassis {
         match self {
-            L1::Gpu(c) => c.mshr_outstanding(),
-            L1::Dn(c) => c.mshr_outstanding(),
+            L1::Gpu(c) => c.chassis_mut(),
+            L1::Dn(c) => c.chassis_mut(),
         }
     }
 
@@ -132,14 +133,6 @@ impl L1 {
         }
     }
 
-    /// Event counters.
-    pub fn counts(&self) -> &Counts {
-        match self {
-            L1::Gpu(c) => c.counts(),
-            L1::Dn(c) => c.counts(),
-        }
-    }
-
     /// Whether nothing is in flight.
     pub fn quiesced(&self) -> bool {
         match self {
@@ -166,46 +159,11 @@ impl L1 {
         }
     }
 
-    /// Words whose valid and owned masks overlap (checker hook; always
-    /// zero with the current line representation).
-    pub fn state_mask_overlaps(&self) -> u64 {
-        match self {
-            L1::Gpu(c) => c.state_mask_overlaps(),
-            L1::Dn(c) => c.state_mask_overlaps(),
-        }
-    }
-
-    /// Store-buffer entries currently pending (line, dirty mask).
-    pub fn sb_entries(&self) -> Vec<(gsim_types::LineAddr, gsim_types::WordMask)> {
-        match self {
-            L1::Gpu(c) => c.sb_entries(),
-            L1::Dn(c) => c.sb_entries(),
-        }
-    }
-
     /// Names every undrained resource for the end-of-run quiesce audit.
     pub fn quiesce_leaks(&self) -> Vec<String> {
         match self {
             L1::Gpu(c) => c.quiesce_leaks(),
             L1::Dn(c) => c.quiesce_leaks(),
-        }
-    }
-
-    /// Test-only: plants an MSHR entry that never completes.
-    #[doc(hidden)]
-    pub fn debug_leak_mshr_entry(&mut self, line: gsim_types::LineAddr) {
-        match self {
-            L1::Gpu(c) => c.debug_leak_mshr_entry(line),
-            L1::Dn(c) => c.debug_leak_mshr_entry(line),
-        }
-    }
-
-    /// Test-only: plants an undrainable store-buffer word.
-    #[doc(hidden)]
-    pub fn debug_leak_sb_word(&mut self, word: WordAddr, value: Value) {
-        match self {
-            L1::Gpu(c) => c.debug_leak_sb_word(word, value),
-            L1::Dn(c) => c.debug_leak_sb_word(word, value),
         }
     }
 }
@@ -231,14 +189,31 @@ impl L2 {
         match protocol {
             ProtocolConfig::Gd | ProtocolConfig::Gh => {
                 let mut c = GpuL2::new(config, memory);
-                c.set_trace(trace);
+                c.chassis_mut().set_trace(trace);
                 L2::Gpu(c)
             }
             _ => {
                 let mut c = DnL2::new(config, memory);
-                c.set_trace(trace);
+                c.chassis_mut().set_trace(trace);
                 L2::Dn(c)
             }
+        }
+    }
+
+    /// The family-independent part of the L2: counters and the memory
+    /// image.
+    pub fn chassis(&self) -> &dyn L2Chassis {
+        match self {
+            L2::Gpu(c) => c.chassis(),
+            L2::Dn(c) => c.chassis(),
+        }
+    }
+
+    /// Mutable access to [`chassis`](Self::chassis).
+    pub fn chassis_mut(&mut self) -> &mut dyn L2Chassis {
+        match self {
+            L2::Gpu(c) => c.chassis_mut(),
+            L2::Dn(c) => c.chassis_mut(),
         }
     }
 
@@ -248,38 +223,6 @@ impl L2 {
         match self {
             L2::Gpu(c) => c.handle(now, msg, out),
             L2::Dn(c) => c.handle(now, msg, out),
-        }
-    }
-
-    /// Event counters.
-    pub fn counts(&self) -> &Counts {
-        match self {
-            L2::Gpu(c) => c.counts(),
-            L2::Dn(c) => c.counts(),
-        }
-    }
-
-    /// The functional memory image.
-    pub fn memory(&self) -> &MemoryImage {
-        match self {
-            L2::Gpu(c) => c.memory(),
-            L2::Dn(c) => c.memory(),
-        }
-    }
-
-    /// Mutable access (initialization and the end-of-run drain).
-    pub fn memory_mut(&mut self) -> &mut MemoryImage {
-        match self {
-            L2::Gpu(c) => c.memory_mut(),
-            L2::Dn(c) => c.memory_mut(),
-        }
-    }
-
-    /// Flushes dirty L2 words into the memory image.
-    pub fn flush_to_memory(&mut self) {
-        match self {
-            L2::Gpu(c) => c.flush_to_memory(),
-            L2::Dn(c) => c.flush_to_memory(),
         }
     }
 

@@ -1004,7 +1004,7 @@ impl Machine {
         if self.check.invariants() {
             let mut dirty = Vec::new();
             for (cu, l1) in self.l1s.iter().enumerate() {
-                let sb = l1.sb_entries();
+                let sb = l1.chassis().sb_entries();
                 if !sb.is_empty() {
                     let words: u32 = sb.iter().map(|(_, m)| m.count()).sum();
                     dirty.push(format!(
@@ -1133,7 +1133,7 @@ impl Machine {
                 let regs = &self.tbs[tb].regs;
                 let (word, v) = (addr.word(regs), src.eval(regs));
                 let overflows_before = if self.trace.is_enabled() {
-                    self.l1s[cu].counts().sb_overflow_flushes
+                    self.l1s[cu].chassis().counts().sb_overflow_flushes
                 } else {
                     0
                 };
@@ -1146,7 +1146,7 @@ impl Machine {
                 // A store that forced an overflow flush spent its cycle
                 // on a full store buffer, not useful issue.
                 if self.trace.is_enabled()
-                    && self.l1s[cu].counts().sb_overflow_flushes > overflows_before
+                    && self.l1s[cu].chassis().counts().sb_overflow_flushes > overflows_before
                 {
                     StallKind::SbFull
                 } else {
@@ -1592,14 +1592,14 @@ impl Machine {
             owned.extend(l1.owned_words());
         }
         for (w, v) in owned {
-            self.l2.memory_mut().write_word(w, v);
+            self.l2.chassis_mut().memory_mut().write_word(w, v);
         }
-        self.l2.flush_to_memory();
-        (workload.verify)(self.l2.memory()).map_err(SimError::Verify)?;
+        self.l2.chassis_mut().flush_to_memory();
+        (workload.verify)(self.l2.chassis().memory()).map_err(SimError::Verify)?;
         let observed = self
             .obs_words
             .iter()
-            .map(|&w| self.l2.memory().read_word(w))
+            .map(|&w| self.l2.chassis().memory().read_word(w))
             .collect();
         let stats = self.stats();
         let reports = Reports {
@@ -1634,11 +1634,11 @@ impl Machine {
         let mut mshr_occupancy = 0;
         let mut sb_occupancy = 0;
         for l1 in &self.l1s {
-            let c = l1.counts();
+            let c = l1.chassis().counts();
             l1_load_hits += c.l1_load_hits;
             l1_load_misses += c.l1_load_misses;
-            mshr_occupancy += l1.mshr_outstanding() as u64;
-            sb_occupancy += l1.sb_occupancy() as u64;
+            mshr_occupancy += l1.chassis().mshr_outstanding() as u64;
+            sb_occupancy += l1.chassis().sb_occupancy() as u64;
         }
         let (messages, flits) = self.mesh_counters();
         self.trace.interval_sample(&IntervalSample {
@@ -1658,12 +1658,12 @@ impl Machine {
     /// Assembles the profile report (`None` when profiling is off).
     fn take_profile(&self) -> Option<ProfileReport> {
         let prof = self.prof.as_ref()?;
-        let l1_counts: Vec<Counts> = self.l1s.iter().map(|l| *l.counts()).collect();
+        let l1_counts: Vec<Counts> = self.l1s.iter().map(|l| *l.chassis().counts()).collect();
         let (messages_sent, flit_hops) = self.mesh_counters();
         Some(prof.borrow_mut().take_report(ReportInputs {
             end: self.now,
             l1_counts,
-            l2_counts: *self.l2.counts(),
+            l2_counts: *self.l2.chassis().counts(),
             messages_sent,
             flit_hops,
         }))
@@ -1698,7 +1698,7 @@ impl Machine {
 
         // Valid/owned disjointness per L1.
         for (cu, l1) in self.l1s.iter().enumerate() {
-            let n = l1.state_mask_overlaps();
+            let n = l1.chassis().state_mask_overlaps();
             if n > 0 {
                 found.push((
                     CheckKind::StateMask,
@@ -1771,9 +1771,9 @@ impl Machine {
     fn stats(&self) -> SimStats {
         let mut counts = self.counts;
         for l1 in &self.l1s {
-            counts += *l1.counts();
+            counts += *l1.chassis().counts();
         }
-        counts += *self.l2.counts();
+        counts += *self.l2.chassis().counts();
         let (messages_sent, flit_hops) = self.mesh_counters();
         counts.messages_sent = messages_sent;
         counts.flit_hops = flit_hops;
@@ -2262,7 +2262,9 @@ mod tests {
             cfg.check = CheckLevel::Invariants;
             let mut m = Machine::new(&cfg, &w, &ObserveSpec::default()).unwrap();
             // A line far outside the workload's footprint.
-            m.l1s[0].debug_leak_mshr_entry(gsim_types::LineAddr(0xdead0));
+            m.l1s[0]
+                .chassis_mut()
+                .debug_leak_mshr_entry(gsim_types::LineAddr(0xdead0));
             let err = m.run(&w).expect_err("the quiesce audit must fail the run");
             let msg = err.to_string();
             assert!(matches!(err, SimError::Check { .. }), "{p}: {msg}");
@@ -2286,7 +2288,7 @@ mod tests {
                 false,
                 &TraceHandle::disabled(),
             );
-            l1.debug_leak_sb_word(WordAddr(40), 1);
+            l1.chassis_mut().debug_leak_sb_word(WordAddr(40), 1);
             assert!(!l1.quiesced(), "{p}");
             let leaks = l1.quiesce_leaks();
             assert_eq!(leaks.len(), 1, "{p}: {leaks:?}");

@@ -22,14 +22,12 @@
 //! DRF).
 
 use crate::action::{Action, Issue};
-use gsim_mem::{
-    CacheArray, CacheGeometry, Dram, DramConfig, InsertOutcome, MemoryImage, MshrFile, StoreBuffer,
-    WordState,
-};
-use gsim_trace::{FlushReason, Level, TraceEvent, TraceHandle, WState};
+use crate::chassis::{L1Chassis, L1Config, L1Core, L2Chassis, L2Config, L2Core, LineData};
+use gsim_mem::{CacheLine, InsertOutcome, MemoryImage, SbEntry, WordState};
+use gsim_trace::{FlushReason, Level, TraceEvent, WState};
 use gsim_types::{
     AtomicOp, Component, Counts, Cycle, FxHashMap, LineAddr, Msg, MsgKind, NodeId, ReqId, Scope,
-    SyncOrd, Value, WordAddr, WordMask, WORDS_PER_LINE,
+    SyncOrd, Value, WordAddr, WordMask,
 };
 use std::collections::VecDeque;
 
@@ -47,38 +45,9 @@ enum Waiter {
     },
 }
 
-/// Sizing and placement parameters shared by both L1 protocol families.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct L1Config {
-    /// This L1's mesh node.
-    pub node: NodeId,
-    /// Cache geometry (paper Table 3: 32 KB, 8-way).
-    pub geometry: CacheGeometry,
-    /// Store-buffer capacity in line entries (paper Table 3: 256).
-    pub sb_entries: usize,
-    /// Maximum outstanding miss lines.
-    pub mshr_entries: usize,
-    /// Number of L2 banks (= mesh nodes; the home bank of line `l` is
-    /// node `l % banks`).
-    pub banks: u8,
-}
-
-impl L1Config {
-    /// The paper's Table 3 parameters for the L1 at `node`.
-    pub fn micro15(node: NodeId) -> Self {
-        L1Config {
-            node,
-            geometry: CacheGeometry::l1(),
-            sb_entries: 256,
-            mshr_entries: 32,
-            banks: 16,
-        }
-    }
-
-    /// The home L2 bank of a line.
-    #[inline]
-    pub fn home(&self, line: LineAddr) -> NodeId {
-        NodeId((line.0 % self.banks as u64) as u8)
+impl From<(ReqId, WordAddr)> for Waiter {
+    fn from((req, word): (ReqId, WordAddr)) -> Self {
+        Waiter::Load { req, word }
     }
 }
 
@@ -89,10 +58,7 @@ impl L1Config {
 /// [`Action`]s to the caller's sink for the engine to perform.
 #[derive(Debug)]
 pub struct GpuL1 {
-    config: L1Config,
-    cache: CacheArray<()>,
-    sb: StoreBuffer,
-    mshr: MshrFile<Waiter, ()>,
+    core: L1Core<(), Waiter, ()>,
     /// Writethroughs in flight (awaiting [`MsgKind::WtAck`]).
     pending_wt: u64,
     /// Per-line words with a writethrough in flight, and how many acks
@@ -100,95 +66,39 @@ pub struct GpuL1 {
     /// predate the writethrough at the L2, and the store-buffer entry
     /// that would have shadowed it is already gone.
     wt_inflight: FxHashMap<LineAddr, (u32, WordMask)>,
-    /// Bumped by every global acquire. Fills for requests issued in an
-    /// older epoch deliver data to their (pre-acquire) waiters but do
-    /// not install it — installing would let post-acquire loads read
-    /// pre-acquire line contents (stale under DRF).
-    epoch: u64,
-    /// The epoch each outstanding miss line was requested in.
-    entry_epoch: FxHashMap<LineAddr, u64>,
-    /// Releases blocked until `pending_wt` reaches zero.
-    pending_releases: Vec<ReqId>,
     /// Globally scoped atomics outstanding at the L2, per word, in issue
     /// order (responses on one src/dst pair arrive in order).
     pending_atomics: FxHashMap<WordAddr, VecDeque<ReqId>>,
-    counts: Counts,
-    trace: TraceHandle,
-    /// Whether an `SbFlushBegin` trace event is awaiting its matching
-    /// end (emitted when `pending_wt` returns to zero).
-    sb_draining: bool,
 }
 
 impl GpuL1 {
     /// Creates the L1 controller for `config.node`.
     pub fn new(config: L1Config) -> Self {
         GpuL1 {
-            cache: CacheArray::new(config.geometry),
-            sb: StoreBuffer::new(config.sb_entries),
-            mshr: MshrFile::new(config.mshr_entries),
+            core: L1Core::new(config),
             pending_wt: 0,
             wt_inflight: FxHashMap::default(),
-            epoch: 0,
-            entry_epoch: FxHashMap::default(),
-            pending_releases: Vec::new(),
             pending_atomics: FxHashMap::default(),
-            counts: Counts::default(),
-            trace: TraceHandle::disabled(),
-            sb_draining: false,
-            config,
         }
     }
 
-    /// Installs the run's trace handle: protocol, cache, store-buffer
-    /// and MSHR events, the demand stream, acquire sweeps and fills are
-    /// reported through it from then on. Observation-only.
-    pub fn set_trace(&mut self, trace: &TraceHandle) {
-        self.trace = trace.share();
+    /// The parts this L1 shares with every family: counters, occupancy
+    /// gauges, audits and the trace hook.
+    pub fn chassis(&self) -> &dyn L1Chassis {
+        &self.core
     }
 
-    /// Store-buffer entries currently held (profiler occupancy gauge).
-    pub fn sb_occupancy(&self) -> usize {
-        self.sb.len()
-    }
-
-    /// Outstanding MSHR lines (profiler occupancy gauge).
-    pub fn mshr_outstanding(&self) -> usize {
-        self.mshr.outstanding()
-    }
-
-    /// Emits the `SbFlushBegin` trace event and arms the matching end
-    /// (fired when `pending_wt` drains back to zero).
-    fn begin_sb_drain(&mut self, reason: FlushReason, pending: u32) {
-        if !self.sb_draining {
-            self.sb_draining = true;
-            let node = self.config.node;
-            self.trace.emit(|| TraceEvent::SbFlushBegin {
-                node,
-                reason,
-                pending,
-            });
-        }
-    }
-
-    /// Event counters accumulated so far.
-    pub fn counts(&self) -> &Counts {
-        &self.counts
-    }
-
-    /// The mesh node this L1 lives on.
-    pub fn node(&self) -> NodeId {
-        self.config.node
+    /// Mutable access to [`chassis`](Self::chassis).
+    pub fn chassis_mut(&mut self) -> &mut dyn L1Chassis {
+        &mut self.core
     }
 
     /// Whether any writethrough, fill, or atomic is still in flight.
     pub fn quiesced(&self) -> bool {
-        self.sb.is_empty()
+        self.core.quiesced()
             && self.pending_wt == 0
             && self.wt_inflight.is_empty()
-            && self.entry_epoch.is_empty()
-            && self.pending_releases.is_empty()
             && self.pending_atomics.values().all(|q| q.is_empty())
-            && self.mshr.outstanding() == 0
     }
 
     /// Readable words left in the cache right after a global acquire —
@@ -197,51 +107,20 @@ impl GpuL1 {
     /// buffer (which legally survives the acquire).
     pub fn post_acquire_residue(&self) -> u64 {
         let mut words = 0u64;
-        for l in self.cache.iter() {
+        for l in self.core.cache.iter() {
             words += u64::from(l.readable_mask().count());
         }
         words
-    }
-
-    /// Words whose valid and owned masks overlap, across all lines.
-    /// Structurally impossible with the two-bitmap line representation;
-    /// audited anyway so a future representation change cannot silently
-    /// break the three-state model.
-    pub fn state_mask_overlaps(&self) -> u64 {
-        let mut words = 0u64;
-        for l in self.cache.iter() {
-            words += u64::from((l.mask_in(WordState::Valid) & l.mask_in(WordState::Owned)).count());
-        }
-        words
-    }
-
-    /// Store-buffer entries currently pending (line, dirty mask).
-    pub fn sb_entries(&self) -> Vec<(LineAddr, WordMask)> {
-        self.sb.pending_entries()
     }
 
     /// Names every resource still allocated after the run drained, each
     /// paired with the trace event that allocated it. Empty iff
     /// [`quiesced`](Self::quiesced) and the store buffer is empty.
     pub fn quiesce_leaks(&self) -> Vec<String> {
-        let n = self.config.node;
-        let mut leaks = Vec::new();
-        for (line, mask) in self.mshr.outstanding_lines() {
-            leaks.push(format!(
-                "{n}: MSHR entry for line {} ({} word(s) pending; alloc event: mshr-alloc)",
-                line.0,
-                mask.count()
-            ));
-        }
-        for (line, mask) in self.sb.pending_entries() {
-            leaks.push(format!(
-                "{n}: store-buffer entry for line {} ({} dirty word(s); alloc event: sb-flush)",
-                line.0,
-                mask.count()
-            ));
-        }
+        let n = self.core.config.node;
+        let mut in_flight = Vec::new();
         if self.pending_wt > 0 {
-            leaks.push(format!(
+            in_flight.push(format!(
                 "{n}: {} writethrough ack(s) outstanding (alloc event: sb-flush)",
                 self.pending_wt
             ));
@@ -249,22 +128,9 @@ impl GpuL1 {
         let mut wt: Vec<_> = self.wt_inflight.iter().collect();
         wt.sort_by_key(|(&l, _)| l);
         for (&line, &(acks, _)) in wt {
-            leaks.push(format!(
+            in_flight.push(format!(
                 "{n}: {acks} writethrough(s) in flight for line {} (alloc event: msg-send)",
                 line.0
-            ));
-        }
-        let mut ee: Vec<_> = self.entry_epoch.keys().copied().collect();
-        ee.sort();
-        for line in ee {
-            leaks.push(format!(
-                "{n}: miss-epoch record for line {} (alloc event: mshr-alloc)",
-                line.0
-            ));
-        }
-        for req in &self.pending_releases {
-            leaks.push(format!(
-                "{n}: release {req:?} never completed (alloc event: release)"
             ));
         }
         let mut at: Vec<_> = self
@@ -273,54 +139,27 @@ impl GpuL1 {
             .filter(|(_, q)| !q.is_empty())
             .collect();
         at.sort_by_key(|(&w, _)| w);
-        for (&word, q) in at {
-            leaks.push(format!(
-                "{n}: {} atomic(s) outstanding on word {} (alloc event: atomic)",
-                q.len(),
-                word.0
-            ));
-        }
-        leaks
-    }
-
-    /// Test-only: plants an MSHR entry that will never complete, so the
-    /// quiesce audit's leak naming can be exercised end to end.
-    #[doc(hidden)]
-    pub fn debug_leak_mshr_entry(&mut self, line: LineAddr) {
-        self.mshr.request(
-            line,
-            WordMask::single(0),
-            Waiter::Load {
-                req: ReqId(u64::MAX),
-                word: line.word(0),
-            },
-        );
-    }
-
-    /// Test-only: plants a store-buffer word that no release will drain
-    /// (bypassing the overflow path), for the leak-naming tests.
-    #[doc(hidden)]
-    pub fn debug_leak_sb_word(&mut self, word: WordAddr, value: Value) {
-        let _ = self.sb.write(word, value);
-    }
-
-    fn msg_to_home(&self, line: LineAddr, kind: MsgKind) -> Msg {
-        Msg {
-            src: self.config.node,
-            dst: self.config.home(line),
-            dst_comp: Component::L2,
-            kind,
-        }
+        let atomics = at
+            .into_iter()
+            .map(|(&word, q)| {
+                format!(
+                    "{n}: {} atomic(s) outstanding on word {} (alloc event: atomic)",
+                    q.len(),
+                    word.0
+                )
+            })
+            .collect();
+        self.core.leaks(in_flight, Vec::new(), atomics)
     }
 
     /// Sends one writethrough, recording its in-flight words so racing
     /// fills do not resurrect stale values.
-    fn send_writethrough(&mut self, e: gsim_mem::SbEntry, out: &mut Vec<Action>) {
+    fn send_writethrough(&mut self, e: SbEntry, out: &mut Vec<Action>) {
         self.pending_wt += 1;
         let slot = self.wt_inflight.entry(e.line).or_default();
         slot.0 += 1;
         slot.1 |= e.mask;
-        out.push(Action::send(self.msg_to_home(
+        out.push(Action::send(self.core.msg_to_home(
             e.line,
             MsgKind::WriteThrough {
                 line: e.line,
@@ -333,10 +172,9 @@ impl GpuL1 {
     /// Buffers a store, emitting the overflow writethrough if the oldest
     /// entry is displaced.
     fn buffer_store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) {
-        if let gsim_mem::StoreOutcome::Overflow(e) = self.sb.write(word, value) {
-            self.counts.sb_overflow_flushes += 1;
-            let pending = e.mask.count();
-            self.begin_sb_drain(FlushReason::Overflow, pending);
+        if let Some(e) = self.core.buffer(word, value) {
+            self.core
+                .begin_sb_drain(FlushReason::Overflow, e.mask.count());
             self.send_writethrough(e, out);
         }
     }
@@ -344,58 +182,44 @@ impl GpuL1 {
     /// The freshest locally visible value of `word`, if any: the store
     /// buffer shadows the cache.
     fn local_value(&mut self, word: WordAddr) -> Option<Value> {
-        if let Some(v) = self.sb.lookup(word) {
+        if let Some(v) = self.core.sb.lookup(word) {
             return Some(v);
         }
-        let line = self.cache.lookup(word.line())?;
+        let line = self.core.cache.lookup(word.line())?;
         let i = word.index_in_line();
         line.word(i).readable().then(|| line.data[i])
     }
 
     /// A demand load of `word`.
     pub fn load(&mut self, word: WordAddr, req: ReqId, out: &mut Vec<Action>) -> Issue {
+        let node = self.core.config.node;
         if let Some(v) = self.local_value(word) {
-            self.counts.l1_accesses += 1;
-            self.counts.l1_load_hits += 1;
-            self.trace.l1_access(self.config.node, word.line(), true);
+            self.core.counts.l1_accesses += 1;
+            self.core.counts.l1_load_hits += 1;
+            self.core.trace.l1_access(node, word.line(), true);
             return Issue::Hit(v);
         }
         let line = word.line();
-        if !self.mshr.has_room_for(line) || self.entry_is_stale(line) {
+        if !self.core.mshr.has_room_for(line) || self.core.is_stale(line) {
             return Issue::Retry;
         }
-        self.counts.l1_accesses += 1;
-        self.counts.l1_load_misses += 1;
-        self.trace.l1_access(self.config.node, line, false);
-        self.trace.l1_miss(self.config.node, word, req);
-        self.entry_epoch.entry(line).or_insert(self.epoch);
-        let was_pending = self.mshr.is_pending(line);
-        let to_send = self
-            .mshr
-            .request(line, WordMask::full(), Waiter::Load { req, word });
-        if !was_pending {
-            self.emit_mshr_alloc(line);
-        }
-        if !to_send.is_empty() {
-            out.push(Action::send(self.msg_to_home(
-                line,
-                MsgKind::ReadReq {
-                    line,
-                    mask: WordMask::full(),
-                    requester: self.config.node,
-                },
-            )));
-        }
+        self.core.counts.l1_accesses += 1;
+        self.core.counts.l1_load_misses += 1;
+        self.core.trace.l1_access(node, line, false);
+        self.core.trace.l1_miss(node, word, req);
+        let full = WordMask::full();
+        self.core
+            .read_miss(line, full, full, Waiter::Load { req, word }, out);
         Issue::Pending
     }
 
     /// A data store: write-update the local copy and buffer the
     /// writethrough. Never blocks (overflow evicts the oldest entry).
     pub fn store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) -> Issue {
-        self.counts.l1_accesses += 1;
-        self.trace.l1_write(self.config.node, word, false);
+        self.core.counts.l1_accesses += 1;
+        self.core.trace.l1_write(self.core.config.node, word, false);
         let i = word.index_in_line();
-        if let Some(line) = self.cache.lookup(word.line()) {
+        if let Some(line) = self.core.cache.lookup(word.line()) {
             line.data[i] = value;
             line.set_word(i, WordState::Valid);
         }
@@ -418,7 +242,7 @@ impl GpuL1 {
         out: &mut Vec<Action>,
     ) -> Issue {
         if !local {
-            let msg = self.msg_to_home(
+            let msg = self.core.msg_to_home(
                 word.line(),
                 MsgKind::AtomicReq {
                     word,
@@ -426,7 +250,7 @@ impl GpuL1 {
                     operands,
                     ord,
                     scope: Scope::Global,
-                    requester: self.config.node,
+                    requester: self.core.config.node,
                 },
             );
             self.pending_atomics.entry(word).or_default().push_back(req);
@@ -434,44 +258,27 @@ impl GpuL1 {
             return Issue::Pending;
         }
         if let Some(current) = self.local_value(word) {
-            self.counts.l1_accesses += 1;
-            self.counts.l1_atomics += 1;
-            self.counts.l1_atomic_hits += 1;
+            self.core.counts.l1_accesses += 1;
+            self.core.counts.l1_atomics += 1;
+            self.core.counts.l1_atomic_hits += 1;
             let (new, old) = op.apply(current, operands);
             self.apply_local_write(word, new, op, out);
             return Issue::Hit(old);
         }
         let line = word.line();
-        if !self.mshr.has_room_for(line) || self.entry_is_stale(line) {
+        if !self.core.mshr.has_room_for(line) || self.core.is_stale(line) {
             return Issue::Retry;
         }
-        self.counts.l1_accesses += 1;
-        self.counts.l1_atomics += 1;
-        self.entry_epoch.entry(line).or_insert(self.epoch);
-        let was_pending = self.mshr.is_pending(line);
-        let to_send = self.mshr.request(
-            line,
-            WordMask::full(),
-            Waiter::LocalAtomic {
-                req,
-                word,
-                op,
-                operands,
-            },
-        );
-        if !was_pending {
-            self.emit_mshr_alloc(line);
-        }
-        if !to_send.is_empty() {
-            out.push(Action::send(self.msg_to_home(
-                line,
-                MsgKind::ReadReq {
-                    line,
-                    mask: WordMask::full(),
-                    requester: self.config.node,
-                },
-            )));
-        }
+        self.core.counts.l1_accesses += 1;
+        self.core.counts.l1_atomics += 1;
+        let full = WordMask::full();
+        let waiter = Waiter::LocalAtomic {
+            req,
+            word,
+            op,
+            operands,
+        };
+        self.core.read_miss(line, full, full, waiter, out);
         Issue::Pending
     }
 
@@ -488,11 +295,11 @@ impl GpuL1 {
             return;
         }
         let i = word.index_in_line();
-        if let Some(line) = self.cache.lookup(word.line()) {
+        if let Some(line) = self.core.cache.lookup(word.line()) {
             line.data[i] = new;
             line.set_word(i, WordState::Valid);
         }
-        self.trace.l1_write(self.config.node, word, true);
+        self.core.trace.l1_write(self.core.config.node, word, true);
         self.buffer_store(word, new, out);
     }
 
@@ -500,54 +307,20 @@ impl GpuL1 {
     /// nothing (local scope, GPU-H). Dirty data survives in the store
     /// buffer and keeps shadowing the cache.
     pub fn acquire(&mut self, local: bool) {
-        if local {
-            return;
-        }
-        self.epoch += 1; // in-flight fills must not install post-acquire
-        self.counts.flash_invalidations += 1;
-        let mut invalidated: u64 = 0;
-        let (trace, node) = (&self.trace, self.config.node);
-        trace.flash(node);
-        self.cache.for_each_line_mut(|l| {
-            let v = l.invalidate_valid(WordMask::empty());
-            invalidated += u64::from(v.count());
-            if !v.is_empty() {
-                trace.invalidated(node, l.tag, v);
-            }
-        });
-        self.counts.words_invalidated += invalidated;
-        self.trace.emit(|| TraceEvent::SyncAcquire {
-            node,
-            scope: Scope::Global,
-            invalidated,
-            flash: true,
-        });
+        self.core.acquire(local, true, |_| WordMask::empty());
     }
 
     /// A release: flush the store buffer and wait for every writethrough
     /// (including earlier overflow flushes) to reach the L2. Locally
     /// scoped releases (GPU-H) complete immediately.
     pub fn release(&mut self, local: bool, req: ReqId, out: &mut Vec<Action>) -> Issue {
-        if local {
+        let Some(pending) = self.core.open_release(local) else {
             return Issue::Hit(0);
-        }
-        let node = self.config.node;
-        self.trace.emit(|| TraceEvent::SyncRelease {
-            node,
-            scope: Scope::Global,
-        });
-        let pending = self.sb.len() as u32;
-        while let Some(e) = self.sb.pop_oldest() {
-            self.counts.sb_release_flushes += 1;
+        };
+        while let Some(e) = self.core.release_pop() {
             self.send_writethrough(e, out);
         }
-        if self.pending_wt == 0 {
-            Issue::Hit(0)
-        } else {
-            self.begin_sb_drain(FlushReason::Release, pending);
-            self.pending_releases.push(req);
-            Issue::Pending
-        }
+        self.core.close_release(self.pending_wt > 0, pending, req)
     }
 
     /// Delivers a network message to this L1.
@@ -568,16 +341,7 @@ impl GpuL1 {
                     }
                 }
                 if self.pending_wt == 0 {
-                    if self.sb_draining {
-                        self.sb_draining = false;
-                        let node = self.config.node;
-                        self.trace.emit(|| TraceEvent::SbFlushEnd { node });
-                    }
-                    out.extend(
-                        self.pending_releases
-                            .drain(..)
-                            .map(|req| Action::complete(req, 0)),
-                    );
+                    self.core.drained(out);
                 }
             }
             MsgKind::AtomicResp { word, old } => {
@@ -592,21 +356,6 @@ impl GpuL1 {
         }
     }
 
-    /// Emits the `MshrAlloc` trace event for a freshly allocated entry.
-    fn emit_mshr_alloc(&mut self, line: LineAddr) {
-        let (node, outstanding) = (self.config.node, self.mshr.outstanding() as u32);
-        self.trace.emit(|| TraceEvent::MshrAlloc {
-            node,
-            line,
-            outstanding,
-        });
-    }
-
-    /// Whether the outstanding miss on `line` predates the last acquire.
-    fn entry_is_stale(&self, line: LineAddr) -> bool {
-        self.entry_epoch.get(&line).is_some_and(|&e| e < self.epoch)
-    }
-
     /// Applies a line fill and services the waiters.
     ///
     /// Two squash rules keep fills from resurrecting stale data:
@@ -614,20 +363,13 @@ impl GpuL1 {
     /// may predate the writethrough at the L2), and fills whose request
     /// predates the last acquire install nothing at all — their waiters
     /// are pre-acquire accesses and are served straight from the fill.
-    fn fill(
-        &mut self,
-        line: LineAddr,
-        mask: WordMask,
-        data: &[Value; WORDS_PER_LINE],
-        out: &mut Vec<Action>,
-    ) {
-        let stale = self.entry_is_stale(line);
-        if !stale {
+    fn fill(&mut self, line: LineAddr, mask: WordMask, data: &LineData, out: &mut Vec<Action>) {
+        if !self.core.is_stale(line) {
             let skip = self.wt_inflight.get(&line).map(|s| s.1).unwrap_or_default();
+            let node = self.core.config.node;
             // GPU victims are clean: silent drop.
-            if let InsertOutcome::Evicted(victim) = self.cache.insert(line) {
-                let node = self.config.node;
-                self.trace.emit(|| TraceEvent::Eviction {
+            if let InsertOutcome::Evicted(victim) = self.core.cache.insert(line) {
+                self.core.trace.emit(|| TraceEvent::Eviction {
                     node,
                     level: Level::L1,
                     line: victim.tag,
@@ -636,8 +378,7 @@ impl GpuL1 {
             }
             let installed = (mask & !skip).count();
             if installed > 0 {
-                let node = self.config.node;
-                self.trace.emit(|| TraceEvent::StateChange {
+                self.core.trace.emit(|| TraceEvent::StateChange {
                     node,
                     level: Level::L1,
                     line,
@@ -646,30 +387,20 @@ impl GpuL1 {
                     to: WState::Valid,
                 });
             }
-            self.trace
-                .filled(self.config.node, line, mask & !skip, false);
-            let entry = self.cache.lookup(line).expect("just inserted");
+            self.core.trace.filled(node, line, mask & !skip, false);
+            let entry = self.core.cache.lookup(line).expect("just inserted");
             entry.fill(mask & !skip, data, WordState::Valid);
             // Local pending stores are newer than the L2's copy: re-apply
             // them so the cached words never go stale once the buffer
             // drains.
             for i in mask.iter() {
-                if let Some(v) = self.sb.lookup(line.word(i)) {
+                if let Some(v) = self.core.sb.lookup(line.word(i)) {
                     entry.data[i] = v;
                     entry.set_word(i, WordState::Valid);
                 }
             }
         }
-        let (done, _) = self.mshr.complete(line, mask);
-        if !self.mshr.is_pending(line) {
-            self.entry_epoch.remove(&line);
-            let (node, waiters) = (self.config.node, done.len() as u32);
-            self.trace.emit(|| TraceEvent::MshrRetire {
-                node,
-                line,
-                waiters,
-            });
-        }
+        let (done, _) = self.core.complete_miss(line, mask);
         for w in done {
             match w {
                 Waiter::Load { req, word } => {
@@ -692,138 +423,35 @@ impl GpuL1 {
     }
 }
 
-/// Timing and sizing of the shared L2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct L2Config {
-    /// Bank access latency in cycles (tag + data array).
-    pub latency: Cycle,
-    /// Per-bank cache geometry (paper Table 3: 4 MB / 16 banks).
-    pub bank_geometry: CacheGeometry,
-    /// Number of banks (one per mesh node).
-    pub banks: usize,
-    /// Backing DRAM timing.
-    pub dram: DramConfig,
-}
-
-impl Default for L2Config {
-    fn default() -> Self {
-        // `latency` is calibrated (with the mesh) so end-to-end L2 hits
-        // land in Table 3's 29-61 cycle range; see gsim-core's tests.
-        L2Config {
-            latency: 26,
-            bank_geometry: CacheGeometry::l2_bank(),
-            banks: 16,
-            dram: DramConfig::default(),
-        }
-    }
-}
-
-/// The shared L2 of conventional GPU coherence: all 16 NUCA banks plus
-/// the backing DRAM and the functional memory image.
-///
-/// One instance serves every bank; the engine routes a message here
-/// whenever `dst_comp == Component::L2`, and the bank is implied by the
-/// line address (`line % banks == dst node`).
+/// The shared L2 of conventional GPU coherence: a plain cache in every
+/// bank, where global synchronization also executes.
 #[derive(Debug)]
 pub struct GpuL2 {
-    config: L2Config,
-    banks: Vec<CacheArray<()>>,
-    /// Per-bank in-order pipeline: the cycle each bank next accepts a
-    /// request. A bank blocked on a DRAM fill delays later requests, so
-    /// responses leave every bank in arrival order — the point-to-point
-    /// ordering the L1 controllers rely on.
-    bank_busy: Vec<Cycle>,
-    memory: MemoryImage,
-    dram: Dram,
-    counts: Counts,
-    trace: TraceHandle,
+    core: L2Core<()>,
+}
+
+/// Installs a line fetched from DRAM: every word Valid (clean).
+fn fill_clean(_: &mut Counts, l: &mut CacheLine<()>, data: &LineData, _: Option<CacheLine<()>>) {
+    l.fill(WordMask::full(), data, WordState::Valid);
 }
 
 impl GpuL2 {
     /// Creates the shared L2 over an initial memory image.
     pub fn new(config: L2Config, memory: MemoryImage) -> Self {
         GpuL2 {
-            banks: (0..config.banks)
-                .map(|_| CacheArray::new(config.bank_geometry))
-                .collect(),
-            bank_busy: vec![0; config.banks],
-            dram: Dram::new(config.dram),
-            memory,
-            counts: Counts::default(),
-            trace: TraceHandle::disabled(),
-            config,
+            core: L2Core::new(config, memory),
         }
     }
 
-    /// Installs the run's trace handle: bank evictions and bank
-    /// operations are reported through it from then on.
-    /// Observation-only.
-    pub fn set_trace(&mut self, trace: &TraceHandle) {
-        self.trace = trace.share();
+    /// The parts this L2 shares with the DeNovo registry: counters,
+    /// the memory image and the trace hook.
+    pub fn chassis(&self) -> &dyn L2Chassis {
+        &self.core
     }
 
-    /// Starts a bank operation on `line` at `now`: waits for the bank,
-    /// fetches the line if missing, and occupies the bank until the data
-    /// is available. Returns the delay (relative to `now`) after which
-    /// responses go out.
-    fn bank_op(&mut self, now: Cycle, line: LineAddr) -> Cycle {
-        let bank = (line.0 % self.config.banks as u64) as usize;
-        let start = now.max(self.bank_busy[bank]);
-        let d = self.ensure_line(start, line);
-        self.bank_busy[bank] = start + d + 1;
-        start + d + self.config.latency - now
-    }
-
-    /// Event counters accumulated so far.
-    pub fn counts(&self) -> &Counts {
-        &self.counts
-    }
-
-    /// The functional memory image (final state inspection).
-    ///
-    /// Note: words still buffered in L1 store buffers are not yet here;
-    /// run verification only after every kernel's final release.
-    pub fn memory(&self) -> &MemoryImage {
-        &self.memory
-    }
-
-    /// Mutable access to the memory image (host-side initialization).
-    pub fn memory_mut(&mut self) -> &mut MemoryImage {
-        &mut self.memory
-    }
-
-    fn bank_node(&self, line: LineAddr) -> NodeId {
-        NodeId((line.0 % self.config.banks as u64) as u8)
-    }
-
-    /// Ensures `line` is resident in its bank, returning the extra delay
-    /// (0 on a bank hit, the DRAM round trip on a miss).
-    fn ensure_line(&mut self, now: Cycle, line: LineAddr) -> Cycle {
-        let bank = (line.0 % self.config.banks as u64) as usize;
-        if self.banks[bank].contains(line) {
-            return 0;
-        }
-        let done = self.dram.access(now, line);
-        self.counts.dram_reads += 1;
-        let data = self.memory.read_line(line);
-        if let InsertOutcome::Evicted(victim) = self.banks[bank].insert(line) {
-            let dirty = victim.mask_in(WordState::Owned);
-            let node = self.bank_node(victim.tag);
-            self.trace.emit(|| TraceEvent::Eviction {
-                node,
-                level: Level::L2,
-                line: victim.tag,
-                owned_words: dirty.count(),
-            });
-            if !dirty.is_empty() {
-                self.memory.write_line(victim.tag, dirty, &victim.data);
-                self.dram.access(now, victim.tag);
-                self.counts.dram_writes += 1;
-            }
-        }
-        let l = self.banks[bank].lookup(line).expect("just inserted");
-        l.fill(WordMask::full(), &data, WordState::Valid);
-        done - now
+    /// Mutable access to [`chassis`](Self::chassis).
+    pub fn chassis_mut(&mut self) -> &mut dyn L2Chassis {
+        &mut self.core
     }
 
     /// Delivers a network message to the addressed bank.
@@ -837,12 +465,12 @@ impl GpuL2 {
             MsgKind::ReadReq {
                 line, requester, ..
             } => {
-                debug_assert_eq!(msg.dst, self.bank_node(line), "misrouted L2 request");
-                self.counts.l2_accesses += 1;
-                self.trace.l2_access(line);
-                let delay = self.bank_op(now, line);
-                let bank = (line.0 % self.config.banks as u64) as usize;
-                let data = self.banks[bank].peek(line).expect("resident").data;
+                let bank = self.core.bank(line);
+                debug_assert_eq!(msg.dst, NodeId(bank as u8), "misrouted L2 request");
+                self.core.counts.l2_accesses += 1;
+                self.core.trace.l2_access(line);
+                let delay = self.core.bank_op(now, line, fill_clean);
+                let data = self.core.banks[bank].peek(line).expect("resident").data;
                 out.push(Action::Send {
                     msg: Msg {
                         src: msg.dst,
@@ -858,12 +486,10 @@ impl GpuL2 {
                 });
             }
             MsgKind::WriteThrough { line, mask, data } => {
-                self.counts.l2_accesses += 1;
-                self.trace.l2_access(line);
-                let delay = self.bank_op(now, line);
-                let bank = (line.0 % self.config.banks as u64) as usize;
-                let l = self.banks[bank].lookup(line).expect("resident");
-                l.fill(mask, &data, WordState::Owned);
+                self.core.counts.l2_accesses += 1;
+                self.core.trace.l2_access(line);
+                let delay = self.core.bank_op(now, line, fill_clean);
+                self.core.resident(line).fill(mask, &data, WordState::Owned);
                 out.push(Action::Send {
                     msg: Msg {
                         src: msg.dst,
@@ -881,13 +507,12 @@ impl GpuL2 {
                 requester,
                 ..
             } => {
-                self.counts.l2_accesses += 1;
-                self.counts.l2_atomics += 1;
+                self.core.counts.l2_accesses += 1;
+                self.core.counts.l2_atomics += 1;
                 let line = word.line();
-                self.trace.l2_access(line);
-                let delay = self.bank_op(now, line);
-                let bank = (line.0 % self.config.banks as u64) as usize;
-                let l = self.banks[bank].lookup(line).expect("resident");
+                self.core.trace.l2_access(line);
+                let delay = self.core.bank_op(now, line, fill_clean);
+                let l = self.core.resident(line);
                 let i = word.index_in_line();
                 let (new, old) = op.apply(l.data[i], operands);
                 if op.writes() {
@@ -907,30 +532,13 @@ impl GpuL2 {
             ref k => panic!("GPU L2 received unexpected message {k:?}"),
         }
     }
-
-    /// Flushes every dirty L2 word into the memory image (end of run, so
-    /// verifiers see the complete final state).
-    pub fn flush_to_memory(&mut self) {
-        for bank in &mut self.banks {
-            let mut writes = Vec::new();
-            bank.for_each_line_mut(|l| {
-                let dirty = l.mask_in(WordState::Owned);
-                if !dirty.is_empty() {
-                    writes.push((l.tag, dirty, l.data));
-                    l.set_mask(dirty, WordState::Valid);
-                }
-            });
-            for (tag, mask, data) in writes {
-                self.memory.write_line(tag, mask, &data);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::action::testing::{run_handler, run_op};
+    use gsim_types::WORDS_PER_LINE;
 
     fn l1() -> GpuL1 {
         GpuL1::new(L1Config::micro15(NodeId(0)))
@@ -977,8 +585,8 @@ mod tests {
         assert_eq!(issue, Issue::Hit(0));
         let (issue, _) = run_op(|o| l1c.load(WordAddr(3), ReqId(3), o));
         assert_eq!(issue, Issue::Hit(77));
-        assert_eq!(l1c.counts().l1_load_hits, 2);
-        assert_eq!(l1c.counts().l1_load_misses, 1);
+        assert_eq!(l1c.chassis().counts().l1_load_hits, 2);
+        assert_eq!(l1c.chassis().counts().l1_load_misses, 1);
     }
 
     #[test]
@@ -1012,15 +620,15 @@ mod tests {
         assert_eq!(actions.len(), 1);
         let done = bounce(&mut l1c, &mut l2c, actions);
         assert_eq!(done, vec![Action::complete(ReqId(2), 0)]);
-        assert_eq!(l1c.counts().sb_release_flushes, 1);
+        assert_eq!(l1c.chassis().counts().sb_release_flushes, 1);
         assert_eq!(l2c.memory_after_flush(WordAddr(8)), 42);
         assert!(l1c.quiesced());
     }
 
     impl GpuL2 {
         fn memory_after_flush(&mut self, w: WordAddr) -> Value {
-            self.flush_to_memory();
-            self.memory().read_word(w)
+            self.chassis_mut().flush_to_memory();
+            self.chassis().memory().read_word(w)
         }
     }
 
@@ -1040,8 +648,8 @@ mod tests {
         bounce(&mut l1c, &mut l2c, a);
         l1c.store(WordAddr(1), 9, &mut Vec::new());
         l1c.acquire(false);
-        assert_eq!(l1c.counts().flash_invalidations, 1);
-        assert_eq!(l1c.counts().words_invalidated, 16);
+        assert_eq!(l1c.chassis().counts().flash_invalidations, 1);
+        assert_eq!(l1c.chassis().counts().words_invalidated, 16);
         // The cached word is gone...
         let (issue, a) = run_op(|o| l1c.load(WordAddr(0), ReqId(2), o));
         assert_eq!(issue, Issue::Pending);
@@ -1051,7 +659,7 @@ mod tests {
         assert_eq!(issue, Issue::Hit(9));
         // Local acquire (GPU-H) invalidates nothing.
         l1c.acquire(true);
-        assert_eq!(l1c.counts().flash_invalidations, 1);
+        assert_eq!(l1c.chassis().counts().flash_invalidations, 1);
     }
 
     #[test]
@@ -1072,11 +680,11 @@ mod tests {
         assert_eq!(issue, Issue::Pending);
         let done = bounce(&mut l1c, &mut l2c, actions);
         assert_eq!(done, vec![Action::complete(ReqId(1), 10)]);
-        assert_eq!(l2c.counts().l2_atomics, 1);
-        assert_eq!(l1c.counts().l1_atomics, 0, "performed remotely");
+        assert_eq!(l2c.chassis().counts().l2_atomics, 1);
+        assert_eq!(l1c.chassis().counts().l1_atomics, 0, "performed remotely");
         // The L2 word was updated in place.
-        l2c.flush_to_memory();
-        assert_eq!(l2c.memory().read_word(WordAddr(4)), 15);
+        l2c.chassis_mut().flush_to_memory();
+        assert_eq!(l2c.chassis().memory().read_word(WordAddr(4)), 15);
     }
 
     #[test]
@@ -1112,13 +720,13 @@ mod tests {
         });
         assert_eq!(issue, Issue::Hit(15));
         assert!(actions.is_empty());
-        assert_eq!(l1c.counts().l1_atomic_hits, 1);
-        assert_eq!(l2c.counts().l2_atomics, 0);
+        assert_eq!(l1c.chassis().counts().l1_atomic_hits, 1);
+        assert_eq!(l2c.chassis().counts().l2_atomics, 0);
         // The value reaches the L2 at the next global release.
         let (_, actions) = run_op(|o| l1c.release(false, ReqId(3), o));
         bounce(&mut l1c, &mut l2c, actions);
-        l2c.flush_to_memory();
-        assert_eq!(l2c.memory().read_word(WordAddr(4)), 16);
+        l2c.chassis_mut().flush_to_memory();
+        assert_eq!(l2c.chassis().memory().read_word(WordAddr(4)), 16);
     }
 
     #[test]
@@ -1165,7 +773,7 @@ mod tests {
             actions.extend(a);
         }
         assert_eq!(actions.len(), 1, "oldest entry written through");
-        assert_eq!(l1c.counts().sb_overflow_flushes, 1);
+        assert_eq!(l1c.chassis().counts().sb_overflow_flushes, 1);
         assert!(matches!(
             actions[0],
             Action::Send {
@@ -1215,14 +823,18 @@ mod tests {
             panic!("expected a send");
         };
         assert!(matches!(msg.kind, MsgKind::ReadResp { .. }));
-        assert_eq!(l2c.counts().dram_reads, 1);
+        assert_eq!(l2c.chassis().counts().dram_reads, 1);
         let second = run_handler(|o| l2c.handle(1000, &req, o));
         let Action::Send { delay: d2, .. } = second[0] else {
             panic!("expected a send");
         };
         assert!(d1 > d2, "bank hit is faster than the DRAM miss");
         assert_eq!(d2, L2Config::default().latency);
-        assert_eq!(l2c.counts().dram_reads, 1, "no second DRAM access");
+        assert_eq!(
+            l2c.chassis().counts().dram_reads,
+            1,
+            "no second DRAM access"
+        );
     }
 
     #[test]
@@ -1249,8 +861,12 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(l2c.memory().read_word(WordAddr(0)), 0, "not yet in DRAM");
-        l2c.flush_to_memory();
-        assert_eq!(l2c.memory().read_word(WordAddr(0)), 55);
+        assert_eq!(
+            l2c.chassis().memory().read_word(WordAddr(0)),
+            0,
+            "not yet in DRAM"
+        );
+        l2c.chassis_mut().flush_to_memory();
+        assert_eq!(l2c.chassis().memory().read_word(WordAddr(0)), 55);
     }
 }

@@ -16,6 +16,11 @@
 //!   synchronization with same-CU coalescing and the distributed queue
 //!   for racy registrations.
 //!
+//! Both families run on one shared chassis ([`chassis`]): the L1's
+//! cache, store buffer, MSHRs, miss-epoch guard and release drain, and
+//! the L2's banks, in-order pipelines and DRAM. Each family module keeps
+//! only the paper-level differences.
+//!
 //! Controllers are pure state machines connected to the engine through
 //! the [`action`] vocabulary (each entry point appends to a caller-owned
 //! `Vec<Action>` sink), so every protocol transition is unit-tested in
@@ -26,6 +31,7 @@
 //! [`overhead`] (the §4.2 state-bit accounting).
 
 pub mod action;
+pub mod chassis;
 pub mod denovo;
 pub mod features;
 pub mod gpu;
@@ -33,5 +39,6 @@ pub mod overhead;
 pub mod taxonomy;
 
 pub use action::{Action, Issue};
+pub use chassis::{L1Chassis, L1Config, L2Chassis, L2Config};
 pub use denovo::{DnL1, DnL2};
-pub use gpu::{GpuL1, GpuL2, L1Config, L2Config};
+pub use gpu::{GpuL1, GpuL2};

@@ -89,7 +89,7 @@ fn pump_denovo(
             Component::L2 => l2.handle(0, &msg, &mut replies),
             Component::L1 => l1s
                 .iter_mut()
-                .find(|l| l.node() == msg.dst)
+                .find(|l| l.chassis().node() == msg.dst)
                 .expect("known L1")
                 .handle(&msg, &mut replies),
         }
@@ -104,7 +104,7 @@ fn pump_gpu(net: &mut ChaosNet, l1s: &mut [GpuL1], l2: &mut GpuL2, done: &mut Ve
             Component::L2 => l2.handle(0, &msg, &mut replies),
             Component::L1 => l1s
                 .iter_mut()
-                .find(|l| l.node() == msg.dst)
+                .find(|l| l.chassis().node() == msg.dst)
                 .expect("known L1")
                 .handle(&msg, &mut replies),
         }
@@ -146,7 +146,7 @@ fn denovo_racy_adds(seed: u64, n_l1s: usize, adds_per_l1: usize) {
                     Component::L2 => l2.handle(0, &msg, &mut replies),
                     Component::L1 => l1s
                         .iter_mut()
-                        .find(|l| l.node() == msg.dst)
+                        .find(|l| l.chassis().node() == msg.dst)
                         .expect("known L1")
                         .handle(&msg, &mut replies),
                 }
@@ -175,7 +175,7 @@ fn denovo_racy_adds(seed: u64, n_l1s: usize, adds_per_l1: usize) {
         "no increment lost under any interleaving"
     );
     for l in &l1s {
-        assert!(l.quiesced(), "L1 {} left residue", l.node());
+        assert!(l.quiesced(), "L1 {} left residue", l.chassis().node());
     }
 }
 
@@ -212,9 +212,9 @@ fn gpu_racy_adds(seed: u64, n_l1s: usize, adds_per_l1: usize) {
     }
     pump_gpu(&mut net, &mut l1s, &mut l2, &mut done);
     assert_eq!(done.len(), issued);
-    l2.flush_to_memory();
+    l2.chassis_mut().flush_to_memory();
     assert_eq!(
-        l2.memory().read_word(word),
+        l2.chassis().memory().read_word(word),
         (n_l1s * adds_per_l1) as u32,
         "sum conserved at the L2"
     );

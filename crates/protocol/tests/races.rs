@@ -75,7 +75,7 @@ fn pump_dn(
                     Component::L2 => l2.handle(0, &msg, &mut replies),
                     Component::L1 => l1s
                         .iter_mut()
-                        .find(|l| l.node() == msg.dst)
+                        .find(|l| l.chassis().node() == msg.dst)
                         .expect("known L1")
                         .handle(&msg, &mut replies),
                 }

@@ -44,7 +44,7 @@ fn pump_dn(l1s: &mut [&mut DnL1], l2: &mut DnL2, actions: Vec<Action>) {
                     Component::L2 => l2.handle(0, &msg, &mut replies),
                     Component::L1 => l1s
                         .iter_mut()
-                        .find(|l| l.node() == msg.dst)
+                        .find(|l| l.chassis().node() == msg.dst)
                         .expect("known L1")
                         .handle(&msg, &mut replies),
                 }
@@ -94,7 +94,7 @@ fn main() {
     g1.acquire(false);
     println!(
         "    (flash invalidation: {} words dropped)\n",
-        g1.counts().words_invalidated
+        g1.chassis().counts().words_invalidated
     );
     println!("Every later acquire repeats the same L2 round trip: GPU");
     println!("coherence cannot reuse synchronization variables in the L1.\n");
