@@ -36,6 +36,38 @@ use gpu_denovo::{
 };
 use std::process::ExitCode;
 
+/// Writes to stdout. A reader that closes the pipe early (`gpu-denovo
+/// ... | head`) ends the program quietly, with the status a shell
+/// reports for a process killed by SIGPIPE, where `print!` would panic;
+/// any other write error is reported on stderr and exits 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write};
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const CONFIG_NAMES: &str = "GD, GH, DD, DD+RO, DH";
 const GROUP_NAMES: &str = "nosync, global, local, extension, fabric";
 
@@ -441,6 +473,10 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
     let s = scale(args);
     let mut observe = ObserveSpec::default();
     V::parse(args, &mut observe)?;
+    let json = args.iter().any(|a| a == "--json");
+    if json && args.iter().any(|a| a == "--out") {
+        return Err(format!("{} --json cannot be combined with --out", V::NAME));
+    }
     let topn = match flag_value(args, "--topn").map_err(|e| format!("{e} ({})", V::TOPN_OF))? {
         Some(v) => v
             .parse::<usize>()
@@ -459,7 +495,7 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
         let (stats, reports) = observe_one(&b, p, s, fabric, &observe)?;
         rows.push((p, stats, V::take(reports)));
     }
-    if args.iter().any(|a| a == "--json") {
+    if json {
         let doc = JsonValue::Arr(
             rows.iter()
                 .map(|(p, _, r)| {
@@ -470,7 +506,7 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
                 })
                 .collect(),
         );
-        println!("{doc}");
+        outln!("{doc}");
         return Ok(());
     }
     if let Some(path) = flag_value(args, "--out").map_err(|e| format!("{e} (an output file)"))? {
@@ -497,22 +533,22 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
         std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path} ({})", r.wrote());
     }
-    println!(
+    outln!(
         "{} of {name} at {s:?} scale ({})\n",
         V::NAME,
         V::params(&observe)
     );
     if single {
         let (p, stats, r) = &rows[0];
-        println!("== {p} ({} cycles) ==", stats.cycles);
-        print!("{}", r.sections(topn).join("\n"));
-        println!("\n{}", r.footer());
+        outln!("== {p} ({} cycles) ==", stats.cycles);
+        out!("{}", r.sections(topn).join("\n"));
+        outln!("\n{}", r.footer());
     } else {
-        println!("{:<8} {}", "config", V::compare_header());
+        outln!("{:<8} {}", "config", V::compare_header());
         for (p, stats, r) in &rows {
-            println!("{:<8} {}", p.to_string(), r.compare_row(stats));
+            outln!("{:<8} {}", p.to_string(), r.compare_row(stats));
         }
-        println!("\n{}", V::LEGEND);
+        outln!("\n{}", V::LEGEND);
     }
     Ok(())
 }
@@ -783,7 +819,7 @@ impl View for LensReport {
 }
 
 fn print_row(p: ProtocolConfig, stats: &SimStats) {
-    println!(
+    outln!(
         "{:<8} {:>12} {:>14.1} {:>16} {:>10}",
         p.to_string(),
         stats.cycles,
@@ -799,51 +835,57 @@ fn print_row(p: ProtocolConfig, stats: &SimStats) {
 
 fn print_detail(stats: &SimStats) {
     let c = &stats.counts;
-    println!("\n-- counters --");
-    println!("instructions            {:>14}", c.instructions);
-    println!("CU active cycles        {:>14}", c.cu_active_cycles);
-    println!("L1 accesses             {:>14}", c.l1_accesses);
-    println!(
+    outln!("\n-- counters --");
+    outln!("instructions            {:>14}", c.instructions);
+    outln!("CU active cycles        {:>14}", c.cu_active_cycles);
+    outln!("L1 accesses             {:>14}", c.l1_accesses);
+    outln!(
         "L1 load hits/misses     {:>14} / {}",
-        c.l1_load_hits, c.l1_load_misses
+        c.l1_load_hits,
+        c.l1_load_misses
     );
-    println!("L1 store hits (owned)   {:>14}", c.l1_store_hits);
-    println!(
+    outln!("L1 store hits (owned)   {:>14}", c.l1_store_hits);
+    outln!(
         "L1 atomics (hits)       {:>14} ({})",
-        c.l1_atomics, c.l1_atomic_hits
+        c.l1_atomics,
+        c.l1_atomic_hits
     );
-    println!(
+    outln!(
         "L2 accesses (atomics)   {:>14} ({})",
-        c.l2_accesses, c.l2_atomics
+        c.l2_accesses,
+        c.l2_atomics
     );
-    println!("scratch accesses        {:>14}", c.scratch_accesses);
-    println!(
+    outln!("scratch accesses        {:>14}", c.scratch_accesses);
+    outln!(
         "DRAM reads/writes       {:>14} / {}",
-        c.dram_reads, c.dram_writes
+        c.dram_reads,
+        c.dram_writes
     );
-    println!("flash invalidations     {:>14}", c.flash_invalidations);
-    println!("words invalidated       {:>14}", c.words_invalidated);
-    println!(
+    outln!("flash invalidations     {:>14}", c.flash_invalidations);
+    outln!("words invalidated       {:>14}", c.words_invalidated);
+    outln!(
         "SB flushes (ovf/rel)    {:>14} / {}",
-        c.sb_overflow_flushes, c.sb_release_flushes
+        c.sb_overflow_flushes,
+        c.sb_release_flushes
     );
-    println!("registrations           {:>14}", c.registrations);
-    println!(
+    outln!("registrations           {:>14}", c.registrations);
+    outln!(
         "reg forwards (queued)   {:>14} ({})",
-        c.reg_forwards, c.reg_queued
+        c.reg_forwards,
+        c.reg_queued
     );
-    println!("ownership writebacks    {:>14}", c.ownership_writebacks);
-    println!("registry spills         {:>14}", c.registry_overflow_words);
-    println!("messages sent           {:>14}", c.messages_sent);
-    println!("\n-- traffic (flit crossings) --");
+    outln!("ownership writebacks    {:>14}", c.ownership_writebacks);
+    outln!("registry spills         {:>14}", c.registry_overflow_words);
+    outln!("messages sent           {:>14}", c.messages_sent);
+    outln!("\n-- traffic (flit crossings) --");
     for class in MsgClass::ALL {
-        println!(
+        outln!(
             "{:<8}               {:>14}",
             class.label(),
             stats.traffic.class(class)
         );
     }
-    println!("\n-- energy (nJ) --");
+    outln!("\n-- energy (nJ) --");
     let e = &stats.energy;
     for (label, pj) in [
         ("GPU core+", e.core_pj),
@@ -852,14 +894,18 @@ fn print_detail(stats: &SimStats) {
         ("L2 $", e.l2_pj),
         ("network", e.noc_pj),
     ] {
-        println!("{label:<10}             {:>14.1}", pj / 1e3);
+        outln!("{label:<10}             {:>14.1}", pj / 1e3);
     }
 }
 
 fn header() {
-    println!(
+    outln!(
         "{:<8} {:>12} {:>14} {:>16} {:>10}",
-        "config", "cycles", "energy (nJ)", "traffic (flits)", "L1 hit %"
+        "config",
+        "cycles",
+        "energy (nJ)",
+        "traffic (flits)",
+        "L1 hit %"
     );
 }
 
@@ -942,13 +988,13 @@ fn main() -> ExitCode {
     }
     match cmd.as_str() {
         "list" => {
-            println!("{:<10} {:<12} Table 4 input", "name", "group");
+            outln!("{:<10} {:<12} Table 4 input", "name", "group");
             for b in registry::all()
                 .into_iter()
                 .chain(registry::extensions())
                 .chain(registry::fabric())
             {
-                println!(
+                outln!(
                     "{:<10} {:<12} {}",
                     b.name,
                     format!("{:?}", b.group),
@@ -977,10 +1023,10 @@ fn main() -> ExitCode {
                         print_detail(&stats);
                     }
                     if args.iter().any(|a| a == "--hist") {
-                        println!("\n-- latency percentiles (cycles) --");
-                        print!("{}", stats.latency);
+                        outln!("\n-- latency percentiles (cycles) --");
+                        out!("{}", stats.latency);
                     }
-                    println!("\nrun verified functionally.");
+                    outln!("\nrun verified functionally.");
                     ExitCode::SUCCESS
                 }
                 Err(e) => fail(e),
@@ -1014,14 +1060,14 @@ fn main() -> ExitCode {
                         rec.events().map(|(_, ev)| ev.category().label()).collect();
                     cats.sort_unstable();
                     cats.dedup();
-                    println!(
+                    outln!(
                         "wrote {out}: {} events ({} dropped), {} cycles simulated",
                         rec.len(),
                         rec.dropped(),
                         stats.cycles
                     );
-                    println!("categories: {}", cats.join(", "));
-                    println!("open at ui.perfetto.dev or chrome://tracing.");
+                    outln!("categories: {}", cats.join(", "));
+                    outln!("open at ui.perfetto.dev or chrome://tracing.");
                     ExitCode::SUCCESS
                 }
                 Err(e) => fail(e),
@@ -1061,7 +1107,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             for chunk in results.chunk_by(|a, b| a.cell.bench == b.cell.bench) {
-                println!("\n== {} ==", chunk[0].cell.bench);
+                outln!("\n== {} ==", chunk[0].cell.bench);
                 header();
                 for r in chunk {
                     print_row(r.cell.config, &r.stats);
@@ -1076,7 +1122,7 @@ fn main() -> ExitCode {
                 cfg.check = CheckLevel::Full;
                 cfg
             };
-            println!(
+            outln!(
                 "conformance battery: {} litmus shapes x {} configs under CheckLevel::Full",
                 litmus::battery().len(),
                 ProtocolConfig::ALL.len()
@@ -1090,8 +1136,8 @@ fn main() -> ExitCode {
                     }
                 }
                 match bad {
-                    0 => println!("  {:<16} clean under every config", shape.name),
-                    n => println!("  {:<16} FAILED under {n} config(s)", shape.name),
+                    0 => outln!("  {:<16} clean under every config", shape.name),
+                    n => outln!("  {:<16} FAILED under {n} config(s)", shape.name),
                 }
             }
             // The negative control: the detector must flag the race.
@@ -1110,11 +1156,11 @@ fn main() -> ExitCode {
                 }
             }
             match bad {
-                0 => println!(
+                0 => outln!(
                     "  {:<16} flagged as racy under every config",
                     "racy-negative"
                 ),
-                n => println!("  {:<16} MISSED under {n} config(s)", "racy-negative"),
+                n => outln!("  {:<16} MISSED under {n} config(s)", "racy-negative"),
             }
             // Optionally a Table 4 benchmark under the same microscope.
             if let Some(name) = match flag_value(&args, "--bench") {
@@ -1126,18 +1172,18 @@ fn main() -> ExitCode {
                     Err(e) => return fail(e),
                 };
                 let s = scale(&args);
-                println!("benchmark {name} at {s:?} scale under CheckLevel::Full:");
+                outln!("benchmark {name} at {s:?} scale under CheckLevel::Full:");
                 for p in ProtocolConfig::ALL {
                     match Simulator::new(full(p)).run(&(b.build)(s)) {
                         Ok(stats) => {
-                            println!("  {:<8} clean ({} cycles)", p.to_string(), stats.cycles)
+                            outln!("  {:<8} clean ({} cycles)", p.to_string(), stats.cycles)
                         }
                         Err(e) => failures.push(format!("{name} under {p}: {e}")),
                     }
                 }
             }
             if failures.is_empty() {
-                println!("conformance check passed.");
+                outln!("conformance check passed.");
                 ExitCode::SUCCESS
             } else {
                 for f in &failures {
@@ -1191,7 +1237,7 @@ fn main() -> ExitCode {
                         Ok(run) => {
                             let tuple: Vec<u32> = run.observed.clone();
                             if args.iter().any(|a| a == "--json") {
-                                println!(
+                                outln!(
                                     "{{\"shape\":\"{}\",\"config\":\"{p}\",\"schedule\":\"{id}\",\
                                      \"outcome\":{:?},\"decisions\":{},\"stats\":{}}}",
                                     shape.name,
@@ -1200,7 +1246,7 @@ fn main() -> ExitCode {
                                     run.stats.to_json()
                                 );
                             } else {
-                                println!(
+                                outln!(
                                     "{} under {p}, schedule {id}: outcome {} after {} decisions, {} cycles",
                                     shape.name,
                                     litmus::OutcomeSpec::fmt_tuple(&tuple),
@@ -1227,11 +1273,11 @@ fn main() -> ExitCode {
             };
             let json = args.iter().any(|a| a == "--json");
             if !json {
-                println!(
+                outln!(
                     "schedule exploration ({mode} mode, budget {} schedules per cell)\n",
                     budget.max_schedules
                 );
-                println!(
+                outln!(
                     "{:<14} {:<8} {:>9} {:>9} {:>5} {:<6} outcomes (schedules each; ! = forbidden, ? = undeclared)",
                     "shape", "config", "explored", "pruned", "dec", "set"
                 );
@@ -1256,7 +1302,7 @@ fn main() -> ExitCode {
                     } else {
                         String::new()
                     };
-                    println!(
+                    outln!(
                         "{:<14} {:<8} {:>9} {:>9} {:>5} {:<6} {}{}",
                         shape.name,
                         p.to_string(),
@@ -1268,15 +1314,15 @@ fn main() -> ExitCode {
                         trunc
                     );
                     for v in &r.violations {
-                        println!("    schedule {}: {}", v.id, v.error);
+                        outln!("    schedule {}: {}", v.id, v.error);
                     }
                 }
             }
             if json {
-                println!("[{}]", docs.join(","));
+                outln!("[{}]", docs.join(","));
                 return ExitCode::SUCCESS;
             }
-            println!(
+            outln!(
                 "\n(set column: `exact` = observed outcome set matches the shape's declared\n\
                  allowed set for that config; replay any witness with\n\
                  `gpu-denovo explore --shape S --config C --replay ID`.)"
@@ -1294,7 +1340,7 @@ fn main() -> ExitCode {
                 Ok((results, failures)) => {
                     // Without --out, the grid itself goes to stdout.
                     if parse_out(&args).ok().flatten().is_none() {
-                        print!("{}", harness::to_csv(&results));
+                        out!("{}", harness::to_csv(&results));
                     }
                     matrix_exit(&failures, cells.len())
                 }

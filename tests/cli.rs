@@ -3,7 +3,8 @@
 //! A mistyped or retired flag must fail loudly instead of silently
 //! running the defaults.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gpu-denovo"))
@@ -176,6 +177,10 @@ fn view_commands_reject_bad_values_and_outputs_with_one_line() {
             vec![view, "SPM_G", "--out", &txt, "--config", "DD"],
             unsupported.clone(),
         ));
+        cases.push((
+            vec![view, "SPM_G", "--config", "DD", "--json", "--out", &csv],
+            format!("{view} --json cannot be combined with --out\n"),
+        ));
     }
     for (args, want) in cases {
         let out = cli(&args);
@@ -185,4 +190,24 @@ fn view_commands_reject_bad_values_and_outputs_with_one_line() {
     }
     assert!(!std::path::Path::new(&csv).exists(), "{csv} was written");
     assert!(!std::path::Path::new(&txt).exists(), "{txt} was written");
+}
+
+#[test]
+fn a_reader_closing_stdout_early_ends_the_cli_without_a_panic() {
+    // About 135 KB of JSON: more than a pipe buffers, so the CLI is
+    // still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gpu-denovo"))
+        .args(["lens", "SPM_L", "--config", "DD", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gpu-denovo");
+    let mut head = [0u8; 8];
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout.read_exact(&mut head).expect("read the first bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for gpu-denovo");
+    assert_eq!(&head[..2], b"[{", "stdout starts with the JSON array");
+    assert_ne!(out.status.code(), Some(101), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
 }
