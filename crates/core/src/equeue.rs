@@ -134,7 +134,7 @@ impl<T> CalendarQueue<T> {
     /// # Panics
     ///
     /// Panics if `horizon` is not a power of two.
-    pub fn with_horizon(horizon: u64) -> Self {
+    fn with_horizon(horizon: u64) -> Self {
         assert!(
             horizon.is_power_of_two(),
             "horizon {horizon} is not a power of two"
@@ -403,7 +403,8 @@ impl<T> ControlledQueue<T> {
 
     /// Number of events poppable at the minimum queued cycle (0 when
     /// empty).
-    pub fn candidate_count(&self) -> usize {
+    #[cfg(test)]
+    fn candidate_count(&self) -> usize {
         self.buckets
             .first_key_value()
             .map_or(0, |(_, bucket)| bucket.len())

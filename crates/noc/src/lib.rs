@@ -67,8 +67,8 @@ use gsim_types::{Cycle, InlineVec, Msg, NodeId, TrafficBreakdown};
 /// Inline up to 16 hops — enough for every route of the default fabrics
 /// (a 4x4 mesh's longest route is 6 hops; two 4x4 devices joined by a
 /// gateway link peak at 13). Longer routes (big meshes, deep fabrics)
-/// spill transparently to the heap; [`Topology::max_route_len`] is the
-/// exact per-topology bound, and routing stays correct either way.
+/// spill transparently to the heap, and routing stays correct either
+/// way.
 pub type Route = InlineVec<NodeId, 16>;
 
 /// Mesh geometry and timing parameters.
@@ -120,7 +120,7 @@ impl MeshConfig {
     /// # Panics
     ///
     /// Panics if `node` is not on this mesh.
-    pub fn coords(&self, node: NodeId) -> (u8, u8) {
+    fn coords(&self, node: NodeId) -> (u8, u8) {
         assert!(
             (node.0 as usize) < self.nodes(),
             "node {node} not on a {}x{} mesh",
@@ -135,7 +135,8 @@ impl MeshConfig {
     /// # Panics
     ///
     /// Panics if the coordinates are off the mesh.
-    pub fn node_at(&self, x: u8, y: u8) -> NodeId {
+    #[cfg(test)]
+    fn node_at(&self, x: u8, y: u8) -> NodeId {
         assert!(x < self.cols && y < self.rows, "({x}, {y}) off the mesh");
         NodeId(y * self.cols + x)
     }
@@ -148,14 +149,17 @@ impl MeshConfig {
     }
 
     /// The longest route on this mesh, in hops (corner to corner).
-    pub fn max_route_len(&self) -> usize {
+    #[cfg(test)]
+    fn max_route_len(&self) -> usize {
         (self.cols as usize - 1) + (self.rows as usize - 1)
     }
 
     /// Uncontended arrival delta of a `flits`-flit message from `src` to
     /// `dst`: exactly what [`Mesh::send`] returns on an idle
     /// single-device mesh, as a latency rather than an absolute cycle.
-    pub fn base_latency(&self, src: NodeId, dst: NodeId, flits: u32) -> Cycle {
+    /// The tests' reference for `send`.
+    #[cfg(test)]
+    fn base_latency(&self, src: NodeId, dst: NodeId, flits: u32) -> Cycle {
         let hops = self.hops(src, dst) as Cycle;
         let tail = if hops > 0 { flits as Cycle - 1 } else { 0 };
         self.router_latency + hops * self.hop_latency + tail
@@ -314,7 +318,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `dev` or `local` is out of range.
-    pub fn node_at(&self, dev: u8, local: NodeId) -> NodeId {
+    fn node_at(&self, dev: u8, local: NodeId) -> NodeId {
         assert!(dev < self.devices, "device {dev} of {}", self.devices);
         assert!(
             (local.0 as usize) < self.mesh.nodes(),
@@ -384,7 +388,8 @@ impl Topology {
     /// within one device, or corner -> gateway -> gateway -> corner
     /// across devices. Every [`route`](Self::route) is at most this
     /// long; [`Route`]s beyond the inline capacity spill to the heap.
-    pub fn max_route_len(&self) -> usize {
+    #[cfg(test)]
+    fn max_route_len(&self) -> usize {
         let intra = self.mesh.max_route_len();
         if self.devices > 1 {
             2 * intra + 1
@@ -395,8 +400,10 @@ impl Topology {
 
     /// Uncontended arrival delta of a `flits`-flit message from `src` to
     /// `dst`: exactly what [`Mesh::send`] returns on an idle fabric, as
-    /// a latency rather than an absolute cycle.
-    pub fn base_latency(&self, src: NodeId, dst: NodeId, flits: u32) -> Cycle {
+    /// a latency rather than an absolute cycle. The tests' reference for
+    /// `send`.
+    #[cfg(test)]
+    fn base_latency(&self, src: NodeId, dst: NodeId, flits: u32) -> Cycle {
         let (sd, dd) = (self.device_of(src), self.device_of(dst));
         if sd == dd {
             return self
