@@ -180,6 +180,13 @@ mod tests {
         assert_eq!(c.l2.bank_geometry.size_bytes * c.l2.banks as u64, 4 << 20);
         assert_eq!(c.topology.nodes(), 16);
         assert_eq!(c.tbs_per_cu, 3);
+        // Release builds, and so every timed run, leave checking off.
+        for p in ProtocolConfig::ALL {
+            assert_eq!(
+                SystemConfig::micro15(p).check,
+                CheckLevel::default_for_build()
+            );
+        }
     }
 
     #[test]

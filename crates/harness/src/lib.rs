@@ -40,7 +40,7 @@ pub mod pool;
 
 pub use cache::{CacheKey, ResultCache, SCHEMA_VERSION, SOURCE_HASH};
 pub use matrix::{
-    cell_key, full_matrix, group_matrix, matrix_of, run_cell, run_cells, run_each_cell, to_csv,
-    to_json, Cell, CellResult, FabricSpec,
+    cell_key, full_matrix, group_matrix, matrix_of, run_cells, run_each_cell, to_csv, to_json,
+    Cell, CellResult, FabricSpec,
 };
-pub use pool::{default_jobs, effective_workers, run_parallel, run_parallel_meta, PoolRun};
+pub use pool::run_parallel;

@@ -46,7 +46,7 @@ impl FabricSpec {
     }
 
     /// Whether this is the plain single-device system.
-    pub fn is_single(&self) -> bool {
+    fn is_single(&self) -> bool {
         self.devices <= 1
     }
 
@@ -169,7 +169,7 @@ pub fn cell_key(cell: &Cell) -> Result<CacheKey, String> {
 
 /// Runs one cell, consulting the cache first. Fresh results are
 /// functionally verified by the simulator before they are stored.
-pub fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, String> {
+fn run_cell(cell: &Cell, cache: Option<&ResultCache>) -> Result<CellResult, String> {
     let key = cell_key(cell)?;
     if let Some(c) = cache {
         if let Some(stats) = c.get(&key) {

@@ -13,45 +13,13 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// The number of workers to use when the caller does not say: the
-/// machine's available parallelism (1 if unknown).
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The worker count [`run_parallel`] actually uses for a request:
-/// `workers` (0 = [`default_jobs`]) clamped to the job count, floor 1.
-/// Exposed so callers can report the real thread count instead of the
-/// requested one.
-pub fn effective_workers(workers: usize, jobs: usize) -> usize {
-    let workers = if workers == 0 {
-        default_jobs()
-    } else {
-        workers
-    };
-    workers.min(jobs).max(1)
-}
-
-/// Metadata about one [`run_parallel_meta`] execution: what was asked
-/// for and what actually ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PoolRun {
-    /// The worker count the caller requested (0 = auto).
-    pub requested: usize,
-    /// The worker count that actually ran ([`effective_workers`]).
-    pub effective: usize,
-    /// How many jobs the pool executed.
-    pub jobs: usize,
-}
-
 /// Runs `f` over every job and returns the results **in job order**,
 /// regardless of `workers`.
 ///
-/// `workers == 0` means [`default_jobs`]. The worker count is clamped to
-/// the job count; with one effective worker the jobs run inline on the
-/// calling thread (no spawn overhead, same result order).
+/// `workers == 0` means the machine's available parallelism (1 if
+/// unknown). The worker count is clamped to the job count; with one
+/// effective worker the jobs run inline on the calling thread (no spawn
+/// overhead, same result order).
 ///
 /// # Panics
 ///
@@ -74,32 +42,12 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    run_parallel_meta(jobs, workers, f).0
-}
-
-/// [`run_parallel`] plus a [`PoolRun`] describing the execution — the
-/// requested and effective worker counts — so sweeps can surface how
-/// wide they really ran (e.g. in emitted baseline JSON).
-pub fn run_parallel_meta<J, R, F>(jobs: &[J], workers: usize, f: F) -> (Vec<R>, PoolRun)
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    let meta = PoolRun {
-        requested: workers,
-        effective: effective_workers(workers, jobs.len()),
-        jobs: jobs.len(),
-    };
-    (run_pool(jobs, meta.effective, f), meta)
-}
-
-fn run_pool<J, R, F>(jobs: &[J], workers: usize, f: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(jobs.len())
+    .max(1);
     if workers == 1 {
         return jobs.iter().map(f).collect();
     }
@@ -171,33 +119,6 @@ mod tests {
     fn zero_workers_means_auto() {
         let jobs: Vec<u32> = (0..10).collect();
         assert_eq!(run_parallel(&jobs, 0, |&j| j), jobs);
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn effective_workers_clamps_to_jobs_and_floor_one() {
-        assert_eq!(effective_workers(8, 3), 3);
-        assert_eq!(effective_workers(2, 100), 2);
-        assert_eq!(effective_workers(8, 0), 1);
-        assert_eq!(effective_workers(0, 100), default_jobs().min(100));
-    }
-
-    #[test]
-    fn meta_reports_requested_and_effective() {
-        let jobs: Vec<u32> = (0..3).collect();
-        let (out, meta) = run_parallel_meta(&jobs, 8, |&j| j);
-        assert_eq!(out, jobs);
-        assert_eq!(
-            meta,
-            PoolRun {
-                requested: 8,
-                effective: 3,
-                jobs: 3
-            }
-        );
-        let (_, meta) = run_parallel_meta(&jobs, 0, |&j| j);
-        assert_eq!(meta.requested, 0);
-        assert_eq!(meta.effective, default_jobs().min(3));
     }
 
     #[test]

@@ -154,15 +154,9 @@ impl<X> CacheLine<X> {
         self.valid | self.owned
     }
 
-    /// Whether any word is readable.
-    #[inline]
-    pub fn any_readable(&self) -> bool {
-        !self.readable_mask().is_empty()
-    }
-
     /// Whether any word is owned.
     #[inline]
-    pub fn any_owned(&self) -> bool {
+    fn any_owned(&self) -> bool {
         !self.owned.is_empty()
     }
 
@@ -430,7 +424,7 @@ mod tests {
         let mut c = small();
         c.insert(LineAddr(1));
         let l = c.lookup(LineAddr(1)).unwrap();
-        assert!(!l.any_readable());
+        assert!(l.readable_mask().is_empty());
         l.fill(
             WordMask::single(2) | WordMask::single(5),
             &[7; WORDS_PER_LINE],
@@ -457,7 +451,7 @@ mod tests {
             l.set_mask(v, WordState::Invalid);
         });
         assert_eq!(invalidated, 4);
-        assert!(c.iter().all(|l| !l.any_readable()));
+        assert!(c.iter().all(|l| l.readable_mask().is_empty()));
     }
 
     mod properties {

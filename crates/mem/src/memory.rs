@@ -27,31 +27,18 @@ const PAGE_SHIFT: u32 = PAGE_LINES.trailing_zeros();
 /// address cannot balloon the vector.
 const DENSE_PAGES: usize = 1 << 14;
 
-/// One page of backing storage with a touched-line bitset.
-///
-/// Pages are zero-filled on allocation, so untouched lines inside an
-/// allocated page still read as zero; the bitset only feeds the
-/// [`MemoryImage::touched_lines`] footprint statistic.
+/// One page of backing storage, zero-filled on allocation, so unwritten
+/// lines inside an allocated page still read as zero.
 #[derive(Clone)]
 struct Page {
     lines: [Line; PAGE_LINES],
-    touched: [u64; PAGE_LINES / 64],
 }
 
 impl Page {
     fn zeroed() -> Box<Page> {
         Box::new(Page {
             lines: [[0; WORDS_PER_LINE]; PAGE_LINES],
-            touched: [0; PAGE_LINES / 64],
         })
-    }
-
-    /// Marks a line touched, returning whether it was new.
-    fn touch(&mut self, slot: usize) -> bool {
-        let (w, b) = (slot / 64, slot % 64);
-        let new = self.touched[w] & (1 << b) == 0;
-        self.touched[w] |= 1 << b;
-        new
     }
 }
 
@@ -83,14 +70,11 @@ pub struct MemoryImage {
     pages: Vec<Option<Box<Page>>>,
     /// Sparse fallback for pages at or beyond [`DENSE_PAGES`].
     high: FxHashMap<u64, Box<Page>>,
-    /// Lines ever written (maintained via the per-page bitsets).
-    touched: usize,
 }
 
 impl std::fmt::Debug for MemoryImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryImage")
-            .field("touched_lines", &self.touched)
             .field(
                 "pages",
                 &(self.pages.iter().flatten().count() + self.high.len()),
@@ -151,9 +135,7 @@ impl MemoryImage {
     #[inline]
     pub fn write_word(&mut self, word: WordAddr, value: Value) {
         let (p, slot) = self.page_mut(word.line());
-        let new = p.touch(slot) as usize;
         p.lines[slot][word.index_in_line()] = value;
-        self.touched += new;
     }
 
     /// Reads a whole line.
@@ -167,12 +149,10 @@ impl MemoryImage {
     /// Writes the masked words of a line.
     pub fn write_line(&mut self, line: LineAddr, mask: WordMask, data: &Line) {
         let (p, slot) = self.page_mut(line);
-        let new = p.touch(slot) as usize;
         let l = &mut p.lines[slot];
         for i in mask.iter() {
             l[i] = data[i];
         }
-        self.touched += new;
     }
 
     /// Host (CPU-side, untimed) bulk write of consecutive `u32` values
@@ -202,11 +182,6 @@ impl MemoryImage {
         (0..count)
             .map(|i| self.read_word(WordAddr(w0.0 + i as u64)))
             .collect()
-    }
-
-    /// Number of lines ever written.
-    pub fn touched_lines(&self) -> usize {
-        self.touched
     }
 }
 
@@ -305,7 +280,6 @@ mod tests {
         let mem = MemoryImage::new();
         assert_eq!(mem.read_word(WordAddr(12345)), 0);
         assert_eq!(mem.read_line(LineAddr(7)), [0; WORDS_PER_LINE]);
-        assert_eq!(mem.touched_lines(), 0);
     }
 
     #[test]
@@ -315,7 +289,7 @@ mod tests {
         mem.write_word(WordAddr(5 + WORDS_PER_LINE as u64), 43);
         assert_eq!(mem.read_word(WordAddr(5)), 42);
         assert_eq!(mem.read_word(WordAddr(5 + WORDS_PER_LINE as u64)), 43);
-        assert_eq!(mem.touched_lines(), 2);
+        assert_eq!(mem.clone().read_word(WordAddr(5)), 42);
     }
 
     #[test]
@@ -377,22 +351,7 @@ mod tests {
         assert_eq!(mem.read_word(far), 77);
         assert_eq!(mem.read_word(WordAddr(0)), 1);
         assert_eq!(mem.read_word(WordAddr(far.0 + 1)), 0);
-        assert_eq!(mem.touched_lines(), 2);
         assert!(mem.pages.len() <= 1, "high write grew the dense vector");
-    }
-
-    #[test]
-    fn touched_lines_counts_unique_lines_only() {
-        let mut mem = MemoryImage::new();
-        mem.write_word(WordAddr(0), 1);
-        mem.write_word(WordAddr(1), 2); // same line
-        mem.write_line(LineAddr(0), WordMask::single(5), &[9; WORDS_PER_LINE]);
-        assert_eq!(mem.touched_lines(), 1);
-        mem.write_line(LineAddr(9), WordMask::full(), &[3; WORDS_PER_LINE]);
-        assert_eq!(mem.touched_lines(), 2);
-        let clone = mem.clone();
-        assert_eq!(clone.touched_lines(), 2);
-        assert_eq!(clone.read_word(WordAddr(1)), 2);
     }
 
     mod properties {

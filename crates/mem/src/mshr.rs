@@ -190,7 +190,8 @@ impl<W, F> MshrFile<W, F> {
     }
 
     /// Words of `line` with requests in flight.
-    pub fn pending_mask(&self, line: LineAddr) -> WordMask {
+    #[cfg(test)]
+    fn pending_mask(&self, line: LineAddr) -> WordMask {
         self.entries
             .get(&line)
             .map(|e| e.pending)

@@ -2,12 +2,12 @@
 //!
 //! GPU coherence buffers writethroughs here and coalesces writes to the
 //! same line "until the next release (or until the buffer is full)"
-//! (paper §1). DeNovo uses the same structure to hold store values while
-//! their ownership (registration) requests are in flight. Both behaviours
-//! the paper highlights fall out of this module:
+//! (paper §1). DeNovo uses the same structure to hold store values until
+//! a release or an overflow sends them for ownership (registration). Both
+//! behaviours the paper highlights fall out of this module:
 //!
-//! * **bursty release traffic** — [`StoreBuffer::drain`] hands back every
-//!   entry at once for the release-time flush;
+//! * **bursty release traffic** — the release-time flush pops every
+//!   entry at once ([`StoreBuffer::pop_oldest`]);
 //! * **overflow** — when a new line arrives with the buffer full, the
 //!   oldest entry is evicted ([`StoreOutcome::Overflow`]) and must be
 //!   written through immediately, defeating later coalescing (the LavaMD
@@ -80,7 +80,7 @@ impl StoreBuffer {
     pub fn pending_entries(&self) -> Vec<(LineAddr, WordMask)> {
         self.fifo
             .iter()
-            .filter_map(|l| self.entries.get(l).map(|e| (e.line, e.mask)))
+            .map(|l| (*l, self.entries[l].mask))
             .collect()
     }
 
@@ -138,45 +138,18 @@ impl StoreBuffer {
             .then(|| e.data[word.index_in_line()])
     }
 
-    /// Removes the oldest entry (skipping lines already cleared by
-    /// registration completion).
+    /// Removes the oldest entry. Popping every entry this way is the
+    /// release-time flush whose burstiness the paper charges against GPU
+    /// coherence.
     pub fn pop_oldest(&mut self) -> Option<SbEntry> {
-        while let Some(line) = self.fifo.pop_front() {
-            if let Some(e) = self.entries.remove(&line) {
-                return Some(e);
-            }
-        }
-        None
+        let line = self.fifo.pop_front()?;
+        self.entries.remove(&line)
     }
 
-    /// Clears the given words of `line` (DeNovo: their registration was
-    /// granted and the values now live in the L1 as owned words). Drops
-    /// the entry when no dirty words remain.
-    pub fn clear_words(&mut self, line: LineAddr, mask: WordMask) {
-        if let Some(e) = self.entries.get_mut(&line) {
-            e.mask = e.mask & !mask;
-            if e.mask.is_empty() {
-                self.entries.remove(&line);
-                // The fifo slot goes stale and is skipped on pop.
-            }
-        }
-    }
-
-    /// Drains every entry, oldest first — the release-time flush whose
-    /// burstiness the paper charges against GPU coherence.
-    pub fn drain(&mut self) -> Vec<SbEntry> {
-        let mut out = Vec::with_capacity(self.entries.len());
-        self.drain_with(|e| out.push(e));
-        out
-    }
-
-    /// As [`drain`](Self::drain), feeding entries to a callback instead
-    /// of collecting them — the release-path flush runs on every
-    /// release-ordered sync operation, so it must not allocate.
-    pub fn drain_with(&mut self, mut f: impl FnMut(SbEntry)) {
-        while let Some(e) = self.pop_oldest() {
-            f(e);
-        }
+    /// Pops every entry, oldest first.
+    #[cfg(test)]
+    fn drain(&mut self) -> Vec<SbEntry> {
+        std::iter::from_fn(|| self.pop_oldest()).collect()
     }
 }
 
@@ -221,20 +194,6 @@ mod tests {
         // Buffer is full but line 0 is resident: coalesce, no overflow.
         assert_eq!(sb.write(WordAddr(1), 9), StoreOutcome::Coalesced);
         assert_eq!(sb.len(), 2);
-    }
-
-    #[test]
-    fn clear_words_drops_empty_entries() {
-        let mut sb = StoreBuffer::new(4);
-        sb.write(WordAddr(0), 1);
-        sb.write(WordAddr(1), 2);
-        sb.clear_words(LineAddr(0), WordMask::single(0));
-        assert_eq!(sb.lookup(WordAddr(0)), None);
-        assert_eq!(sb.lookup(WordAddr(1)), Some(2));
-        sb.clear_words(LineAddr(0), WordMask::single(1));
-        assert!(sb.is_empty());
-        // Stale fifo slot is skipped.
-        assert!(sb.pop_oldest().is_none());
     }
 
     #[test]
@@ -348,35 +307,6 @@ mod tests {
                 }
                 let drained: Vec<u64> = sb.drain().iter().map(|e| e.line.0).collect();
                 assert_eq!(drained, order);
-            }
-        }
-
-        /// Registration completions (`clear_words`) interleaved with
-        /// writes: the drain hands back exactly the still-dirty words
-        /// with their last values — cleared words never resurface.
-        #[test]
-        fn cleared_words_never_drain() {
-            let mut rng = Rng64::seed_from_u64(0x5b05);
-            for _ in 0..48 {
-                let mut sb = StoreBuffer::new(64); // no overflow: isolates clearing
-                let mut model = std::collections::HashMap::new();
-                for _ in 0..rng.gen_usize(1, 300) {
-                    let w = rng.gen_u64(0, 128);
-                    if rng.gen_bool() {
-                        let v = rng.gen_u32(1, 1000);
-                        sb.write(WordAddr(w), v);
-                        model.insert(w, v);
-                    } else {
-                        let word = WordAddr(w);
-                        sb.clear_words(word.line(), WordMask::single(word.index_in_line()));
-                        model.remove(&w);
-                    }
-                }
-                let mut drained = std::collections::HashMap::new();
-                for e in sb.drain() {
-                    apply(&mut drained, &e);
-                }
-                assert_eq!(drained, model);
             }
         }
     }

@@ -179,11 +179,12 @@ impl<X: Default, W, F> L1Core<X, W, F> {
 
     /// Buffers a store; returns the oldest entry if the buffer
     /// overflowed and displaced it (the family writes it through or
-    /// registers it).
+    /// registers it). An overflow opens the flush trace span.
     pub(crate) fn buffer(&mut self, word: WordAddr, value: Value) -> Option<SbEntry> {
         match self.sb.write(word, value) {
             StoreOutcome::Overflow(e) => {
                 self.counts.sb_overflow_flushes += 1;
+                self.begin_sb_drain(FlushReason::Overflow, e.mask.count());
                 Some(e)
             }
             _ => None,

@@ -41,7 +41,7 @@
 use crate::action::{Action, Issue};
 use crate::chassis::{L1Chassis, L1Config, L1Core, L2Chassis, L2Config, L2Core, LineData};
 use gsim_mem::{InsertOutcome, MemoryImage, WordState};
-use gsim_trace::{FlushReason, Level, TraceEvent, WState};
+use gsim_trace::{Level, TraceEvent, WState};
 use gsim_types::{
     AtomicOp, Component, Cycle, FxHashMap, LineAddr, Msg, MsgKind, NodeId, Region, ReqId, Value,
     WordAddr, WordMask, WORDS_PER_LINE,
@@ -379,8 +379,6 @@ impl DnL1 {
             }
         }
         if let Some(e) = self.core.buffer(word, value) {
-            self.core
-                .begin_sb_drain(FlushReason::Overflow, e.mask.count());
             self.register_entry(e.line, e.mask, &e.data, out);
         }
         Issue::Hit(0)
@@ -1333,6 +1331,7 @@ fn sorted(m: FxHashMap<NodeId, WordMask>) -> Vec<(NodeId, WordMask)> {
 mod tests {
     use super::*;
     use crate::action::testing::{run_handler, run_op};
+    use gsim_trace::{FlushReason, RingRecorder, TraceHandle};
 
     fn l1_at(node: u8) -> DnL1 {
         DnL1::new(DnConfig::micro15(NodeId(node)))
@@ -1670,6 +1669,55 @@ mod tests {
         let done = pump(&mut [&mut a], &mut l2, acts);
         assert_eq!(done, vec![Action::complete(ReqId(3), 0)]);
         assert_eq!(a.owned_words(), vec![(WordAddr(0), 7)]);
+    }
+
+    #[test]
+    fn delayed_ownership_overflow_opens_a_flush_span() {
+        let mut a = DnL1::new(DnConfig {
+            l1: L1Config {
+                sb_entries: 1,
+                ..L1Config::micro15(NodeId(0))
+            },
+            delayed_local_ownership: true,
+            ..DnConfig::micro15(NodeId(0))
+        });
+        let trace = TraceHandle::new(RingRecorder::new(256));
+        a.chassis_mut().set_trace(&trace);
+        let mut l2 = l2_with(&[(0, 5), (16, 7), (32, 9)]);
+        fn local_add(a: &mut DnL1, l2: &mut DnL2, w: u64, req: u64) {
+            let (_, acts) =
+                run_op(|o| a.atomic(WordAddr(w), AtomicOp::Add, [1, 0], true, ReqId(req), o));
+            pump(&mut [a], l2, acts);
+        }
+        // Line 0's result fills the one-entry buffer; line 1's, buffered
+        // by the fill's `DelayedAtomic` waiter, displaces it.
+        local_add(&mut a, &mut l2, 0, 1);
+        local_add(&mut a, &mut l2, 16, 2);
+        // A hit in `delayed_atomic` displaces line 1 in turn.
+        let (_, acts) = run_op(|o| a.load(WordAddr(32), Region::Default, ReqId(3), o));
+        pump(&mut [&mut a], &mut l2, acts);
+        local_add(&mut a, &mut l2, 32, 4);
+        assert_eq!(a.chassis().counts().sb_overflow_flushes, 2);
+        let spans: Vec<TraceEvent> = trace
+            .recorder()
+            .expect("ring-recorded handle")
+            .borrow()
+            .events()
+            .map(|&(_, e)| e)
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::SbFlushBegin { .. } | TraceEvent::SbFlushEnd { .. }
+                )
+            })
+            .collect();
+        let begin = TraceEvent::SbFlushBegin {
+            node: NodeId(0),
+            reason: FlushReason::Overflow,
+            pending: 1,
+        };
+        let end = TraceEvent::SbFlushEnd { node: NodeId(0) };
+        assert_eq!(spans, vec![begin, end, begin, end]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::action::{Action, Issue};
 use crate::chassis::{L1Chassis, L1Config, L1Core, L2Chassis, L2Config, L2Core, LineData};
 use gsim_mem::{CacheLine, InsertOutcome, MemoryImage, SbEntry, WordState};
-use gsim_trace::{FlushReason, Level, TraceEvent, WState};
+use gsim_trace::{Level, TraceEvent, WState};
 use gsim_types::{
     AtomicOp, Component, Counts, Cycle, FxHashMap, LineAddr, Msg, MsgKind, NodeId, ReqId, Scope,
     SyncOrd, Value, WordAddr, WordMask,
@@ -173,8 +173,6 @@ impl GpuL1 {
     /// entry is displaced.
     fn buffer_store(&mut self, word: WordAddr, value: Value, out: &mut Vec<Action>) {
         if let Some(e) = self.core.buffer(word, value) {
-            self.core
-                .begin_sb_drain(FlushReason::Overflow, e.mask.count());
             self.send_writethrough(e, out);
         }
     }

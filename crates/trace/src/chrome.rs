@@ -23,6 +23,7 @@
 
 use crate::event::TraceEvent;
 use crate::sink::RingRecorder;
+use gsim_types::json::escape;
 use gsim_types::Cycle;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
@@ -86,22 +87,6 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Writer {
     out: String,
     first: bool,
@@ -135,8 +120,8 @@ impl Writer {
         let _ = write!(
             self.out,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            esc(name),
-            esc(cat),
+            escape(name),
+            escape(cat),
             ph,
             ts,
             pid,
@@ -174,8 +159,8 @@ impl Writer {
         let _ = write!(
             self.out,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{},\"id\":{}{}}}",
-            esc(name),
-            esc(cat),
+            escape(name),
+            escape(cat),
             ph,
             ts,
             pid,
@@ -193,7 +178,7 @@ impl Writer {
             0,
             pid,
             tid,
-            &format!("\"name\":\"{}\"", esc(value)),
+            &format!("\"name\":\"{}\"", escape(value)),
         );
     }
 
@@ -521,7 +506,7 @@ pub fn chrome_json_full(
                 ts,
                 PID_KERNEL,
                 0,
-                &format!("\"kind\":\"{}\"", esc(kind)),
+                &format!("\"kind\":\"{}\"", escape(kind)),
             ),
         }
     }
@@ -582,13 +567,6 @@ mod tests {
     use crate::event::FlushReason;
     use crate::sink::TraceSink;
     use gsim_types::{NodeId, TbId};
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(esc("plain"), "plain");
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("\n"), "\\u000a");
-    }
 
     #[test]
     fn exports_balanced_durations() {
