@@ -45,31 +45,27 @@
 //!
 //! ```
 //! use gsim_noc::{Mesh, MeshConfig, Topology, XLinkConfig};
-//! use gsim_types::NodeId;
+//! use gsim_types::{Msg, MsgKind, Component, NodeId, LineAddr, WordMask};
 //!
 //! let t = Topology::fabric(MeshConfig::default(), 2, XLinkConfig::default());
 //! assert_eq!(t.nodes(), 32);
-//! assert_eq!(t.device_of(NodeId(20)), 1);
-//! // 5 -> 20 routes through both gateways: 5..0 on device 0, the
-//! // inter-device link 0 -> 16, then 16..20 on device 1.
-//! let route = t.route(NodeId(5), NodeId(20));
-//! assert_eq!(route.last().copied(), Some(NodeId(20)));
-//! assert!(route.contains(&t.gateway(0)) || NodeId(5) == t.gateway(0));
-//! assert!(route.contains(&t.gateway(1)));
+//! assert_eq!(t.gateway(1), NodeId(16));
+//! // 5 -> 20 routes through both gateways: 5 -> 4 -> 0 on device 0, the
+//! // inter-device link 0 -> 16, then 16 -> 20 on device 1.
+//! assert_eq!(t.hops(NodeId(5), NodeId(20)), 4);
+//! let mut mesh = Mesh::with_topology(t);
+//! let msg = Msg {
+//!     src: NodeId(5), dst: NodeId(20), dst_comp: Component::L2,
+//!     kind: MsgKind::ReadReq {
+//!         line: LineAddr(4), mask: WordMask::full(), requester: NodeId(5),
+//!     },
+//! };
+//! mesh.send(0, &msg);
+//! assert_eq!(mesh.traffic().total(), 4); // 1 flit x 4 hops
 //! ```
 
 use gsim_trace::{TraceEvent, TraceHandle};
-use gsim_types::{Cycle, InlineVec, Msg, NodeId, TrafficBreakdown};
-
-/// A route through the fabric: the nodes visited after the source,
-/// ending at the destination.
-///
-/// Inline up to 16 hops — enough for every route of the default fabrics
-/// (a 4x4 mesh's longest route is 6 hops; two 4x4 devices joined by a
-/// gateway link peak at 13). Longer routes (big meshes, deep fabrics)
-/// spill transparently to the heap, and routing stays correct either
-/// way.
-pub type Route = InlineVec<NodeId, 16>;
+use gsim_types::{Cycle, Msg, NodeId, TrafficBreakdown};
 
 /// Mesh geometry and timing parameters.
 ///
@@ -148,12 +144,6 @@ impl MeshConfig {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
     }
 
-    /// The longest route on this mesh, in hops (corner to corner).
-    #[cfg(test)]
-    fn max_route_len(&self) -> usize {
-        (self.cols as usize - 1) + (self.rows as usize - 1)
-    }
-
     /// Uncontended arrival delta of a `flits`-flit message from `src` to
     /// `dst`: exactly what [`Mesh::send`] returns on an idle
     /// single-device mesh, as a latency rather than an absolute cycle.
@@ -168,15 +158,16 @@ impl MeshConfig {
     /// The XY dimension-order route from `src` to `dst`, as the sequence
     /// of nodes visited (excluding `src`, including `dst`). Empty when
     /// `src == dst`.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Route {
-        let mut path = Route::new();
+    #[cfg(test)]
+    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let mut path = Vec::new();
         self.route_into(src, dst, 0, &mut path);
         path
     }
 
     /// Appends the XY route `src -> dst` to `path`, with every node id
     /// offset by `base` (how a fabric route embeds a device's mesh).
-    fn route_into(&self, src: NodeId, dst: NodeId, base: usize, path: &mut Route) {
+    fn route_into(&self, src: NodeId, dst: NodeId, base: usize, path: &mut Vec<NodeId>) {
         let (mut x, mut y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
         while x != dx {
@@ -296,7 +287,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `node` is not on this topology.
-    pub fn device_of(&self, node: NodeId) -> u8 {
+    fn device_of(&self, node: NodeId) -> u8 {
         assert!(
             (node.0 as usize) < self.nodes(),
             "node {node} not on a {}-device fabric of {} nodes each",
@@ -351,31 +342,36 @@ impl Topology {
         }
     }
 
-    /// The hierarchical route from `src` to `dst`: XY within one device,
-    /// or XY to the source gateway, one gateway crossing, then XY to the
-    /// destination. Excludes `src`, includes `dst`; empty when equal.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Route {
-        let (sd, dd) = (self.device_of(src), self.device_of(dst));
-        let per = self.mesh.nodes();
-        let mut path = Route::new();
-        if sd == dd {
-            self.mesh.route_into(
-                self.local(src),
-                self.local(dst),
-                sd as usize * per,
-                &mut path,
-            );
-        } else {
-            self.mesh
-                .route_into(self.local(src), NodeId(0), sd as usize * per, &mut path);
-            path.push(self.gateway(dd));
-            self.mesh
-                .route_into(NodeId(0), self.local(dst), dd as usize * per, &mut path);
-        }
+    /// [`route_into`](Self::route_into) as a fresh vector.
+    #[cfg(test)]
+    fn route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+        let mut path = Vec::new();
+        self.route_into(src, dst, &mut path);
         path
     }
 
-    /// Hop count of [`route`](Self::route) without materializing it.
+    /// Appends the hierarchical route from `src` to `dst` to `path`: XY
+    /// within one device, or XY to the source gateway, one gateway
+    /// crossing, then XY to the destination. Excludes `src`, includes
+    /// `dst`; empty when equal. [`Mesh::with_topology`] stores every
+    /// route once, as links.
+    fn route_into(&self, src: NodeId, dst: NodeId, path: &mut Vec<NodeId>) {
+        let (sd, dd) = (self.device_of(src), self.device_of(dst));
+        let per = self.mesh.nodes();
+        if sd == dd {
+            self.mesh
+                .route_into(self.local(src), self.local(dst), sd as usize * per, path);
+        } else {
+            self.mesh
+                .route_into(self.local(src), NodeId(0), sd as usize * per, path);
+            path.push(self.gateway(dd));
+            self.mesh
+                .route_into(NodeId(0), self.local(dst), dd as usize * per, path);
+        }
+    }
+
+    /// Hop count of the hierarchical route from `a` to `b` (see
+    /// [`Mesh::send`]).
     pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
         if self.device_of(a) == self.device_of(b) {
             self.mesh.hops(self.local(a), self.local(b))
@@ -387,10 +383,10 @@ impl Topology {
     /// The longest route on this topology, in hops: corner to corner
     /// within one device, or corner -> gateway -> gateway -> corner
     /// across devices. Every [`route`](Self::route) is at most this
-    /// long; [`Route`]s beyond the inline capacity spill to the heap.
+    /// long.
     #[cfg(test)]
     fn max_route_len(&self) -> usize {
-        let intra = self.mesh.max_route_len();
+        let intra = (self.mesh.cols as usize - 1) + (self.mesh.rows as usize - 1);
         if self.devices > 1 {
             2 * intra + 1
         } else {
@@ -421,27 +417,31 @@ impl Topology {
     }
 }
 
-/// A directed link between adjacent fabric nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Link {
-    from: NodeId,
-    to: NodeId,
-}
-
 /// The fabric interconnect: routing, contention, and traffic accounting.
 ///
 /// Single-threaded and deterministic: message latency depends only on the
 /// injection time and previously sent messages.
+///
+/// Every directed link between adjacent nodes has a dense `u16` id, and
+/// every route is computed once, at construction, as the ids of the
+/// links it crosses, so [`send`](Self::send) walks a slice.
 #[derive(Debug)]
 pub struct Mesh {
     topology: Topology,
-    /// Next cycle at which each directed link is free, indexed by
-    /// `from * nodes + to` over global node ids.
+    /// Node count, the stride of the route table's `(src, dst)` index.
+    nodes: usize,
+    /// Next cycle at which each directed link is free, by link id.
     link_free: Vec<Cycle>,
-    /// `(latency, cycles-per-flit)` of each directed link, precomputed
-    /// from the topology with the same indexing as `link_free`, so a hop
-    /// costs one table load instead of classifying the link.
+    /// `(latency, cycles-per-flit)` of each directed link, by link id.
     link_timing: Vec<(Cycle, Cycle)>,
+    /// `(from, to)` nodes of each directed link, by link id: what a
+    /// crossing reports to the trace.
+    link_ends: Vec<(NodeId, NodeId)>,
+    /// The route table, in CSR form: route `src -> dst` crosses the links
+    /// `route_links[route_start[i]..route_start[i + 1]]`, where
+    /// `i = src * nodes + dst`, in route order.
+    route_start: Vec<u32>,
+    route_links: Vec<u16>,
     traffic: TrafficBreakdown,
     messages: u64,
     trace: TraceHandle,
@@ -453,16 +453,53 @@ impl Mesh {
         Mesh::with_topology(Topology::single(config))
     }
 
-    /// Creates the interconnect of a (possibly multi-device) topology.
+    /// Creates the interconnect of a (possibly multi-device) topology,
+    /// with its route table: link ids are handed out in the order the
+    /// routes, taken source-major, first cross each link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has `u16::MAX` directed links or more. No
+    /// topology can: 255 one-node devices, fully connected, have 64,770.
     pub fn with_topology(topology: Topology) -> Self {
         let n = topology.nodes();
-        let link_timing = (0..n * n)
-            .map(|i| topology.link_timing(NodeId((i / n) as u8), NodeId((i % n) as u8)))
-            .collect();
+        let total_hops: u32 = (0..n * n)
+            .map(|i| topology.hops(NodeId((i / n) as u8), NodeId((i % n) as u8)))
+            .sum();
+        let mut route_start = Vec::with_capacity(n * n + 1);
+        let mut route_links = Vec::with_capacity(total_hops as usize);
+        let (mut link_timing, mut link_ends) = (Vec::new(), Vec::new());
+        // `from * n + to` -> link id, while the table is built.
+        let mut id_of = vec![u16::MAX; n * n];
+        let mut path = Vec::new();
+        route_start.push(0);
+        for src in (0..n).map(|s| NodeId(s as u8)) {
+            for dst in (0..n).map(|d| NodeId(d as u8)) {
+                path.clear();
+                topology.route_into(src, dst, &mut path);
+                let mut from = src;
+                for &to in &path {
+                    let id = &mut id_of[from.index() * n + to.index()];
+                    if *id == u16::MAX {
+                        assert!(link_ends.len() < usize::from(u16::MAX), "too many links");
+                        *id = link_ends.len() as u16;
+                        link_ends.push((from, to));
+                        link_timing.push(topology.link_timing(from, to));
+                    }
+                    route_links.push(*id);
+                    from = to;
+                }
+                route_start.push(route_links.len() as u32);
+            }
+        }
         Mesh {
             topology,
-            link_free: vec![0; n * n],
+            nodes: n,
+            link_free: vec![0; link_ends.len()],
             link_timing,
+            link_ends,
+            route_start,
+            route_links,
             traffic: TrafficBreakdown::default(),
             messages: 0,
             trace: TraceHandle::disabled(),
@@ -513,10 +550,6 @@ impl Mesh {
         self.link_free.iter().filter(|&&t| t > now).count()
     }
 
-    fn link_index(&self, link: Link) -> usize {
-        link.from.index() * self.topology.nodes() + link.to.index()
-    }
-
     /// Injects `msg` at cycle `now` and returns its arrival cycle at the
     /// destination node, modelling per-link serialization: a link is
     /// busy for `flits x cycles-per-flit` cycles per message crossing it
@@ -529,33 +562,46 @@ impl Mesh {
     /// only the router latency, and adds no traffic — this is how
     /// locally scoped synchronization and same-node L2 bank accesses
     /// avoid network overhead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg.src` or `msg.dst` is not on the topology.
     pub fn send(&mut self, now: Cycle, msg: &Msg) -> Cycle {
+        let (src, dst) = (msg.src.index(), msg.dst.index());
+        assert!(
+            src < self.nodes && dst < self.nodes,
+            "{} -> {} is not a route on a fabric of {} nodes",
+            msg.src,
+            msg.dst,
+            self.nodes
+        );
         self.messages += 1;
         let flits = msg.flits();
-        let path = self.topology.route(msg.src, msg.dst);
-        let hops = path.len() as u32;
+        let i = src * self.nodes + dst;
+        let links =
+            &self.route_links[self.route_start[i] as usize..self.route_start[i + 1] as usize];
+        let hops = links.len() as u32;
         self.traffic.record(msg.class(), flits, hops);
 
         // Head-flit timing with per-link serialization; the tail has
         // fully arrived `(flits - 1) x cpf` cycles after the head, paced
         // by the slowest link on the path.
         let mut t = now + self.topology.mesh.router_latency;
-        let mut from = msg.src;
         let mut queued: Cycle = 0;
         let mut tail_cpf: Cycle = 1;
-        for &to in &path {
-            let li = self.link_index(Link { from, to });
+        for &li in links {
+            let li = usize::from(li);
             let (latency, cpf) = self.link_timing[li];
             let ready = t;
             t = t.max(self.link_free[li]);
             let wait = t - ready;
             queued += wait;
             self.link_free[li] = t + flits as Cycle * cpf;
+            let (from, to) = self.link_ends[li];
             self.trace
                 .link_crossing(from, to, msg.class(), flits, wait, latency);
             t += latency;
             tail_cpf = tail_cpf.max(cpf);
-            from = to;
         }
         if hops > 0 {
             t += (flits as Cycle - 1) * tail_cpf; // tail serialization at destination
@@ -615,6 +661,29 @@ mod tests {
         }
     }
 
+    impl Mesh {
+        /// The nodes route `src -> dst` visits according to the route
+        /// table, checking that each link starts where the last ended.
+        fn table_route(&self, src: NodeId, dst: NodeId) -> Vec<NodeId> {
+            let i = src.index() * self.nodes + dst.index();
+            let links =
+                &self.route_links[self.route_start[i] as usize..self.route_start[i + 1] as usize];
+            let mut from = src;
+            links
+                .iter()
+                .map(|&li| {
+                    let (a, b) = self.link_ends[usize::from(li)];
+                    assert_eq!(
+                        a, from,
+                        "{src}->{dst}: link {li} does not continue the route"
+                    );
+                    from = b;
+                    b
+                })
+                .collect()
+        }
+    }
+
     /// Every node id of a config, so no test hardcodes the node count.
     fn all_nodes(c: &MeshConfig) -> impl Iterator<Item = u8> {
         0..c.nodes() as u8
@@ -638,7 +707,7 @@ mod tests {
         assert_eq!(c.coords(NodeId(7)), (7, 0));
         assert_eq!(c.coords(NodeId(8)), (0, 1));
         assert_eq!(c.hops(NodeId(0), NodeId(15)), 8);
-        assert_eq!(c.max_route_len(), 8);
+        assert_eq!(Topology::single(c).max_route_len(), 8);
         for n in all_nodes(&c) {
             let (x, y) = c.coords(NodeId(n));
             assert_eq!(c.node_at(x, y), NodeId(n), "round trip for {n}");
@@ -888,7 +957,7 @@ mod tests {
             let cfg = MeshConfig::default();
             let t = Topology::single(cfg);
             assert_eq!(t.nodes(), cfg.nodes());
-            assert_eq!(t.max_route_len(), cfg.max_route_len());
+            assert_eq!(t.max_route_len(), 6);
             for a in all_nodes(&cfg) {
                 for b in all_nodes(&cfg) {
                     let (a, b) = (NodeId(a), NodeId(b));
@@ -934,28 +1003,31 @@ mod tests {
 
         #[test]
         fn longest_cross_device_route_fits_and_is_valid() {
-            // Regression for the old `InlineVec<NodeId, 8>` route
-            // capacity: the longest 2-device route (far corner to far
-            // corner: 6 + 1 + 6 = 13 hops) exceeds 8 and must still
-            // route correctly.
-            let t = two_dev();
-            let (src, dst) = (NodeId(15), NodeId(31)); // both far corners
-            let route = t.route(src, dst);
-            assert_eq!(route.len(), 13);
-            assert_eq!(route.len(), t.max_route_len());
-            assert_eq!(route.last().copied(), Some(dst));
-            let mut prev = src;
-            for &n in &route {
-                assert_eq!(t.hops(prev, n), 1, "{prev}->{n} must be one hop");
-                prev = n;
+            // The longest route of a fabric runs far corner to far
+            // corner through both gateways: 6 + 1 + 6 = 13 hops on two
+            // 4x4 devices, 14 + 1 + 14 = 29 on two 8x8 devices. The
+            // route table stores it hop for hop.
+            for (t, src, dst, len) in [
+                (two_dev(), 15, 31, 13),
+                (
+                    Topology::fabric(MeshConfig::grid(8, 8), 2, XLinkConfig::default()),
+                    63,
+                    127,
+                    29,
+                ),
+            ] {
+                let (src, dst) = (NodeId(src), NodeId(dst));
+                let route = t.route(src, dst);
+                assert_eq!(route.len(), len);
+                assert_eq!(route.len(), t.max_route_len());
+                assert_eq!(route.last().copied(), Some(dst));
+                let mut prev = src;
+                for &n in &route {
+                    assert_eq!(t.hops(prev, n), 1, "{prev}->{n} must be one hop");
+                    prev = n;
+                }
+                assert_eq!(Mesh::with_topology(t).table_route(src, dst), route);
             }
-            // And a route beyond the inline capacity spills cleanly: a
-            // 2-device 8x8 fabric peaks at 2*14+1 = 29 hops.
-            let big = Topology::fabric(MeshConfig::grid(8, 8), 2, XLinkConfig::default());
-            let r = big.route(NodeId(63), NodeId(127));
-            assert_eq!(r.len(), big.max_route_len());
-            assert_eq!(r.len(), 29);
-            assert_eq!(r.last().copied(), Some(NodeId(127)));
         }
 
         #[test]
@@ -1061,6 +1133,48 @@ mod tests {
             );
         }
 
+        /// The route table against the XY route it was built from, for
+        /// every `(src, dst)` pair, up to the largest fabric the CLI
+        /// accepts (15 devices of 4x4: 240 nodes, 930 links). Each link
+        /// id names one directed link, and the link timing follows the
+        /// link's class.
+        #[test]
+        fn route_table_matches_the_xy_route_for_every_pair() {
+            let x = XLinkConfig::default();
+            for t in [
+                Topology::single(MeshConfig::default()),
+                Topology::single(MeshConfig::grid(2, 8)),
+                two_dev(),
+                Topology::fabric(MeshConfig::grid(8, 8), 2, x),
+                Topology::fabric(MeshConfig::default(), 15, x),
+            ] {
+                let m = Mesh::with_topology(t);
+                for a in 0..t.nodes() as u8 {
+                    for b in 0..t.nodes() as u8 {
+                        let (a, b) = (NodeId(a), NodeId(b));
+                        assert_eq!(m.table_route(a, b), t.route(a, b), "{a}->{b}");
+                    }
+                }
+                let mut ends = m.link_ends.clone();
+                ends.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
+                ends.dedup();
+                assert_eq!(ends.len(), m.link_ends.len(), "a link has two ids");
+                for (&(a, b), &timing) in m.link_ends.iter().zip(&m.link_timing) {
+                    assert_eq!(timing, t.link_timing(a, b), "{a}->{b}");
+                }
+                assert_eq!(m.link_free.len(), m.link_ends.len());
+            }
+            let m = Mesh::with_topology(Topology::fabric(MeshConfig::default(), 15, x));
+            assert_eq!(m.link_ends.len(), 15 * 48 + 15 * 14);
+        }
+
+        #[test]
+        #[should_panic(expected = "is not a route")]
+        fn send_to_an_off_fabric_node_panics() {
+            let mut m = Mesh::with_topology(two_dev());
+            m.send(0, &ctrl(3, 32));
+        }
+
         #[test]
         #[should_panic(expected = "exceeds the 256-node id space")]
         fn oversized_fabric_panics() {
@@ -1093,7 +1207,7 @@ mod tests {
                     for b in all_nodes(&c) {
                         let route = c.route(NodeId(a), NodeId(b));
                         assert_eq!(route.len() as u32, c.hops(NodeId(a), NodeId(b)));
-                        assert!(route.len() <= c.max_route_len());
+                        assert!(route.len() <= Topology::single(c).max_route_len());
                         let mut prev = NodeId(a);
                         for n in route {
                             assert_eq!(c.hops(prev, n), 1, "{a}->{b} via {n}");

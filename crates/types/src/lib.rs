@@ -32,7 +32,6 @@ pub mod config;
 pub mod fxhash;
 pub mod hist;
 pub mod ids;
-pub mod inline_vec;
 pub mod json;
 pub mod msg;
 pub mod rng;
@@ -45,7 +44,6 @@ pub use config::{Coherence, Consistency, ProtocolConfig};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hist::{LatencyBreakdown, LatencyHistogram};
 pub use ids::{Cycle, NodeId, ReqId, TbId};
-pub use inline_vec::InlineVec;
 pub use json::JsonValue;
 pub use msg::{Component, Msg, MsgClass, MsgKind, CTRL_FLITS, FLIT_BYTES};
 pub use rng::Rng64;
