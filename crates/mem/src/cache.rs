@@ -214,6 +214,13 @@ pub enum InsertOutcome<X> {
 pub struct CacheArray<X> {
     geometry: CacheGeometry,
     sets: Vec<Vec<CacheLine<X>>>,
+    /// One bit per set that may hold a [`WordState::Valid`] word; a
+    /// clear bit guarantees the set holds none. Set wherever a line is
+    /// handed out mutably ([`lookup`](Self::lookup),
+    /// [`for_each_line_mut`](Self::for_each_line_mut)), cleared by
+    /// [`sweep_valid`](Self::sweep_valid), so an acquire visits only the
+    /// sets written since the last one.
+    maybe_valid: Vec<u64>,
     next_stamp: u64,
 }
 
@@ -224,6 +231,7 @@ impl<X: Default> CacheArray<X> {
         CacheArray {
             geometry,
             sets: (0..sets).map(|_| Vec::new()).collect(),
+            maybe_valid: vec![0; sets.div_ceil(64)],
             next_stamp: 0,
         }
     }
@@ -249,6 +257,7 @@ impl<X: Default> CacheArray<X> {
         match self.sets[si].iter_mut().find(|l| l.tag == line) {
             Some(l) => {
                 l.lru_stamp = stamp;
+                self.maybe_valid[si / 64] |= 1 << (si % 64);
                 Some(l)
             }
             None => None,
@@ -322,14 +331,46 @@ impl<X: Default> CacheArray<X> {
         Some(set.swap_remove(idx))
     }
 
-    /// Applies `f` to every resident line (flash operations: GPU full-
-    /// cache invalidation, DeNovo selective self-invalidation).
+    /// Applies `f` to every resident line, in set order.
     pub fn for_each_line_mut(&mut self, mut f: impl FnMut(&mut CacheLine<X>)) {
-        for set in &mut self.sets {
+        for (si, set) in self.sets.iter_mut().enumerate() {
             for l in set.iter_mut() {
                 f(l);
+                if !l.valid.is_empty() {
+                    self.maybe_valid[si / 64] |= 1 << (si % 64);
+                }
             }
         }
+    }
+
+    /// The acquire sweep: applies `f` to every resident line that may
+    /// hold a [`WordState::Valid`] word, in the order
+    /// [`for_each_line_mut`](Self::for_each_line_mut) would reach it.
+    /// Lines it skips hold no Valid word. `f` must not make a word
+    /// Valid.
+    pub fn sweep_valid(&mut self, mut f: impl FnMut(&mut CacheLine<X>)) {
+        for (w, bits) in self.maybe_valid.iter_mut().enumerate() {
+            let mut todo = *bits;
+            while todo != 0 {
+                let bit = todo.trailing_zeros();
+                todo &= todo - 1;
+                let mut valid = false;
+                for l in self.sets[w * 64 + bit as usize].iter_mut() {
+                    f(l);
+                    valid |= !l.valid.is_empty();
+                }
+                if !valid {
+                    *bits &= !(1 << bit);
+                }
+            }
+        }
+        debug_assert!(
+            self.sets.iter().enumerate().all(|(si, set)| {
+                self.maybe_valid[si / 64] & (1 << (si % 64)) != 0
+                    || set.iter().all(|l| l.valid.is_empty())
+            }),
+            "a set left out of the acquire sweep holds a Valid word"
+        );
     }
 
     /// Iterates over all resident lines.
@@ -454,6 +495,38 @@ mod tests {
         assert!(c.iter().all(|l| l.readable_mask().is_empty()));
     }
 
+    #[test]
+    fn sweep_visits_only_sets_that_may_hold_valid_words() {
+        let mut c = small();
+        for i in 0..4u64 {
+            c.insert(LineAddr(i));
+        }
+        // Set 0 gets a Valid word, set 1 only an Owned one: both are
+        // marked by the lookup.
+        c.lookup(LineAddr(0)).unwrap().set_word(0, WordState::Valid);
+        c.lookup(LineAddr(1)).unwrap().set_word(0, WordState::Owned);
+        let mut seen = Vec::new();
+        c.sweep_valid(|l| {
+            seen.push(l.tag.0);
+            l.invalidate_valid(WordMask::empty());
+        });
+        assert_eq!(seen, [0, 2, 1, 3], "both marked sets, in set order");
+        // Neither set kept a Valid word, so the next sweep visits none.
+        let mut seen = Vec::new();
+        c.sweep_valid(|l| seen.push(l.tag.0));
+        assert!(seen.is_empty());
+        // A kept Valid word keeps its set marked.
+        c.lookup(LineAddr(3)).unwrap().set_word(1, WordState::Valid);
+        for _ in 0..2 {
+            let mut seen = Vec::new();
+            c.sweep_valid(|l| {
+                seen.push(l.tag.0);
+                l.invalidate_valid(WordMask::single(1));
+            });
+            assert_eq!(seen, [1, 3]);
+        }
+    }
+
     mod properties {
         use super::*;
         use gsim_types::Rng64;
@@ -477,6 +550,40 @@ mod tests {
                 c.insert(l);
                 assert!(c.occupancy() <= 4);
             });
+        }
+
+        /// Random lookups, writes and sweeps: a sweep drops exactly the
+        /// Valid words a sweep over every resident line would.
+        #[test]
+        fn sweep_drops_what_a_full_scan_would() {
+            let mut rng = Rng64::seed_from_u64(0x5eeb);
+            for _ in 0..64 {
+                let mut c = small();
+                for _ in 0..rng.gen_usize(1, 200) {
+                    let line = LineAddr(rng.gen_u64(0, 16));
+                    match rng.gen_u32(0, 4) {
+                        0 => {
+                            c.insert(line);
+                        }
+                        1 | 2 => {
+                            if let Some(l) = c.lookup(line) {
+                                let to = [WordState::Valid, WordState::Owned][rng.gen_usize(0, 2)];
+                                l.set_word(rng.gen_usize(0, WORDS_PER_LINE), to);
+                            }
+                        }
+                        _ => {
+                            let mut want = 0;
+                            for l in c.iter() {
+                                want += l.mask_in(WordState::Valid).count();
+                            }
+                            let mut got = 0;
+                            c.sweep_valid(|l| got += l.invalidate_valid(WordMask::empty()).count());
+                            assert_eq!(got, want);
+                            assert!(c.iter().all(|l| l.mask_in(WordState::Valid).is_empty()));
+                        }
+                    }
+                }
+            }
         }
 
         #[test]

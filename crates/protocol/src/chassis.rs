@@ -292,7 +292,8 @@ impl<X: Default, W, F> L1Core<X, W, F> {
     /// An acquire. Locally scoped ones (HRF) do nothing. A global one
     /// starts a new miss epoch and invalidates every Valid word except
     /// those `keep` names for its line; `flash` marks the GPU's
-    /// whole-cache flash invalidation.
+    /// whole-cache flash invalidation. The sweep visits only the sets
+    /// that may hold a Valid word ([`CacheArray::sweep_valid`]).
     pub(crate) fn acquire(&mut self, local: bool, flash: bool, keep: impl Fn(&X) -> WordMask) {
         if local {
             return;
@@ -304,7 +305,7 @@ impl<X: Default, W, F> L1Core<X, W, F> {
             trace.flash(node);
         }
         let mut invalidated: u64 = 0;
-        self.cache.for_each_line_mut(|l| {
+        self.cache.sweep_valid(|l| {
             let v = l.invalidate_valid(keep(&l.extra));
             invalidated += u64::from(v.count());
             if !v.is_empty() {
