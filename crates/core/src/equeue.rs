@@ -165,6 +165,7 @@ impl<T> CalendarQueue<T> {
 
     /// Schedules `item` at cycle `at` (which must not precede the last
     /// pop's cycle) and returns the assigned `seq`.
+    #[inline]
     pub fn push(&mut self, at: Cycle, item: T) -> u64 {
         debug_assert!(
             at >= self.cur,
@@ -201,11 +202,15 @@ impl<T> CalendarQueue<T> {
 
     /// Removes and returns the earliest event as `(cycle, seq, item)`;
     /// ties on cycle break by push order.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
-        if self.is_empty() {
-            return None;
+        if self.overflow.is_empty() {
+            if self.ring_len == 0 {
+                return None;
+            }
+        } else {
+            self.migrate_overflow();
         }
-        self.migrate_overflow();
         if self.ring_len == 0 {
             // Everything lives beyond the horizon: jump the cursor.
             self.cur = self.overflow.peek().expect("queue is non-empty").at;
@@ -489,8 +494,19 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `item` at cycle `at`, returning the assigned `seq`.
+    /// The production calendar queue is handled inline; the test and
+    /// exploration queues go through an out-of-line cold path.
     #[inline]
     pub fn push(&mut self, at: Cycle, item: T) -> u64 {
+        match self {
+            EventQueue::Calendar(q) => q.push(at, item),
+            _ => self.push_cold(at, item),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn push_cold(&mut self, at: Cycle, item: T) -> u64 {
         match self {
             EventQueue::Calendar(q) => q.push(at, item),
             EventQueue::Heap(q) => q.push(at, item),
@@ -498,9 +514,19 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Removes and returns the earliest event as `(cycle, seq, item)`.
+    /// Removes and returns the earliest event as `(cycle, seq, item)`,
+    /// inline for the calendar queue as [`push`](Self::push) is.
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
+        match self {
+            EventQueue::Calendar(q) => q.pop(),
+            _ => self.pop_cold(),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn pop_cold(&mut self) -> Option<(Cycle, u64, T)> {
         match self {
             EventQueue::Calendar(q) => q.pop(),
             EventQueue::Heap(q) => q.pop(),

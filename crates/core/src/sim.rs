@@ -66,7 +66,8 @@ pub enum SimError {
         report: String,
     },
     /// The workload does not fit the system (a thread block pinned to a
-    /// CU the topology lacks); nothing was simulated.
+    /// CU the topology lacks, or more resident blocks per CU than the
+    /// scheduler tracks); nothing was simulated.
     Workload(String),
 }
 
@@ -374,6 +375,10 @@ impl Simulator {
 /// passes in one process, that regrowth alone raised peak RSS by 5-9%.
 const ACTION_SINK_CAPACITY: usize = 64;
 
+/// The most resident thread blocks a CU can hold: one bit each in
+/// [`Cu::ready`].
+const MAX_TBS_PER_CU: usize = u64::BITS as usize;
+
 /// What [`Machine::run`] hands back on success.
 #[derive(Debug)]
 struct RunOut {
@@ -446,6 +451,9 @@ struct Tb {
 struct Cu {
     /// Resident thread-block indices (into `Machine::tbs`).
     slots: Vec<Option<usize>>,
+    /// Bit `s` is set iff slot `s` holds a [`TbStatus::Ready`] thread
+    /// block; kept by [`Machine::set_status`].
+    ready: u64,
     /// Thread blocks waiting for a slot.
     queue: VecDeque<usize>,
     /// Round-robin pointer.
@@ -600,6 +608,12 @@ impl Machine {
         workload: &Workload,
         observe: &ObserveSpec,
     ) -> Result<Machine, SimError> {
+        if config.tbs_per_cu > MAX_TBS_PER_CU {
+            return Err(SimError::Workload(format!(
+                "{} resident thread blocks per CU exceed the {MAX_TBS_PER_CU} a CU's ready mask tracks",
+                config.tbs_per_cu
+            )));
+        }
         let total_cus = config.total_cus();
         for (k, launch) in workload.kernels.iter().enumerate() {
             let mut pins = launch.tbs.iter().filter_map(|tb| tb.cu);
@@ -667,6 +681,7 @@ impl Machine {
         let cus = (0..nodes)
             .map(|_| Cu {
                 slots: vec![None; config.tbs_per_cu],
+                ready: 0,
                 queue: VecDeque::new(),
                 rr: 0,
                 tick_scheduled: false,
@@ -921,6 +936,7 @@ impl Machine {
         self.tbs_finished = 0;
         for c in &mut self.cus {
             c.slots.fill(None);
+            c.ready = 0;
             c.queue.clear();
             c.rr = 0;
         }
@@ -949,8 +965,7 @@ impl Machine {
         for cu in self.cu_nodes() {
             for slot in 0..self.tbs_per_cu {
                 if let Some(tb) = self.cus[cu].queue.pop_front() {
-                    self.cus[cu].slots[slot] = Some(tb);
-                    self.tbs[tb].slot = slot;
+                    self.seat(tb, slot);
                     let id = TbId(tb as u32);
                     self.trace.emit(|| TraceEvent::TbLaunch {
                         tb: id,
@@ -1021,7 +1036,7 @@ impl Machine {
 
     fn on_tb_finished(&mut self, tb: usize) {
         let (cu, slot) = (self.tbs[tb].cu, self.tbs[tb].slot);
-        self.tbs[tb].status = TbStatus::Done;
+        self.set_status(tb, TbStatus::Done);
         self.cus[cu].slots[slot] = None;
         self.tbs_finished += 1;
         let id = TbId(tb as u32);
@@ -1030,8 +1045,7 @@ impl Machine {
             cu: NodeId(cu as u8),
         });
         if let Some(next) = self.cus[cu].queue.pop_front() {
-            self.cus[cu].slots[slot] = Some(next);
-            self.tbs[next].slot = slot;
+            self.seat(next, slot);
             let id = TbId(next as u32);
             self.trace.emit(|| TraceEvent::TbLaunch {
                 tb: id,
@@ -1092,7 +1106,7 @@ impl Machine {
                     }
                     Issue::Pending => {
                         self.counts.instructions += 1;
-                        self.tbs[tb].status = TbStatus::Blocked;
+                        self.set_status(tb, TbStatus::Blocked);
                         self.tbs[tb].wait = StallKind::LoadUse;
                         self.trace.request_issued(
                             req,
@@ -1118,7 +1132,7 @@ impl Machine {
                     Issue::Retry => StallKind::LoadUse,
                     Issue::RetryAfter(d) => {
                         // Backoff: sleep, then reissue the same load.
-                        self.tbs[tb].status = TbStatus::Blocked;
+                        self.set_status(tb, TbStatus::Blocked);
                         self.tbs[tb].wait = StallKind::LoadUse;
                         let at = self.now + d;
                         self.events.push(at, Event::TbWake { tb: tb as u32 });
@@ -1177,7 +1191,7 @@ impl Machine {
                     match issue {
                         Issue::Hit(_) => self.tbs[tb].released = true,
                         Issue::Pending => {
-                            self.tbs[tb].status = TbStatus::Blocked;
+                            self.set_status(tb, TbStatus::Blocked);
                             self.tbs[tb].wait = StallKind::SbDrain;
                             self.pending.insert(
                                 req,
@@ -1254,7 +1268,7 @@ impl Machine {
                     }
                     Issue::Pending => {
                         self.counts.instructions += 1;
-                        self.tbs[tb].status = TbStatus::Blocked;
+                        self.set_status(tb, TbStatus::Blocked);
                         self.tbs[tb].wait = sync_kind;
                         self.sync_inflight += 1;
                         self.trace.request_issued(
@@ -1284,7 +1298,7 @@ impl Machine {
                     Issue::RetryAfter(d) => {
                         // DeNovoSync backoff: sleep, then reissue the
                         // same sync operation (the release latch stays).
-                        self.tbs[tb].status = TbStatus::Blocked;
+                        self.set_status(tb, TbStatus::Blocked);
                         self.tbs[tb].wait = sync_kind;
                         let at = self.now + d;
                         self.events.push(at, Event::TbWake { tb: tb as u32 });
@@ -1317,7 +1331,7 @@ impl Machine {
                 let n = cycles.eval(&self.tbs[tb].regs) as Cycle;
                 self.tbs[tb].pc += 1;
                 if n > 0 {
-                    self.tbs[tb].status = TbStatus::Blocked;
+                    self.set_status(tb, TbStatus::Blocked);
                     // Compute latency counts as useful execution, not a
                     // stall.
                     self.tbs[tb].wait = StallKind::Issue;
@@ -1351,38 +1365,58 @@ impl Machine {
         }
     }
 
+    /// Sets `tb`'s status and keeps its CU's ready mask in step. Every
+    /// status change of a seated thread block goes through here.
+    fn set_status(&mut self, tb: usize, status: TbStatus) {
+        let t = &mut self.tbs[tb];
+        t.status = status;
+        let (ready, bit) = (&mut self.cus[t.cu].ready, 1u64 << t.slot);
+        if status == TbStatus::Ready {
+            *ready |= bit;
+        } else {
+            *ready &= !bit;
+        }
+    }
+
+    /// Seats `tb` in `slot` of its CU.
+    fn seat(&mut self, tb: usize, slot: usize) {
+        self.cus[self.tbs[tb].cu].slots[slot] = Some(tb);
+        self.tbs[tb].slot = slot;
+        self.set_status(tb, self.tbs[tb].status);
+    }
+
+    /// `cu`'s ready mask recomputed from its slots: the debug-build
+    /// cross-check of [`Cu::ready`].
+    fn ready_scan(&self, cu: usize) -> u64 {
+        let slots = self.cus[cu].slots.iter().enumerate();
+        slots
+            .filter(|&(_, t)| t.is_some_and(|t| self.tbs[t].status == TbStatus::Ready))
+            .fold(0, |mask, (s, _)| mask | 1 << s)
+    }
+
     fn on_cu_tick(&mut self, cu: usize) {
         self.cus[cu].tick_scheduled = false;
-        // Round-robin scan from `rr`, wrapping by compare (no division
-        // on the per-cycle path).
-        let slots = self.cus[cu].slots.len();
-        let mut picked = None;
-        let mut s = self.cus[cu].rr;
-        for _ in 0..slots {
-            if let Some(tb) = self.cus[cu].slots[s] {
-                if self.tbs[tb].status == TbStatus::Ready {
-                    picked = Some((s, tb));
-                    break;
-                }
-            }
-            s += 1;
-            if s == slots {
-                s = 0;
-            }
-        }
-        let Some((s, tb)) = picked else {
+        debug_assert_eq!(
+            self.cus[cu].ready,
+            self.ready_scan(cu),
+            "CU {cu}: the ready mask disagrees with the slots"
+        );
+        let c = &self.cus[cu];
+        if c.ready == 0 {
             return; // all blocked or empty: completions restart the tick
-        };
+        }
+        // Round robin: the first ready slot at or after `rr`, else the
+        // first ready slot.
+        let from_rr = c.ready & (u64::MAX << c.rr);
+        let s = if from_rr != 0 { from_rr } else { c.ready }.trailing_zeros() as usize;
+        let (tb, slots) = (c.slots[s], c.slots.len());
+        let tb = tb.expect("a ready bit names a seated thread block");
         self.cus[cu].rr = if s + 1 == slots { 0 } else { s + 1 };
         self.counts.cu_active_cycles += 1;
         let (instructions, scratch) = (self.counts.instructions, self.counts.scratch_accesses);
         let bucket = self.exec_step(tb);
         // Keep issuing while any resident block is ready.
-        let any_ready = self.cus[cu]
-            .slots
-            .iter()
-            .flatten()
-            .any(|&t| self.tbs[t].status == TbStatus::Ready);
+        let any_ready = self.cus[cu].ready != 0;
         if any_ready {
             let at = self.now + 1;
             self.ensure_tick(cu, at);
@@ -1459,7 +1493,7 @@ impl Machine {
                         self.tbs[tb].released = true; // pc unchanged: reissue
                     }
                 }
-                self.tbs[tb].status = TbStatus::Ready;
+                self.set_status(tb, TbStatus::Ready);
                 let (cu, at) = (self.tbs[tb].cu, self.now + 1);
                 self.ensure_tick(cu, at);
             }
@@ -1528,7 +1562,7 @@ impl Machine {
             Event::TbWake { tb } => {
                 let tb = tb as usize;
                 if self.tbs[tb].status == TbStatus::Blocked {
-                    self.tbs[tb].status = TbStatus::Ready;
+                    self.set_status(tb, TbStatus::Ready);
                 }
                 let (cu, at) = (self.tbs[tb].cu, self.now);
                 self.ensure_tick(cu, at);
@@ -2237,12 +2271,42 @@ mod tests {
                 "{p}: every slot must be on the free list exactly once"
             );
             assert!(slots > 1, "{p}: messages overlapped in flight");
+            assert_eq!(
+                m.mesh.links_busy_after(m.now),
+                0,
+                "{p}: a link outlived the run"
+            );
             assert!(
                 out.stats.counts.messages_sent > 10 * slots as u64,
                 "{p}: {} messages through {slots} slots should reuse them",
                 out.stats.counts.messages_sent
             );
         }
+    }
+
+    #[test]
+    fn resident_blocks_per_cu_are_bounded_by_the_ready_mask() {
+        let mk = || {
+            let mut b = KernelBuilder::new();
+            b.mov(1, imm(0));
+            b.st(b.at(1, 0), imm(1));
+            b.halt();
+            let mut w = one_tb(b, 0, 1);
+            w.kernels[0].tbs = vec![crate::workload::TbSpec::with_regs(&[]); 80];
+            w
+        };
+        let mut cfg = SystemConfig::micro15(ProtocolConfig::Gd);
+        cfg.tbs_per_cu = MAX_TBS_PER_CU;
+        Simulator::new(cfg)
+            .run(&mk())
+            .expect("64 resident blocks fit");
+        cfg.tbs_per_cu = MAX_TBS_PER_CU + 1;
+        let err = Simulator::new(cfg).run(&mk()).unwrap_err();
+        assert!(matches!(err, SimError::Workload(_)), "{err}");
+        assert!(
+            err.to_string().contains("65 resident thread blocks"),
+            "{err}"
+        );
     }
 
     #[test]
