@@ -31,7 +31,7 @@ pub fn run_with(name: &str, config: SystemConfig) -> SimStats {
 }
 
 /// Where CSV outputs go.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper-results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir

@@ -64,10 +64,9 @@ pub struct SystemConfig {
     pub denovo_sync_backoff: bool,
     /// Watchdog: abort the run after this many cycles.
     pub max_cycles: Cycle,
-    /// Which event-queue implementation the engine schedules on. The
-    /// two kinds are bit-identical in behaviour (enforced by the
-    /// `event_queue_equivalence` differential test); `Heap` exists for
-    /// that test and for triaging any suspected queue bug.
+    /// Which event-queue implementation the engine schedules on. There
+    /// is one kind, the calendar queue, which also serves schedule
+    /// exploration; the field stays while gsim-perf (`perf/`) names it.
     pub event_queue: QueueKind,
     /// How much runtime conformance checking the run performs. Defaults
     /// to [`CheckLevel::Invariants`] in debug builds (so every test run

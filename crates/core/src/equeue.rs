@@ -1,5 +1,4 @@
-//! The simulator's event queue: a bucketed calendar queue with a
-//! binary-heap reference implementation.
+//! The simulator's event queue: a bucketed calendar queue.
 //!
 //! Almost every event the engine schedules lands within a few hundred
 //! cycles of "now" (mesh hops, L2 bank busy time, DRAM fills); only
@@ -9,56 +8,49 @@
 //! bucket operations for that common case, replacing the O(log n)
 //! `BinaryHeap` the engine used before.
 //!
-//! **Ordering contract** (shared by both implementations, asserted by
-//! the differential tests): events pop in strictly increasing
-//! `(cycle, seq)` order, where `seq` is the queue-assigned push serial.
-//! Same-cycle events therefore pop in push (FIFO) order — the property
-//! every golden statistic depends on, which is why swapping the queue
-//! implementation is bit-invisible to `SimStats`.
+//! **Ordering contract** (asserted against a `BinaryHeap` model by the
+//! unit tests): events pop in strictly increasing `(cycle, seq)` order,
+//! where `seq` is the queue-assigned push serial. Same-cycle events
+//! therefore pop in push (FIFO) order — the property every golden
+//! statistic depends on.
+//!
+//! **Candidate view** (schedule exploration, `gsim-explore`): the head
+//! bucket holds every event at the earliest queued cycle, in `seq`
+//! order. [`EventQueue::candidates`] shows it and
+//! [`EventQueue::pop_nth`] pops any one of it; `pop_nth(0)` is
+//! [`EventQueue::pop`], so a run that always takes choice 0 is the
+//! production run.
 //!
 //! # Examples
 //!
 //! ```
-//! use gsim_core::equeue::{CalendarQueue, EventQueue, QueueKind};
+//! use gsim_core::equeue::{EventQueue, QueueKind};
 //!
-//! let mut q: CalendarQueue<&str> = CalendarQueue::new();
+//! let mut q: EventQueue<&str> = EventQueue::new(QueueKind::Calendar);
 //! q.push(5, "later");
 //! q.push(1, "first");
 //! q.push(5, "even later"); // same cycle: FIFO
 //! assert_eq!(q.pop(), Some((1, 2, "first")));
+//! let (cycle, head) = q.candidates().expect("two events queued");
+//! assert_eq!(cycle, 5);
+//! assert_eq!(head.collect::<Vec<_>>(), [(1, &"later"), (3, &"even later")]);
+//! assert_eq!(q.pop_nth(1), Some((5, 3, "even later")));
 //! assert_eq!(q.pop(), Some((5, 1, "later")));
-//! assert_eq!(q.pop(), Some((5, 3, "even later")));
 //! assert_eq!(q.pop(), None);
-//!
-//! // The engine-facing dispatcher picks the implementation per run:
-//! let mut q: EventQueue<u32> = EventQueue::new(QueueKind::Calendar);
-//! q.push(0, 7);
-//! assert_eq!(q.pop(), Some((0, 1, 7)));
 //! ```
 
 use gsim_types::Cycle;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Which event-queue implementation a run uses.
-///
-/// `Calendar` is the production default; `Heap` is kept as the simple
-/// reference model so differential tests can prove the two agree on
-/// every pop and every statistic. `Controlled` is the exploration
-/// queue: same ordering contract by default, but it additionally
-/// exposes the set of same-cycle candidates at the queue head so a
-/// schedule controller can pick which one pops first (`gsim-explore`).
+/// Which event-queue implementation a run uses. There is one, the
+/// calendar queue; the type stays because `SystemConfig::event_queue`
+/// and [`EventQueue::new`] name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueKind {
     /// Bucketed calendar queue (O(1) push/pop for near-future events).
     #[default]
     Calendar,
-    /// `BinaryHeap<(cycle, seq)>` reference implementation.
-    Heap,
-    /// Decision-point queue for schedule exploration: `pop_nth(0)`
-    /// reproduces the `(cycle, seq)` contract exactly; `pop_nth(k)`
-    /// reorders same-cycle events under explorer control.
-    Controlled,
 }
 
 /// Ring width: how many cycles ahead of the cursor get their own FIFO
@@ -73,7 +65,7 @@ const DEFAULT_HORIZON: u64 = 1024;
 /// the horizon wait in an overflow heap and migrate into the ring as the
 /// cursor advances. Within a cycle, events pop in push order (`seq`).
 #[derive(Debug)]
-pub struct CalendarQueue<T> {
+pub struct EventQueue<T> {
     /// The scan cursor: no queued event is earlier than this cycle.
     cur: Cycle,
     /// Bucket index mask (`horizon - 1`).
@@ -115,16 +107,13 @@ impl<T> Ord for OverflowEntry<T> {
     }
 }
 
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> CalendarQueue<T> {
-    /// Creates an empty queue with the default 1024-cycle horizon.
-    pub fn new() -> Self {
-        Self::with_horizon(DEFAULT_HORIZON)
+impl<T> EventQueue<T> {
+    /// Creates an empty queue of the given kind (a calendar queue with
+    /// the default 1024-cycle horizon).
+    pub fn new(kind: QueueKind) -> Self {
+        match kind {
+            QueueKind::Calendar => Self::with_horizon(DEFAULT_HORIZON),
+        }
     }
 
     /// Creates an empty queue with a custom ring horizon (power of two).
@@ -139,7 +128,7 @@ impl<T> CalendarQueue<T> {
             horizon.is_power_of_two(),
             "horizon {horizon} is not a power of two"
         );
-        CalendarQueue {
+        EventQueue {
             cur: 0,
             mask: horizon - 1,
             buckets: (0..horizon).map(|_| VecDeque::new()).collect(),
@@ -200,10 +189,12 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Removes and returns the earliest event as `(cycle, seq, item)`;
-    /// ties on cycle break by push order.
+    /// Moves the cursor to the earliest queued cycle and returns that
+    /// cycle's bucket, which then holds every event at the cycle in
+    /// `seq` order; `None` when the queue is empty. Every pop goes
+    /// through here, so settling again before a pop changes nothing.
     #[inline]
-    pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
+    fn settle(&mut self) -> Option<&mut VecDeque<(Cycle, u64, T)>> {
         if self.overflow.is_empty() {
             if self.ring_len == 0 {
                 return None;
@@ -220,18 +211,57 @@ impl<T> CalendarQueue<T> {
         // satisfies cur <= at < cur + horizon and sits in bucket
         // `at % horizon`, so a non-empty bucket at offset k holds exactly
         // the events for cycle cur + k — the first hit is the minimum,
-        // and the overflow heap (all >= cur + horizon at scan start)
+        // and the overflow heap (all >= cur + horizon after migration)
         // cannot beat it.
-        loop {
-            let bucket = &mut self.buckets[(self.cur & self.mask) as usize];
-            if let Some(&(at, _, _)) = bucket.front() {
-                debug_assert_eq!(at, self.cur, "bucket holds a foreign cycle");
-                let (at, seq, item) = bucket.pop_front().expect("checked front");
-                self.ring_len -= 1;
-                return Some((at, seq, item));
-            }
+        while self.buckets[(self.cur & self.mask) as usize].is_empty() {
             self.cur += 1;
         }
+        let bucket = &mut self.buckets[(self.cur & self.mask) as usize];
+        debug_assert!(
+            bucket.front().is_some_and(|&(at, _, _)| at == self.cur),
+            "bucket holds a foreign cycle"
+        );
+        Some(bucket)
+    }
+
+    /// Removes and returns the earliest event as `(cycle, seq, item)`;
+    /// ties on cycle break by push order.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
+        let event = self.settle()?.pop_front();
+        self.ring_len -= 1;
+        event
+    }
+
+    /// The candidate set: the earliest queued cycle and, in `seq` order,
+    /// the `(seq, item)` of every event scheduled at it; `None` when
+    /// empty. Settles the cursor as [`pop`](Self::pop) does, so a
+    /// decision point exists exactly when the view has two or more
+    /// entries.
+    pub fn candidates(&mut self) -> Option<(Cycle, impl ExactSizeIterator<Item = (u64, &T)> + '_)> {
+        let bucket = self.settle()?;
+        Some((
+            bucket[0].0,
+            bucket.iter().map(|(_, seq, item)| (*seq, item)),
+        ))
+    }
+
+    /// Pops the `k`-th candidate (in `seq` order) of the earliest queued
+    /// cycle. `k == 0` is the identity choice, the event
+    /// [`pop`](Self::pop) would return. Returns `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is non-empty and `k` is out of range for the
+    /// candidate set — a schedule word must only index real candidates.
+    pub fn pop_nth(&mut self, k: usize) -> Option<(Cycle, u64, T)> {
+        let bucket = self.settle()?;
+        let n = bucket.len();
+        let event = bucket
+            .remove(k)
+            .unwrap_or_else(|| panic!("schedule choice {k} out of range ({n} candidates)"));
+        self.ring_len -= 1;
+        Some(event)
     }
 
     /// The cycle of the earliest queued event, without removing it.
@@ -270,317 +300,49 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-/// The binary-heap reference queue (the engine's original
-/// implementation), kept so differential tests can replay any run under
-/// both queues and assert bit-identical behaviour.
-#[derive(Debug)]
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<OverflowEntry<T>>,
-    seq: u64,
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> HeapQueue<T> {
-    /// Creates an empty heap queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `item` at cycle `at`, returning the assigned `seq`.
-    pub fn push(&mut self, at: Cycle, item: T) -> u64 {
-        self.seq += 1;
-        self.heap.push(OverflowEntry {
-            at,
-            seq: self.seq,
-            item,
-        });
-        self.seq
-    }
-
-    /// Removes and returns the earliest event as `(cycle, seq, item)`.
-    pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
-        self.heap.pop().map(|e| (e.at, e.seq, e.item))
-    }
-
-    /// The cycle of the earliest queued event, without removing it.
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Iterates over queued events in no particular order (diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = (Cycle, &T)> {
-        self.heap.iter().map(|e| (e.at, &e.item))
-    }
-}
-
-/// The decision-point queue used by schedule exploration
-/// (`gsim-explore`).
-///
-/// A `BTreeMap` from cycle to that cycle's FIFO of `(seq, item)` pairs.
-/// The head bucket (minimum cycle) is the *candidate set*: every event
-/// there is legally poppable this cycle, and a schedule controller may
-/// pop any of them via [`ControlledQueue::pop_nth`]. `pop_nth(0)` always
-/// takes the lowest `seq`, so an identity schedule reproduces the
-/// `(cycle, seq)` ordering contract of [`CalendarQueue`] exactly
-/// (asserted by the `identity_schedule_matches_*` property tests).
-///
-/// Within a bucket, entries are kept sorted by `seq` for free: `push`
-/// assigns monotonically increasing seqs, so appending preserves order
-/// (debug-asserted). There is no horizon/overflow split — exploration
-/// runs are tiny litmus programs, so O(log n) map ops are irrelevant,
-/// and a single structure keeps the candidate-set semantics obvious.
-#[derive(Debug)]
-pub struct ControlledQueue<T> {
-    /// cycle -> FIFO of `(seq, item)`, each FIFO sorted ascending by seq.
-    buckets: BTreeMap<Cycle, VecDeque<(u64, T)>>,
-    /// Total queued events across all buckets.
-    len: usize,
-    /// Push serial, shared tie-breaker of the ordering contract.
-    seq: u64,
-}
-
-impl<T> Default for ControlledQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ControlledQueue<T> {
-    /// Creates an empty controlled queue.
-    pub fn new() -> Self {
-        ControlledQueue {
-            buckets: BTreeMap::new(),
-            len: 0,
-            seq: 0,
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `item` at cycle `at`, returning the assigned `seq`.
-    pub fn push(&mut self, at: Cycle, item: T) -> u64 {
-        self.seq += 1;
-        let seq = self.seq;
-        let bucket = self.buckets.entry(at).or_default();
-        debug_assert!(
-            bucket.back().is_none_or(|&(s, _)| s < seq),
-            "push seq regressed within a bucket"
-        );
-        bucket.push_back((seq, item));
-        self.len += 1;
-        seq
-    }
-
-    /// The candidate set: the minimum queued cycle and, in `seq` order,
-    /// every event scheduled at it. Empty queue returns `None`. A
-    /// decision point exists iff the returned bucket has >= 2 entries.
-    pub fn candidates(&self) -> Option<(Cycle, &VecDeque<(u64, T)>)> {
-        self.buckets
-            .first_key_value()
-            .map(|(&at, bucket)| (at, bucket))
-    }
-
-    /// Number of events poppable at the minimum queued cycle (0 when
-    /// empty).
-    #[cfg(test)]
-    fn candidate_count(&self) -> usize {
-        self.buckets
-            .first_key_value()
-            .map_or(0, |(_, bucket)| bucket.len())
-    }
-
-    /// Pops the `k`-th candidate (in `seq` order) of the minimum queued
-    /// cycle. `k == 0` is the default/identity choice — the same event
-    /// [`CalendarQueue::pop`] would return. Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is non-empty and `k` is out of range for the
-    /// candidate set — a schedule word must only index real candidates.
-    pub fn pop_nth(&mut self, k: usize) -> Option<(Cycle, u64, T)> {
-        let mut entry = self.buckets.first_entry()?;
-        let at = *entry.key();
-        let bucket = entry.get_mut();
-        let n = bucket.len();
-        let (seq, item) = bucket
-            .remove(k)
-            .unwrap_or_else(|| panic!("schedule choice {k} out of range ({n} candidates)"));
-        if bucket.is_empty() {
-            entry.remove();
-        }
-        self.len -= 1;
-        Some((at, seq, item))
-    }
-
-    /// Removes and returns the earliest event as `(cycle, seq, item)`;
-    /// ties on cycle break by push order (identity choice).
-    pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
-        self.pop_nth(0)
-    }
-
-    /// The cycle of the earliest queued event, without removing it.
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        self.buckets.first_key_value().map(|(&at, _)| at)
-    }
-
-    /// Iterates over queued events in no particular order (diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = (Cycle, &T)> {
-        self.buckets
-            .iter()
-            .flat_map(|(&at, bucket)| bucket.iter().map(move |(_, item)| (at, item)))
-    }
-}
-
-/// The engine-facing queue, dispatching to the implementation selected
-/// by [`crate::SystemConfig::event_queue`].
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Production calendar queue.
-    Calendar(CalendarQueue<T>),
-    /// Reference heap queue (differential testing).
-    Heap(HeapQueue<T>),
-    /// Decision-point queue (schedule exploration).
-    Controlled(ControlledQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// Creates an empty queue of the given kind.
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            QueueKind::Heap => EventQueue::Heap(HeapQueue::new()),
-            QueueKind::Controlled => EventQueue::Controlled(ControlledQueue::new()),
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(q) => q.len(),
-            EventQueue::Heap(q) => q.len(),
-            EventQueue::Controlled(q) => q.len(),
-        }
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules `item` at cycle `at`, returning the assigned `seq`.
-    /// The production calendar queue is handled inline; the test and
-    /// exploration queues go through an out-of-line cold path.
-    #[inline]
-    pub fn push(&mut self, at: Cycle, item: T) -> u64 {
-        match self {
-            EventQueue::Calendar(q) => q.push(at, item),
-            _ => self.push_cold(at, item),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn push_cold(&mut self, at: Cycle, item: T) -> u64 {
-        match self {
-            EventQueue::Calendar(q) => q.push(at, item),
-            EventQueue::Heap(q) => q.push(at, item),
-            EventQueue::Controlled(q) => q.push(at, item),
-        }
-    }
-
-    /// Removes and returns the earliest event as `(cycle, seq, item)`,
-    /// inline for the calendar queue as [`push`](Self::push) is.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Cycle, u64, T)> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            _ => self.pop_cold(),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn pop_cold(&mut self) -> Option<(Cycle, u64, T)> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            EventQueue::Heap(q) => q.pop(),
-            EventQueue::Controlled(q) => q.pop(),
-        }
-    }
-
-    /// The cycle of the earliest queued event, without removing it.
-    /// Calendar queues answer with a non-mutating ring scan (see
-    /// [`CalendarQueue::next_cycle`]); the engine only asks at cycle
-    /// boundaries, never per event.
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        match self {
-            EventQueue::Calendar(q) => q.next_cycle(),
-            EventQueue::Heap(q) => q.next_cycle(),
-            EventQueue::Controlled(q) => q.next_cycle(),
-        }
-    }
-
-    /// The controlled implementation, if this queue is one. The engine's
-    /// scheduled-pop path uses this to reach the candidate-set API.
-    pub fn as_controlled_mut(&mut self) -> Option<&mut ControlledQueue<T>> {
-        match self {
-            EventQueue::Controlled(q) => Some(q),
-            _ => None,
-        }
-    }
-
-    /// Immutable view of the controlled implementation, if any.
-    pub fn as_controlled(&self) -> Option<&ControlledQueue<T>> {
-        match self {
-            EventQueue::Controlled(q) => Some(q),
-            _ => None,
-        }
-    }
-
-    /// Iterates over queued events in no particular order (diagnostics).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (Cycle, &T)> + '_> {
-        match self {
-            EventQueue::Calendar(q) => Box::new(q.iter()),
-            EventQueue::Heap(q) => Box::new(q.iter()),
-            EventQueue::Controlled(q) => Box::new(q.iter()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gsim_types::Rng64;
+    use std::cmp::Reverse;
+
+    /// The reference model of the ordering contract: a `BinaryHeap` on
+    /// `(cycle, seq)`, the engine's original queue.
+    struct HeapModel<T> {
+        heap: BinaryHeap<Reverse<(Cycle, u64, T)>>,
+        seq: u64,
+    }
+
+    impl<T: Ord> HeapModel<T> {
+        fn new() -> Self {
+            HeapModel {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: Cycle, item: T) -> u64 {
+            self.seq += 1;
+            self.heap.push(Reverse((at, self.seq, item)));
+            self.seq
+        }
+
+        fn pop(&mut self) -> Option<(Cycle, u64, T)> {
+            self.heap.pop().map(|Reverse(e)| e)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
+    fn calendar<T>() -> EventQueue<T> {
+        EventQueue::new(QueueKind::Calendar)
+    }
 
     #[test]
     fn fifo_within_a_cycle() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut q: EventQueue<u32> = calendar();
         for i in 0..100 {
             q.push(7, i);
         }
@@ -590,7 +352,7 @@ mod tests {
 
     #[test]
     fn far_future_goes_through_overflow_and_back() {
-        let mut q: CalendarQueue<&str> = CalendarQueue::with_horizon(8);
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(8);
         q.push(1_000_000, "far");
         q.push(3, "near");
         q.push(1_000_000, "far2");
@@ -604,7 +366,7 @@ mod tests {
     #[test]
     fn ring_rollover_across_many_revolutions() {
         // With a tiny horizon every push wraps the ring repeatedly.
-        let mut q: CalendarQueue<u64> = CalendarQueue::with_horizon(4);
+        let mut q: EventQueue<u64> = EventQueue::with_horizon(4);
         let mut t = 0;
         for i in 0..1000u64 {
             t += i % 7; // irregular strides, many multiples of the horizon
@@ -625,7 +387,7 @@ mod tests {
     fn overflow_migration_preserves_seq_order_within_cycle() {
         // An overflow event and later direct pushes landing on the same
         // cycle must still pop in push (seq) order.
-        let mut q: CalendarQueue<&str> = CalendarQueue::with_horizon(8);
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(8);
         q.push(100, "overflowed first"); // beyond horizon: overflow
         q.push(0, "warm"); // keeps the ring busy
         assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((0, "warm")));
@@ -638,7 +400,7 @@ mod tests {
 
     #[test]
     fn cursor_near_u64_max_does_not_wrap_forever() {
-        let mut q: CalendarQueue<&str> = CalendarQueue::with_horizon(8);
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(8);
         q.push(u64::MAX - 1, "penultimate");
         q.push(u64::MAX, "last");
         assert_eq!(
@@ -653,14 +415,14 @@ mod tests {
     fn push_at_current_cycle_during_drain() {
         // The engine schedules work at the cycle it is currently
         // processing (TbWake -> ensure_tick at `now`).
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut q: EventQueue<u32> = calendar();
         q.push(5, 1);
         assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((5, 1)));
         q.push(5, 2); // same cycle as the pop we just did
         assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((5, 2)));
     }
 
-    /// The calendar queue against the heap reference, driven by seeded
+    /// The calendar queue against the heap model, driven by seeded
     /// random schedules: pop order must match on every `(cycle, seq)`.
     #[test]
     fn differential_random_ops_match_heap_model() {
@@ -668,8 +430,8 @@ mod tests {
         for round in 0..50 {
             // Exercise tiny horizons (constant migration) and the default.
             let horizon = [4u64, 16, 256, 1024][round % 4];
-            let mut cal: CalendarQueue<u64> = CalendarQueue::with_horizon(horizon);
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut cal: EventQueue<u64> = EventQueue::with_horizon(horizon);
+            let mut heap: HeapModel<u64> = HeapModel::new();
             let mut now = 0u64;
             let mut payload = 0u64;
             for _ in 0..rng.gen_usize(10, 400) {
@@ -713,7 +475,7 @@ mod tests {
     #[test]
     fn deltas_straddling_the_default_horizon_boundary() {
         for base in [0u64, 1, 1023, 1024, 1025, 70_000] {
-            let mut q: CalendarQueue<&str> = CalendarQueue::new();
+            let mut q: EventQueue<&str> = calendar();
             if base > 0 {
                 // Advance the cursor to `base` so the deltas are measured
                 // from a non-zero origin (exercises the `at - cur` maths).
@@ -750,7 +512,7 @@ mod tests {
     /// and some to the overflow heap.
     #[test]
     fn same_cycle_fifo_across_the_boundary_split() {
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut q: EventQueue<u32> = calendar();
         q.push(1024, 0); // delta 1024 from cursor 0: overflow
         q.push(1, 100); // keeps the ring busy
         assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((1, 100)));
@@ -761,17 +523,17 @@ mod tests {
         assert_eq!(order, [0, 1, 2], "same-cycle events must pop in push order");
     }
 
-    /// Far-future stress against the heap reference: every event is
-    /// pushed far beyond the horizon, so every pop goes through a cursor
-    /// jump and an overflow migration. Strides are multiples of the
-    /// horizon (the worst case for `at & mask` aliasing: every event of
-    /// a wave maps to the same bucket).
+    /// Far-future stress against the heap model: every event is pushed
+    /// far beyond the horizon, so every pop goes through a cursor jump
+    /// and an overflow migration. Strides are multiples of the horizon
+    /// (the worst case for `at & mask` aliasing: every event of a wave
+    /// maps to the same bucket).
     #[test]
     fn far_future_stress_matches_heap_model() {
         let mut rng = Rng64::seed_from_u64(0xbeef_cafe);
         for horizon in [4u64, 64, 1024] {
-            let mut cal: CalendarQueue<u64> = CalendarQueue::with_horizon(horizon);
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut cal: EventQueue<u64> = EventQueue::with_horizon(horizon);
+            let mut heap: HeapModel<u64> = HeapModel::new();
             let mut now = 0u64;
             for i in 0..2000u64 {
                 // Always at least one horizon ahead; often an exact
@@ -805,7 +567,7 @@ mod tests {
     /// shadow it.
     #[test]
     fn migrated_event_behind_the_cursor_index_pops_in_order() {
-        let mut q: CalendarQueue<&str> = CalendarQueue::with_horizon(8);
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(8);
         q.push(6, "warm"); // cursor will sit at ring index 6
         q.push(9, "wrapped"); // delta 9 > 8: overflow; ring index 1 < 6
         assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((6, "warm")));
@@ -817,39 +579,34 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    #[test]
-    fn dispatcher_routes_all_kinds() {
-        for kind in [QueueKind::Calendar, QueueKind::Heap, QueueKind::Controlled] {
-            let mut q: EventQueue<u32> = EventQueue::new(kind);
-            assert_eq!(q.len(), 0);
-            q.push(2, 20);
-            q.push(1, 10);
-            assert_eq!(q.iter().count(), 2);
-            assert_eq!(q.pop(), Some((1, 2, 10)));
-            assert_eq!(q.pop(), Some((2, 1, 20)));
-            assert_eq!(q.pop(), None);
-        }
+    /// The candidates of `q` as `(cycle, [item])`.
+    fn head<T: Copy>(q: &mut EventQueue<T>) -> Option<(Cycle, Vec<T>)> {
+        q.candidates()
+            .map(|(at, events)| (at, events.map(|(_, &v)| v).collect()))
     }
 
     #[test]
-    fn controlled_candidates_are_the_min_cycle_in_seq_order() {
-        let mut q: ControlledQueue<&str> = ControlledQueue::new();
-        assert_eq!(q.candidate_count(), 0);
+    fn candidates_are_the_head_cycle_in_seq_order() {
+        let mut q: EventQueue<&str> = calendar();
         assert!(q.candidates().is_none());
         q.push(9, "later");
         q.push(4, "a");
         q.push(4, "b");
         q.push(4, "c");
-        let (at, bucket) = q.candidates().expect("non-empty");
+        let (at, events) = q.candidates().expect("non-empty");
         assert_eq!(at, 4);
-        let names: Vec<&str> = bucket.iter().map(|&(_, v)| v).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-        assert_eq!(q.candidate_count(), 3);
+        assert_eq!(events.len(), 3);
+        let seqs: Vec<u64> = events.map(|(seq, _)| seq).collect();
+        assert_eq!(seqs, [2, 3, 4]);
+        assert_eq!(head(&mut q), Some((4, vec!["a", "b", "c"])));
+        // Looking settles the cursor but removes nothing.
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((4, "a")));
     }
 
     #[test]
-    fn controlled_pop_nth_reorders_only_within_the_cycle() {
-        let mut q: ControlledQueue<u32> = ControlledQueue::new();
+    fn pop_nth_reorders_only_within_the_cycle() {
+        let mut q: EventQueue<u32> = calendar();
         q.push(1, 10);
         q.push(1, 11);
         q.push(1, 12);
@@ -865,35 +622,119 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn controlled_pop_nth_rejects_out_of_range_choice() {
-        let mut q: ControlledQueue<u32> = ControlledQueue::new();
+    fn pop_nth_rejects_out_of_range_choice() {
+        let mut q: EventQueue<u32> = calendar();
         q.push(1, 10);
         q.pop_nth(1);
     }
 
-    /// Property test for the decision-point API: over random event
-    /// streams, controller-driven pops with the identity schedule word
-    /// (always choice 0) produce the exact `(cycle, seq)` order of
-    /// `CalendarQueue` — and of `HeapQueue` — so an exploration run that
-    /// never deviates from the default schedule is bit-identical to a
-    /// production run.
+    /// A head cycle whose events were split between the overflow heap
+    /// (pushed while the cycle lay beyond the horizon) and direct pushes:
+    /// the view must show the migrated event first, in `seq` order, and
+    /// `pop_nth` must index that merged order.
+    #[test]
+    fn candidates_merge_an_overflow_and_direct_split_head() {
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(8);
+        q.push(0, "warm");
+        q.push(10, "overflowed"); // delta 10 >= 8: overflow
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("warm"));
+        q.push(5, "step");
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("step"));
+        // Cursor 5: cycle 10 is now inside the ring, but "overflowed"
+        // still waits in the heap until the next settle.
+        q.push(10, "direct");
+        assert_eq!(head(&mut q), Some((10, vec!["overflowed", "direct"])));
+        assert_eq!(q.pop_nth(1).map(|(at, _, v)| (at, v)), Some((10, "direct")));
+        assert_eq!(head(&mut q), Some((10, vec!["overflowed"])));
+        assert_eq!(q.pop_nth(0).map(|(_, _, v)| v), Some("overflowed"));
+        assert!(q.candidates().is_none());
+    }
+
+    /// Every event beyond the horizon: the view jumps the cursor to the
+    /// far head cycle and migrates only that wave.
+    #[test]
+    fn candidates_jump_the_cursor_past_the_horizon() {
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(4);
+        q.push(1000, "p");
+        q.push(2000, "r");
+        q.push(1000, "q");
+        assert_eq!(head(&mut q), Some((1000, vec!["p", "q"])));
+        assert_eq!(q.pop_nth(1).map(|(at, _, v)| (at, v)), Some((1000, "q")));
+        assert_eq!(head(&mut q), Some((1000, vec!["p"])));
+        // A push at the settled cycle joins its candidate set.
+        q.push(1000, "s");
+        assert_eq!(head(&mut q), Some((1000, vec!["p", "s"])));
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("p"));
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("s"));
+        assert_eq!(head(&mut q), Some((2000, vec!["r"])));
+    }
+
+    /// Random choices against a model that keeps every event in push
+    /// order: the candidates are the events at the minimum cycle, and
+    /// `pop_nth(k)` removes the `k`-th of them. Horizons down to one
+    /// bucket keep nearly every event in the overflow heap.
+    #[test]
+    fn pop_nth_matches_a_push_order_model_at_tiny_horizons() {
+        let mut rng = Rng64::seed_from_u64(0x5eed_c401);
+        for horizon in [1u64, 2, 4, 1024] {
+            let mut q: EventQueue<u64> = EventQueue::with_horizon(horizon);
+            let mut model: Vec<(Cycle, u64, u64)> = Vec::new();
+            let mut now = 0u64;
+            for i in 0..3000u64 {
+                if rng.gen_u32(0, 5) < 2 && !model.is_empty() {
+                    let min = model.iter().map(|e| e.0).min().expect("non-empty");
+                    let heads: Vec<usize> =
+                        (0..model.len()).filter(|&j| model[j].0 == min).collect();
+                    let (at, view) = q.candidates().expect("model is non-empty");
+                    let view: Vec<u64> = view.map(|(seq, _)| seq).collect();
+                    let want: Vec<u64> = heads.iter().map(|&j| model[j].1).collect();
+                    assert_eq!((at, view), (min, want), "view diverged (horizon {horizon})");
+                    let k = rng.gen_usize(0, heads.len());
+                    assert_eq!(
+                        q.pop_nth(k),
+                        Some(model.remove(heads[k])),
+                        "horizon {horizon}"
+                    );
+                    now = min;
+                } else {
+                    let delay = if rng.gen_u32(0, 8) == 0 {
+                        rng.gen_u64(0, 5000)
+                    } else {
+                        rng.gen_u64(0, 3)
+                    };
+                    let seq = q.push(now + delay, i);
+                    model.push((now + delay, seq, i));
+                }
+                assert_eq!(q.len(), model.len());
+            }
+        }
+    }
+
+    /// The identity schedule is the production order: over random event
+    /// streams, `pop_nth(0)` (after looking at the candidates, as the
+    /// engine's scheduled pop does) returns what `pop` returns, and both
+    /// follow the heap model, so an exploration run that never deviates
+    /// from choice 0 is bit-identical to a production run.
     #[test]
     fn identity_schedule_matches_calendar_and_heap_order() {
         let mut rng = Rng64::seed_from_u64(0xdec1_510e);
         for round in 0..40 {
             let horizon = [4u64, 64, 1024][round % 3];
-            let mut cal: CalendarQueue<u64> = CalendarQueue::with_horizon(horizon);
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
-            let mut ctl: ControlledQueue<u64> = ControlledQueue::new();
+            let mut cal: EventQueue<u64> = EventQueue::with_horizon(horizon);
+            let mut nth: EventQueue<u64> = EventQueue::with_horizon(horizon);
+            let mut heap: HeapModel<u64> = HeapModel::new();
             let mut now = 0u64;
             let mut payload = 0u64;
             for _ in 0..rng.gen_usize(10, 300) {
                 if rng.gen_u32(0, 3) == 0 {
-                    let want = cal.pop();
-                    assert_eq!(heap.pop(), want, "heap diverged");
-                    // Identity choice: pop_nth(0), i.e. lowest seq at the
-                    // minimum cycle.
-                    assert_eq!(ctl.pop_nth(0), want, "controlled diverged");
+                    let want = heap.pop();
+                    assert_eq!(cal.pop(), want, "pop diverged from the heap model");
+                    let first = nth.candidates().map(|(at, mut view)| {
+                        let (seq, _) = view.next().expect("a settled head is non-empty");
+                        (at, seq)
+                    });
+                    assert_eq!(first, want.map(|(at, seq, _)| (at, seq)));
+                    assert_eq!(nth.pop_nth(0), want, "pop_nth(0) diverged");
                     if let Some((at, _, _)) = want {
                         now = at;
                     }
@@ -904,16 +745,16 @@ mod tests {
                         rng.gen_u64(0, 300)
                     };
                     payload += 1;
-                    let s1 = cal.push(now + delay, payload);
-                    assert_eq!(heap.push(now + delay, payload), s1);
-                    assert_eq!(ctl.push(now + delay, payload), s1, "seq diverged");
+                    let s1 = heap.push(now + delay, payload);
+                    assert_eq!(cal.push(now + delay, payload), s1);
+                    assert_eq!(nth.push(now + delay, payload), s1, "seq diverged");
                 }
-                assert_eq!(cal.len(), ctl.len());
+                assert_eq!(cal.len(), nth.len());
             }
             loop {
-                let want = cal.pop();
-                assert_eq!(heap.pop(), want);
-                assert_eq!(ctl.pop(), want, "controlled drain diverged");
+                let want = heap.pop();
+                assert_eq!(cal.pop(), want);
+                assert_eq!(nth.pop_nth(0), want, "pop_nth(0) drain diverged");
                 if want.is_none() {
                     break;
                 }
@@ -934,8 +775,8 @@ mod tests {
         // after (0) the cursor advance that flips cycle `base + 1024`
         // from overflow to direct — 2^5 path permutations.
         for mask in 0u32..32 {
-            let mut cal: CalendarQueue<u32> = CalendarQueue::new();
-            let mut heap: HeapQueue<u32> = HeapQueue::new();
+            let mut cal: EventQueue<u32> = calendar();
+            let mut heap: HeapModel<u32> = HeapModel::new();
             let base = 7u64; // non-zero cursor origin
             cal.push(base, 0);
             heap.push(base, 0);
@@ -970,13 +811,12 @@ mod tests {
         }
     }
 
-    /// The same horizon-straddling merge, driven through the dispatcher
-    /// with interleaved pops so migration happens while the target
-    /// bucket is mid-drain.
+    /// The same horizon-straddling merge with interleaved pops, so
+    /// migration happens while the target bucket is mid-drain.
     #[test]
     fn migration_into_a_draining_bucket_keeps_fifo() {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::with_horizon(8);
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
+        let mut cal: EventQueue<u32> = EventQueue::with_horizon(8);
+        let mut heap: HeapModel<u32> = HeapModel::new();
         for (at, v) in [(10u64, 0u32), (3, 1), (10, 2), (4, 3), (10, 4)] {
             cal.push(at, v);
             heap.push(at, v);
@@ -999,21 +839,25 @@ mod tests {
         }
     }
 
-    /// `next_cycle` must agree with the next `pop` on all three
-    /// implementations, across random schedules, without mutating.
+    /// `next_cycle` must agree with the next `pop` across random
+    /// schedules, without mutating.
     #[test]
-    fn next_cycle_agrees_with_pop_on_all_kinds() {
+    fn next_cycle_agrees_with_pop() {
         let mut rng = Rng64::seed_from_u64(0x9eec);
-        for kind in [QueueKind::Calendar, QueueKind::Heap, QueueKind::Controlled] {
-            let mut q: EventQueue<u64> = EventQueue::new(kind);
+        for horizon in [4u64, 1024] {
+            let mut q: EventQueue<u64> = EventQueue::with_horizon(horizon);
             let mut now = 0u64;
             for i in 0..500u64 {
                 if rng.gen_u32(0, 3) == 0 {
                     let peek = q.next_cycle();
                     let peek2 = q.next_cycle(); // idempotent
-                    assert_eq!(peek, peek2, "peek mutated the queue ({kind:?})");
+                    assert_eq!(peek, peek2, "peek mutated the queue (horizon {horizon})");
                     let got = q.pop();
-                    assert_eq!(got.map(|(at, _, _)| at), peek, "peek != pop ({kind:?})");
+                    assert_eq!(
+                        got.map(|(at, _, _)| at),
+                        peek,
+                        "peek != pop (horizon {horizon})"
+                    );
                     if let Some((at, _, _)) = got {
                         now = at;
                     }
@@ -1039,7 +883,7 @@ mod tests {
     /// pushed after the jump. `next_cycle` must report the overflow one.
     #[test]
     fn next_cycle_sees_unmigrated_overflow_inside_the_window() {
-        let mut q: CalendarQueue<&str> = CalendarQueue::with_horizon(8);
+        let mut q: EventQueue<&str> = EventQueue::with_horizon(8);
         q.push(0, "warm");
         q.push(100, "jump target");
         q.push(104, "stale overflow"); // delta 104 >= 8: overflow
@@ -1061,24 +905,22 @@ mod tests {
 
     /// Cycle-boundary shape: events one short message latency past the
     /// current cycle must be visible to `next_cycle` and pop after every
-    /// event of the current cycle, for all three implementations.
+    /// event of the current cycle.
     #[test]
     fn events_just_past_the_current_cycle_order_after_it() {
         const DELAY: u64 = 3; // mesh router + one hop
-        for kind in [QueueKind::Calendar, QueueKind::Heap, QueueKind::Controlled] {
-            let mut q: EventQueue<u32> = EventQueue::new(kind);
-            let epoch = 41u64;
-            q.push(epoch, 0);
-            q.push(epoch + DELAY, 10); // an adjacent-node delivery
-            q.push(epoch, 1); // same-cycle tie: FIFO after 0
-            q.push(epoch + DELAY, 11);
-            assert_eq!(q.next_cycle(), Some(epoch));
-            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 0)));
-            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 1)));
-            assert_eq!(q.next_cycle(), Some(epoch + DELAY), "{kind:?}");
-            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch + DELAY, 10)));
-            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch + DELAY, 11)));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q: EventQueue<u32> = calendar();
+        let epoch = 41u64;
+        q.push(epoch, 0);
+        q.push(epoch + DELAY, 10); // an adjacent-node delivery
+        q.push(epoch, 1); // same-cycle tie: FIFO after 0
+        q.push(epoch + DELAY, 11);
+        assert_eq!(q.next_cycle(), Some(epoch));
+        assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 0)));
+        assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 1)));
+        assert_eq!(q.next_cycle(), Some(epoch + DELAY));
+        assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch + DELAY, 10)));
+        assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch + DELAY, 11)));
+        assert_eq!(q.pop(), None);
     }
 }

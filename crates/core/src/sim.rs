@@ -24,7 +24,7 @@
 //! completion, on every CU.
 
 use crate::config::SystemConfig;
-use crate::equeue::{EventQueue, QueueKind};
+use crate::equeue::EventQueue;
 use crate::kernel::{Instr, NUM_REGS};
 use crate::pending::PendingTable;
 use crate::proto::{L1, L2};
@@ -329,9 +329,9 @@ impl Simulator {
             .map(|out| (out.stats, out.reports))
     }
 
-    /// Runs `workload` under explorer control: the run uses the
-    /// [`QueueKind::Controlled`] queue, and at every cycle where ≥ 2
-    /// events are simultaneously poppable, the event at index
+    /// Runs `workload` under explorer control: at every cycle where ≥ 2
+    /// events are simultaneously poppable (the event queue's
+    /// [`candidates`](EventQueue::candidates)), the event at index
     /// `prefix[i]` (in `seq` order; default `0` past the prefix's end)
     /// pops first at the `i`-th such decision point. The identity
     /// schedule (`prefix = &[]`) reproduces the production
@@ -352,9 +352,7 @@ impl Simulator {
         prefix: &[u32],
         obs: &[WordAddr],
     ) -> Result<ExploredRun, SimError> {
-        let mut cfg = self.config;
-        cfg.event_queue = QueueKind::Controlled;
-        let mut m = Machine::new(&cfg, workload, &ObserveSpec::default())?;
+        let mut m = Machine::new(&self.config, workload, &ObserveSpec::default())?;
         m.sched = Some(SchedState {
             prefix: prefix.to_vec(),
             decisions: Vec::new(),
@@ -479,6 +477,38 @@ enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+impl Event {
+    /// The conflict footprint of a queued event (see [`Footprint`]).
+    fn footprint(
+        &self,
+        tbs: &[Tb],
+        in_flight: &MsgSlab,
+        pending: &PendingTable<(Target, Cycle)>,
+    ) -> Footprint {
+        match self {
+            Event::CuTick(cu) => Footprint::L1Node(*cu as u8),
+            Event::TbWake { tb } => Footprint::L1Node(tbs[*tb as usize].cu as u8),
+            Event::Deliver(slot) => {
+                let msg = in_flight.get(*slot);
+                match msg.dst_comp {
+                    Component::L1 => Footprint::L1Node(msg.dst.0),
+                    Component::L2 => Footprint::L2Bank(msg.dst.0),
+                }
+            }
+            Event::Finish { req, .. } => {
+                let cu = match pending
+                    .get(*req)
+                    .expect("queued completion for an unknown request")
+                {
+                    (Target::Tb { tb, .. }, _) => tbs[*tb].cu,
+                    (Target::KernelDrain { cu }, _) => *cu,
+                };
+                Footprint::L1Node(cu as u8)
+            }
+        }
+    }
+}
 
 /// Messages between their send and their delivery: a slab of slots with
 /// a last-in first-out free list. A slot number only links a queued
@@ -746,71 +776,42 @@ impl Machine {
     /// picks — default choice 0, which is exactly what a production pop
     /// would return.
     fn pop_scheduled(&mut self) -> Option<(Cycle, u64, Event)> {
-        let decision = {
-            let q = self
-                .events
-                .as_controlled()
-                .expect("scheduled runs use the controlled queue");
-            let (cycle, bucket) = q.candidates()?;
-            if bucket.len() < 2 {
-                None
+        let Machine {
+            events,
+            sched,
+            tbs,
+            in_flight,
+            pending,
+            ..
+        } = self;
+        let chosen = {
+            let (cycle, view) = events.candidates()?;
+            if view.len() < 2 {
+                0
             } else {
-                let candidates: Vec<Candidate> = bucket
-                    .iter()
-                    .map(|&(seq, ref ev)| Candidate {
+                let candidates: Vec<Candidate> = view
+                    .map(|(seq, ev)| Candidate {
                         seq,
-                        fp: self.event_footprint(ev),
+                        fp: ev.footprint(tbs, in_flight, pending),
                     })
                     .collect();
-                Some((cycle, candidates))
+                let sched = sched.as_mut().expect("checked by next_event");
+                let idx = sched.decisions.len();
+                let chosen = sched.prefix.get(idx).copied().unwrap_or(0);
+                assert!(
+                    (chosen as usize) < candidates.len(),
+                    "schedule choice {chosen} at decision {idx} out of range ({} candidates)",
+                    candidates.len()
+                );
+                sched.decisions.push(Decision {
+                    cycle,
+                    candidates,
+                    chosen,
+                });
+                chosen
             }
         };
-        let Some((cycle, candidates)) = decision else {
-            return self.events.pop();
-        };
-        let sched = self.sched.as_mut().expect("checked by next_event");
-        let idx = sched.decisions.len();
-        let chosen = sched.prefix.get(idx).copied().unwrap_or(0);
-        assert!(
-            (chosen as usize) < candidates.len(),
-            "schedule choice {chosen} at decision {idx} out of range ({} candidates)",
-            candidates.len()
-        );
-        sched.decisions.push(Decision {
-            cycle,
-            candidates,
-            chosen,
-        });
-        self.events
-            .as_controlled_mut()
-            .expect("scheduled runs use the controlled queue")
-            .pop_nth(chosen as usize)
-    }
-
-    /// The conflict footprint of a queued event (see [`Footprint`]).
-    fn event_footprint(&self, ev: &Event) -> Footprint {
-        match ev {
-            Event::CuTick(cu) => Footprint::L1Node(*cu as u8),
-            Event::TbWake { tb } => Footprint::L1Node(self.tbs[*tb as usize].cu as u8),
-            Event::Deliver(slot) => {
-                let msg = self.in_flight.get(*slot);
-                match msg.dst_comp {
-                    Component::L1 => Footprint::L1Node(msg.dst.0),
-                    Component::L2 => Footprint::L2Bank(msg.dst.0),
-                }
-            }
-            Event::Finish { req, .. } => {
-                let cu = match self
-                    .pending
-                    .get(*req)
-                    .expect("queued completion for an unknown request")
-                {
-                    (Target::Tb { tb, .. }, _) => self.tbs[*tb].cu,
-                    (Target::KernelDrain { cu }, _) => *cu,
-                };
-                Footprint::L1Node(cu as u8)
-            }
-        }
+        events.pop_nth(chosen as usize)
     }
 
     /// Records a checker violation: one trace instant plus a report line.

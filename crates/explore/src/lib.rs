@@ -6,7 +6,8 @@
 //! The deterministic engine pops events in `(cycle, seq)` order, so a
 //! cycle whose bucket holds two or more events hides an arbitration
 //! choice: which same-cycle event the hardware would service first. The
-//! controlled event queue (`QueueKind::Controlled`) exposes each such
+//! event queue's candidate view (`EventQueue::candidates` and
+//! `pop_nth`, on the production calendar queue) exposes each such
 //! bucket as a *decision point*, and this crate drives a DFS over
 //! *schedule prefixes* — vectors of per-decision choices, where every
 //! index past the prefix defaults to choice 0 — to enumerate the
@@ -129,9 +130,8 @@ impl Budget {
 /// ```
 /// use gsim_explore::ScheduleId;
 ///
-/// let id = ScheduleId::from_prefix(&[0, 0, 1, 0, 2]);
+/// let id = ScheduleId::parse("2.1-4.2").unwrap();
 /// assert_eq!(id.to_string(), "2.1-4.2");
-/// assert_eq!(ScheduleId::parse("2.1-4.2").unwrap(), id);
 /// assert_eq!(id.prefix(), &[0, 0, 1, 0, 2]);
 /// assert_eq!(ScheduleId::root().to_string(), "r");
 /// ```
@@ -146,7 +146,7 @@ impl ScheduleId {
 
     /// Builds an id from a choice prefix, trimming trailing defaults
     /// so equal schedules get equal ids.
-    pub fn from_prefix(prefix: &[u32]) -> Self {
+    fn from_prefix(prefix: &[u32]) -> Self {
         let len = prefix.len() - prefix.iter().rev().take_while(|&&c| c == 0).count();
         ScheduleId(prefix[..len].to_vec())
     }
@@ -380,7 +380,7 @@ struct Node {
 /// negatives *race by design* on every schedule, and exploration wants
 /// their outcome sets, not 2^N copies of the same race report. The
 /// conformance tests run the race detector on the battery separately.
-pub fn explore_config(protocol: ProtocolConfig) -> SystemConfig {
+fn explore_config(protocol: ProtocolConfig) -> SystemConfig {
     let mut cfg = SystemConfig::micro15(protocol);
     cfg.check = CheckLevel::Invariants;
     cfg

@@ -10,9 +10,9 @@
 
 use crate::journey::{Journey, JourneyHop};
 use crate::report::{FlowReport, LinkRow};
-use crate::sample::{FlowSample, SampleRing};
+use crate::sample::FlowSample;
 use crate::spec::FlowSpec;
-use gsim_trace::{IntervalSample, JourneyKind, TraceEvent, TraceSink};
+use gsim_trace::{IntervalSample, JourneyKind, SampleRing, TraceEvent, TraceSink};
 use gsim_types::{Component, Cycle, FxHashMap, LineAddr, Msg, MsgClass, MsgKind, NodeId, ReqId};
 
 /// Journey store capacity: journeys begun beyond this are counted as
@@ -64,7 +64,7 @@ pub struct FlowCollector {
     /// Line -> in-flight journey indices watching it.
     watching: FxHashMap<u64, Vec<usize>>,
     dropped_journeys: u64,
-    ring: SampleRing,
+    ring: SampleRing<FlowSample>,
 }
 
 impl FlowCollector {

@@ -38,5 +38,5 @@ pub use collector::{FlowCollector, MAX_JOURNEYS};
 pub use gsim_trace::JourneyKind;
 pub use journey::{Journey, JourneyHop, STAGE_LABELS};
 pub use report::{FlowReport, LinkRow};
-pub use sample::{FlowSample, SampleRing, MAX_SAMPLES};
+pub use sample::FlowSample;
 pub use spec::FlowSpec;

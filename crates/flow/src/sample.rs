@@ -5,13 +5,10 @@
 //! `ObserveSpec::interval` the engine crosses it reports one
 //! `interval_sample` hook, and the collector turns it into a
 //! [`FlowSample`] of its own cumulative counters plus the engine's
-//! gauges. Exports compute per-interval deltas.
+//! gauges, kept in a [`gsim_trace::SampleRing`]. Exports compute
+//! per-interval deltas.
 
 use gsim_types::Cycle;
-
-/// Ring capacity: samples beyond this are counted as dropped rather
-/// than recorded (keeping the *earliest* window, like the trace ring).
-pub const MAX_SAMPLES: usize = 1 << 16;
 
 /// One snapshot. `flits`, `queue_cycles`, and `l2_msgs` are cumulative
 /// since cycle 0; the `*_occupancy`, `pending_reqs`, and
@@ -34,56 +31,4 @@ pub struct FlowSample {
     pub pending_reqs: u64,
     /// Sampled journeys begun but not yet finished, at sample time.
     pub active_journeys: u64,
-}
-
-/// The bounded sample store.
-#[derive(Clone, Debug, Default)]
-pub struct SampleRing {
-    samples: Vec<FlowSample>,
-    dropped: u64,
-}
-
-impl SampleRing {
-    /// Records a sample, or counts it dropped when full.
-    pub fn push(&mut self, s: FlowSample) {
-        if self.samples.len() < MAX_SAMPLES {
-            self.samples.push(s);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// The recorded samples, in time order.
-    pub fn samples(&self) -> &[FlowSample] {
-        &self.samples
-    }
-
-    /// Samples that arrived after the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the ring.
-    pub fn into_parts(self) -> (Vec<FlowSample>, u64) {
-        (self.samples, self.dropped)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ring_bounds_and_counts_drops() {
-        let mut r = SampleRing::default();
-        for i in 0..(MAX_SAMPLES as u64 + 3) {
-            r.push(FlowSample {
-                cycle: i,
-                ..Default::default()
-            });
-        }
-        assert_eq!(r.samples().len(), MAX_SAMPLES);
-        assert_eq!(r.dropped(), 3);
-        assert_eq!(r.samples()[0].cycle, 0, "earliest window kept");
-    }
 }

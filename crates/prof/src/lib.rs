@@ -37,7 +37,6 @@
 //! the profiler never schedules events or mutates simulation state.
 
 mod attr;
-mod interval;
 mod profiler;
 mod region;
 mod report;
@@ -45,7 +44,6 @@ mod sketch;
 
 pub use attr::CuAttr;
 pub use gsim_trace::{IntervalSample, StallKind, NUM_STALL_KINDS, STALL_KINDS};
-pub use interval::{IntervalRing, MAX_SAMPLES};
 pub use profiler::{Profiler, ReportInputs};
 pub use region::RegionMap;
 pub use report::{CuRow, HotLine, ProfileReport};

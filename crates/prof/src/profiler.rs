@@ -7,10 +7,9 @@
 //! protocol state, or returns anything the engine acts on.
 
 use crate::attr::CuAttr;
-use crate::interval::IntervalRing;
 use crate::report::{CuRow, ProfileReport};
 use crate::sketch::{LineTally, SpaceSaving, SKETCH_LINES};
-use gsim_trace::{IntervalSample, StallKind, TraceEvent, TraceSink};
+use gsim_trace::{IntervalSample, SampleRing, StallKind, TraceEvent, TraceSink};
 use gsim_types::{Counts, Cycle, LineAddr, NodeId, WordAddr, WordMask};
 
 /// The collection state of one profiled run.
@@ -27,7 +26,7 @@ pub struct Profiler {
     cu_counts: Vec<Counts>,
     l1_sketches: Vec<SpaceSaving>,
     l2_sketch: SpaceSaving,
-    ring: IntervalRing,
+    ring: SampleRing<IntervalSample>,
 }
 
 /// End-of-run inputs the engine owns and the profiler needs to build
@@ -67,7 +66,7 @@ impl Profiler {
             cu_counts: vec![Counts::default(); cus],
             l1_sketches: (0..nodes).map(|_| SpaceSaving::new(SKETCH_LINES)).collect(),
             l2_sketch: SpaceSaving::new(SKETCH_LINES),
-            ring: IntervalRing::default(),
+            ring: SampleRing::default(),
         }
     }
 

@@ -1,7 +1,8 @@
 //! The value types hooks carry beyond `gsim-types`: why a CU cycle was
 //! spent ([`StallKind`]), what kind of request a journey follows
-//! ([`JourneyKind`]), and the engine's periodic counter snapshot
-//! ([`IntervalSample`]).
+//! ([`JourneyKind`]), the engine's periodic counter snapshot
+//! ([`IntervalSample`]), and the bounded store that time series are
+//! kept in ([`SampleRing`]).
 
 use gsim_types::Cycle;
 
@@ -131,7 +132,10 @@ impl JourneyKind {
 
 /// One snapshot, taken every `ObserveSpec::interval` cycles. Counter
 /// fields are cumulative since cycle 0; `*_occupancy`, `pending_reqs`
-/// and `outstanding_syncs` are instantaneous gauges.
+/// and `outstanding_syncs` are instantaneous gauges. The engine takes
+/// them lazily, from the event loop: an idle gap spanning several
+/// boundaries yields several identical snapshots, which render as
+/// zero-delta intervals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntervalSample {
     /// The sample boundary (a multiple of the sampling interval).
@@ -156,9 +160,63 @@ pub struct IntervalSample {
     pub outstanding_syncs: u64,
 }
 
+/// How many samples a [`SampleRing`] keeps. Later samples are counted
+/// as dropped rather than recorded, keeping the *earliest* window as
+/// the trace ring keeps its earliest events; a paper-scale run at the
+/// default interval stays well under this.
+pub const MAX_SAMPLES: usize = 1 << 16;
+
+/// The bounded store of an interval time series: the profiler keeps
+/// each [`IntervalSample`] in one, the flow collector its own sample
+/// built from the same hook. Samples hold cumulative values; exports
+/// compute the per-interval deltas.
+#[derive(Clone, Debug)]
+pub struct SampleRing<S> {
+    samples: Vec<S>,
+    dropped: u64,
+}
+
+impl<S> Default for SampleRing<S> {
+    fn default() -> Self {
+        SampleRing {
+            samples: Vec::new(),
+            dropped: 0,
+        }
+    }
+}
+
+impl<S> SampleRing<S> {
+    /// Records a sample, or counts it dropped when full.
+    pub fn push(&mut self, s: S) {
+        if self.samples.len() < MAX_SAMPLES {
+            self.samples.push(s);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Consumes the ring: the recorded samples in time order, and how
+    /// many arrived after it filled.
+    pub fn into_parts(self) -> (Vec<S>, u64) {
+        (self.samples, self.dropped)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_ring_keeps_the_earliest_window_and_counts_drops() {
+        let mut r = SampleRing::default();
+        for cycle in 0..(MAX_SAMPLES as u64 + 5) {
+            r.push(cycle);
+        }
+        let (samples, dropped) = r.into_parts();
+        assert_eq!(samples.len(), MAX_SAMPLES);
+        assert_eq!(dropped, 5);
+        assert_eq!(samples[0], 0, "earliest window kept");
+    }
 
     #[test]
     fn priorities_are_distinct_and_sync_wins() {

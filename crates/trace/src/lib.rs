@@ -66,5 +66,7 @@ pub use chrome::{
     JourneySpan,
 };
 pub use event::{Category, FlushReason, Level, TraceEvent, WState};
-pub use hook::{IntervalSample, JourneyKind, StallKind, NUM_STALL_KINDS, STALL_KINDS};
+pub use hook::{
+    IntervalSample, JourneyKind, SampleRing, StallKind, MAX_SAMPLES, NUM_STALL_KINDS, STALL_KINDS,
+};
 pub use sink::{RingRecorder, TraceHandle, TraceSink};

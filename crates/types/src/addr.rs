@@ -79,12 +79,6 @@ impl LineAddr {
         assert!(i < WORDS_PER_LINE, "word index {i} out of line");
         WordAddr(self.0 * WORDS_PER_LINE as u64 + i as u64)
     }
-
-    /// The byte address of the first word of this line.
-    #[inline]
-    pub fn base_addr(self) -> Addr {
-        Addr(self.0 * LINE_BYTES)
-    }
 }
 
 impl From<u64> for Addr {
@@ -256,7 +250,6 @@ mod tests {
     #[test]
     fn line_geometry() {
         let l = LineAddr(5);
-        assert_eq!(l.base_addr().0, 5 * LINE_BYTES);
         assert_eq!(l.word(0).line(), l);
         assert_eq!(l.word(WORDS_PER_LINE - 1).line(), l);
         assert_eq!(

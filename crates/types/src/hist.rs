@@ -8,11 +8,11 @@
 //!
 //! A histogram is a fixed array of 32 power-of-two buckets: bucket 0
 //! holds samples 0 and 1, and bucket `k` (for `k ≥ 1`) holds samples in
-//! `[2^k, 2^(k+1))` (see [`LatencyHistogram::bucket_index`]). Recording a
-//! sample is two adds and a `leading_zeros` — cheap enough to leave on
-//! in every run — and percentiles are answered from the bucket counts
-//! with a worst-case error of one bucket width (≤ 2x, which is exactly
-//! the fidelity a log-scale latency plot communicates anyway).
+//! `[2^k, 2^(k+1))`. Recording a sample is two adds and a
+//! `leading_zeros` — cheap enough to leave on in every run — and
+//! percentiles are answered from the bucket counts with a worst-case
+//! error of one bucket width (≤ 2x, which is exactly the fidelity a
+//! log-scale latency plot communicates anyway).
 
 use crate::ids::Cycle;
 use std::fmt;
@@ -65,7 +65,7 @@ impl LatencyHistogram {
     /// position of the highest set bit (`2, 3 → 1`, `4..8 → 2`, ...),
     /// saturating at [`BUCKETS`]` - 1`.
     #[inline]
-    pub fn bucket_index(value: Cycle) -> usize {
+    fn bucket_index(value: Cycle) -> usize {
         if value <= 1 {
             0
         } else {
@@ -75,7 +75,7 @@ impl LatencyHistogram {
 
     /// The inclusive upper bound of a bucket (what percentiles report).
     #[inline]
-    pub fn bucket_upper_bound(index: usize) -> Cycle {
+    fn bucket_upper_bound(index: usize) -> Cycle {
         if index >= BUCKETS - 1 {
             u64::MAX
         } else {
@@ -147,54 +147,6 @@ impl LatencyHistogram {
         Some(self.max)
     }
 
-    /// The `q`-th percentile (`0 < q ≤ 100`) as the *midpoint* of the
-    /// bucket containing it, clamped to the observed `[min, max]` range.
-    /// `None` when the histogram is empty.
-    ///
-    /// Unlike [`percentile`](Self::percentile) (which reports the bucket
-    /// upper bound, biased high by up to 2x), the midpoint estimate of a
-    /// `[2^k, 2^(k+1))` bucket is `1.5 * 2^k`, so the estimate is always
-    /// within a factor of 1.5 of the true sample value: at worst the
-    /// sample sits at the bucket's low edge (reported 1.5x high) or just
-    /// under its upper bound (reported ~1.33x low). For the saturating
-    /// catch-all bucket only the observed maximum is known and is
-    /// reported as-is.
-    pub fn percentile_midpoint(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let mid = if i == 0 {
-                    0.5 // bucket 0 holds {0, 1}
-                } else if i >= BUCKETS - 1 {
-                    self.max as f64 // catch-all: only the max is known
-                } else {
-                    1.5 * (1u64 << i) as f64
-                };
-                return Some(mid.clamp(self.min() as f64, self.max as f64));
-            }
-        }
-        Some(self.max as f64)
-    }
-
-    /// Median estimate: [`percentile_midpoint`](Self::percentile_midpoint)
-    /// at q = 50 (within 1.5x of the true median; see there for the
-    /// error bound). `None` when empty.
-    pub fn p50(&self) -> Option<f64> {
-        self.percentile_midpoint(50.0)
-    }
-
-    /// 99th-percentile estimate: [`percentile_midpoint`](Self::percentile_midpoint)
-    /// at q = 99 (within 1.5x of the true p99; see there for the error
-    /// bound). `None` when empty.
-    pub fn p99(&self) -> Option<f64> {
-        self.percentile_midpoint(99.0)
-    }
-
     /// The raw bucket counts (for exporters and tests).
     pub fn buckets(&self) -> &[u64; BUCKETS] {
         &self.counts
@@ -247,18 +199,6 @@ pub struct LatencyBreakdown {
 }
 
 impl LatencyBreakdown {
-    /// `(label, p50, p99, mean)` rows for every non-empty population —
-    /// the compact summary profiler reports embed. Percentiles are
-    /// bucket-midpoint estimates (within 1.5x; see
-    /// [`LatencyHistogram::percentile_midpoint`]), the mean is exact.
-    pub fn summaries(&self) -> Vec<(&'static str, f64, f64, f64)> {
-        self.named()
-            .into_iter()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(name, h)| (name, h.p50().unwrap(), h.p99().unwrap(), h.mean().unwrap()))
-            .collect()
-    }
-
     /// `(label, histogram)` pairs in display order.
     pub fn named(&self) -> [(&'static str, &LatencyHistogram); 4] {
         [
@@ -459,56 +399,6 @@ mod tests {
         assert_eq!(h.percentile(95.0), Some(1000));
         assert_eq!(h.percentile(99.0), Some(1000));
         assert_eq!(h.mean(), Some((90.0 + 10_000.0) / 100.0));
-    }
-
-    /// The midpoint estimate stays within its documented 1.5x bound and
-    /// clamps to the observed range.
-    #[test]
-    fn midpoint_percentiles_bounded() {
-        let mut h = LatencyHistogram::default();
-        for v in [5u64, 6, 7, 300, 300, 300, 300, 300, 300, 1000] {
-            h.record(v);
-        }
-        // Every estimate within a factor of 1.5 of an upper-bound-based
-        // exact-rank answer computed from the raw samples.
-        let mut sorted = [5u64, 6, 7, 300, 300, 300, 300, 300, 300, 1000];
-        sorted.sort_unstable();
-        for q in [10.0, 50.0, 90.0, 99.0] {
-            let rank = ((q / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-            let truth = sorted[rank - 1] as f64;
-            let est = h.percentile_midpoint(q).unwrap();
-            assert!(
-                est <= truth * 1.5 + 1e-9 && est >= truth / 1.5 - 1e-9,
-                "q={q}: estimate {est} not within 1.5x of {truth}"
-            );
-        }
-        assert_eq!(h.p50(), h.percentile_midpoint(50.0));
-        assert_eq!(h.p99(), h.percentile_midpoint(99.0));
-        // Clamping: a single sample reports itself exactly.
-        let mut one = LatencyHistogram::default();
-        one.record(37);
-        assert_eq!(one.p50(), Some(37.0));
-        assert_eq!(one.p99(), Some(37.0));
-        // Catch-all bucket reports the observed max.
-        let mut big = LatencyHistogram::default();
-        big.record(1u64 << 40);
-        assert_eq!(big.p99(), Some((1u64 << 40) as f64));
-        // Empty histogram has no percentiles.
-        assert_eq!(LatencyHistogram::default().p50(), None);
-    }
-
-    #[test]
-    fn breakdown_summaries_skip_empty_rows() {
-        let mut b = LatencyBreakdown::default();
-        b.load_to_use.record(4);
-        b.load_to_use.record(4);
-        let rows = b.summaries();
-        assert_eq!(rows.len(), 1);
-        let (name, p50, p99, mean) = rows[0];
-        assert_eq!(name, "load-to-use");
-        assert_eq!(mean, 4.0);
-        assert!((4.0 / 1.5..=4.0 * 1.5).contains(&p50));
-        assert!((4.0 / 1.5..=4.0 * 1.5).contains(&p99));
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl NodeId {
         (0..Self::GPU_CUS as u8).map(NodeId)
     }
 
-    /// Whether this node hosts a GPU compute unit.
-    #[inline]
-    pub fn is_gpu(self) -> bool {
-        (self.0 as usize) < Self::GPU_CUS
-    }
-
     /// This node's index as a `usize` (for array indexing).
     #[inline]
     pub fn index(self) -> usize {
@@ -93,9 +87,6 @@ mod tests {
     fn node_roles() {
         assert_eq!(NodeId::all().count(), 16);
         assert_eq!(NodeId::gpu_cus().count(), 15);
-        assert!(NodeId(0).is_gpu());
-        assert!(NodeId(14).is_gpu());
-        assert!(!NodeId::CPU.is_gpu());
         assert_eq!(format!("{:?}", NodeId(3)), "cu3");
         assert_eq!(format!("{:?}", NodeId::CPU), "cpu");
     }

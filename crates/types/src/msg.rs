@@ -222,7 +222,7 @@ impl MsgKind {
     }
 
     /// Payload words carried by this message (0 for control messages).
-    pub fn payload_words(&self) -> u32 {
+    fn payload_words(&self) -> u32 {
         match self {
             MsgKind::ReadResp { mask, .. }
             | MsgKind::WriteThrough { mask, .. }

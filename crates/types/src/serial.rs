@@ -143,7 +143,7 @@ fn hist_from_json(v: &JsonValue) -> Result<LatencyHistogram, String> {
 impl SimStats {
     /// Serializes the complete statistics record as compact JSON. The
     /// output is deterministic (fixed field order) and round-trips
-    /// exactly through [`SimStats::from_json`].
+    /// exactly through [`SimStats::from_json_value`].
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
     }
@@ -185,7 +185,8 @@ impl SimStats {
     }
 
     /// Parses a record produced by [`SimStats::to_json`].
-    pub fn from_json(text: &str) -> Result<SimStats, String> {
+    #[cfg(test)]
+    fn from_json(text: &str) -> Result<SimStats, String> {
         Self::from_json_value(&JsonValue::parse(text)?)
     }
 

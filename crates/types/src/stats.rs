@@ -38,11 +38,6 @@ impl TrafficBreakdown {
     pub fn total(&self) -> u64 {
         self.flit_crossings.iter().sum()
     }
-
-    /// Flit crossings for the non-atomic (data) classes.
-    pub fn data_total(&self) -> u64 {
-        self.total() - self.class(MsgClass::Atomic)
-    }
 }
 
 impl AddAssign for TrafficBreakdown {
@@ -77,12 +72,6 @@ impl EnergyBreakdown {
     /// Total dynamic energy in picojoules.
     pub fn total_pj(&self) -> f64 {
         self.core_pj + self.scratch_pj + self.l1_pj + self.l2_pj + self.noc_pj
-    }
-
-    /// The memory-system share (L1 + L2 + network), the components the
-    /// paper reports decreasing by 71% for GPU-H on local-sync benchmarks.
-    pub fn memory_system_pj(&self) -> f64 {
-        self.l1_pj + self.l2_pj + self.noc_pj
     }
 }
 
@@ -261,7 +250,6 @@ mod tests {
         assert_eq!(t.class(MsgClass::Read), 15);
         assert_eq!(t.class(MsgClass::Atomic), 6);
         assert_eq!(t.total(), 21);
-        assert_eq!(t.data_total(), 15);
         let mut u = t;
         u += t;
         assert_eq!(u.total(), 42);
@@ -277,7 +265,6 @@ mod tests {
             noc_pj: 5.0,
         };
         assert_eq!(e.total_pj(), 15.0);
-        assert_eq!(e.memory_system_pj(), 12.0);
         let mut f = e;
         f += e;
         assert_eq!(f.total_pj(), 30.0);

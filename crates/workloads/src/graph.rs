@@ -81,7 +81,7 @@ impl Csr {
     /// the parallel kernel needs: a kernel round relaxes every edge once
     /// with inputs at least as fresh as the Jacobi round's, and the
     /// atomic-min lattice means fresher inputs only converge faster.
-    pub fn reference_distances(&self) -> (Vec<u32>, usize) {
+    fn reference_distances(&self) -> (Vec<u32>, usize) {
         let n = self.vertices();
         let mut dist = vec![INF; n];
         dist[0] = 0;

@@ -39,7 +39,7 @@ use gsim_types::{AtomicOp, Scope, SyncOrd, Value, WORDS_PER_LINE};
 /// The fabric shape these microbenchmarks assume: two of the paper's
 /// 4x4 meshes. Only node *counts* matter here (for line homing and CU
 /// pinning); link latencies stay free for the harness to sweep.
-pub fn fabric_topology() -> Topology {
+fn fabric_topology() -> Topology {
     Topology::fabric(MeshConfig::default(), 2, XLinkConfig::default())
 }
 

@@ -212,10 +212,11 @@ fn witness_schedules_replay_byte_identical() {
     }
 }
 
-/// The identity schedule through the controlled queue is the production
-/// run: same statistics, byte for byte, as the default calendar-queue
-/// engine. (The equeue unit tests prove the queue-level equivalence on
-/// random streams; this proves it end to end through the engine.)
+/// The identity schedule is the production run: popping choice 0 at
+/// every decision point through the event queue's candidate view gives
+/// the same statistics, byte for byte, as the plain `pop` path. (The
+/// equeue unit tests prove `pop_nth(0) == pop` on random streams; this
+/// proves it end to end through the engine.)
 #[test]
 fn identity_schedule_reproduces_the_production_run() {
     for shape in litmus::battery() {
@@ -225,12 +226,12 @@ fn identity_schedule_reproduces_the_production_run() {
             let production = Simulator::new(cfg)
                 .run(&(shape.build)())
                 .unwrap_or_else(|e| panic!("{} under {p}: {e}", shape.name));
-            let controlled = replay(&shape, p, &ScheduleId::root())
+            let scheduled = replay(&shape, p, &ScheduleId::root())
                 .unwrap_or_else(|e| panic!("{} under {p}: {e}", shape.name));
             assert_eq!(
                 production.to_json(),
-                controlled.stats.to_json(),
-                "{} under {p}: controlled identity run diverges from the calendar queue",
+                scheduled.stats.to_json(),
+                "{} under {p}: the scheduled identity run diverges from the plain run",
                 shape.name
             );
         }
