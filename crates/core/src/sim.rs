@@ -1228,14 +1228,8 @@ impl Machine {
                 let issue =
                     self.l1s[cu].atomic(word, op, operands, ord, local, req, &mut self.actions);
                 if matches!(issue, Issue::Hit(_) | Issue::Pending) {
-                    let id = TbId(tb as u32);
-                    self.trace.emit(|| TraceEvent::AtomicIssue {
-                        tb: id,
-                        cu: NodeId(cu as u8),
-                        word,
-                        ord,
-                        scope,
-                    });
+                    self.trace
+                        .atomic_issued(TbId(tb as u32), NodeId(cu as u8), word, ord, scope);
                     if let Some(r) = &mut self.races {
                         let key = if local {
                             SyncKey::Local(NodeId(cu as u8))
@@ -1545,17 +1539,10 @@ impl Machine {
             Event::CuTick(cu) => self.on_cu_tick(cu as usize),
             Event::Deliver(slot) => {
                 let msg = self.in_flight.take(slot);
-                self.trace.emit(|| TraceEvent::MsgDeliver {
-                    src: msg.src,
-                    dst: msg.dst,
-                    class: msg.class(),
-                });
+                self.trace.msg_delivered(&msg);
                 match msg.dst_comp {
                     Component::L1 => self.l1s[msg.dst.index()].handle(&msg, &mut self.actions),
-                    Component::L2 => {
-                        self.trace.l2_delivery(msg.dst);
-                        self.l2.handle(self.now, &msg, &mut self.actions)
-                    }
+                    Component::L2 => self.l2.handle(self.now, &msg, &mut self.actions),
                 }
                 self.process_actions();
             }

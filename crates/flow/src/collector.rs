@@ -12,7 +12,7 @@ use crate::journey::{Journey, JourneyHop};
 use crate::report::{FlowReport, LinkRow};
 use crate::sample::FlowSample;
 use crate::spec::FlowSpec;
-use gsim_trace::{IntervalSample, JourneyKind, SampleRing, TraceEvent, TraceSink};
+use gsim_trace::{IntervalSample, JourneyKind, SampleRing, TraceSink};
 use gsim_types::{Component, Cycle, FxHashMap, LineAddr, Msg, MsgClass, MsgKind, NodeId, ReqId};
 
 /// Journey store capacity: journeys begun beyond this are counted as
@@ -150,8 +150,6 @@ impl FlowCollector {
 }
 
 impl TraceSink for FlowCollector {
-    fn record(&mut self, _: Cycle, _: &TraceEvent) {}
-
     // ---- link attribution (mesh hooks) ----
 
     fn link_crossing(
@@ -174,7 +172,7 @@ impl TraceSink for FlowCollector {
 
     /// Journeys watching the message's line (and touching its
     /// endpoints) record it as a hop.
-    fn msg_sent(&mut self, msg: &Msg, inject: Cycle, arrival: Cycle, queue: Cycle) {
+    fn msg_sent(&mut self, msg: &Msg, inject: Cycle, arrival: Cycle, queue: Cycle, _: u32) {
         if self.by_req.is_empty() {
             return;
         }
@@ -206,9 +204,12 @@ impl TraceSink for FlowCollector {
 
     // ---- memory-system occupancy (engine hooks) ----
 
-    fn l2_delivery(&mut self, bank: NodeId) {
-        self.bank_msgs[bank.index()] += 1;
-        self.total_l2_msgs += 1;
+    /// A message reaching an L2 bank counts against that bank.
+    fn msg_delivered(&mut self, msg: &Msg) {
+        if msg.dst_comp == Component::L2 {
+            self.bank_msgs[msg.dst.index()] += 1;
+            self.total_l2_msgs += 1;
+        }
     }
 
     /// The collector's cumulative network counters beside the engine's
@@ -310,7 +311,11 @@ mod tests {
         let clone = h.share();
         h.link_crossing(NodeId(0), NodeId(1), MsgClass::Read, 2, 3, 2);
         clone.link_crossing(NodeId(0), NodeId(1), MsgClass::WbWt, 5, 0, 2);
-        clone.l2_delivery(NodeId(1));
+        clone.msg_delivered(&read_req(0, 1, 0));
+        clone.msg_delivered(&Msg {
+            dst_comp: Component::L1,
+            ..read_req(1, 2, 0)
+        });
         let r = c.borrow_mut().take_report(100);
         assert_eq!(r.links.len(), 1);
         assert_eq!(r.links[0].flits[MsgClass::Read.index()], 2);
@@ -318,6 +323,10 @@ mod tests {
         assert_eq!(r.links[0].msgs, 2);
         assert_eq!(r.links[0].queue_cycles, 3);
         assert_eq!(r.bank_msgs[1], 1);
+        assert_eq!(
+            r.bank_msgs[2], 0,
+            "a delivery to an L1 is not a bank message"
+        );
     }
 
     #[test]
@@ -338,11 +347,11 @@ mod tests {
         let spec = FlowSpec { journey_period: 1 };
         let mut h = FlowCollector::new(spec, 1024, 16, 26);
         h.request_issued(ReqId(1), NodeId(0), LineAddr(7), JourneyKind::Load, 10);
-        h.msg_sent(&read_req(0, 5, 7), 12, 20, 1); // same line, same cu
-        h.msg_sent(&read_req(3, 5, 7), 12, 20, 1); // same line, other cu
-        h.msg_sent(&read_req(0, 5, 8), 12, 20, 1); // other line
+        h.msg_sent(&read_req(0, 5, 7), 12, 20, 1, 2); // same line, same cu
+        h.msg_sent(&read_req(3, 5, 7), 12, 20, 1, 2); // same line, other cu
+        h.msg_sent(&read_req(0, 5, 8), 12, 20, 1, 2); // other line
         h.request_done(ReqId(1), 0, 40);
-        h.msg_sent(&read_req(0, 5, 7), 45, 50, 0); // after the journey closed
+        h.msg_sent(&read_req(0, 5, 7), 45, 50, 0, 2); // after the journey closed
         let r = h.take_report(100);
         assert_eq!(r.journeys.len(), 1);
         let j = &r.journeys[0];

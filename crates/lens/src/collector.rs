@@ -23,7 +23,7 @@ use crate::report::{
     reuse_bucket, AcquireEvent, AcquireLedger, LensReport, LineRow, REUSE_BUCKETS,
 };
 use crate::spec::LensSpec;
-use gsim_trace::{TraceEvent, TraceSink};
+use gsim_trace::{Level, TraceSink};
 use gsim_types::{Cycle, FxHashMap, LineAddr, NodeId, ReqId, WordAddr, WordMask};
 
 /// Per-line table capacity: lifecycle updates to further distinct lines
@@ -149,8 +149,6 @@ impl LensCollector {
 }
 
 impl TraceSink for LensCollector {
-    fn record(&mut self, _: Cycle, _: &TraceEvent) {}
-
     // ---- acquire boundary (engine hook) ----
 
     /// A global acquire is about to sweep node `node`'s L1 at `now`.
@@ -177,13 +175,6 @@ impl TraceSink for LensCollector {
 
     // ---- acquire sweep (L1 hooks) ----
 
-    /// Node `node`'s acquire flash-invalidated its whole cache (GPU
-    /// coherence; called once per global acquire, beside the
-    /// `Counts::flash_invalidations` bump it reconciles against).
-    fn flash(&mut self, node: NodeId) {
-        self.ledger[node.index()].flash_acquires += 1;
-    }
-
     /// The acquire sweep on node `node` dropped `dropped` still-valid
     /// words of `line`. Called beside the `Counts::words_invalidated`
     /// bump; arms the refetch watch for every dropped word.
@@ -200,6 +191,15 @@ impl TraceSink for LensCollector {
         *self.watch.entry((node, line.0)).or_insert(0) |= dropped.0;
         if let Some(row) = self.line_row(line.0) {
             row.inv_words += n;
+        }
+    }
+
+    /// Node `node`'s global acquire finished its sweep; a `flash` one
+    /// invalidated its whole cache (GPU coherence; beside the
+    /// `Counts::flash_invalidations` bump it reconciles against).
+    fn acquired(&mut self, node: NodeId, _: u64, flash: bool) {
+        if flash {
+            self.ledger[node.index()].flash_acquires += 1;
         }
     }
 
@@ -310,10 +310,14 @@ impl TraceSink for LensCollector {
 
     // ---- ownership lifecycle (DeNovo hooks) ----
 
-    /// Node `node` evicted `line` with `words` owned words, writing
-    /// them back (called beside the `Counts::ownership_writebacks`
-    /// bump it reconciles against).
-    fn ownership_writeback(&mut self, _: NodeId, line: LineAddr, words: u32) {
+    /// An L1 evicted `line` with `words` owned words, writing them back
+    /// (called beside the `Counts::ownership_writebacks` bump it
+    /// reconciles against). Clean L1 victims and L2 evictions are not
+    /// ownership writebacks.
+    fn evicted(&mut self, _: NodeId, level: Level, line: LineAddr, words: u32) {
+        if level != Level::L1 || words == 0 {
+            return;
+        }
         self.ownership_wb_words += words as u64;
         if let Some(row) = self.line_row(line.0) {
             row.wb_words += words as u64;
@@ -329,13 +333,13 @@ impl TraceSink for LensCollector {
         }
     }
 
-    /// The registry granted `words` free words of `line` at once; words
-    /// it moves from a previous owner arrive at
+    /// The registry granted `granted` free words of `line` at once;
+    /// words it moves from a previous owner arrive at
     /// [`l2_transfer`](Self::l2_transfer) instead.
-    fn l2_register(&mut self, line: LineAddr, words: u32) {
-        self.l2_reg_words += words as u64;
+    fn l2_register(&mut self, _: NodeId, line: LineAddr, _: u32, granted: u32) {
+        self.l2_reg_words += granted as u64;
         if let Some(row) = self.line_row(line.0) {
-            row.l2_reg_words += words as u64;
+            row.l2_reg_words += granted as u64;
         }
     }
 
@@ -362,12 +366,12 @@ mod tests {
         let h = TraceHandle::disabled().with_consumers([c.clone() as Rc<RefCell<dyn TraceSink>>]);
         let clone = h.share();
         h.global_acquire(NodeId(3), 50);
-        clone.flash(NodeId(3));
         clone.invalidated(
             NodeId(3),
             LineAddr(7),
             WordMask::single(0) | WordMask::single(1),
         );
+        clone.acquired(NodeId(3), 2, true);
         let r = c.borrow_mut().take_report(100);
         assert_eq!(r.ledger[3].acquires, 1);
         assert_eq!(r.ledger[3].flash_acquires, 1);
@@ -456,10 +460,11 @@ mod tests {
     #[test]
     fn ownership_lifecycle_accumulates_globally_and_per_line() {
         let mut h = LensCollector::new(LensSpec::default(), 16);
-        h.l2_register(LineAddr(1), 4);
+        h.l2_register(NodeId(1), LineAddr(1), 5, 4);
         h.l2_transfer(LineAddr(1), 3);
         h.ownership_stolen(NodeId(2), LineAddr(1), 2);
-        h.ownership_writeback(NodeId(2), LineAddr(1), 6);
+        h.evicted(NodeId(2), Level::L1, LineAddr(1), 6);
+        h.evicted(NodeId(1), Level::L2, LineAddr(1), 7); // not an ownership writeback
         h.filled(NodeId(2), LineAddr(1), WordMask::single(0), true);
         let r = h.take_report(100);
         assert_eq!(r.l2_reg_words, 4);

@@ -64,7 +64,7 @@
 //! assert_eq!(mesh.traffic().total(), 4); // 1 flit x 4 hops
 //! ```
 
-use gsim_trace::{TraceEvent, TraceHandle};
+use gsim_trace::TraceHandle;
 use gsim_types::{Cycle, Msg, NodeId, TrafficBreakdown};
 
 /// Mesh geometry and timing parameters.
@@ -606,15 +606,7 @@ impl Mesh {
         if hops > 0 {
             t += (flits as Cycle - 1) * tail_cpf; // tail serialization at destination
         }
-        self.trace.msg_sent(msg, now, t, queued);
-        self.trace.emit(|| TraceEvent::MsgSend {
-            src: msg.src,
-            dst: msg.dst,
-            class: msg.class(),
-            flits,
-            hops,
-            arrival: t,
-        });
+        self.trace.msg_sent(msg, now, t, queued, hops);
         t
     }
 

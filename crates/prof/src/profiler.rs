@@ -9,8 +9,8 @@
 use crate::attr::CuAttr;
 use crate::report::{CuRow, ProfileReport};
 use crate::sketch::{LineTally, SpaceSaving, SKETCH_LINES};
-use gsim_trace::{IntervalSample, SampleRing, StallKind, TraceEvent, TraceSink};
-use gsim_types::{Counts, Cycle, LineAddr, NodeId, WordAddr, WordMask};
+use gsim_trace::{IntervalSample, SampleRing, StallKind, TraceSink};
+use gsim_types::{Counts, Cycle, LineAddr, NodeId, Scope, SyncOrd, TbId, WordAddr, WordMask};
 
 /// The collection state of one profiled run.
 #[derive(Clone, Debug)]
@@ -159,10 +159,8 @@ impl Profiler {
 
 impl TraceSink for Profiler {
     /// An issued atomic is a program access to its line.
-    fn record(&mut self, _: Cycle, ev: &TraceEvent) {
-        if let TraceEvent::AtomicIssue { cu, word, .. } = *ev {
-            self.line_access(cu, word.line());
-        }
+    fn atomic_issued(&mut self, _: TbId, cu: NodeId, word: WordAddr, _: SyncOrd, _: Scope) {
+        self.line_access(cu, word.line());
     }
 
     fn cu_tick(

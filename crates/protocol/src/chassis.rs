@@ -302,7 +302,6 @@ impl<X: Default, W, F> L1Core<X, W, F> {
         let (trace, node) = (&self.trace, self.config.node);
         if flash {
             self.counts.flash_invalidations += 1;
-            trace.flash(node);
         }
         let mut invalidated: u64 = 0;
         self.cache.sweep_valid(|l| {
@@ -313,12 +312,7 @@ impl<X: Default, W, F> L1Core<X, W, F> {
             }
         });
         self.counts.words_invalidated += invalidated;
-        self.trace.emit(|| TraceEvent::SyncAcquire {
-            node,
-            scope: Scope::Global,
-            invalidated,
-            flash,
-        });
+        self.trace.acquired(node, invalidated, flash);
     }
 
     /// Opens a release. Returns `None` for a locally scoped one (HRF),
@@ -567,12 +561,8 @@ impl<E: Default> L2Core<E> {
             InsertOutcome::Evicted(victim) => {
                 let dirty = victim.mask_in(WordState::Owned);
                 let node = NodeId(self.bank(victim.tag) as u8);
-                self.trace.emit(|| TraceEvent::Eviction {
-                    node,
-                    level: Level::L2,
-                    line: victim.tag,
-                    owned_words: dirty.count(),
-                });
+                self.trace
+                    .evicted(node, Level::L2, victim.tag, dirty.count());
                 if !dirty.is_empty() {
                     self.memory.write_line(victim.tag, dirty, &victim.data);
                     self.dram.access(now, victim.tag);

@@ -41,7 +41,7 @@
 use crate::action::{Action, Issue};
 use crate::chassis::{L1Chassis, L1Config, L1Core, L2Chassis, L2Config, L2Core, LineData};
 use gsim_mem::{InsertOutcome, MemoryImage, WordState};
-use gsim_trace::{Level, TraceEvent, WState};
+use gsim_trace::Level;
 use gsim_types::{
     AtomicOp, Component, Cycle, FxHashMap, LineAddr, Msg, MsgKind, NodeId, Region, ReqId, Value,
     WordAddr, WordMask, WORDS_PER_LINE,
@@ -661,19 +661,12 @@ impl DnL1 {
     /// words (ownership returns to the registry).
     fn ensure_way(&mut self, line: LineAddr, out: &mut Vec<Action>) {
         if let InsertOutcome::Evicted(victim) = self.core.cache.insert(line) {
-            let owned = victim.mask_in(WordState::Owned);
-            let node = self.core.config.node;
-            self.core.trace.emit(|| TraceEvent::Eviction {
-                node,
-                level: Level::L1,
-                line: victim.tag,
-                owned_words: owned.count(),
-            });
+            let (owned, node) = (victim.mask_in(WordState::Owned), self.core.config.node);
+            self.core
+                .trace
+                .evicted(node, Level::L1, victim.tag, owned.count());
             if !owned.is_empty() {
                 self.core.counts.ownership_writebacks += owned.count() as u64;
-                self.core
-                    .trace
-                    .ownership_writeback(node, victim.tag, owned.count());
                 self.wb_pending
                     .entry(victim.tag)
                     .or_default()
@@ -705,16 +698,14 @@ impl DnL1 {
             self.ensure_way(line, out);
             let intent = self.ro_intent.remove(&line).unwrap_or_default();
             let l = self.core.cache.lookup(line).expect("just ensured");
-            let mut installed = 0u32;
-            let mut installed_mask = WordMask::default();
+            let mut installed = WordMask::default();
             for i in mask.iter() {
                 if l.word(i) == WordState::Owned {
                     continue; // never downgrade a Registered word
                 }
                 l.set_word(i, WordState::Valid);
                 l.data[i] = data[i];
-                installed += 1;
-                installed_mask.insert(i);
+                installed.insert(i);
                 if intent.contains(i) {
                     l.extra.0.insert(i);
                 } else {
@@ -722,17 +713,7 @@ impl DnL1 {
                 }
             }
             let node = self.core.config.node;
-            self.core.trace.filled(node, line, installed_mask, false);
-            if installed > 0 {
-                self.core.trace.emit(|| TraceEvent::StateChange {
-                    node,
-                    level: Level::L1,
-                    line,
-                    words: installed,
-                    from: WState::Invalid,
-                    to: WState::Valid,
-                });
-            }
+            self.core.trace.filled(node, line, installed, false);
             if !(intent & !mask).is_empty() {
                 // Part of the intent is still in flight (another
                 // response).
@@ -765,16 +746,10 @@ impl DnL1 {
             l.data[i] = data[i];
             l.extra.0.remove(i);
         }
-        let node = self.core.config.node;
-        self.core.trace.filled(node, line, mask, true);
-        self.core.trace.emit(|| TraceEvent::StateChange {
-            node,
-            level: Level::L1,
-            line,
-            words: mask.count(),
-            from: WState::Invalid,
-            to: WState::Owned,
-        });
+        debug_assert!(!mask.is_empty(), "empty sync grant");
+        self.core
+            .trace
+            .filled(self.core.config.node, line, mask, true);
         if self.config.sync_read_backoff {
             for i in mask.iter() {
                 let b = self.backoff.entry(line.word(i)).or_default();
@@ -799,20 +774,14 @@ impl DnL1 {
             l.data[i] = p.data[i];
             l.extra.0.remove(i);
         }
-        let node = self.core.config.node;
-        self.core.trace.filled(node, line, mask, true);
+        debug_assert!(!mask.is_empty(), "empty data grant");
+        self.core
+            .trace
+            .filled(self.core.config.node, line, mask, true);
         p.mask = p.mask & !mask;
         if p.mask.is_empty() {
             self.reg_pending.remove(&line);
         }
-        self.core.trace.emit(|| TraceEvent::StateChange {
-            node,
-            level: Level::L1,
-            line,
-            words: mask.count(),
-            from: WState::Invalid,
-            to: WState::Owned,
-        });
         self.outstanding_writes -= mask.count() as u64;
         if self.outstanding_writes == 0 {
             self.core.drained(out);
@@ -975,14 +944,6 @@ impl DnL1 {
                     if stolen > 0 {
                         let node = self.core.config.node;
                         self.core.trace.ownership_stolen(node, line, stolen);
-                        self.core.trace.emit(|| TraceEvent::StateChange {
-                            node,
-                            level: Level::L1,
-                            line,
-                            words: stolen,
-                            from: WState::Owned,
-                            to: WState::Invalid,
-                        });
                     }
                 }
                 if let Some(q) = self.wb_pending.get_mut(&line) {
@@ -1218,15 +1179,9 @@ impl DnL2 {
             l.set_word(i, WordState::Invalid); // the value now lives at the owner
         }
         let data = l.data;
-        self.core.trace.emit(|| TraceEvent::StateChange {
-            node: bank_node,
-            level: Level::L2,
-            line,
-            words: mask.count(),
-            from: WState::Valid,
-            to: WState::Invalid,
-        });
-        self.core.trace.l2_register(line, granted.count());
+        self.core
+            .trace
+            .l2_register(bank_node, line, mask.count(), granted.count());
         if !granted.is_empty() {
             // Sync grants carry the current value (the RMW reads it);
             // data grants are pure acks.
@@ -1331,7 +1286,7 @@ fn sorted(m: FxHashMap<NodeId, WordMask>) -> Vec<(NodeId, WordMask)> {
 mod tests {
     use super::*;
     use crate::action::testing::{run_handler, run_op};
-    use gsim_trace::{FlushReason, RingRecorder, TraceHandle};
+    use gsim_trace::{FlushReason, RingRecorder, TraceEvent, TraceHandle};
 
     fn l1_at(node: u8) -> DnL1 {
         DnL1::new(DnConfig::micro15(NodeId(node)))

@@ -24,7 +24,7 @@
 use crate::action::{Action, Issue};
 use crate::chassis::{L1Chassis, L1Config, L1Core, L2Chassis, L2Config, L2Core, LineData};
 use gsim_mem::{CacheLine, InsertOutcome, MemoryImage, SbEntry, WordState};
-use gsim_trace::{Level, TraceEvent, WState};
+use gsim_trace::Level;
 use gsim_types::{
     AtomicOp, Component, Counts, Cycle, FxHashMap, LineAddr, Msg, MsgKind, NodeId, ReqId, Scope,
     SyncOrd, Value, WordAddr, WordMask,
@@ -367,23 +367,7 @@ impl GpuL1 {
             let node = self.core.config.node;
             // GPU victims are clean: silent drop.
             if let InsertOutcome::Evicted(victim) = self.core.cache.insert(line) {
-                self.core.trace.emit(|| TraceEvent::Eviction {
-                    node,
-                    level: Level::L1,
-                    line: victim.tag,
-                    owned_words: 0,
-                });
-            }
-            let installed = (mask & !skip).count();
-            if installed > 0 {
-                self.core.trace.emit(|| TraceEvent::StateChange {
-                    node,
-                    level: Level::L1,
-                    line,
-                    words: installed,
-                    from: WState::Invalid,
-                    to: WState::Valid,
-                });
+                self.core.trace.evicted(node, Level::L1, victim.tag, 0);
             }
             self.core.trace.filled(node, line, mask & !skip, false);
             let entry = self.core.cache.lookup(line).expect("just inserted");

@@ -193,34 +193,16 @@ impl Writer {
 
 /// Renders a recorder's contents as Chrome trace-event JSON.
 pub fn to_chrome_json(rec: &RingRecorder) -> String {
-    let events = rec.to_vec();
-    chrome_json(&events, rec.dropped())
+    chrome_json(&rec.to_vec(), rec.dropped(), &[], &[])
 }
 
 /// Renders `(cycle, event)` pairs (oldest first) as Chrome trace-event
-/// JSON; `dropped` is reported in `otherData`.
-pub fn chrome_json(events: &[(Cycle, TraceEvent)], dropped: u64) -> String {
-    chrome_json_with_counters(events, dropped, &[])
-}
-
-/// As [`chrome_json`], additionally emitting the given counter tracks
-/// under pid 3. With an empty `counters` slice the output is
-/// byte-identical to [`chrome_json`] (asserted by the golden tests),
-/// so existing traces never change shape.
-pub fn chrome_json_with_counters(
-    events: &[(Cycle, TraceEvent)],
-    dropped: u64,
-    counters: &[CounterTrack],
-) -> String {
-    chrome_json_full(events, dropped, counters, &[])
-}
-
-/// As [`chrome_json_with_counters`], additionally emitting the given
-/// journey spans under pid 4 (duration slices per stage, one track per
-/// journey, flow arrows from issue to completion). With an empty
-/// `journeys` slice the output is byte-identical to
-/// [`chrome_json_with_counters`] (asserted by the golden tests).
-pub fn chrome_json_full(
+/// JSON; `dropped` is reported in `otherData`. Each `counters` track
+/// becomes a counter track under pid 3, and each `journeys` span a
+/// track of per-stage duration slices under pid 4, with a flow arrow
+/// from issue to completion. With both slices empty, only the events
+/// are rendered.
+pub fn chrome_json(
     events: &[(Cycle, TraceEvent)],
     dropped: u64,
     counters: &[CounterTrack],
@@ -608,39 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_counters_are_byte_identical() {
-        let events = [(
-            3,
-            TraceEvent::TbLaunch {
-                tb: TbId(0),
-                cu: NodeId(2),
-            },
-        )];
-        assert_eq!(
-            chrome_json(&events, 0),
-            chrome_json_with_counters(&events, 0, &[]),
-        );
-    }
-
-    #[test]
-    fn empty_journeys_are_byte_identical() {
-        let events = [(
-            3,
-            TraceEvent::TbLaunch {
-                tb: TbId(0),
-                cu: NodeId(2),
-            },
-        )];
-        let mut ipc = CounterTrack::new("ipc");
-        ipc.push(8, 1.5);
-        let counters = [ipc];
-        assert_eq!(
-            chrome_json_with_counters(&events, 2, &counters),
-            chrome_json_full(&events, 2, &counters, &[]),
-        );
-    }
-
-    #[test]
     fn journey_spans_export_golden_json() {
         let j = JourneySpan {
             id: 65,
@@ -650,7 +599,7 @@ mod tests {
                 ("req-transit".into(), 102, 110),
             ],
         };
-        let json = chrome_json_full(&[], 0, &[], &[j]);
+        let json = chrome_json(&[], 0, &[], &[j]);
         let expected = concat!(
             "{\"traceEvents\":[\n",
             "{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\"args\":{\"name\":\"memory-system\"}},\n",
@@ -677,7 +626,7 @@ mod tests {
         ipc.push(1024, 1.25);
         let mut hits = CounterTrack::new("l1-hit-rate");
         hits.push(1024, 0.875);
-        let json = chrome_json_with_counters(&[], 0, &[ipc, hits]);
+        let json = chrome_json(&[], 0, &[ipc, hits], &[]);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 3);
         assert_eq!(json.matches("\"name\":\"counters\"").count(), 1);
         assert_eq!(
@@ -697,7 +646,7 @@ mod tests {
         let mut t = CounterTrack::new("bad");
         t.push(0, f64::NAN);
         t.push(1, f64::INFINITY);
-        let json = chrome_json_with_counters(&[], 0, &[t]);
+        let json = chrome_json(&[], 0, &[t], &[]);
         assert!(!json.contains("NaN"));
         assert!(!json.contains("inf"));
         assert_eq!(json.matches("\"value\":0").count(), 2);

@@ -1,10 +1,11 @@
-//! The structured event taxonomy every instrumented component emits.
+//! The structured event taxonomy the trace recorder keeps.
 //!
 //! Events are small `Copy` values — constructing one is a handful of
 //! register moves, and construction only happens when a sink is
-//! installed (the [`TraceHandle::emit`](crate::TraceHandle::emit) hook
-//! takes a closure). Each event belongs to a [`Category`], the coarse
-//! grouping exporters and filters key on.
+//! installed (a hook builds the event it carries after the `None` test,
+//! and [`TraceHandle::emit`](crate::TraceHandle::emit) takes a
+//! closure). Each event belongs to a [`Category`], the coarse grouping
+//! exporters and filters key on.
 
 use gsim_types::{Cycle, LineAddr, MsgClass, NodeId, Scope, SyncOrd, TbId, WordAddr};
 use std::fmt;

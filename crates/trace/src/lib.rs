@@ -7,11 +7,15 @@
 //! The simulator's headline numbers — cycles, traffic, energy — say
 //! *how much*; this crate says *when* and *where*. Every protocol
 //! controller, the mesh, and the engine itself carry a clone of one
-//! [`TraceHandle`]. Through it they emit [`TraceEvent`]s and report the
-//! typed hooks of [`TraceSink`] (an L1 access, an acquire sweep's
+//! [`TraceHandle`]. Through it they report each fact they observe once,
+//! as a typed hook of [`TraceSink`] (an L1 access, an acquire sweep's
 //! dropped words, a link crossing, ...), which the handle fans out to
 //! every installed consumer: the [`RingRecorder`], and gsim-prof's,
-//! gsim-flow's and gsim-lens's collectors. The events are:
+//! gsim-flow's and gsim-lens's collectors. A hook whose fact is also a
+//! structured [`TraceEvent`] (a message send, a fill's state change, an
+//! eviction, ...) declares that event once, and the handle records it
+//! for every consumer; the facts no hook carries go to
+//! [`TraceHandle::emit`]. The 16 events fall in 9 categories:
 //!
 //! | [`Category`] | events |
 //! |---|---|
@@ -23,24 +27,24 @@
 //! | `sb` | store-buffer drain begin / end |
 //! | `mshr` | MSHR allocate / retire |
 //! | `noc` | mesh message send (flits, hops) / deliver |
+//! | `check` | conformance-checker violations |
 //!
 //! # Cost model
 //!
 //! Observation must never tax the unobserved hot path: a handle with no
-//! consumer is a `None`, [`TraceHandle::emit`] takes a closure, and the
-//! event is only constructed when a consumer is installed — every event
-//! and hook site compiles to a single predictable branch otherwise.
+//! consumer is a `None`, and an event is only constructed when a
+//! consumer is installed — every hook and event site compiles to a
+//! single predictable branch otherwise.
 //!
 //! # Consuming traces
 //!
-//! Implement [`TraceSink`] for streaming consumption (override
-//! [`record`](TraceSink::record) and the hooks you read), or use the
-//! bounded [`RingRecorder`] and export with [`to_chrome_json`] for
-//! visual analysis in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing`. [`chrome_json_with_counters`] additionally
-//! renders [`CounterTrack`] time-series (the profiler's interval
-//! samples — IPC, hit rates, occupancies) as Perfetto counter tracks
-//! alongside the events, and [`chrome_json_full`] also renders
+//! Implement [`TraceSink`] for streaming consumption (override the
+//! hooks you read, or [`record`](TraceSink::record) for the events), or
+//! use the bounded [`RingRecorder`] and export with [`to_chrome_json`]
+//! for visual analysis in [Perfetto](https://ui.perfetto.dev) or
+//! `chrome://tracing`. [`chrome_json`] also renders [`CounterTrack`]
+//! time-series (the profiler's interval samples — IPC, hit rates,
+//! occupancies) as Perfetto counter tracks alongside the events, and
 //! [`JourneySpan`] request journeys (gsim-flow's sampled per-request
 //! waterfalls) as per-journey span tracks with flow arrows:
 //!
@@ -61,10 +65,7 @@ pub mod event;
 pub mod hook;
 pub mod sink;
 
-pub use chrome::{
-    chrome_json, chrome_json_full, chrome_json_with_counters, to_chrome_json, CounterTrack,
-    JourneySpan,
-};
+pub use chrome::{chrome_json, to_chrome_json, CounterTrack, JourneySpan};
 pub use event::{Category, FlushReason, Level, TraceEvent, WState};
 pub use hook::{
     IntervalSample, JourneyKind, SampleRing, StallKind, MAX_SAMPLES, NUM_STALL_KINDS, STALL_KINDS,

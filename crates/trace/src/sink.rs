@@ -4,47 +4,59 @@
 //! # One handle, many consumers
 //!
 //! Every component of the simulated machine (engine, L1s, L2, mesh)
-//! holds one clone of the run's [`TraceHandle`] and reports two kinds of
-//! facts through it: structured [`TraceEvent`]s via
-//! [`emit`](TraceHandle::emit), and typed hooks (an L1 access, an acquire
-//! sweep's dropped words, a link crossing, ...) via the handle method of
-//! the same name as the [`TraceSink`] hook. The handle fans each fact out
-//! to every installed consumer, in installation order. The trace
-//! recorder, the profiler, the flow collector and the lens are all such
-//! consumers; a new view is one more `TraceSink` impl, with no component
-//! edits.
+//! holds one clone of the run's [`TraceHandle`] and reports each fact it
+//! observes once, through the handle method of the same name as the
+//! [`TraceSink`] hook (an L1 access, an acquire sweep's dropped words, a
+//! link crossing, ...). The handle fans the hook out to every installed
+//! consumer, in installation order. A hook whose fact is also a
+//! structured [`TraceEvent`] declares that event beside it in the
+//! `hooks!` list: the handle then builds the event and hands it to every
+//! consumer's [`record`](TraceSink::record), stamped with the shared
+//! clock. The few facts no hook carries (thread-block and kernel
+//! lifecycle, store-buffer drains, MSHR allocate and retire, releases,
+//! checker violations) go straight to [`emit`](TraceHandle::emit).
+//!
+//! The trace recorder, the profiler, the flow collector and the lens
+//! are all consumers; a new view is one more `TraceSink` impl, with no
+//! component edits.
 //!
 //! # Zero cost when disabled
 //!
 //! A handle with no consumer is `None` inside: every hook is one pointer
-//! test, and [`TraceHandle::emit`] takes a *closure*, so the event is
-//! never even constructed. The simulator is single-threaded by design
-//! (determinism is a correctness property here), so the handle is an
-//! `Rc`, not an `Arc`, and cloning it into every component is free of
+//! test, and no event is ever constructed ([`TraceHandle::emit`] takes a
+//! *closure*). The simulator is single-threaded by design (determinism
+//! is a correctness property here), so the handle is an `Rc`, not an
+//! `Arc`, and cloning it into every component is free of
 //! synchronization.
 
-use crate::event::TraceEvent;
+use crate::event::{Level, TraceEvent, WState};
 use crate::hook::{IntervalSample, JourneyKind, StallKind};
-use gsim_types::{Cycle, LineAddr, Msg, MsgClass, NodeId, ReqId, WordAddr, WordMask};
+use gsim_types::{
+    Cycle, LineAddr, Msg, MsgClass, NodeId, ReqId, Scope, SyncOrd, TbId, WordAddr, WordMask,
+};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Defines the hook vocabulary once: each hook becomes a [`TraceSink`]
 /// method with an empty default body, a forwarding method of the boxed
-/// sink, and the [`TraceHandle`] method that fans it out.
+/// sink, and the [`TraceHandle`] method that fans it out. A hook written
+/// `fn name(..) => event;` also carries a trace event: `event` (a
+/// [`TraceEvent`], or an `Option` of one for a hook that carries it only
+/// sometimes) is built from the hook's arguments after every consumer
+/// has seen the hook, and recorded.
 macro_rules! hooks {
     ($(
         $(#[$doc:meta])*
-        fn $name:ident($($arg:ident: $ty:ty),* $(,)?);
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(=> $ev:expr)?;
     )*) => {
         /// A consumer of what the simulated machine reports.
         ///
-        /// [`record`](Self::record) receives every structured event; the
-        /// hooks receive the typed facts the observers are built on, each
-        /// reported where it happens (beside the `Counts` field it
-        /// reconciles against, where there is one). A consumer overrides
-        /// only the hooks it reads; the rest default to nothing.
+        /// The hooks receive the typed facts, each reported where it
+        /// happens (beside the `Counts` field it reconciles against,
+        /// where there is one); [`record`](Self::record) receives the
+        /// structured events a recorder keeps. A consumer overrides only
+        /// what it reads; the rest default to nothing.
         ///
         /// Facts arrive in deterministic simulation order (the engine is
         /// single-threaded and tie-breaks by sequence number), so two runs
@@ -53,7 +65,8 @@ macro_rules! hooks {
         /// does can reach the simulated machine.
         pub trait TraceSink: std::fmt::Debug {
             /// Records one event at simulated cycle `at`.
-            fn record(&mut self, at: Cycle, ev: &TraceEvent);
+            #[allow(unused_variables)]
+            fn record(&mut self, at: Cycle, ev: &TraceEvent) {}
             $(
                 $(#[$doc])*
                 #[inline]
@@ -80,10 +93,26 @@ macro_rules! hooks {
                 #[inline]
                 pub fn $name(&self, $($arg: $ty),*) {
                     if let Some(inner) = &self.inner {
-                        for sink in &inner.sinks {
-                            sink.borrow_mut().$name($($arg),*);
-                        }
+                        inner.$name($($arg),*);
                     }
+                }
+            )*
+        }
+
+        // The observed half of each handle method, kept out of line so
+        // an unobserved site inlines only its `None` test.
+        impl Shared {
+            $(
+                #[inline(never)]
+                fn $name(&self, $($arg: $ty),*) {
+                    for sink in &self.sinks {
+                        sink.borrow_mut().$name($($arg),*);
+                    }
+                    $(
+                        if let Some(ev) = Option::<TraceEvent>::from($ev) {
+                            self.record(&ev);
+                        }
+                    )?
                 }
             )*
         }
@@ -110,13 +139,19 @@ hooks! {
     fn cu_state(node: NodeId, now: Cycle, state: StallKind);
     /// A global acquire is about to sweep the L1 on `node` at `now`.
     fn global_acquire(node: NodeId, now: Cycle);
+    /// Thread block `tb` on CU node `cu` issued an atomic on `word` with
+    /// ordering `ord` and scope `scope`. Carries `AtomicIssue`.
+    fn atomic_issued(tb: TbId, cu: NodeId, word: WordAddr, ord: SyncOrd, scope: Scope)
+        => TraceEvent::AtomicIssue { tb, cu, word, ord, scope };
     /// Memory request `req` from CU node `node` for `line` went pending
     /// at `now`. Request ids are minted densely in issue order.
     fn request_issued(req: ReqId, node: NodeId, line: LineAddr, kind: JourneyKind, now: Cycle);
     /// Request `req`, issued at `issued`, completed at `now`.
     fn request_done(req: ReqId, issued: Cycle, now: Cycle);
-    /// A message reached the L2 bank on `bank`.
-    fn l2_delivery(bank: NodeId);
+    /// `msg` reached its destination component (an L1 or an L2 bank).
+    /// Carries `MsgDeliver`.
+    fn msg_delivered(msg: &Msg)
+        => TraceEvent::MsgDeliver { src: msg.src, dst: msg.dst, class: msg.class() };
     /// The engine's counter snapshot at a sample boundary (one clock
     /// serves every time series).
     fn interval_sample(sample: &IntervalSample);
@@ -132,22 +167,45 @@ hooks! {
     /// The L1 on `node` wrote `word` locally: a program store, or
     /// (`atomic`) the write half of an atomic performed at the L1.
     fn l1_write(node: NodeId, word: WordAddr, atomic: bool);
-    /// A global acquire flash-invalidated the whole L1 on `node` (GPU
-    /// coherence; beside `Counts::flash_invalidations`).
-    fn flash(node: NodeId);
     /// An acquire sweep on `node` dropped the still-valid words
     /// `dropped` (never empty) of `line` (beside
     /// `Counts::words_invalidated`).
     fn invalidated(node: NodeId, line: LineAddr, dropped: WordMask);
+    /// A global acquire on `node` finished its sweep, invalidating
+    /// `invalidated` words in all; `flash` marks the GPU's whole-cache
+    /// flash invalidation (beside `Counts::flash_invalidations`).
+    /// Carries `SyncAcquire`.
+    fn acquired(node: NodeId, invalidated: u64, flash: bool)
+        => TraceEvent::SyncAcquire { node, scope: Scope::Global, invalidated, flash };
     /// A fill installed `installed` words of `line` on `node`: a
-    /// registration grant (`owned`) or a read fill.
-    fn filled(node: NodeId, line: LineAddr, installed: WordMask, owned: bool);
-    /// `node` evicted `line` and wrote back its `words` owned words
-    /// (beside `Counts::ownership_writebacks`).
-    fn ownership_writeback(node: NodeId, line: LineAddr, words: u32);
+    /// registration grant (`owned`) or a read fill. Carries a
+    /// `StateChange` from Invalid when `installed` is not empty.
+    fn filled(node: NodeId, line: LineAddr, installed: WordMask, owned: bool)
+        => (!installed.is_empty()).then(|| TraceEvent::StateChange {
+            node,
+            level: Level::L1,
+            line,
+            words: installed.count(),
+            from: WState::Invalid,
+            to: if owned { WState::Owned } else { WState::Valid },
+        });
     /// A forwarded registration stole `words` owned words of `line` from
-    /// `node` (ownership moved L1 to L1).
-    fn ownership_stolen(node: NodeId, line: LineAddr, words: u32);
+    /// `node` (ownership moved L1 to L1). Carries a `StateChange` from
+    /// Owned to Invalid.
+    fn ownership_stolen(node: NodeId, line: LineAddr, words: u32)
+        => TraceEvent::StateChange {
+            node,
+            level: Level::L1,
+            line,
+            words,
+            from: WState::Owned,
+            to: WState::Invalid,
+        };
+    /// The cache at `level` on `node` evicted `line`, writing back its
+    /// `owned_words` owned (L1) or dirty (L2) words; at an L1 they are
+    /// beside `Counts::ownership_writebacks`. Carries `Eviction`.
+    fn evicted(node: NodeId, level: Level, line: LineAddr, owned_words: u32)
+        => TraceEvent::Eviction { node, level, line, owned_words };
 
     // ---- L2 and registry ----
 
@@ -160,10 +218,20 @@ hooks! {
     /// The registry moved `words` words of `line` from one owner to
     /// another (registration ping-pong).
     fn l2_transfer(line: LineAddr, words: u32);
-    /// The registry granted a registration `words` free words of `line`
-    /// at once (words it moves from a previous owner are reported to
-    /// `l2_transfer`; with it, beside `Counts::registrations`).
-    fn l2_register(line: LineAddr, words: u32);
+    /// The registry on `bank` registered `words` words of `line` and
+    /// granted `granted` of them at once, being free (words it moves
+    /// from a previous owner are reported to `l2_transfer`; with it,
+    /// beside `Counts::registrations`). Carries a `StateChange` of all
+    /// `words` from Valid to Invalid at the L2.
+    fn l2_register(bank: NodeId, line: LineAddr, words: u32, granted: u32)
+        => TraceEvent::StateChange {
+            node: bank,
+            level: Level::L2,
+            line,
+            words,
+            from: WState::Valid,
+            to: WState::Invalid,
+        };
 
     // ---- interconnect ----
 
@@ -179,13 +247,33 @@ hooks! {
         transit: Cycle,
     );
     /// `msg`, injected at `inject`, fully arrived at `arrival` after
-    /// `queue` cycles waiting for links (beside `Counts::messages_sent`).
-    fn msg_sent(msg: &Msg, inject: Cycle, arrival: Cycle, queue: Cycle);
+    /// `hops` links and `queue` cycles waiting for them (beside
+    /// `Counts::messages_sent`). Carries `MsgSend`.
+    fn msg_sent(msg: &Msg, inject: Cycle, arrival: Cycle, queue: Cycle, hops: u32)
+        => TraceEvent::MsgSend {
+            src: msg.src,
+            dst: msg.dst,
+            class: msg.class(),
+            flits: msg.flits(),
+            hops,
+            arrival,
+        };
 }
 
 struct Shared {
     now: Cell<Cycle>,
     sinks: Vec<Rc<RefCell<dyn TraceSink>>>,
+}
+
+impl Shared {
+    /// Hands `ev` to every consumer, stamped with the shared clock.
+    #[inline]
+    fn record(&self, ev: &TraceEvent) {
+        let at = self.now.get();
+        for sink in &self.sinks {
+            sink.borrow_mut().record(at, ev);
+        }
+    }
 }
 
 /// The cloneable handle every component reports through.
@@ -295,16 +383,14 @@ impl TraceHandle {
         }
     }
 
-    /// Emits an event to every consumer, stamped with the shared clock.
-    /// The closure is evaluated only when a consumer is installed, so
-    /// instrumentation sites cost one branch otherwise.
+    /// Emits an event that no hook carries to every consumer, stamped
+    /// with the shared clock. The closure is evaluated only when a
+    /// consumer is installed, so instrumentation sites cost one branch
+    /// otherwise.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = &self.inner {
-            let (at, ev) = (inner.now.get(), f());
-            for sink in &inner.sinks {
-                sink.borrow_mut().record(at, &ev);
-            }
+            inner.record(&f());
         }
     }
 
@@ -384,8 +470,6 @@ impl TraceSink for RingRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
-    use gsim_types::{NodeId, TbId};
 
     fn ev(n: u32) -> TraceEvent {
         TraceEvent::TbLaunch {
@@ -400,6 +484,7 @@ mod tests {
         assert!(!h.is_enabled());
         h.set_now(99);
         h.emit(|| panic!("must not run"));
+        h.evicted(NodeId(0), Level::L1, LineAddr(0), 0); // builds no event
         assert!(h.recorder().is_none());
     }
 
@@ -433,41 +518,82 @@ mod tests {
         assert_eq!(got[2].1, ev(2));
     }
 
-    /// Counts the L2 accesses it is shown.
+    /// Logs the L2 accesses, evictions and events it is shown, in order.
     #[derive(Debug, Default)]
-    struct L2Counter(u64);
+    struct Log(Vec<String>);
 
-    impl TraceSink for L2Counter {
-        fn record(&mut self, _: Cycle, _: &TraceEvent) {}
-        fn l2_access(&mut self, _: LineAddr) {
-            self.0 += 1;
+    impl TraceSink for Log {
+        fn record(&mut self, at: Cycle, ev: &TraceEvent) {
+            self.0.push(format!("{ev:?} at {at}"));
+        }
+        fn l2_access(&mut self, line: LineAddr) {
+            self.0.push(format!("l2 {}", line.0));
+        }
+        fn evicted(&mut self, _: NodeId, _: Level, line: LineAddr, _: u32) {
+            self.0.push(format!("evicted {}", line.0));
         }
     }
 
     #[test]
     fn hooks_fan_out_to_every_consumer() {
-        let boxed = Rc::new(RefCell::new(L2Counter::default()));
-        let base = TraceHandle::with_sink(Box::new(SharedCounter(boxed.clone())));
-        let extra = Rc::new(RefCell::new(L2Counter::default()));
+        let boxed = Rc::new(RefCell::new(Log::default()));
+        let base = TraceHandle::with_sink(Box::new(SharedLog(boxed.clone())));
+        let extra = Rc::new(RefCell::new(Log::default()));
         let h = base.with_consumers([extra.clone() as Rc<RefCell<dyn TraceSink>>]);
         h.l2_access(LineAddr(3));
         h.share().l2_access(LineAddr(4));
-        h.emit(|| ev(0)); // no consumer reads events
-        assert_eq!(boxed.borrow().0, 2, "the boxed sink sees every hook");
-        assert_eq!(extra.borrow().0, 2, "the added consumer sees every hook");
+        assert_eq!(boxed.borrow().0, ["l2 3", "l2 4"], "the boxed sink");
+        assert_eq!(extra.borrow().0, ["l2 3", "l2 4"], "the added consumer");
+
+        // A hook that carries an event: every consumer sees the hook,
+        // then the event stamped with the shared clock. A fill that
+        // installs nothing carries no event.
+        h.set_now(7);
+        h.evicted(NodeId(1), Level::L2, LineAddr(5), 2);
+        h.filled(NodeId(1), LineAddr(5), WordMask::empty(), false);
+        h.ownership_stolen(NodeId(2), LineAddr(9), 4);
+        h.filled(NodeId(2), LineAddr(9), WordMask::single(1), true);
+        let state = |words, from, to| TraceEvent::StateChange {
+            node: NodeId(2),
+            level: Level::L1,
+            line: LineAddr(9),
+            words,
+            from,
+            to,
+        };
+        let events = [
+            TraceEvent::Eviction {
+                node: NodeId(1),
+                level: Level::L2,
+                line: LineAddr(5),
+                owned_words: 2,
+            },
+            state(4, WState::Owned, WState::Invalid),
+            state(1, WState::Invalid, WState::Owned),
+        ];
+        let mut want = vec!["l2 3".to_string(), "l2 4".into(), "evicted 5".into()];
+        want.extend(events.iter().map(|ev| format!("{ev:?} at 7")));
+        for log in [&boxed, &extra] {
+            assert_eq!(log.borrow().0, want);
+        }
         assert!(!TraceHandle::disabled()
             .with_consumers(std::iter::empty())
             .is_enabled());
     }
 
-    /// A boxed sink forwarding to a counter the test keeps.
+    /// A boxed sink forwarding to a log the test keeps.
     #[derive(Debug)]
-    struct SharedCounter(Rc<RefCell<L2Counter>>);
+    struct SharedLog(Rc<RefCell<Log>>);
 
-    impl TraceSink for SharedCounter {
-        fn record(&mut self, _: Cycle, _: &TraceEvent) {}
+    impl TraceSink for SharedLog {
+        fn record(&mut self, at: Cycle, ev: &TraceEvent) {
+            self.0.borrow_mut().record(at, ev);
+        }
         fn l2_access(&mut self, line: LineAddr) {
             self.0.borrow_mut().l2_access(line);
+        }
+        fn evicted(&mut self, node: NodeId, level: Level, line: LineAddr, words: u32) {
+            self.0.borrow_mut().evicted(node, level, line, words);
         }
     }
 

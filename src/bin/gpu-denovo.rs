@@ -26,7 +26,7 @@
 use gpu_denovo::explore::{self, Budget, ExploreMode, ScheduleId};
 use gpu_denovo::harness::{self, Cell, CellResult, FabricSpec, ResultCache};
 use gpu_denovo::trace::{
-    chrome_json_full, to_chrome_json, CounterTrack, JourneySpan, RingRecorder, TraceHandle,
+    chrome_json, to_chrome_json, CounterTrack, JourneySpan, RingRecorder, TraceHandle,
 };
 use gpu_denovo::types::{Cycle, JsonValue, MsgClass};
 use gpu_denovo::workloads::litmus;
@@ -520,7 +520,7 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
             let tracks: Vec<CounterTrack> = (r.counters().into_iter())
                 .map(|(name, points)| CounterTrack { name, points })
                 .collect();
-            chrome_json_full(&[], 0, &tracks, &r.spans())
+            chrome_json(&[], 0, &tracks, &r.spans())
         } else if path.ends_with(".json") {
             r.json().to_string()
         } else if path.ends_with(".csv") {

@@ -3,7 +3,7 @@
 //! any component. This one counts L1 load hits and misses and mesh
 //! messages, and must agree with the `Counts` the run reports.
 
-use gpu_denovo::trace::{TraceEvent, TraceHandle, TraceSink};
+use gpu_denovo::trace::{TraceHandle, TraceSink};
 use gpu_denovo::types::{Cycle, LineAddr, Msg, NodeId, ReqId, WordAddr};
 use gpu_denovo::{registry, ProtocolConfig, Scale, Simulator, SystemConfig};
 use std::cell::RefCell;
@@ -23,8 +23,6 @@ struct Tally {
 struct Counter(Rc<RefCell<Tally>>);
 
 impl TraceSink for Counter {
-    fn record(&mut self, _: Cycle, _: &TraceEvent) {}
-
     fn l1_access(&mut self, _: NodeId, _: LineAddr, hit: bool) {
         let mut t = self.0.borrow_mut();
         if hit {
@@ -38,7 +36,7 @@ impl TraceSink for Counter {
         self.0.borrow_mut().misses += 1;
     }
 
-    fn msg_sent(&mut self, _: &Msg, _: Cycle, _: Cycle, _: Cycle) {
+    fn msg_sent(&mut self, _: &Msg, _: Cycle, _: Cycle, _: Cycle, _: u32) {
         self.0.borrow_mut().messages += 1;
     }
 }

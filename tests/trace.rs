@@ -4,8 +4,11 @@
 //! you saw yesterday — and exported traces must carry the full event
 //! taxonomy and well-formed JSON.
 
-use gpu_denovo::trace::{to_chrome_json, RingRecorder, TraceHandle};
-use gpu_denovo::{registry, ProtocolConfig, Scale, Simulator, SystemConfig};
+mod stress;
+
+use gpu_denovo::trace::{to_chrome_json, Level, RingRecorder, TraceEvent, TraceHandle};
+use gpu_denovo::types::Counts;
+use gpu_denovo::{registry, ProtocolConfig, Scale, Simulator, SystemConfig, Workload};
 use std::collections::BTreeSet;
 
 fn traced_run(name: &str, p: ProtocolConfig) -> (u64, String) {
@@ -87,4 +90,85 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(plain.counts, traced.counts);
     assert_eq!(plain.traffic, traced.traffic);
     assert_eq!(plain.latency, traced.latency);
+}
+
+/// Runs `w` with a recorder that drops nothing and checks the recorded
+/// stream against the run's `Counts`: every send is delivered, each
+/// acquire carries its sweep, each atomic is issued once, and the L1
+/// evictions carry every ownership writeback. An event that goes
+/// missing or is recorded twice breaks one of these sums.
+fn reconcile_stream(cfg: SystemConfig, w: &Workload, cell: &str) -> Counts {
+    let handle = TraceHandle::new(RingRecorder::new(1 << 22));
+    let stats = Simulator::new(cfg)
+        .run_traced(w, handle.clone())
+        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+    let rec = handle.recorder().unwrap().borrow();
+    assert_eq!(rec.dropped(), 0, "{cell}: the recorder dropped events");
+    let (mut sends, mut delivers, mut flashes, mut invalidated, mut atomics, mut wb) =
+        (0, 0, 0, 0, 0, 0);
+    for (_, ev) in rec.events() {
+        match *ev {
+            TraceEvent::MsgSend { .. } => sends += 1,
+            TraceEvent::MsgDeliver { .. } => delivers += 1,
+            TraceEvent::SyncAcquire {
+                invalidated: words,
+                flash,
+                ..
+            } => {
+                flashes += u64::from(flash);
+                invalidated += words;
+            }
+            TraceEvent::AtomicIssue { .. } => atomics += 1,
+            TraceEvent::Eviction {
+                level: Level::L1,
+                owned_words,
+                ..
+            } => wb += u64::from(owned_words),
+            _ => {}
+        }
+    }
+    let c = stats.counts;
+    assert_eq!(sends, c.messages_sent, "{cell}: msg-send events");
+    assert_eq!(delivers, c.messages_sent, "{cell}: msg-deliver events");
+    assert_eq!(flashes, c.flash_invalidations, "{cell}: flash acquires");
+    assert_eq!(invalidated, c.words_invalidated, "{cell}: acquire words");
+    assert_eq!(atomics, c.l1_atomics + c.l2_atomics, "{cell}: atomics");
+    assert_eq!(wb, c.ownership_writebacks, "{cell}: L1 eviction words");
+    c
+}
+
+/// The recorded event stream reconciles with `Counts` on six Table 4
+/// benchmarks under every configuration.
+#[test]
+fn recorded_stream_reconciles_with_counts() {
+    for name in ["SPM_G", "SPM_L", "UTS", "LUD", "TB_LG", "SS_L"] {
+        let b = registry::by_name(name).expect("known benchmark");
+        for p in ProtocolConfig::ALL {
+            let c = reconcile_stream(
+                SystemConfig::micro15(p),
+                &(b.build)(Scale::Tiny),
+                &format!("{name}/{p}"),
+            );
+            assert!(
+                c.messages_sent > 0,
+                "{name}/{p}: an idle run proves nothing"
+            );
+        }
+    }
+}
+
+/// The L1 eviction identity on a run where it is not zero: streaming
+/// stores through a 4-line L1 evict owned lines under every DeNovo
+/// configuration.
+#[test]
+fn recorded_evictions_reconcile_with_ownership_writebacks() {
+    for p in ProtocolConfig::ALL {
+        let c = reconcile_stream(
+            stress::tiny_cfg(p, 2),
+            &stress::streaming_ownership(),
+            &format!("stream/{p}"),
+        );
+        let denovo = p.coherence() == gpu_denovo::types::Coherence::DeNovo;
+        assert_eq!(c.ownership_writebacks > 0, denovo, "stream/{p}");
+    }
 }
