@@ -6,6 +6,7 @@ use gsim_check::CheckLevel;
 use gsim_mem::CacheGeometry;
 use gsim_noc::{MeshConfig, Topology, XLinkConfig};
 use gsim_protocol::L2Config;
+use gsim_trace::RunShape;
 use gsim_types::{Cycle, ProtocolConfig};
 
 /// Configuration of one simulated heterogeneous system.
@@ -142,9 +143,16 @@ impl SystemConfig {
         (limit / MeshConfig::default().nodes()) as u8
     }
 
-    /// Total CU count across all devices.
-    pub fn total_cus(&self) -> usize {
-        self.topology.devices as usize * self.gpu_cus
+    /// The shape of the machine this configuration builds: its nodes,
+    /// which of them host a CU, and the L2 service time. Views take it
+    /// to size their per-node and per-CU tables.
+    pub fn run_shape(&self) -> RunShape {
+        RunShape::new(
+            self.topology.nodes(),
+            self.topology.nodes_per_device(),
+            self.gpu_cus,
+            self.l2.latency,
+        )
     }
 
     /// The CU node a thread block is scheduled on by default — the fixed
@@ -155,15 +163,6 @@ impl SystemConfig {
     /// `TbSpec::on_cu` override this per block.
     pub fn cu_of_tb(&self, tb: u32) -> usize {
         tb as usize % self.gpu_cus
-    }
-
-    /// The node hosting dense CU index `cu` (device `cu / gpu_cus`,
-    /// local CU `cu % gpu_cus`) — the inverse of the engine's dense CU
-    /// numbering, used to resolve `TbSpec::on_cu` pins. Identity on a
-    /// single device.
-    pub fn node_of_cu(&self, cu: usize) -> usize {
-        assert!(cu < self.total_cus(), "CU {cu} of {}", self.total_cus());
-        (cu / self.gpu_cus) * self.topology.nodes_per_device() + cu % self.gpu_cus
     }
 }
 
@@ -195,7 +194,7 @@ mod tests {
         assert_eq!(c.topology.nodes(), 32);
         assert_eq!(c.l2.banks, 32);
         assert_eq!(c.gpu_cus, 15, "gpu_cus stays per-device");
-        assert_eq!(c.total_cus(), 30);
+        assert_eq!(c.run_shape().cus(), 30);
         // One device falls back to the exact Table 3 system.
         let one = SystemConfig::fabric(ProtocolConfig::Dd, 1, 40);
         assert_eq!(
@@ -234,14 +233,18 @@ mod tests {
 
     #[test]
     fn dense_cu_indices_skip_the_cpu_nodes() {
-        let f = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
-        assert_eq!(f.node_of_cu(0), 0);
-        assert_eq!(f.node_of_cu(14), 14);
-        assert_eq!(f.node_of_cu(15), 16, "device 1's first CU skips node 15");
-        assert_eq!(f.node_of_cu(29), 30);
-        let one = SystemConfig::micro15(ProtocolConfig::Dd);
-        for cu in 0..one.total_cus() {
-            assert_eq!(one.node_of_cu(cu), cu, "identity on a single device");
+        let f = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40).run_shape();
+        assert_eq!(f.node_of(0), 0);
+        assert_eq!(f.node_of(14), 14);
+        assert_eq!(f.node_of(15), 16, "device 1's first CU skips node 15");
+        assert_eq!(f.node_of(29), 30);
+        let one = SystemConfig::micro15(ProtocolConfig::Dd).run_shape();
+        assert_eq!(
+            one.l2_latency,
+            SystemConfig::micro15(ProtocolConfig::Dd).l2.latency
+        );
+        for cu in 0..one.cus() {
+            assert_eq!(one.node_of(cu), cu, "identity on a single device");
         }
     }
 }

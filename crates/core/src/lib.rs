@@ -16,6 +16,13 @@
 //!   block interpreter with the DRF/HRF program-order rules of the
 //!   paper's §2, and the [`Simulator`] facade.
 //!
+//! Observation is the caller's: the engine builds no observer and
+//! depends on no view crate. A caller installs its consumers (a trace
+//! recorder, gsim-prof's, gsim-flow's or gsim-lens's collector, any
+//! [`TraceSink`](gsim_trace::TraceSink)) on the handle it passes to
+//! [`Simulator::run_traced`], so an edit to a view leaves the engine,
+//! and the result cache keyed on its sources, as they were.
+//!
 //! See the crate-level example on [`Simulator`] for the 30-second tour.
 
 pub mod config;
@@ -30,7 +37,5 @@ pub use config::SystemConfig;
 pub use equeue::QueueKind;
 pub use gsim_check::{CheckLevel, CheckReport};
 pub use gsim_noc::{MeshConfig, Topology, XLinkConfig};
-pub use sim::{
-    Candidate, Decision, ExploredRun, Footprint, ObserveSpec, Reports, SimError, Simulator,
-};
+pub use sim::{Candidate, Decision, ExploredRun, Footprint, SimError, Simulator};
 pub use workload::{KernelLaunch, TbSpec, Workload};

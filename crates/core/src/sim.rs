@@ -31,21 +31,18 @@ use crate::proto::{L1, L2};
 use crate::workload::{KernelLaunch, Workload};
 use gsim_check::{CheckKind, CheckLevel, CheckReport, RaceDetector, SyncKey, Violation};
 use gsim_energy::EnergyModel;
-use gsim_flow::{FlowCollector, FlowReport, FlowSpec};
-use gsim_lens::{LensCollector, LensReport, LensSpec};
 use gsim_mem::MemoryImage;
 use gsim_noc::Mesh;
-use gsim_prof::{ProfileReport, Profiler, ReportInputs};
 use gsim_protocol::{Action, Issue, L1Config};
-use gsim_trace::{IntervalSample, JourneyKind, StallKind, TraceEvent, TraceHandle, TraceSink};
+use gsim_trace::{
+    IntervalSample, JourneyKind, RunEnd, RunShape, StallKind, TraceEvent, TraceHandle,
+};
 use gsim_types::{
     AtomicOp, Component, Counts, Cycle, FxHashMap, LatencyBreakdown, Msg, NodeId, ReqId, Scope,
     SimStats, TbId, Value, WordAddr,
 };
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Why a run failed.
@@ -180,56 +177,6 @@ enum KernelPhase {
     Finished,
 }
 
-/// What one run observes, beyond the [`SimStats`] every run returns.
-/// The default observes nothing.
-///
-/// Each observer is a per-run argument, not part of the simulated
-/// machine: the engine installs the enabled ones as consumers on the one
-/// trace handle every component reports through, so an unobserved run
-/// pays one branch per hook, and switching an observer on never changes
-/// the stats.
-#[derive(Clone, Debug)]
-pub struct ObserveSpec {
-    /// Structured events (disabled by default).
-    pub trace: TraceHandle,
-    /// The period of every time series, in cycles (default 1024; 0 is
-    /// taken as 1): the engine's one sampling clock, armed only when
-    /// the profiler or flow is on.
-    pub interval: Cycle,
-    /// Cycle attribution, hot lines and interval samples (off by
-    /// default).
-    pub prof: bool,
-    /// Per-link traffic, occupancy samples and request journeys
-    /// (`None` = off).
-    pub flow: Option<FlowSpec>,
-    /// The coherence-lifecycle lens (`None` = off).
-    pub lens: Option<LensSpec>,
-}
-
-impl Default for ObserveSpec {
-    fn default() -> Self {
-        ObserveSpec {
-            trace: TraceHandle::default(),
-            interval: 1024,
-            prof: false,
-            flow: None,
-            lens: None,
-        }
-    }
-}
-
-/// The observer reports of one run: each is `Some` exactly when the
-/// run's [`ObserveSpec`] switched its observer on.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Reports {
-    /// The profile report.
-    pub profile: Option<ProfileReport>,
-    /// The flow report.
-    pub flow: Option<FlowReport>,
-    /// The lens report.
-    pub lens: Option<LensReport>,
-}
-
 /// The public entry point: runs workloads under one [`SystemConfig`].
 ///
 /// # Examples
@@ -286,11 +233,22 @@ impl Simulator {
     /// [`SimError::Verify`] if the functional check fails,
     /// [`SimError::Workload`] if the workload does not fit the system.
     pub fn run(&self, workload: &Workload) -> Result<SimStats, SimError> {
-        self.run_observed(workload, &ObserveSpec::default())
-            .map(|(stats, _)| stats)
+        self.run_traced(workload, TraceHandle::disabled())
     }
 
-    /// As [`run`](Self::run), emitting structured events through `trace`.
+    /// As [`run`](Self::run), with every component reporting through
+    /// `trace`: the one observed run path. The consumers installed on
+    /// the handle (a recorder, the profile, flow and lens collectors,
+    /// any other [`TraceSink`](gsim_trace::TraceSink)) see every hook;
+    /// [`interval_sample`](gsim_trace::TraceSink::interval_sample)
+    /// arrives every [`TraceHandle::sample_interval`] cycles, when a
+    /// consumer declares one, and
+    /// [`run_finished`](gsim_trace::TraceSink::run_finished) once, after
+    /// the run verifies. With no consumer, each hook costs one branch.
+    ///
+    /// Consumers only observe: the returned `SimStats` are identical to
+    /// what [`run`](Self::run) produces (asserted by the root crate's
+    /// `trace`, `profiler`, `flow` and `lens` tests).
     ///
     /// # Errors
     ///
@@ -300,33 +258,9 @@ impl Simulator {
         workload: &Workload,
         trace: TraceHandle,
     ) -> Result<SimStats, SimError> {
-        let observe = ObserveSpec {
-            trace,
-            ..ObserveSpec::default()
-        };
-        self.run_observed(workload, &observe)
-            .map(|(stats, _)| stats)
-    }
-
-    /// As [`run`](Self::run), with the observers `observe` switches on.
-    /// Every component gets a clone of one trace handle carrying every
-    /// enabled observer; with none enabled, each hook costs one branch.
-    ///
-    /// Observers only observe: the returned `SimStats` are identical to
-    /// what [`run`](Self::run) produces (asserted by the root crate's
-    /// `trace`, `profiler`, `flow` and `lens` tests).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_observed(
-        &self,
-        workload: &Workload,
-        observe: &ObserveSpec,
-    ) -> Result<(SimStats, Reports), SimError> {
-        Machine::new(&self.config, workload, observe)?
+        Machine::new(&self.config, workload, trace)?
             .run(workload)
-            .map(|out| (out.stats, out.reports))
+            .map(|out| out.stats)
     }
 
     /// Runs `workload` under explorer control: at every cycle where ≥ 2
@@ -352,7 +286,7 @@ impl Simulator {
         prefix: &[u32],
         obs: &[WordAddr],
     ) -> Result<ExploredRun, SimError> {
-        let mut m = Machine::new(&self.config, workload, &ObserveSpec::default())?;
+        let mut m = Machine::new(&self.config, workload, TraceHandle::disabled())?;
         m.sched = Some(SchedState {
             prefix: prefix.to_vec(),
             decisions: Vec::new(),
@@ -381,7 +315,6 @@ const MAX_TBS_PER_CU: usize = u64::BITS as usize;
 #[derive(Debug)]
 struct RunOut {
     stats: SimStats,
-    reports: Reports,
     /// Decision trace (empty unless the run was scheduled).
     decisions: Vec<Decision>,
     /// Final values of `Machine::obs_words` (empty unless requested).
@@ -551,11 +484,9 @@ impl MsgSlab {
 
 struct Machine {
     protocol: gsim_types::ProtocolConfig,
-    /// CUs **per device** (the default thread-block mapping's modulus).
-    gpu_cus: usize,
-    /// Nodes per device mesh; a node hosts a CU iff its local index
-    /// (`node % nodes_per_dev`) is below `gpu_cus`.
-    nodes_per_dev: usize,
+    /// Which nodes host a CU; its CUs per device are the default
+    /// thread-block mapping's modulus.
+    shape: RunShape,
     tbs_per_cu: usize,
     max_cycles: Cycle,
 
@@ -597,18 +528,14 @@ struct Machine {
     latency: LatencyBreakdown,
     /// The run's one observation handle: every component reports
     /// through a clone of it, and it fans each report out to the
-    /// observers below and the caller's trace sink (no consumer: every
-    /// hook is one branch).
+    /// consumers the caller installed (no consumer: every hook is one
+    /// branch).
     trace: TraceHandle,
-    /// The observers installed on `trace`, kept to take their reports
-    /// (`None` = off).
-    prof: Option<Rc<RefCell<Profiler>>>,
-    flow: Option<Rc<RefCell<FlowCollector>>>,
-    lens: Option<Rc<RefCell<LensCollector>>>,
-    /// The next sample boundary (`Cycle::MAX` when neither the profiler
-    /// nor flow is on, so the hot-loop test never fires).
+    /// The next sample boundary (`Cycle::MAX` when no consumer declares
+    /// a sampling interval, so the hot-loop test never fires).
     next_sample: Cycle,
-    /// The sampling period ([`ObserveSpec::interval`], at least 1).
+    /// The sampling period ([`TraceHandle::sample_interval`], at least
+    /// 1; `Cycle::MAX` when there is none).
     interval: Cycle,
     /// Sync operations (atomics) currently in flight — a profiler
     /// gauge, maintained unconditionally (one integer).
@@ -630,13 +557,14 @@ struct Machine {
 }
 
 impl Machine {
-    /// Builds the machine for one run of `workload`, with the observers
-    /// `observe` switches on. Every run passes through here, so this is
-    /// where a workload that does not fit the system is rejected.
+    /// Builds the machine for one run of `workload`, every component
+    /// reporting through `trace`. Every run passes through here, so
+    /// this is where a workload that does not fit the system is
+    /// rejected.
     fn new(
         config: &SystemConfig,
         workload: &Workload,
-        observe: &ObserveSpec,
+        trace: TraceHandle,
     ) -> Result<Machine, SimError> {
         if config.tbs_per_cu > MAX_TBS_PER_CU {
             return Err(SimError::Workload(format!(
@@ -644,7 +572,8 @@ impl Machine {
                 config.tbs_per_cu
             )));
         }
-        let total_cus = config.total_cus();
+        let shape = config.run_shape();
+        let total_cus = shape.cus();
         for (k, launch) in workload.kernels.iter().enumerate() {
             let mut pins = launch.tbs.iter().filter_map(|tb| tb.cu);
             if let Some(cu) = pins.find(|&cu| cu >= total_cus) {
@@ -657,36 +586,8 @@ impl Machine {
         }
         let mut memory = MemoryImage::new();
         (workload.init)(&mut memory);
-        let nodes = config.topology.nodes();
-        let nodes_per_dev = config.topology.nodes_per_device();
-        let interval = observe.interval.max(1);
-        let prof = (observe.prof).then(|| {
-            Rc::new(RefCell::new(Profiler::new(
-                interval,
-                config.gpu_cus,
-                nodes_per_dev,
-                nodes,
-            )))
-        });
-        let flow = (observe.flow).map(|s| {
-            Rc::new(RefCell::new(FlowCollector::new(
-                s,
-                interval,
-                nodes,
-                config.l2.latency,
-            )))
-        });
-        let next_sample = if prof.is_some() || flow.is_some() {
-            interval
-        } else {
-            Cycle::MAX
-        };
-        let lens = (observe.lens).map(|s| Rc::new(RefCell::new(LensCollector::new(s, nodes))));
-        let trace = observe.trace.with_consumers(
-            (prof.iter().map(consumer))
-                .chain(flow.iter().map(consumer))
-                .chain(lens.iter().map(consumer)),
-        );
+        let nodes = shape.nodes;
+        let interval = trace.sample_interval().map_or(Cycle::MAX, |p| p.max(1));
         let l1s = (0..nodes as u8)
             .map(NodeId)
             .map(|n| {
@@ -722,8 +623,7 @@ impl Machine {
         let l2 = L2::build(config.protocol, config.l2, memory, &trace);
         Ok(Machine {
             protocol: config.protocol,
-            gpu_cus: config.gpu_cus,
-            nodes_per_dev,
+            shape,
             tbs_per_cu: config.tbs_per_cu,
             max_cycles: config.max_cycles,
             now: 0,
@@ -745,10 +645,7 @@ impl Machine {
             counts: Counts::default(),
             latency: LatencyBreakdown::default(),
             trace,
-            prof,
-            flow,
-            lens,
-            next_sample,
+            next_sample: interval,
             interval,
             sync_inflight: 0,
             check: config.check,
@@ -876,21 +773,6 @@ impl Machine {
         self.protocol.honours_scopes() && scope == Scope::Local
     }
 
-    /// Every CU node: all nodes minus the last node of each device's
-    /// mesh (the CPU/L2-only node).
-    fn cu_nodes(&self) -> impl Iterator<Item = usize> + 'static {
-        let (per, cus) = (self.nodes_per_dev, self.gpu_cus);
-        (0..self.cus.len()).filter(move |n| n % per < cus)
-    }
-
-    /// The node hosting dense CU index `cu` (mirrors
-    /// [`SystemConfig::node_of_cu`]): device `cu / gpu_cus`, local CU
-    /// `cu % gpu_cus`. Resolves `TbSpec::on_cu` pins, which
-    /// [`Machine::new`] has checked against the topology.
-    fn cu_node_of(&self, cu: usize) -> usize {
-        (cu / self.gpu_cus) * self.nodes_per_dev + cu % self.gpu_cus
-    }
-
     fn ensure_tick(&mut self, cu: usize, at: Cycle) {
         if !self.cus[cu].tick_scheduled {
             self.cus[cu].tick_scheduled = true;
@@ -927,7 +809,7 @@ impl Machine {
         });
         // Kernel-launch acquire on every CU (paper §1: invalidate at the
         // start of the kernel).
-        for cu in self.cu_nodes() {
+        for cu in self.shape.cu_nodes() {
             self.global_acquire(cu, false);
         }
         if let Some(r) = &mut self.races {
@@ -944,10 +826,11 @@ impl Machine {
         for (i, spec) in launch.tbs.iter().enumerate() {
             // Unpinned blocks follow the `tb % gpu_cus` contract (device
             // 0's CU nodes, preserving every single-device workload's
-            // co-location); pinned blocks resolve their dense CU index.
+            // co-location); pinned blocks resolve their dense CU index,
+            // which `Machine::new` has checked against the topology.
             let cu = match spec.cu {
-                Some(c) => self.cu_node_of(c),
-                None => i % self.gpu_cus,
+                Some(c) => self.shape.node_of(c),
+                None => i % self.shape.cus_per_device,
             };
             self.tbs.push(Tb {
                 cu,
@@ -963,7 +846,7 @@ impl Machine {
             });
             self.cus[cu].queue.push_back(i);
         }
-        for cu in self.cu_nodes() {
+        for cu in self.shape.cu_nodes() {
             for slot in 0..self.tbs_per_cu {
                 if let Some(tb) = self.cus[cu].queue.pop_front() {
                     self.seat(tb, slot);
@@ -992,7 +875,7 @@ impl Machine {
     /// when every flush completes (a [`KernelPhase::Draining`] boundary).
     fn end_kernel(&mut self) {
         debug_assert_eq!(self.drain_left, 0);
-        for cu in self.cu_nodes() {
+        for cu in self.shape.cu_nodes() {
             let req = self.alloc_req();
             let issue = self.l1s[cu].release(false, req, &mut self.actions);
             if issue == Issue::Pending {
@@ -1624,15 +1507,19 @@ impl Machine {
             .map(|&w| self.l2.chassis().memory().read_word(w))
             .collect();
         let stats = self.stats();
-        let reports = Reports {
-            profile: self.take_profile(),
-            flow: (self.flow.as_ref()).map(|f| f.borrow_mut().take_report(self.now)),
-            lens: (self.lens.as_ref()).map(|l| l.borrow_mut().take_report(self.now)),
-        };
+        if self.trace.is_enabled() {
+            let (messages_sent, flit_hops) = self.mesh_counters();
+            self.trace.run_finished(&RunEnd {
+                cycles: self.now,
+                l1_counts: self.l1s.iter().map(|l| *l.chassis().counts()).collect(),
+                l2_counts: *self.l2.chassis().counts(),
+                messages_sent,
+                flit_hops,
+            });
+        }
         let decisions = self.sched.take().map_or(Vec::new(), |s| s.decisions);
         Ok(RunOut {
             stats,
-            reports,
             decisions,
             observed,
         })
@@ -1675,20 +1562,6 @@ impl Machine {
             pending_reqs: self.pending.len() as u64,
             outstanding_syncs: self.sync_inflight,
         });
-    }
-
-    /// Assembles the profile report (`None` when profiling is off).
-    fn take_profile(&self) -> Option<ProfileReport> {
-        let prof = self.prof.as_ref()?;
-        let l1_counts: Vec<Counts> = self.l1s.iter().map(|l| *l.chassis().counts()).collect();
-        let (messages_sent, flit_hops) = self.mesh_counters();
-        Some(prof.borrow_mut().take_report(ReportInputs {
-            end: self.now,
-            l1_counts,
-            l2_counts: *self.l2.chassis().counts(),
-            messages_sent,
-            flit_hops,
-        }))
     }
 
     /// The end-of-run audit (replaces the bare quiesce assertions when
@@ -1809,11 +1682,6 @@ impl Machine {
             latency: self.latency,
         }
     }
-}
-
-/// An installed observer as the trace handle holds it.
-fn consumer<T: TraceSink + 'static>(c: &Rc<RefCell<T>>) -> Rc<RefCell<dyn TraceSink>> {
-    c.clone()
 }
 
 /// Cross-L1 ownership audit: at most one L1 may hold each registered
@@ -2248,7 +2116,7 @@ mod tests {
                 }),
             };
             let cfg = SystemConfig::micro15(p);
-            let mut m = Machine::new(&cfg, &w, &ObserveSpec::default()).unwrap();
+            let mut m = Machine::new(&cfg, &w, TraceHandle::disabled()).unwrap();
             let out = m.run(&w).unwrap();
             let slots = m.in_flight.msgs.len();
             let mut free = m.in_flight.free.clone();
@@ -2312,7 +2180,7 @@ mod tests {
             let w = one_tb(b, 3, 7);
             let mut cfg = SystemConfig::micro15(p);
             cfg.check = CheckLevel::Invariants;
-            let mut m = Machine::new(&cfg, &w, &ObserveSpec::default()).unwrap();
+            let mut m = Machine::new(&cfg, &w, TraceHandle::disabled()).unwrap();
             // A line far outside the workload's footprint.
             m.l1s[0]
                 .chassis_mut()

@@ -20,7 +20,7 @@ pub struct TbSpec {
     /// Scratchpad words allocated to this thread block.
     pub scratch_words: usize,
     /// Explicit CU placement: a *dense* CU index (`device * gpu_cus +
-    /// local CU`, see `SystemConfig::node_of_cu`). `None` (the default)
+    /// local CU`, see `gsim_trace::RunShape::node_of`). `None` (the default)
     /// follows the `tb % gpu_cus` mapping, which always lands on device
     /// 0 — cross-device workloads pin their remote blocks with
     /// [`on_cu`](Self::on_cu).

@@ -1,8 +1,8 @@
 //! The flow collector: a [`TraceSink`] consumer attributing link
 //! traffic, sampling occupancy and following sampled request journeys.
 //!
-//! The engine installs one [`FlowCollector`] on the run's trace handle
-//! and keeps an `Rc` to it to take the report; the mesh's link
+//! The caller installs one [`FlowCollector`] on the trace handle of the
+//! run and keeps an `Rc` to it to take the report; the mesh's link
 //! crossings, the engine's L2 deliveries, interval samples and journey
 //! milestones all reach it through hooks of that handle. It
 //! only observes: no hook schedules an event, touches protocol or
@@ -11,9 +11,11 @@
 use crate::journey::{Journey, JourneyHop};
 use crate::report::{FlowReport, LinkRow};
 use crate::sample::FlowSample;
-use crate::spec::FlowSpec;
-use gsim_trace::{IntervalSample, JourneyKind, SampleRing, TraceSink};
+use gsim_trace::{IntervalSample, JourneyKind, RunEnd, RunShape, SampleRing, TraceSink};
 use gsim_types::{Component, Cycle, FxHashMap, LineAddr, Msg, MsgClass, MsgKind, NodeId, ReqId};
+
+/// The default journey sampling period: every 64th memory request.
+pub const DEFAULT_JOURNEY_PERIOD: u64 = 64;
 
 /// Journey store capacity: journeys begun beyond this are counted as
 /// dropped rather than recorded (keeping the earliest, like the sample
@@ -46,9 +48,12 @@ struct LinkStats {
 /// The collection state of one flow-observed run.
 #[derive(Clone, Debug)]
 pub struct FlowCollector {
-    spec: FlowSpec,
-    /// The engine's sampling interval, echoed in the report.
+    /// The sampling interval it declares, echoed in the report.
     interval: Cycle,
+    /// Every `journey_period`-th request (by issue order: request ids
+    /// are minted densely, so this is deterministic and seed-stable)
+    /// records a full per-hop journey; `1` traces every request.
+    journey_period: u64,
     nodes: usize,
     l2_latency: Cycle,
     /// Per-directed-link stats, indexed `from * nodes + to`.
@@ -65,18 +70,22 @@ pub struct FlowCollector {
     watching: FxHashMap<u64, Vec<usize>>,
     dropped_journeys: u64,
     ring: SampleRing<FlowSample>,
+    /// The run's final cycle, once it has finished.
+    end: Cycle,
 }
 
 impl FlowCollector {
-    /// A collector for `spec` on a `nodes`-node fabric whose L2 banks
-    /// have `l2_latency` cycles of service time (used only to render
-    /// busy fractions). `interval` is the period the engine samples at.
-    pub fn new(spec: FlowSpec, interval: Cycle, nodes: usize, l2_latency: Cycle) -> Self {
+    /// A collector for one run on a machine of `shape`, sampling every
+    /// `interval` cycles and following every `journey_period`-th request
+    /// (0 is taken as 1 for both). The shape's L2 service time is used
+    /// only to render bank busy fractions.
+    pub fn new(shape: &RunShape, interval: Cycle, journey_period: u64) -> Self {
+        let nodes = shape.nodes;
         FlowCollector {
-            spec,
-            interval,
+            interval: interval.max(1),
+            journey_period: journey_period.max(1),
             nodes,
-            l2_latency,
+            l2_latency: shape.l2_latency,
             links: vec![LinkStats::default(); nodes * nodes],
             bank_msgs: vec![0; nodes],
             total_flits: 0,
@@ -87,6 +96,7 @@ impl FlowCollector {
             watching: FxHashMap::default(),
             dropped_journeys: 0,
             ring: SampleRing::default(),
+            end: 0,
         }
     }
 }
@@ -109,10 +119,10 @@ fn msg_line(kind: &MsgKind) -> LineAddr {
 }
 
 impl FlowCollector {
-    /// Assembles the report at end-of-run cycle `end`, draining the
-    /// collector. Journeys still in flight are discarded (the quiesced
-    /// engine has none in a clean run).
-    pub fn take_report(&mut self, end: Cycle) -> FlowReport {
+    /// Assembles the report of the finished run, draining the collector.
+    /// Journeys still in flight are discarded (the quiesced engine has
+    /// none in a clean run).
+    pub fn take_report(&mut self) -> FlowReport {
         let nodes = self.nodes;
         let links = self
             .links
@@ -134,9 +144,9 @@ impl FlowCollector {
             .collect();
         let (samples, dropped_samples) = std::mem::take(&mut self.ring).into_parts();
         FlowReport {
-            cycles: end,
+            cycles: self.end,
             interval: self.interval,
-            journey_period: self.spec.journey_period.max(1),
+            journey_period: self.journey_period,
             nodes,
             l2_latency: self.l2_latency,
             links,
@@ -150,6 +160,14 @@ impl FlowCollector {
 }
 
 impl TraceSink for FlowCollector {
+    fn sample_interval(&self) -> Option<Cycle> {
+        Some(self.interval)
+    }
+
+    fn run_finished(&mut self, end: &RunEnd) {
+        self.end = end.cycles;
+    }
+
     // ---- link attribution (mesh hooks) ----
 
     fn link_crossing(
@@ -240,8 +258,7 @@ impl TraceSink for FlowCollector {
         kind: JourneyKind,
         now: Cycle,
     ) {
-        let period = self.spec.journey_period.max(1);
-        if !(req.0.wrapping_sub(1)).is_multiple_of(period) {
+        if !(req.0.wrapping_sub(1)).is_multiple_of(self.journey_period) {
             return;
         }
         if self.journeys.len() >= MAX_JOURNEYS {
@@ -299,13 +316,26 @@ mod tests {
         }
     }
 
+    /// The Table 3 machine.
+    fn micro15() -> RunShape {
+        RunShape::new(16, 16, 15, 26)
+    }
+
+    /// Ends the run at cycle 100 and takes the report.
+    fn report(c: &mut FlowCollector) -> FlowReport {
+        c.run_finished(&RunEnd {
+            cycles: 100,
+            ..RunEnd::default()
+        });
+        c.take_report()
+    }
+
     #[test]
     fn hooks_through_a_shared_handle_reach_one_collector() {
         let c = Rc::new(RefCell::new(FlowCollector::new(
-            FlowSpec::default(),
+            &micro15(),
             1024,
-            16,
-            26,
+            DEFAULT_JOURNEY_PERIOD,
         )));
         let h = TraceHandle::disabled().with_consumers([c.clone() as Rc<RefCell<dyn TraceSink>>]);
         let clone = h.share();
@@ -316,7 +346,8 @@ mod tests {
             dst_comp: Component::L1,
             ..read_req(1, 2, 0)
         });
-        let r = c.borrow_mut().take_report(100);
+        let r = report(&mut c.borrow_mut());
+        assert_eq!(r.cycles, 100);
         assert_eq!(r.links.len(), 1);
         assert_eq!(r.links[0].flits[MsgClass::Read.index()], 2);
         assert_eq!(r.links[0].flits[MsgClass::WbWt.index()], 5);
@@ -331,28 +362,26 @@ mod tests {
 
     #[test]
     fn journey_sampling_follows_the_period() {
-        let spec = FlowSpec { journey_period: 4 };
-        let mut h = FlowCollector::new(spec, 1024, 16, 26);
+        let mut h = FlowCollector::new(&micro15(), 1024, 4);
         for req in 1..=9u64 {
             h.request_issued(ReqId(req), NodeId(0), LineAddr(req), JourneyKind::Load, req);
             h.request_done(ReqId(req), 0, req + 10);
         }
-        let r = h.take_report(100);
+        let r = report(&mut h);
         let sampled: Vec<u64> = r.journeys.iter().map(|j| j.req).collect();
         assert_eq!(sampled, vec![1, 5, 9], "every 4th request id from 1");
     }
 
     #[test]
     fn journeys_collect_matching_messages_only() {
-        let spec = FlowSpec { journey_period: 1 };
-        let mut h = FlowCollector::new(spec, 1024, 16, 26);
+        let mut h = FlowCollector::new(&micro15(), 1024, 1);
         h.request_issued(ReqId(1), NodeId(0), LineAddr(7), JourneyKind::Load, 10);
         h.msg_sent(&read_req(0, 5, 7), 12, 20, 1, 2); // same line, same cu
         h.msg_sent(&read_req(3, 5, 7), 12, 20, 1, 2); // same line, other cu
         h.msg_sent(&read_req(0, 5, 8), 12, 20, 1, 2); // other line
         h.request_done(ReqId(1), 0, 40);
         h.msg_sent(&read_req(0, 5, 7), 45, 50, 0, 2); // after the journey closed
-        let r = h.take_report(100);
+        let r = report(&mut h);
         assert_eq!(r.journeys.len(), 1);
         let j = &r.journeys[0];
         assert_eq!(j.hops.len(), 1);
@@ -363,19 +392,18 @@ mod tests {
 
     #[test]
     fn unfinished_journeys_are_discarded() {
-        let spec = FlowSpec { journey_period: 1 };
-        let mut h = FlowCollector::new(spec, 1024, 16, 26);
+        let mut h = FlowCollector::new(&micro15(), 1024, 1);
         h.request_issued(ReqId(1), NodeId(0), LineAddr(1), JourneyKind::Load, 5);
         h.request_issued(ReqId(2), NodeId(1), LineAddr(2), JourneyKind::Atomic, 6);
         h.request_done(ReqId(2), 0, 30);
-        let r = h.take_report(100);
+        let r = report(&mut h);
         assert_eq!(r.journeys.len(), 1);
         assert_eq!(r.journeys[0].req, 2);
     }
 
     #[test]
     fn sample_captures_cumulative_totals_and_gauges() {
-        let mut h = FlowCollector::new(FlowSpec::default(), 1024, 16, 26);
+        let mut h = FlowCollector::new(&micro15(), 1024, DEFAULT_JOURNEY_PERIOD);
         h.link_crossing(NodeId(0), NodeId(1), MsgClass::Atomic, 1, 2, 2);
         h.interval_sample(&IntervalSample {
             cycle: 1024,
@@ -389,7 +417,7 @@ mod tests {
             cycle: 2048,
             ..IntervalSample::default()
         });
-        let r = h.take_report(4096);
+        let r = h.take_report();
         assert_eq!(r.samples.len(), 2);
         assert_eq!(r.samples[0].flits, 1);
         assert_eq!(r.samples[0].queue_cycles, 2);

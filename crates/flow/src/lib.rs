@@ -3,9 +3,8 @@
 //! Memory-system flow observability for the `gpu-denovo` simulator:
 //! where the paper's third metric — network traffic — actually goes.
 //!
-//! Three views, switched on per run by `flow: Some(FlowSpec)` in the
-//! `ObserveSpec` given to `Simulator::run_observed`, and all
-//! observation-only:
+//! Three views, collected by a [`FlowCollector`] the caller installs on
+//! a run's trace handle, and all observation-only:
 //!
 //! 1. **Per-link traffic attribution** — flit counts and
 //!    queueing-vs-transit cycles for every directed mesh link, split by
@@ -22,7 +21,7 @@
 //!    exact-sum latency waterfall and exported as Perfetto spans.
 //!
 //! The [`FlowCollector`] is a `gsim-trace`
-//! [`TraceSink`](gsim_trace::TraceSink) consumer: the engine installs it
+//! [`TraceSink`](gsim_trace::TraceSink) consumer: the caller installs it
 //! on the run's trace handle, and the mesh and engine reach it through
 //! the hooks they already report there. An unobserved run has no
 //! consumer, so each hook is one branch, and a flow-observed run's
@@ -32,11 +31,9 @@ pub mod collector;
 pub mod journey;
 pub mod report;
 pub mod sample;
-pub mod spec;
 
-pub use collector::{FlowCollector, MAX_JOURNEYS};
+pub use collector::{FlowCollector, DEFAULT_JOURNEY_PERIOD, MAX_JOURNEYS};
 pub use gsim_trace::JourneyKind;
 pub use journey::{Journey, JourneyHop, STAGE_LABELS};
 pub use report::{FlowReport, LinkRow};
 pub use sample::FlowSample;
-pub use spec::FlowSpec;

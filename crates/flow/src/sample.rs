@@ -1,9 +1,10 @@
 //! The occupancy time-series: periodic snapshots of cumulative flow
 //! counters and instantaneous memory-system occupancies.
 //!
-//! Sampling shares `gsim_prof`'s clock: at every multiple of
-//! `ObserveSpec::interval` the engine crosses it reports one
-//! `interval_sample` hook, and the collector turns it into a
+//! Sampling runs on the clock the collector declares (its
+//! `sample_interval`, which the profiler shares): at every multiple of
+//! it the engine crosses it reports one `interval_sample` hook, and the
+//! collector turns it into a
 //! [`FlowSample`] of its own cumulative counters plus the engine's
 //! gauges, kept in a [`gsim_trace::SampleRing`]. Exports compute
 //! per-interval deltas.

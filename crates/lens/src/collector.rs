@@ -1,8 +1,8 @@
 //! The lens collector: a [`TraceSink`] consumer following each line's
 //! coherence lifecycle.
 //!
-//! The engine installs one [`LensCollector`] on the run's trace handle
-//! and keeps an `Rc` to it to take the report; acquire sweeps, fills,
+//! The caller installs one [`LensCollector`] on the trace handle of the
+//! run and keeps an `Rc` to it to take the report; acquire sweeps, fills,
 //! registrations and evictions in every L1 and the L2 registry reach it
 //! through hooks of that handle. It only observes: no hook schedules an
 //! event, touches protocol or cache state, or returns anything the
@@ -22,9 +22,11 @@
 use crate::report::{
     reuse_bucket, AcquireEvent, AcquireLedger, LensReport, LineRow, REUSE_BUCKETS,
 };
-use crate::spec::LensSpec;
-use gsim_trace::{Level, TraceSink};
+use gsim_trace::{Level, RunEnd, RunShape, TraceSink};
 use gsim_types::{Cycle, FxHashMap, LineAddr, NodeId, ReqId, WordAddr, WordMask};
+
+/// The default size of the per-line table: the 32 hottest lines.
+pub const DEFAULT_TOPK: usize = 32;
 
 /// Per-line table capacity: lifecycle updates to further distinct lines
 /// are counted as dropped rather than tracked (ledger and global
@@ -43,7 +45,10 @@ const WORDS_PER_FLIT: u64 = 4;
 /// The collection state of one lens-observed run.
 #[derive(Clone, Debug)]
 pub struct LensCollector {
-    spec: LensSpec,
+    /// How many of the hottest lines the per-line table keeps (ranked
+    /// by total lifecycle activity; ties break toward the lower line
+    /// address, so the cut is deterministic).
+    topk: usize,
     nodes: usize,
     /// Per-node acquire cost ledgers, indexed by node.
     ledger: Vec<AcquireLedger>,
@@ -71,13 +76,17 @@ pub struct LensCollector {
     steal_words: u64,
     l2_reg_words: u64,
     l2_transfer_words: u64,
+    /// The run's final cycle, once it has finished.
+    end: Cycle,
 }
 
 impl LensCollector {
-    /// A collector for `spec` on a `nodes`-node fabric.
-    pub fn new(spec: LensSpec, nodes: usize) -> Self {
+    /// A collector for one run on a machine of `shape`, keeping the
+    /// `topk` hottest lines in its per-line table.
+    pub fn new(shape: &RunShape, topk: usize) -> Self {
+        let nodes = shape.nodes;
         LensCollector {
-            spec,
+            topk,
             nodes,
             ledger: (0..nodes)
                 .map(|n| AcquireLedger {
@@ -100,6 +109,7 @@ impl LensCollector {
             steal_words: 0,
             l2_reg_words: 0,
             l2_transfer_words: 0,
+            end: 0,
         }
     }
 
@@ -122,17 +132,17 @@ impl LensCollector {
         self.lines.get_mut(&line)
     }
 
-    /// Assembles the report at end-of-run cycle `end`, draining the
-    /// collector. The per-line table keeps the spec's top-k hottest
-    /// lines (activity descending, line ascending).
-    pub fn take_report(&mut self, end: Cycle) -> LensReport {
+    /// Assembles the report of the finished run, draining the
+    /// collector. The per-line table keeps the top-k hottest lines
+    /// (activity descending, line ascending).
+    pub fn take_report(&mut self) -> LensReport {
         let mut lines: Vec<LineRow> = std::mem::take(&mut self.lines).into_values().collect();
         lines.sort_by(|a, b| b.activity().cmp(&a.activity()).then(a.line.cmp(&b.line)));
-        lines.truncate(self.spec.topk);
+        lines.truncate(self.topk);
         LensReport {
-            cycles: end,
+            cycles: self.end,
             nodes: self.nodes,
-            topk: self.spec.topk,
+            topk: self.topk,
             ledger: std::mem::take(&mut self.ledger),
             lines,
             dropped_lines: self.dropped_lines,
@@ -149,6 +159,10 @@ impl LensCollector {
 }
 
 impl TraceSink for LensCollector {
+    fn run_finished(&mut self, end: &RunEnd) {
+        self.end = end.cycles;
+    }
+
     // ---- acquire boundary (engine hook) ----
 
     /// A global acquire is about to sweep node `node`'s L1 at `now`.
@@ -360,9 +374,14 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// The Table 3 machine.
+    fn micro15() -> RunShape {
+        RunShape::new(16, 16, 15, 26)
+    }
+
     #[test]
     fn hooks_through_a_shared_handle_reach_one_collector() {
-        let c = Rc::new(RefCell::new(LensCollector::new(LensSpec::default(), 16)));
+        let c = Rc::new(RefCell::new(LensCollector::new(&micro15(), DEFAULT_TOPK)));
         let h = TraceHandle::disabled().with_consumers([c.clone() as Rc<RefCell<dyn TraceSink>>]);
         let clone = h.share();
         h.global_acquire(NodeId(3), 50);
@@ -372,7 +391,12 @@ mod tests {
             WordMask::single(0) | WordMask::single(1),
         );
         clone.acquired(NodeId(3), 2, true);
-        let r = c.borrow_mut().take_report(100);
+        clone.run_finished(&RunEnd {
+            cycles: 100,
+            ..RunEnd::default()
+        });
+        let r = c.borrow_mut().take_report();
+        assert_eq!(r.cycles, 100);
         assert_eq!(r.ledger[3].acquires, 1);
         assert_eq!(r.ledger[3].flash_acquires, 1);
         assert_eq!(r.ledger[3].words_dropped, 2);
@@ -388,7 +412,7 @@ mod tests {
 
     #[test]
     fn refetch_watch_counts_waste_and_overwrites() {
-        let mut h = LensCollector::new(LensSpec::default(), 16);
+        let mut h = LensCollector::new(&micro15(), DEFAULT_TOPK);
         let line = LineAddr(7);
         h.global_acquire(NodeId(0), 10);
         // Drop words 0..=4 while valid; word 0 is overwritten locally,
@@ -402,7 +426,7 @@ mod tests {
         h.request_done(ReqId(9), 0, 40);
         // A second fill finds nothing watched.
         h.filled(NodeId(0), line, WordMask::full(), false);
-        let r = h.take_report(100);
+        let r = h.take_report();
         let l = &r.ledger[0];
         assert_eq!(l.words_dropped, 5);
         assert_eq!(l.words_overwritten, 1);
@@ -424,18 +448,18 @@ mod tests {
 
     #[test]
     fn unwatched_misses_do_not_charge_stalls() {
-        let mut h = LensCollector::new(LensSpec::default(), 16);
+        let mut h = LensCollector::new(&micro15(), DEFAULT_TOPK);
         h.l1_miss(NodeId(0), LineAddr(7).word(1), ReqId(5));
         h.request_done(ReqId(5), 0, 100);
         h.request_done(ReqId(6), 0, 100); // never missed at all
-        let r = h.take_report(50);
+        let r = h.take_report();
         assert_eq!(r.ledger[0].refetch_misses, 0);
         assert_eq!(r.ledger[0].stall_cycles, 0);
     }
 
     #[test]
     fn reuse_distances_cross_acquire_epochs() {
-        let mut h = LensCollector::new(LensSpec::default(), 16);
+        let mut h = LensCollector::new(&micro15(), DEFAULT_TOPK);
         let line = LineAddr(3);
         h.l1_access(NodeId(0), line, false); // first touch: starts the clock only
         h.l1_access(NodeId(0), line, true); // distance 0, hit
@@ -447,7 +471,7 @@ mod tests {
                                             // Another node's epoch is independent.
         h.l1_access(NodeId(1), line, false);
         h.l1_access(NodeId(1), line, true); // distance 0 on node 1
-        let r = h.take_report(100);
+        let r = h.take_report();
         assert_eq!(r.reuse_hits, [2, 0, 1, 0, 0]);
         assert_eq!(r.reuse_misses, [0, 1, 0, 0, 0]);
         let row = &r.lines[0];
@@ -459,14 +483,14 @@ mod tests {
 
     #[test]
     fn ownership_lifecycle_accumulates_globally_and_per_line() {
-        let mut h = LensCollector::new(LensSpec::default(), 16);
+        let mut h = LensCollector::new(&micro15(), DEFAULT_TOPK);
         h.l2_register(NodeId(1), LineAddr(1), 5, 4);
         h.l2_transfer(LineAddr(1), 3);
         h.ownership_stolen(NodeId(2), LineAddr(1), 2);
         h.evicted(NodeId(2), Level::L1, LineAddr(1), 6);
         h.evicted(NodeId(1), Level::L2, LineAddr(1), 7); // not an ownership writeback
         h.filled(NodeId(2), LineAddr(1), WordMask::single(0), true);
-        let r = h.take_report(100);
+        let r = h.take_report();
         assert_eq!(r.l2_reg_words, 4);
         assert_eq!(r.l2_transfer_words, 3);
         assert_eq!(r.steal_words, 2);
@@ -481,13 +505,12 @@ mod tests {
 
     #[test]
     fn line_table_ranks_by_activity_and_truncates_to_topk() {
-        let spec = LensSpec { topk: 2 };
-        let mut h = LensCollector::new(spec, 16);
+        let mut h = LensCollector::new(&micro15(), 2);
         h.global_acquire(NodeId(0), 1);
         h.invalidated(NodeId(0), LineAddr(10), WordMask::single(0));
         h.invalidated(NodeId(0), LineAddr(11), WordMask::full());
         h.invalidated(NodeId(0), LineAddr(12), (0..3).collect());
-        let r = h.take_report(100);
+        let r = h.take_report();
         assert_eq!(r.lines.len(), 2);
         assert_eq!(r.lines[0].line, 11, "hottest first");
         assert_eq!(r.lines[1].line, 12);

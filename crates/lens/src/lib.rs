@@ -4,9 +4,8 @@
 //! simulator: what the paper's protocols actually do to a cache line,
 //! and what it costs.
 //!
-//! Three views, switched on per run by `lens: Some(LensSpec)` in the
-//! `ObserveSpec` given to `Simulator::run_observed`, and all
-//! observation-only:
+//! Three views, collected by a [`LensCollector`] the caller installs on
+//! a run's trace handle, and all observation-only:
 //!
 //! 1. **Acquire cost ledger** — per global acquire, how many
 //!    still-valid words the invalidation sweep dropped, and (by
@@ -19,7 +18,7 @@
 //! 2. **Per-line lifecycle table** — Valid/Owned install churn,
 //!    ownership transfers and steals, L2 registration churn, and
 //!    eviction writebacks for the top-k hottest lines, annotated with
-//!    the workload region names `gsim-prof` already declares.
+//!    the workload region names of a `gsim_types::RegionMap`.
 //! 3. **Cross-sync reuse histograms** — reuse distance in acquire
 //!    epochs for hits and misses, globally and per region: the direct
 //!    measurement of the paper's "DeNovo retains data at
@@ -27,7 +26,7 @@
 //!    as cross-boundary *misses*, DeNovo as cross-boundary *hits*).
 //!
 //! The [`LensCollector`] is a `gsim-trace`
-//! [`TraceSink`](gsim_trace::TraceSink) consumer: the engine installs it
+//! [`TraceSink`](gsim_trace::TraceSink) consumer: the caller installs it
 //! on the run's trace handle, and both protocols' controllers and the
 //! engine reach it through the hooks they already report there. An
 //! unobserved run has no consumer, so each hook is one branch, and a
@@ -36,10 +35,8 @@
 
 pub mod collector;
 pub mod report;
-pub mod spec;
 
-pub use collector::{LensCollector, MAX_EVENTS, MAX_TRACKED_LINES};
+pub use collector::{LensCollector, DEFAULT_TOPK, MAX_EVENTS, MAX_TRACKED_LINES};
 pub use report::{
     reuse_bucket, AcquireEvent, AcquireLedger, LensReport, LineRow, REUSE_BUCKETS, REUSE_LABELS,
 };
-pub use spec::LensSpec;

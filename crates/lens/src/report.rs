@@ -2,8 +2,7 @@
 //! exact reconciliation against the protocol counters, JSON export,
 //! CSV/Perfetto exports, and text renderers.
 
-use gsim_prof::RegionMap;
-use gsim_types::{Counts, Cycle, JsonValue, LineAddr};
+use gsim_types::{Counts, Cycle, JsonValue, LineAddr, RegionMap};
 use std::fmt::Write as _;
 
 /// Reuse-distance histogram buckets: acquire epochs between two

@@ -622,7 +622,8 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsim_flow::{FlowCollector, FlowSpec};
+    use gsim_flow::{FlowCollector, DEFAULT_JOURNEY_PERIOD};
+    use gsim_trace::{RunEnd, RunShape};
     use gsim_types::{Component, LineAddr, MsgClass, MsgKind, WordMask, WORDS_PER_LINE};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -883,9 +884,11 @@ mod tests {
         assert!(m.flit_hops() > 0);
     }
 
-    /// A trace handle feeding a fresh flow collector on `nodes` nodes.
+    /// A trace handle feeding a fresh flow collector on `nodes` nodes
+    /// (flow reads only the node count and the L2 latency of a shape).
     fn flow_collector(nodes: usize) -> (TraceHandle, Rc<RefCell<FlowCollector>>) {
-        let flow = FlowCollector::new(FlowSpec::default(), 1024, nodes, 26);
+        let shape = RunShape::new(nodes, nodes, 0, 26);
+        let flow = FlowCollector::new(&shape, 1024, DEFAULT_JOURNEY_PERIOD);
         let flow = Rc::new(RefCell::new(flow));
         let h = TraceHandle::disabled().with_consumers([flow.clone() as _]);
         (h, flow)
@@ -900,7 +903,8 @@ mod tests {
         m.send(0, &data(0, 15, WORDS_PER_LINE)); // queues behind the first
         m.send(1, &ctrl(3, 12));
         m.send(5, &ctrl(9, 9)); // local: no link crossing
-        let r = flow.borrow_mut().take_report(100);
+        h.run_finished(&RunEnd::default());
+        let r = flow.borrow_mut().take_report();
         r.reconcile(m.traffic()).expect("per-link sums match");
         assert_eq!(r.total_flits(), m.traffic().total());
         // The second 5-flit message waited on every one of the 6 links.
@@ -1114,7 +1118,8 @@ mod tests {
             m.send(0, &data(15, 31, WORDS_PER_LINE));
             m.send(2, &ctrl(16, 0));
             m.send(3, &ctrl(9, 9));
-            let r = flow.borrow_mut().take_report(200);
+            h.run_finished(&RunEnd::default());
+            let r = flow.borrow_mut().take_report();
             r.reconcile(m.traffic()).expect("per-link sums match");
             // The gateway links appear in the report as ordinary links.
             assert!(

@@ -1,85 +1,52 @@
 //! The profiler: a [`TraceSink`] consumer collecting cycle
 //! attribution, hot-line sketches and interval samples.
 //!
-//! The engine installs one [`Profiler`] on the run's trace handle and
-//! keeps an `Rc` to it to take the report; every component reaches it through the hooks it already
-//! reports. It only observes: no hook schedules an event, touches
-//! protocol state, or returns anything the engine acts on.
+//! The caller installs one [`Profiler`] on the trace handle of the run
+//! and keeps an `Rc` to it to take the report; every component reaches
+//! it through the hooks it already reports. It only observes: no hook
+//! schedules an event, touches protocol state, or returns anything the
+//! engine acts on.
 
 use crate::attr::CuAttr;
 use crate::report::{CuRow, ProfileReport};
 use crate::sketch::{LineTally, SpaceSaving, SKETCH_LINES};
-use gsim_trace::{IntervalSample, SampleRing, StallKind, TraceSink};
+use gsim_trace::{IntervalSample, RunEnd, RunShape, SampleRing, StallKind, TraceSink};
 use gsim_types::{Counts, Cycle, LineAddr, NodeId, Scope, SyncOrd, TbId, WordAddr, WordMask};
 
 /// The collection state of one profiled run.
 #[derive(Clone, Debug)]
 pub struct Profiler {
-    /// The engine's sampling interval, echoed in the report.
+    /// The sampling interval it declares, echoed in the report.
     interval: Cycle,
-    /// CUs per device and nodes per device: a CU node's attribution row
-    /// is `device * cus_per_device + local node` (rows skip each
-    /// device's non-CU node).
-    cus_per_device: usize,
-    nodes_per_device: usize,
+    /// The machine profiled: a CU node's attribution row is its dense
+    /// CU index.
+    shape: RunShape,
     attr: Vec<CuAttr>,
     cu_counts: Vec<Counts>,
     l1_sketches: Vec<SpaceSaving>,
     l2_sketch: SpaceSaving,
     ring: SampleRing<IntervalSample>,
-}
-
-/// End-of-run inputs the engine owns and the profiler needs to build
-/// its report: the final cycle and the counters of the non-engine
-/// components.
-#[derive(Clone, Debug)]
-pub struct ReportInputs {
-    /// `SimStats::cycles` of the run.
-    pub end: Cycle,
-    /// Final L1 counters, indexed by node (CU and non-CU nodes alike).
-    pub l1_counts: Vec<Counts>,
-    /// Final L2 counters.
-    pub l2_counts: Counts,
-    /// `Counts::messages_sent` of the run.
-    pub messages_sent: u64,
-    /// `Counts::flit_hops` of the run.
-    pub flit_hops: u64,
+    /// The run's end, once it has finished.
+    end: RunEnd,
 }
 
 impl Profiler {
-    /// A profiler on a fabric of `nodes` nodes, `nodes_per_device` per
-    /// device, the first `cus_per_device` of each device hosting a CU:
-    /// every CU gets an attribution row, every L1 a sketch. `interval`
-    /// is the period the engine samples at.
-    pub fn new(
-        interval: Cycle,
-        cus_per_device: usize,
-        nodes_per_device: usize,
-        nodes: usize,
-    ) -> Self {
-        let cus = nodes / nodes_per_device * cus_per_device;
+    /// A profiler for one run on a machine of `shape`, sampling every
+    /// `interval` cycles (0 is taken as 1): every CU gets an attribution
+    /// row, every L1 a sketch.
+    pub fn new(shape: &RunShape, interval: Cycle) -> Self {
         Profiler {
-            interval,
-            cus_per_device,
-            nodes_per_device,
-            attr: vec![CuAttr::default(); cus],
-            cu_counts: vec![Counts::default(); cus],
-            l1_sketches: (0..nodes).map(|_| SpaceSaving::new(SKETCH_LINES)).collect(),
+            interval: interval.max(1),
+            shape: *shape,
+            attr: vec![CuAttr::default(); shape.cus()],
+            cu_counts: vec![Counts::default(); shape.cus()],
+            l1_sketches: (0..shape.nodes)
+                .map(|_| SpaceSaving::new(SKETCH_LINES))
+                .collect(),
             l2_sketch: SpaceSaving::new(SKETCH_LINES),
             ring: SampleRing::default(),
+            end: RunEnd::default(),
         }
-    }
-
-    /// The attribution row of CU node `node`.
-    fn row(&self, node: NodeId) -> usize {
-        let n = node.index();
-        n / self.nodes_per_device * self.cus_per_device + n % self.nodes_per_device
-    }
-
-    /// The node of attribution row `row` (the inverse of
-    /// [`row`](Self::row)).
-    fn node(&self, row: usize) -> usize {
-        row / self.cus_per_device * self.nodes_per_device + row % self.cus_per_device
     }
 
     /// A program access to `line` from the L1 on `node`.
@@ -87,17 +54,18 @@ impl Profiler {
         self.l1_sketches[node.index()].add(line, LineTally::access());
     }
 
-    /// Flushes the attribution tails and assembles the report, leaving
-    /// the profiler drained.
-    pub fn take_report(&mut self, inputs: ReportInputs) -> ProfileReport {
+    /// Flushes the attribution tails and assembles the report of the
+    /// finished run, leaving the profiler drained.
+    pub fn take_report(&mut self) -> ProfileReport {
+        let end = std::mem::take(&mut self.end);
         let cus = self.attr.len();
         for a in &mut self.attr {
-            a.finish(inputs.end);
+            a.finish(end.cycles);
         }
         let rows: Vec<CuRow> = (0..cus)
             .map(|cu| {
                 let mut counts = self.cu_counts[cu];
-                if let Some(l1) = inputs.l1_counts.get(self.node(cu)) {
+                if let Some(l1) = end.l1_counts.get(self.shape.node_of(cu)) {
                     counts += *l1;
                 }
                 CuRow {
@@ -110,14 +78,14 @@ impl Profiler {
         // functional CPU node), the L2, and the mesh counters — so the
         // rows plus this residual sum exactly to the global `Counts`.
         let mut other = Counts::default();
-        for (node, l1) in inputs.l1_counts.iter().enumerate() {
-            if node % self.nodes_per_device >= self.cus_per_device {
+        for (node, l1) in end.l1_counts.iter().enumerate() {
+            if !self.shape.is_cu(node) {
                 other += *l1;
             }
         }
-        other += inputs.l2_counts;
-        other.messages_sent = inputs.messages_sent;
-        other.flit_hops = inputs.flit_hops;
+        other += end.l2_counts;
+        other.messages_sent = end.messages_sent;
+        other.flit_hops = end.flit_hops;
         // Merge the per-L1 sketches and the L2 sketch by line.
         let mut merged: Vec<(LineAddr, LineTally, u64)> = Vec::new();
         let mut sketch_updates = 0u64;
@@ -144,7 +112,7 @@ impl Profiler {
             .collect();
         let (samples, dropped_samples) = std::mem::take(&mut self.ring).into_parts();
         ProfileReport {
-            cycles: inputs.end,
+            cycles: end.cycles,
             interval: self.interval,
             cus: rows,
             other,
@@ -158,6 +126,14 @@ impl Profiler {
 }
 
 impl TraceSink for Profiler {
+    fn sample_interval(&self) -> Option<Cycle> {
+        Some(self.interval)
+    }
+
+    fn run_finished(&mut self, end: &RunEnd) {
+        self.end = end.clone();
+    }
+
     /// An issued atomic is a program access to its line.
     fn atomic_issued(&mut self, _: TbId, cu: NodeId, word: WordAddr, _: SyncOrd, _: Scope) {
         self.line_access(cu, word.line());
@@ -172,7 +148,7 @@ impl TraceSink for Profiler {
         instructions: u64,
         scratch: u64,
     ) {
-        let row = self.row(node);
+        let row = self.shape.cu_of(node.index());
         self.attr[row].tick(now, spent, next);
         let c = &mut self.cu_counts[row];
         c.cu_active_cycles += 1;
@@ -181,7 +157,7 @@ impl TraceSink for Profiler {
     }
 
     fn cu_state(&mut self, node: NodeId, now: Cycle, state: StallKind) {
-        let row = self.row(node);
+        let row = self.shape.cu_of(node.index());
         self.attr[row].set_state(now, state);
     }
 
@@ -243,25 +219,29 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    fn inputs(end: Cycle, nodes: usize) -> ReportInputs {
-        ReportInputs {
-            end,
+    fn end(cycles: Cycle, nodes: usize) -> RunEnd {
+        RunEnd {
+            cycles,
             l1_counts: vec![Counts::default(); nodes],
-            l2_counts: Counts::default(),
-            messages_sent: 0,
-            flit_hops: 0,
+            ..RunEnd::default()
         }
     }
 
     #[test]
     fn hooks_through_a_shared_handle_reach_one_profiler() {
-        let p = Rc::new(RefCell::new(Profiler::new(1024, 2, 3, 3)));
+        let p = Rc::new(RefCell::new(Profiler::new(
+            &RunShape::new(3, 3, 2, 26),
+            1024,
+        )));
         let h = TraceHandle::disabled().with_consumers([p.clone() as Rc<RefCell<dyn TraceSink>>]);
+        assert_eq!(h.sample_interval(), Some(1024), "the profiler's clock");
         let clone = h.share();
         h.cu_tick(NodeId(0), 0, StallKind::Issue, None, 1, 0);
         clone.cu_tick(NodeId(0), 1, StallKind::Issue, None, 1, 1);
         clone.l1_access(NodeId(1), LineAddr(9), true);
-        let r = p.borrow_mut().take_report(inputs(100, 3));
+        clone.run_finished(&end(100, 3));
+        let r = p.borrow_mut().take_report();
+        assert_eq!(r.cycles, 100);
         assert_eq!(r.cus[0].counts.instructions, 2);
         assert_eq!(r.cus[0].counts.scratch_accesses, 1);
         assert_eq!(r.cus[0].counts.cu_active_cycles, 2);
@@ -273,13 +253,14 @@ mod tests {
     fn rows_skip_each_devices_non_cu_node() {
         // Two devices of 4 nodes with 3 CUs each: node 5 is device 1's
         // second CU, row 4.
-        let mut p = Profiler::new(1024, 3, 4, 8);
+        let mut p = Profiler::new(&RunShape::new(8, 4, 3, 26), 1024);
         p.cu_tick(NodeId(5), 0, StallKind::Issue, None, 1, 0);
-        let mut ins = inputs(10, 8);
-        for (node, l1) in ins.l1_counts.iter_mut().enumerate() {
+        let mut fin = end(10, 8);
+        for (node, l1) in fin.l1_counts.iter_mut().enumerate() {
             l1.l1_accesses = 1 << node;
         }
-        let r = p.take_report(ins);
+        p.run_finished(&fin);
+        let r = p.take_report();
         assert_eq!(r.cus.len(), 6);
         assert_eq!(r.cus[4].counts.instructions, 1);
         // Each row carries its own node's L1; nodes 3 and 7 go to `other`.
@@ -290,7 +271,7 @@ mod tests {
 
     #[test]
     fn report_charges_tails_to_cycles() {
-        let mut p = Profiler::new(1024, 2, 2, 2);
+        let mut p = Profiler::new(&RunShape::new(2, 2, 2, 26), 1024);
         p.cu_state(NodeId(0), 0, StallKind::Issue);
         p.cu_tick(
             NodeId(0),
@@ -300,7 +281,8 @@ mod tests {
             1,
             0,
         );
-        let r = p.take_report(inputs(50, 2));
+        p.run_finished(&end(50, 2));
+        let r = p.take_report();
         for cu in &r.cus {
             let total: u64 = cu.buckets.iter().sum();
             assert_eq!(total, 50, "buckets must sum to cycles");

@@ -1,9 +1,8 @@
 //! The profile report: the immutable result of a profiled run, with
 //! reconciliation, annotation, JSON export, and renderers.
 
-use crate::region::RegionMap;
 use gsim_trace::{IntervalSample, StallKind, NUM_STALL_KINDS, STALL_KINDS};
-use gsim_types::{Counts, Cycle, JsonValue, LineAddr};
+use gsim_types::{Counts, Cycle, JsonValue, LineAddr, RegionMap};
 use std::fmt::Write as _;
 
 /// One CU's share of the run: its stall buckets and its counters (the

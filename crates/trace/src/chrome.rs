@@ -4,8 +4,10 @@
 //! `{"traceEvents": [...]}` — which loads directly in
 //! <https://ui.perfetto.dev> and `chrome://tracing`. The mapping:
 //!
-//! * **pid 0, "memory-system"** — one track (`tid`) per mesh node.
-//!   Protocol, cache, MSHR, sync, and NoC events appear as instant
+//! * **pid 0, "memory-system"** — one track (`tid`) per mesh node,
+//!   named `cuN` for a CU node and `cpu` for each device's non-CU node
+//!   (the run's [`RunShape`] says which is which). Protocol, cache,
+//!   MSHR, sync, and NoC events appear as instant
 //!   events on their node's track; store-buffer drains appear as
 //!   duration slices.
 //! * **pid 1, "thread-blocks"** — one track per thread block; its
@@ -22,6 +24,7 @@
 //! are downgraded to instant events so the JSON always nests cleanly.
 
 use crate::event::TraceEvent;
+use crate::hook::RunShape;
 use crate::sink::RingRecorder;
 use gsim_types::json::escape;
 use gsim_types::Cycle;
@@ -191,18 +194,21 @@ impl Writer {
     }
 }
 
-/// Renders a recorder's contents as Chrome trace-event JSON.
-pub fn to_chrome_json(rec: &RingRecorder) -> String {
-    chrome_json(&rec.to_vec(), rec.dropped(), &[], &[])
+/// Renders a recorder's contents, recorded on a machine of `shape`, as
+/// Chrome trace-event JSON.
+pub fn to_chrome_json(shape: &RunShape, rec: &RingRecorder) -> String {
+    chrome_json(shape, &rec.to_vec(), rec.dropped(), &[], &[])
 }
 
-/// Renders `(cycle, event)` pairs (oldest first) as Chrome trace-event
-/// JSON; `dropped` is reported in `otherData`. Each `counters` track
+/// Renders `(cycle, event)` pairs (oldest first), recorded on a machine
+/// of `shape`, as Chrome trace-event JSON; `dropped` is reported in
+/// `otherData`. Each `counters` track
 /// becomes a counter track under pid 3, and each `journeys` span a
 /// track of per-stage duration slices under pid 4, with a flow arrow
 /// from issue to completion. With both slices empty, only the events
 /// are rendered.
 pub fn chrome_json(
+    shape: &RunShape,
     events: &[(Cycle, TraceEvent)],
     dropped: u64,
     counters: &[CounterTrack],
@@ -257,10 +263,10 @@ pub fn chrome_json(
         }
     }
     for &n in &nodes {
-        let label = if n == 15 {
-            "cpu".to_string()
-        } else {
+        let label = if shape.is_cu(n as usize) {
             format!("cu{n}")
+        } else {
+            "cpu".to_string()
         };
         w.metadata("thread_name", PID_MEM, n, &label);
     }
@@ -550,6 +556,11 @@ mod tests {
     use crate::sink::TraceSink;
     use gsim_types::{NodeId, TbId};
 
+    /// The Table 3 machine: 16 nodes, node 15 the CPU.
+    fn one_device() -> RunShape {
+        RunShape::new(16, 16, 15, 26)
+    }
+
     #[test]
     fn exports_balanced_durations() {
         let mut r = RingRecorder::new(64);
@@ -576,7 +587,7 @@ mod tests {
                 cu: NodeId(1),
             },
         );
-        let json = to_chrome_json(&r);
+        let json = to_chrome_json(&one_device(), &r);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"B\""));
         assert!(json.contains("\"ph\":\"E\""));
@@ -599,7 +610,7 @@ mod tests {
                 ("req-transit".into(), 102, 110),
             ],
         };
-        let json = chrome_json(&[], 0, &[], &[j]);
+        let json = chrome_json(&one_device(), &[], 0, &[], &[j]);
         let expected = concat!(
             "{\"traceEvents\":[\n",
             "{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\"args\":{\"name\":\"memory-system\"}},\n",
@@ -626,7 +637,7 @@ mod tests {
         ipc.push(1024, 1.25);
         let mut hits = CounterTrack::new("l1-hit-rate");
         hits.push(1024, 0.875);
-        let json = chrome_json(&[], 0, &[ipc, hits], &[]);
+        let json = chrome_json(&one_device(), &[], 0, &[ipc, hits], &[]);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 3);
         assert_eq!(json.matches("\"name\":\"counters\"").count(), 1);
         assert_eq!(
@@ -646,10 +657,24 @@ mod tests {
         let mut t = CounterTrack::new("bad");
         t.push(0, f64::NAN);
         t.push(1, f64::INFINITY);
-        let json = chrome_json(&[], 0, &[t], &[]);
+        let json = chrome_json(&one_device(), &[], 0, &[t], &[]);
         assert!(!json.contains("NaN"));
         assert!(!json.contains("inf"));
         assert_eq!(json.matches("\"value\":0").count(), 2);
+    }
+
+    #[test]
+    fn each_devices_non_cu_node_is_labelled_cpu() {
+        let mut r = RingRecorder::new(8);
+        for node in [0, 15, 16, 31] {
+            r.record(1, &TraceEvent::SbFlushEnd { node: NodeId(node) });
+        }
+        let label = |n: u32| format!("\"tid\":{n},\"args\":{{\"name\":");
+        let json = to_chrome_json(&RunShape::new(32, 16, 15, 26), &r);
+        for (node, name) in [(0, "cu0"), (15, "cpu"), (16, "cu16"), (31, "cpu")] {
+            let want = format!("{}\"{name}\"}}", label(node));
+            assert!(json.contains(&want), "node {node} is {name}: {json}");
+        }
     }
 
     #[test]
@@ -665,7 +690,7 @@ mod tests {
             },
         );
         r.record(20, &TraceEvent::SbFlushEnd { node: NodeId(0) });
-        let json = to_chrome_json(&r);
+        let json = to_chrome_json(&one_device(), &r);
         assert!(!json.contains("\"ph\":\"E\""), "no unmatched end");
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"dropped\":1"));

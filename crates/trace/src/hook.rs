@@ -1,10 +1,11 @@
 //! The value types hooks carry beyond `gsim-types`: why a CU cycle was
 //! spent ([`StallKind`]), what kind of request a journey follows
 //! ([`JourneyKind`]), the engine's periodic counter snapshot
-//! ([`IntervalSample`]), and the bounded store that time series are
-//! kept in ([`SampleRing`]).
+//! ([`IntervalSample`]) and end-of-run summary ([`RunEnd`]), the
+//! bounded store that time series are kept in ([`SampleRing`]), and
+//! the shape of the machine a run reports from ([`RunShape`]).
 
-use gsim_types::Cycle;
+use gsim_types::{Counts, Cycle};
 
 /// Number of attribution buckets.
 pub const NUM_STALL_KINDS: usize = 8;
@@ -130,7 +131,104 @@ impl JourneyKind {
     }
 }
 
-/// One snapshot, taken every `ObserveSpec::interval` cycles. Counter
+/// The shape of the simulated machine one run reports from: how many
+/// nodes it has, how they group into devices, which of them host a CU,
+/// and the L2 service time. It owns the CU-node rule: the first
+/// `cus_per_device` nodes of each device host a CU, and the rest (the
+/// CPU/L2-only node) do not. Dense CU index `cu` is local CU
+/// `cu % cus_per_device` of device `cu / cus_per_device`.
+///
+/// # Examples
+///
+/// ```
+/// use gsim_trace::RunShape;
+///
+/// // Two devices of 16 nodes, 15 CUs each.
+/// let shape = RunShape::new(32, 16, 15, 26);
+/// assert_eq!(shape.cus(), 30);
+/// assert!(!shape.is_cu(15) && !shape.is_cu(31));
+/// assert_eq!(shape.node_of(15), 16);
+/// assert_eq!(shape.cu_of(16), 15);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunShape {
+    /// Nodes, over every device.
+    pub nodes: usize,
+    /// Nodes per device.
+    pub nodes_per_device: usize,
+    /// CU nodes per device: the first this many of each device's nodes.
+    pub cus_per_device: usize,
+    /// The service time of one L2 bank access, in cycles.
+    pub l2_latency: Cycle,
+}
+
+impl RunShape {
+    /// The shape with these fields, in their order.
+    pub fn new(
+        nodes: usize,
+        nodes_per_device: usize,
+        cus_per_device: usize,
+        l2_latency: Cycle,
+    ) -> Self {
+        RunShape {
+            nodes,
+            nodes_per_device,
+            cus_per_device,
+            l2_latency,
+        }
+    }
+
+    /// The CU count, over every device.
+    pub fn cus(&self) -> usize {
+        self.nodes / self.nodes_per_device * self.cus_per_device
+    }
+
+    /// Whether `node` hosts a CU.
+    pub fn is_cu(&self, node: usize) -> bool {
+        node % self.nodes_per_device < self.cus_per_device
+    }
+
+    /// The dense CU index of CU node `node`.
+    pub fn cu_of(&self, node: usize) -> usize {
+        debug_assert!(self.is_cu(node), "node {node} hosts no CU");
+        node / self.nodes_per_device * self.cus_per_device + node % self.nodes_per_device
+    }
+
+    /// The node hosting dense CU index `cu`.
+    pub fn node_of(&self, cu: usize) -> usize {
+        debug_assert!(cu < self.cus(), "CU {cu} of {}", self.cus());
+        cu / self.cus_per_device * self.nodes_per_device + cu % self.cus_per_device
+    }
+
+    /// Every CU node, in node order.
+    pub fn cu_nodes(&self) -> impl Iterator<Item = usize> + 'static {
+        let shape = *self;
+        (0..self.nodes).filter(move |&n| shape.is_cu(n))
+    }
+}
+
+/// What the engine reports once a run has verified: its final cycle
+/// and the counters its components kept, beside the engine's own.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RunEnd {
+    /// `SimStats::cycles` of the run.
+    pub cycles: Cycle,
+    /// Final L1 counters, indexed by node (CU and non-CU nodes alike).
+    pub l1_counts: Vec<Counts>,
+    /// Final L2 counters.
+    pub l2_counts: Counts,
+    /// `Counts::messages_sent` of the run.
+    pub messages_sent: u64,
+    /// `Counts::flit_hops` of the run.
+    pub flit_hops: u64,
+}
+
+/// The sampling interval of a time series when its view is not told
+/// otherwise, in cycles.
+pub const DEFAULT_SAMPLE_INTERVAL: Cycle = 1024;
+
+/// One snapshot, taken every sampling interval (the period the run's
+/// consumers declare through `TraceSink::sample_interval`). Counter
 /// fields are cumulative since cycle 0; `*_occupancy`, `pending_reqs`
 /// and `outstanding_syncs` are instantaneous gauges. The engine takes
 /// them lazily, from the event loop: an idle gap spanning several
@@ -216,6 +314,24 @@ mod tests {
         assert_eq!(samples.len(), MAX_SAMPLES);
         assert_eq!(dropped, 5);
         assert_eq!(samples[0], 0, "earliest window kept");
+    }
+
+    #[test]
+    fn run_shape_maps_cu_nodes_both_ways() {
+        // Two devices of 4 nodes with 3 CUs each.
+        let shape = RunShape::new(8, 4, 3, 26);
+        assert_eq!(shape.cus(), 6);
+        assert_eq!(shape.cu_nodes().collect::<Vec<_>>(), [0, 1, 2, 4, 5, 6]);
+        for (cu, node) in shape.cu_nodes().enumerate() {
+            assert_eq!(shape.node_of(cu), node);
+            assert_eq!(shape.cu_of(node), cu);
+        }
+        let one = RunShape::new(16, 16, 15, 26);
+        assert!(
+            (0..15).all(|cu| one.node_of(cu) == cu),
+            "identity on one device"
+        );
+        assert!(!one.is_cu(15));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! [`TraceHandle`]. Through it they report each fact they observe once,
 //! as a typed hook of [`TraceSink`] (an L1 access, an acquire sweep's
 //! dropped words, a link crossing, ...), which the handle fans out to
-//! every installed consumer: the [`RingRecorder`], and gsim-prof's,
-//! gsim-flow's and gsim-lens's collectors. A hook whose fact is also a
-//! structured [`TraceEvent`] (a message send, a fill's state change, an
-//! eviction, ...) declares that event once, and the handle records it
-//! for every consumer; the facts no hook carries go to
-//! [`TraceHandle::emit`]. The 16 events fall in 9 categories:
+//! every consumer its caller installed: the [`RingRecorder`], and
+//! gsim-prof's, gsim-flow's and gsim-lens's collectors, each sized by
+//! the run's [`RunShape`]. A hook whose fact is also a structured
+//! [`TraceEvent`] (a message send, a fill's state change, an eviction,
+//! ...) declares that event once, and the handle records it for every
+//! consumer; the facts no hook carries go to [`TraceHandle::emit`]. The
+//! 16 events fall in 9 categories:
 //!
 //! | [`Category`] | events |
 //! |---|---|
@@ -49,14 +50,15 @@
 //! waterfalls) as per-journey span tracks with flow arrows:
 //!
 //! ```
-//! use gsim_trace::{to_chrome_json, RingRecorder, TraceEvent, TraceHandle};
+//! use gsim_trace::{to_chrome_json, RingRecorder, RunShape, TraceEvent, TraceHandle};
 //! use gsim_types::{NodeId, TbId};
 //!
 //! let handle = TraceHandle::new(RingRecorder::new(1 << 20));
 //! // ... hand clones of `handle` to the simulator, run ...
 //! handle.set_now(17);
 //! handle.emit(|| TraceEvent::TbLaunch { tb: TbId(0), cu: NodeId(2) });
-//! let json = to_chrome_json(&handle.recorder().unwrap().borrow());
+//! let shape = RunShape::new(16, 16, 15, 26); // the machine that ran
+//! let json = to_chrome_json(&shape, &handle.recorder().unwrap().borrow());
 //! assert!(json.contains("\"traceEvents\""));
 //! ```
 
@@ -68,6 +70,7 @@ pub mod sink;
 pub use chrome::{chrome_json, to_chrome_json, CounterTrack, JourneySpan};
 pub use event::{Category, FlushReason, Level, TraceEvent, WState};
 pub use hook::{
-    IntervalSample, JourneyKind, SampleRing, StallKind, MAX_SAMPLES, NUM_STALL_KINDS, STALL_KINDS,
+    IntervalSample, JourneyKind, RunEnd, RunShape, SampleRing, StallKind, DEFAULT_SAMPLE_INTERVAL,
+    MAX_SAMPLES, NUM_STALL_KINDS, STALL_KINDS,
 };
 pub use sink::{RingRecorder, TraceHandle, TraceSink};

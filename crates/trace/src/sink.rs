@@ -18,7 +18,11 @@
 //!
 //! The trace recorder, the profiler, the flow collector and the lens
 //! are all consumers; a new view is one more `TraceSink` impl, with no
-//! component edits.
+//! component edits. A consumer that keeps a time series declares its
+//! period ([`sample_interval`](TraceSink::sample_interval)); the handle
+//! checks that every declared period agrees, and the engine samples on
+//! that one clock. After the run verifies, every consumer hears
+//! [`run_finished`](TraceSink::run_finished) once, last.
 //!
 //! # Zero cost when disabled
 //!
@@ -30,7 +34,7 @@
 //! synchronization.
 
 use crate::event::{Level, TraceEvent, WState};
-use crate::hook::{IntervalSample, JourneyKind, StallKind};
+use crate::hook::{IntervalSample, JourneyKind, RunEnd, StallKind};
 use gsim_types::{
     Cycle, LineAddr, Msg, MsgClass, NodeId, ReqId, Scope, SyncOrd, TbId, WordAddr, WordMask,
 };
@@ -67,6 +71,14 @@ macro_rules! hooks {
             /// Records one event at simulated cycle `at`.
             #[allow(unused_variables)]
             fn record(&mut self, at: Cycle, ev: &TraceEvent) {}
+            /// The period, in cycles, at which this consumer wants
+            /// [`interval_sample`](Self::interval_sample); `None` (the
+            /// default) wants no samples. Every consumer of one handle
+            /// that declares a period must declare the same one: it is
+            /// the run's one sampling clock.
+            fn sample_interval(&self) -> Option<Cycle> {
+                None
+            }
             $(
                 $(#[$doc])*
                 #[inline]
@@ -78,6 +90,9 @@ macro_rules! hooks {
         impl<S: TraceSink + ?Sized> TraceSink for Box<S> {
             fn record(&mut self, at: Cycle, ev: &TraceEvent) {
                 (**self).record(at, ev);
+            }
+            fn sample_interval(&self) -> Option<Cycle> {
+                (**self).sample_interval()
             }
             $(
                 #[inline]
@@ -153,8 +168,11 @@ hooks! {
     fn msg_delivered(msg: &Msg)
         => TraceEvent::MsgDeliver { src: msg.src, dst: msg.dst, class: msg.class() };
     /// The engine's counter snapshot at a sample boundary (one clock
-    /// serves every time series).
+    /// serves every time series). Arrives only when a consumer declares
+    /// a [`sample_interval`](TraceSink::sample_interval).
     fn interval_sample(sample: &IntervalSample);
+    /// The run verified and ended as `end` says; nothing follows.
+    fn run_finished(end: &RunEnd);
 
     // ---- L1 controllers ----
 
@@ -221,17 +239,18 @@ hooks! {
     /// The registry on `bank` registered `words` words of `line` and
     /// granted `granted` of them at once, being free (words it moves
     /// from a previous owner are reported to `l2_transfer`; with it,
-    /// beside `Counts::registrations`). Carries a `StateChange` of all
-    /// `words` from Valid to Invalid at the L2.
+    /// beside `Counts::registrations`). Carries a `StateChange` of the
+    /// `granted` words from Valid to Invalid at the L2 when there are
+    /// any: a moved word was already Invalid there.
     fn l2_register(bank: NodeId, line: LineAddr, words: u32, granted: u32)
-        => TraceEvent::StateChange {
+        => (granted > 0).then_some(TraceEvent::StateChange {
             node: bank,
             level: Level::L2,
             line,
-            words,
+            words: granted,
             from: WState::Valid,
             to: WState::Invalid,
-        };
+        });
 
     // ---- interconnect ----
 
@@ -262,6 +281,8 @@ hooks! {
 
 struct Shared {
     now: Cell<Cycle>,
+    /// The sampling period every consumer that declares one agrees on.
+    interval: Option<Cycle>,
     sinks: Vec<Rc<RefCell<dyn TraceSink>>>,
 }
 
@@ -342,21 +363,46 @@ impl TraceHandle {
     /// clock of its own. The caller keeps its `Rc`s to read the
     /// consumers back after the run; a handle with no consumer at all is
     /// [`disabled`](Self::disabled).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming both, if two consumers declare different
+    /// [`sample_interval`](TraceSink::sample_interval)s.
     pub fn with_consumers(
         &self,
         consumers: impl IntoIterator<Item = Rc<RefCell<dyn TraceSink>>>,
     ) -> TraceHandle {
         let mut sinks: Vec<_> = self.inner.iter().flat_map(|s| s.sinks.clone()).collect();
         sinks.extend(consumers);
+        // The first declared period, with the position of its consumer.
+        let mut interval: Option<(Cycle, usize)> = None;
+        for (i, sink) in sinks.iter().enumerate() {
+            if let Some(period) = sink.borrow().sample_interval() {
+                let (first, j) = *interval.get_or_insert((period, i));
+                assert_eq!(
+                    first, period,
+                    "consumers disagree on the sampling interval: consumer {j} declares \
+                     {first} cycles, consumer {i} declares {period}"
+                );
+            }
+        }
         TraceHandle {
             inner: (!sinks.is_empty()).then(|| {
                 Rc::new(Shared {
                     now: Cell::new(0),
+                    interval: interval.map(|(period, _)| period),
                     sinks,
                 })
             }),
             recorder: self.recorder.clone(),
         }
+    }
+
+    /// The run's sampling period: the one every consumer that declares
+    /// a [`sample_interval`](TraceSink::sample_interval) agrees on, or
+    /// `None` when no consumer wants samples.
+    pub fn sample_interval(&self) -> Option<Cycle> {
+        self.inner.as_ref().and_then(|s| s.interval)
     }
 
     /// Another handle on the same consumers and clock — what each
@@ -547,10 +593,12 @@ mod tests {
 
         // A hook that carries an event: every consumer sees the hook,
         // then the event stamped with the shared clock. A fill that
-        // installs nothing carries no event.
+        // installs nothing, or a registration that grants nothing at
+        // once, carries no event.
         h.set_now(7);
         h.evicted(NodeId(1), Level::L2, LineAddr(5), 2);
         h.filled(NodeId(1), LineAddr(5), WordMask::empty(), false);
+        h.l2_register(NodeId(1), LineAddr(5), 3, 0);
         h.ownership_stolen(NodeId(2), LineAddr(9), 4);
         h.filled(NodeId(2), LineAddr(9), WordMask::single(1), true);
         let state = |words, from, to| TraceEvent::StateChange {

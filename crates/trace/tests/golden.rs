@@ -12,7 +12,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p gsim-trace --test golden
 //! ```
 
-use gsim_trace::{chrome_json, CounterTrack, FlushReason, Level, TraceEvent, WState};
+use gsim_trace::{chrome_json, CounterTrack, FlushReason, Level, RunShape, TraceEvent, WState};
 use gsim_types::{Cycle, LineAddr, MsgClass, NodeId, Scope, SyncOrd, TbId, WordAddr};
 
 /// One event of every variant, with balanced begin/end pairs, spread
@@ -153,7 +153,7 @@ fn fixture() -> Vec<(Cycle, TraceEvent)> {
 
 #[test]
 fn chrome_export_matches_golden() {
-    let json = chrome_json(&fixture(), 3, &[], &[]);
+    let json = chrome_json(&RunShape::new(16, 16, 15, 26), &fixture(), 3, &[], &[]);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/chrome_small.json"
@@ -185,7 +185,13 @@ fn counter_fixture() -> Vec<CounterTrack> {
 
 #[test]
 fn chrome_counter_export_matches_golden() {
-    let json = chrome_json(&fixture(), 3, &counter_fixture(), &[]);
+    let json = chrome_json(
+        &RunShape::new(16, 16, 15, 26),
+        &fixture(),
+        3,
+        &counter_fixture(),
+        &[],
+    );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/chrome_counters.json"
@@ -203,7 +209,13 @@ fn chrome_counter_export_matches_golden() {
 
 #[test]
 fn counter_tracks_are_well_formed() {
-    let json = chrome_json(&fixture(), 3, &counter_fixture(), &[]);
+    let json = chrome_json(
+        &RunShape::new(16, 16, 15, 26),
+        &fixture(),
+        3,
+        &counter_fixture(),
+        &[],
+    );
     // Every sample becomes one ph:"C" event.
     assert_eq!(json.matches("\"ph\":\"C\"").count(), 5);
     // The counters process and each track are named exactly once.

@@ -5,31 +5,18 @@ use std::fmt;
 /// Simulated time, in GPU clock cycles (700 MHz in the paper's Table 3).
 pub type Cycle = u64;
 
-/// A network-node identifier on the 4x4 mesh.
+/// A network-node identifier on the mesh (or fabric of meshes).
 ///
 /// The modelled system (paper Figure 1) places one L1 cache and one bank of
 /// the shared NUCA L2 at each of 16 nodes; nodes `0..15` host GPU compute
-/// units (with scratchpads) and node `15` hosts the single CPU core.
+/// units (with scratchpads) and node `15` hosts the single CPU core. Which
+/// nodes of a run host a CU is its `gsim_trace::RunShape`'s to say.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u8);
 
 impl NodeId {
-    /// Number of mesh nodes in the baseline system.
-    pub const COUNT: usize = 16;
-    /// Number of GPU compute units (paper Table 3).
-    pub const GPU_CUS: usize = 15;
-    /// The CPU core's node.
+    /// The CPU core's node in the baseline system.
     pub const CPU: NodeId = NodeId(15);
-
-    /// All node ids, in order.
-    pub fn all() -> impl Iterator<Item = NodeId> {
-        (0..Self::COUNT as u8).map(NodeId)
-    }
-
-    /// All GPU CU node ids, in order.
-    pub fn gpu_cus() -> impl Iterator<Item = NodeId> {
-        (0..Self::GPU_CUS as u8).map(NodeId)
-    }
 
     /// This node's index as a `usize` (for array indexing).
     #[inline]
@@ -85,8 +72,6 @@ mod tests {
 
     #[test]
     fn node_roles() {
-        assert_eq!(NodeId::all().count(), 16);
-        assert_eq!(NodeId::gpu_cus().count(), 15);
         assert_eq!(format!("{:?}", NodeId(3)), "cu3");
         assert_eq!(format!("{:?}", NodeId::CPU), "cpu");
     }

@@ -34,6 +34,7 @@ pub mod hist;
 pub mod ids;
 pub mod json;
 pub mod msg;
+pub mod region;
 pub mod rng;
 pub mod serial;
 pub mod stats;
@@ -46,6 +47,7 @@ pub use hist::{LatencyBreakdown, LatencyHistogram};
 pub use ids::{Cycle, NodeId, ReqId, TbId};
 pub use json::JsonValue;
 pub use msg::{Component, Msg, MsgClass, MsgKind, CTRL_FLITS, FLIT_BYTES};
+pub use region::RegionMap;
 pub use rng::Rng64;
 pub use stats::{Counts, EnergyBreakdown, SimStats, TrafficBreakdown};
 pub use sync::{AtomicOp, Region, Scope, SyncOrd, Value};

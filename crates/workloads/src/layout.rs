@@ -9,8 +9,7 @@
 //! [`RegionMap`], which the profiler's hot-line report uses to print
 //! `lock[3]` instead of a raw line address.
 
-use gsim_prof::RegionMap;
-use gsim_types::{Addr, Value, WORDS_PER_LINE};
+use gsim_types::{Addr, RegionMap, Value, WORDS_PER_LINE};
 
 /// Line-aligned bump allocator over word addresses.
 ///

@@ -6,7 +6,7 @@ use crate::params::Scale;
 use crate::sync::{barrier, mutex, semaphore};
 use crate::uts;
 use gsim_core::Workload;
-use gsim_prof::RegionMap;
+use gsim_types::RegionMap;
 
 /// Which part of the evaluation a benchmark belongs to (Table 4's three
 /// sections, which are also the figure groupings, plus our extensions).

@@ -28,8 +28,7 @@ use crate::layout::Layout;
 use crate::params::{Scale, SyncParams};
 use gsim_core::kernel::{imm, r, AluOp, KernelBuilder};
 use gsim_core::{KernelLaunch, TbSpec, Workload};
-use gsim_prof::RegionMap;
-use gsim_types::{AtomicOp, Scope, SyncOrd, Value};
+use gsim_types::{AtomicOp, RegionMap, Scope, SyncOrd, Value};
 use std::sync::Arc;
 
 /// Which mutex algorithm to build.

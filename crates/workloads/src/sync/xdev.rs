@@ -33,8 +33,7 @@ use crate::params::{Scale, SyncParams};
 use crate::sync::mutex::{mutex_program, MutexAlgo};
 use gsim_core::kernel::{imm, r, AluOp, KernelBuilder};
 use gsim_core::{KernelLaunch, MeshConfig, TbSpec, Topology, Workload, XLinkConfig};
-use gsim_prof::RegionMap;
-use gsim_types::{AtomicOp, Scope, SyncOrd, Value, WORDS_PER_LINE};
+use gsim_types::{AtomicOp, RegionMap, Scope, SyncOrd, Value, WORDS_PER_LINE};
 
 /// The fabric shape these microbenchmarks assume: two of the paper's
 /// 4x4 meshes. Only node *counts* matter here (for line homing and CU

@@ -24,17 +24,22 @@
 //! puts one Table 4 benchmark under the same microscope.
 
 use gpu_denovo::explore::{self, Budget, ExploreMode, ScheduleId};
+use gpu_denovo::flow::DEFAULT_JOURNEY_PERIOD;
 use gpu_denovo::harness::{self, Cell, CellResult, FabricSpec, ResultCache};
+use gpu_denovo::lens::DEFAULT_TOPK;
 use gpu_denovo::trace::{
-    chrome_json, to_chrome_json, CounterTrack, JourneySpan, RingRecorder, TraceHandle,
+    chrome_json, to_chrome_json, CounterTrack, JourneySpan, RingRecorder, RunShape, TraceHandle,
+    TraceSink, DEFAULT_SAMPLE_INTERVAL,
 };
-use gpu_denovo::types::{Cycle, JsonValue, MsgClass};
+use gpu_denovo::types::{Cycle, JsonValue, MsgClass, RegionMap};
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, ObserveSpec, ProfileReport,
-    ProtocolConfig, Reports, Scale, SimError, SimStats, Simulator, StallKind, SystemConfig,
+    registry, CheckLevel, FlowCollector, FlowReport, LensCollector, LensReport, ProfileReport,
+    Profiler, ProtocolConfig, Scale, SimError, SimStats, Simulator, StallKind, SystemConfig,
 };
+use std::cell::RefCell;
 use std::process::ExitCode;
+use std::rc::Rc;
 
 /// Writes to stdout. A reader that closes the pipe early (`gpu-denovo
 /// ... | head`) ends the program quietly, with the status a shell
@@ -357,39 +362,28 @@ fn trace_one(
     Ok((stats, handle))
 }
 
-/// One observed run: build, run with the observers `observe` switches
-/// on, annotate every report that names lines with the benchmark's
-/// regions, and reconcile each report against the run's stats.
-fn observe_one(
+/// One observed run: build, run with the view's collector installed,
+/// take its report, annotate it with the benchmark's regions, and
+/// reconcile it against the run's stats.
+fn observe_one<V: View>(
     b: &registry::Benchmark,
     p: ProtocolConfig,
     s: Scale,
     fabric: FabricSpec,
-    observe: &ObserveSpec,
-) -> Result<(SimStats, Reports), String> {
-    let (stats, mut reports) = Simulator::new(fabric.system(p))
-        .run_observed(&(b.build)(s), observe)
+    params: V::Params,
+) -> Result<(SimStats, V), String> {
+    let system = fabric.system(p);
+    let collector = Rc::new(RefCell::new(V::collector(params, &system.run_shape())));
+    let trace = TraceHandle::disabled().with_consumers([collector.clone() as _]);
+    let stats = Simulator::new(system)
+        .run_traced(&(b.build)(s), trace)
         .map_err(|e| format!("{} under {p}: {e}", b.name))?;
+    let mut report = V::take(&mut collector.borrow_mut());
     let regions = b.regions.map(|r| r(s));
-    let drift =
-        |view: &str, e: String| format!("{} under {p}: {view} does not reconcile: {e}", b.name);
-    if let Some(r) = &mut reports.profile {
-        if let Some(m) = &regions {
-            r.annotate(m);
-        }
-        r.reconcile(stats.cycles, &stats.counts)
-            .map_err(|e| drift("profile", e))?;
-    }
-    if let Some(r) = &reports.flow {
-        r.reconcile(&stats.traffic).map_err(|e| drift("flow", e))?;
-    }
-    if let Some(r) = &mut reports.lens {
-        if let Some(m) = &regions {
-            r.annotate(m);
-        }
-        r.reconcile(&stats.counts).map_err(|e| drift("lens", e))?;
-    }
-    Ok((stats, reports))
+    report
+        .settle(&stats, regions.as_ref())
+        .map_err(|e| format!("{} under {p}: {} does not reconcile: {e}", b.name, V::NAME))?;
+    Ok((stats, report))
 }
 
 /// One observed view of a run: `profile`, `flow` or `lens`. The driver
@@ -403,12 +397,21 @@ trait View: Sized {
     const TOPN_OF: &'static str;
     /// The note under the cross-config table.
     const LEGEND: &'static str;
-    /// Switches the view on in `observe`, applying its own flags.
-    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String>;
-    /// The view's report among one run's reports.
-    fn take(reports: Reports) -> Self;
+    /// The view's own flags.
+    type Params: Copy;
+    /// The consumer that builds the report.
+    type Collector: TraceSink + 'static;
+    /// Reads the view's own flags.
+    fn parse(args: &[String]) -> Result<Self::Params, String>;
+    /// A collector for one run on a machine of `shape`.
+    fn collector(params: Self::Params, shape: &RunShape) -> Self::Collector;
+    /// The finished run's report.
+    fn take(collector: &mut Self::Collector) -> Self;
+    /// Names the report's lines with `regions`, if the benchmark has
+    /// any, and reconciles it against the run's `stats`.
+    fn settle(&mut self, stats: &SimStats, regions: Option<&RegionMap>) -> Result<(), String>;
     /// The run parameters the banner names.
-    fn params(observe: &ObserveSpec) -> String;
+    fn params(&self) -> String;
     /// The report's JSON tree (`--json`, `--out FILE.json`).
     fn json(&self) -> JsonValue;
     /// The `--out FILE.csv` payload.
@@ -447,11 +450,8 @@ fn positive_flag(args: &[String], flag: &str, what: &str) -> Result<Option<u64>,
 
 /// `--interval N`: the sampling period of the profile and flow time
 /// series.
-fn parse_interval(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
-    if let Some(n) = positive_flag(args, "--interval", "cycle count")? {
-        observe.interval = n;
-    }
-    Ok(())
+fn parse_interval(args: &[String]) -> Result<Cycle, String> {
+    Ok(positive_flag(args, "--interval", "cycle count")?.unwrap_or(DEFAULT_SAMPLE_INTERVAL))
 }
 
 /// A `profile`, `flow` or `lens` subcommand.
@@ -471,8 +471,7 @@ fn observe_view<V: View>(args: &[String]) -> ExitCode {
 fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
     let b = lookup_bench(name)?;
     let s = scale(args);
-    let mut observe = ObserveSpec::default();
-    V::parse(args, &mut observe)?;
+    let params = V::parse(args)?;
     let json = args.iter().any(|a| a == "--json");
     if json && args.iter().any(|a| a == "--out") {
         return Err(format!("{} --json cannot be combined with --out", V::NAME));
@@ -492,8 +491,8 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
     let fabric = parse_fabric(args)?;
     let mut rows = Vec::new();
     for p in configs {
-        let (stats, reports) = observe_one(&b, p, s, fabric, &observe)?;
-        rows.push((p, stats, V::take(reports)));
+        let (stats, report) = observe_one::<V>(&b, p, s, fabric, params)?;
+        rows.push((p, stats, report));
     }
     if json {
         let doc = JsonValue::Arr(
@@ -510,7 +509,7 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     if let Some(path) = flag_value(args, "--out").map_err(|e| format!("{e} (an output file)"))? {
-        let [(_, _, r)] = rows.as_slice() else {
+        let [(p, _, r)] = rows.as_slice() else {
             return Err(format!(
                 "{} --out needs a single run: add --config",
                 V::NAME
@@ -520,7 +519,8 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
             let tracks: Vec<CounterTrack> = (r.counters().into_iter())
                 .map(|(name, points)| CounterTrack { name, points })
                 .collect();
-            chrome_json(&[], 0, &tracks, &r.spans())
+            let shape = fabric.system(*p).run_shape();
+            chrome_json(&shape, &[], 0, &tracks, &r.spans())
         } else if path.ends_with(".json") {
             r.json().to_string()
         } else if path.ends_with(".csv") {
@@ -536,7 +536,7 @@ fn drive_view<V: View>(name: &str, args: &[String]) -> Result<(), String> {
     outln!(
         "{} of {name} at {s:?} scale ({})\n",
         V::NAME,
-        V::params(&observe)
+        rows[0].2.params()
     );
     if single {
         let (p, stats, r) = &rows[0];
@@ -562,19 +562,27 @@ impl View for ProfileReport {
         "(g-spin/l-spin: cycles CUs spent retrying global/local acquires,\n\
          summed over CUs; every CU cycle lands in exactly one bucket.)";
 
-    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
-        parse_interval(args, observe)?;
-        observe.prof = true;
-        Ok(())
+    type Params = Cycle;
+    type Collector = Profiler;
+    fn parse(args: &[String]) -> Result<Cycle, String> {
+        parse_interval(args)
     }
-    fn take(reports: Reports) -> Self {
-        reports.profile.expect("profiling on")
+    fn collector(interval: Cycle, shape: &RunShape) -> Profiler {
+        Profiler::new(shape, interval)
     }
-    fn params(observe: &ObserveSpec) -> String {
+    fn take(collector: &mut Profiler) -> Self {
+        collector.take_report()
+    }
+    fn settle(&mut self, stats: &SimStats, regions: Option<&RegionMap>) -> Result<(), String> {
+        if let Some(m) = regions {
+            self.annotate(m);
+        }
+        self.reconcile(stats.cycles, &stats.counts)
+    }
+    fn params(&self) -> String {
         format!(
             "interval {} cycles, sketch {} lines",
-            observe.interval,
-            gpu_denovo::prof::SKETCH_LINES
+            self.interval, self.sketch_capacity
         )
     }
     fn json(&self) -> JsonValue {
@@ -644,23 +652,27 @@ impl View for FlowReport {
          class-for-class; queue%: share of link time spent waiting for a\n\
          busy link rather than traversing it.)";
 
-    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
-        parse_interval(args, observe)?;
-        let mut spec = FlowSpec::default();
-        if let Some(n) = positive_flag(args, "--period", "request count")? {
-            spec.journey_period = n;
-        }
-        observe.flow = Some(spec);
-        Ok(())
+    /// The sampling interval and the journey period.
+    type Params = (Cycle, u64);
+    type Collector = FlowCollector;
+    fn parse(args: &[String]) -> Result<(Cycle, u64), String> {
+        let interval = parse_interval(args)?;
+        let period = positive_flag(args, "--period", "request count")?;
+        Ok((interval, period.unwrap_or(DEFAULT_JOURNEY_PERIOD)))
     }
-    fn take(reports: Reports) -> Self {
-        reports.flow.expect("flow on")
+    fn collector((interval, period): (Cycle, u64), shape: &RunShape) -> FlowCollector {
+        FlowCollector::new(shape, interval, period)
     }
-    fn params(observe: &ObserveSpec) -> String {
-        let period = observe.flow.map_or(0, |f| f.journey_period);
+    fn take(collector: &mut FlowCollector) -> Self {
+        collector.take_report()
+    }
+    fn settle(&mut self, stats: &SimStats, _: Option<&RegionMap>) -> Result<(), String> {
+        self.reconcile(&stats.traffic)
+    }
+    fn params(&self) -> String {
         format!(
-            "interval {} cycles, journey period {period}",
-            observe.interval
+            "interval {} cycles, journey period {}",
+            self.interval, self.journey_period
         )
     }
     fn json(&self) -> JsonValue {
@@ -744,20 +756,27 @@ impl View for LensReport {
          x-sync-hit: L1 load hits that crossed an acquire boundary,\n\
          i.e. reuse the protocol retained through synchronization.)";
 
-    fn parse(args: &[String], observe: &mut ObserveSpec) -> Result<(), String> {
-        let mut spec = LensSpec::default();
-        if let Some(n) = positive_flag(args, "--topk", "line count")? {
-            spec.topk = n as usize;
+    /// How many lines the per-line table keeps.
+    type Params = usize;
+    type Collector = LensCollector;
+    fn parse(args: &[String]) -> Result<usize, String> {
+        let topk = positive_flag(args, "--topk", "line count")?;
+        Ok(topk.map_or(DEFAULT_TOPK, |n| n as usize))
+    }
+    fn collector(topk: usize, shape: &RunShape) -> LensCollector {
+        LensCollector::new(shape, topk)
+    }
+    fn take(collector: &mut LensCollector) -> Self {
+        collector.take_report()
+    }
+    fn settle(&mut self, stats: &SimStats, regions: Option<&RegionMap>) -> Result<(), String> {
+        if let Some(m) = regions {
+            self.annotate(m);
         }
-        observe.lens = Some(spec);
-        Ok(())
+        self.reconcile(&stats.counts)
     }
-    fn take(reports: Reports) -> Self {
-        reports.lens.expect("lens on")
-    }
-    fn params(observe: &ObserveSpec) -> String {
-        let topk = observe.lens.map_or(0, |l| l.topk);
-        format!("tracking the {topk} hottest lines")
+    fn params(&self) -> String {
+        format!("tracking the {} hottest lines", self.topk)
     }
     fn json(&self) -> JsonValue {
         self.to_json_value()
@@ -1052,7 +1071,7 @@ fn main() -> ExitCode {
             match trace_one(name, config, scale(&args), fabric) {
                 Ok((stats, handle)) => {
                     let rec = handle.recorder().expect("ring-backed handle").borrow();
-                    let json = to_chrome_json(&rec);
+                    let json = to_chrome_json(&fabric.system(config).run_shape(), &rec);
                     if let Err(e) = std::fs::write(&out, &json) {
                         return fail(format!("writing {out}: {e}"));
                     }

@@ -71,13 +71,13 @@ pub use gsim_workloads as workloads;
 
 pub use gsim_check::CheckLevel;
 pub use gsim_core::{
-    KernelLaunch, MeshConfig, ObserveSpec, Reports, SimError, Simulator, SystemConfig, TbSpec,
-    Topology, Workload, XLinkConfig,
+    KernelLaunch, MeshConfig, SimError, Simulator, SystemConfig, TbSpec, Topology, Workload,
+    XLinkConfig,
 };
 pub use gsim_explore::{Budget, ExploreMode, ScheduleId, ShapeReport};
-pub use gsim_flow::{FlowReport, FlowSpec};
-pub use gsim_lens::{LensReport, LensSpec};
-pub use gsim_prof::{ProfileReport, StallKind};
+pub use gsim_flow::{FlowCollector, FlowReport};
+pub use gsim_lens::{LensCollector, LensReport};
+pub use gsim_prof::{ProfileReport, Profiler, StallKind};
 pub use gsim_types::{ProtocolConfig, SimStats};
 pub use gsim_workloads::{registry, Scale};
 

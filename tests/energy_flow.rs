@@ -10,9 +10,13 @@
 //! crossed a link, and none crosses unpriced.
 
 use gpu_denovo::energy::EnergyModel;
+use gpu_denovo::flow::DEFAULT_JOURNEY_PERIOD;
+use gpu_denovo::trace::{TraceHandle, DEFAULT_SAMPLE_INTERVAL};
 use gpu_denovo::types::MsgClass;
 use gpu_denovo::workloads::litmus;
-use gpu_denovo::{FlowSpec, ObserveSpec, ProtocolConfig, Simulator, SystemConfig};
+use gpu_denovo::{FlowCollector, ProtocolConfig, Simulator, SystemConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[test]
 fn energy_traffic_agrees_with_flow_link_sums_class_for_class() {
@@ -20,14 +24,18 @@ fn energy_traffic_agrees_with_flow_link_sums_class_for_class() {
     for shape in litmus::battery() {
         let w = (shape.build)();
         for p in ProtocolConfig::ALL {
-            let observe = ObserveSpec {
-                flow: Some(FlowSpec::default()),
-                ..ObserveSpec::default()
-            };
-            let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
-                .run_observed(&w, &observe)
+            let cfg = SystemConfig::micro15(p);
+            let flow = FlowCollector::new(
+                &cfg.run_shape(),
+                DEFAULT_SAMPLE_INTERVAL,
+                DEFAULT_JOURNEY_PERIOD,
+            );
+            let flow = Rc::new(RefCell::new(flow));
+            let handle = TraceHandle::disabled().with_consumers([flow.clone() as _]);
+            let stats = Simulator::new(cfg)
+                .run_traced(&w, handle)
                 .expect("run succeeds");
-            let report = reports.flow.expect("flow collection enabled");
+            let report = flow.borrow_mut().take_report();
 
             // Per-link sums == the aggregate breakdown, class by class.
             let sums = report.class_totals();

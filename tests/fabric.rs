@@ -7,14 +7,33 @@
 //! mesh hop away, across a rectangular mesh, or on another device
 //! entirely. These tests pin that down.
 
+use gpu_denovo::flow::DEFAULT_JOURNEY_PERIOD;
 use gpu_denovo::harness::{self, FabricSpec};
+use gpu_denovo::trace::{TraceHandle, DEFAULT_SAMPLE_INTERVAL};
 use gpu_denovo::types::NodeId;
 use gpu_denovo::workloads::registry;
 use gpu_denovo::workloads::{litmus, Scale};
 use gpu_denovo::{
-    CheckLevel, FlowSpec, MeshConfig, ObserveSpec, ProtocolConfig, Simulator, SystemConfig,
-    Topology,
+    CheckLevel, FlowCollector, MeshConfig, ProfileReport, Profiler, ProtocolConfig, SimStats,
+    Simulator, SystemConfig, Topology,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// Runs `bench` at Tiny scale on two devices under DD with a profiler
+/// installed.
+fn profiled_on_two_devices(bench: &str) -> (SimStats, ProfileReport) {
+    let b = registry::by_name(bench).unwrap();
+    let cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
+    let prof = Profiler::new(&cfg.run_shape(), DEFAULT_SAMPLE_INTERVAL);
+    let prof = Rc::new(RefCell::new(prof));
+    let handle = TraceHandle::disabled().with_consumers([prof.clone() as _]);
+    let stats = Simulator::new(cfg)
+        .run_traced(&(b.build)(Scale::Tiny), handle)
+        .unwrap_or_else(|e| panic!("{bench}: {e}"));
+    let report = prof.borrow_mut().take_report();
+    (stats, report)
+}
 
 /// Full-checking config on an arbitrary topology. The L2 keeps one bank
 /// per node so home striping covers the whole fabric (what
@@ -64,18 +83,8 @@ fn litmus_battery_is_clean_on_two_devices() {
 #[test]
 fn profile_reconciles_on_a_two_device_run() {
     for bench in ["XDEV_S", "XPC"] {
-        let b = registry::by_name(bench).unwrap();
-        let cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
-        let observe = ObserveSpec {
-            prof: true,
-            ..ObserveSpec::default()
-        };
-        let (stats, reports) = Simulator::new(cfg)
-            .run_observed(&(b.build)(Scale::Tiny), &observe)
-            .unwrap_or_else(|e| panic!("{bench}: {e}"));
-        reports
-            .profile
-            .expect("profiling enabled")
+        let (stats, profile) = profiled_on_two_devices(bench);
+        profile
             .reconcile(stats.cycles, &stats.counts)
             .unwrap_or_else(|e| panic!("{bench}: profile does not reconcile: {e}"));
     }
@@ -88,15 +97,7 @@ fn profile_reconciles_on_a_two_device_run() {
 /// consumer's row shows the atomics it spun on.
 #[test]
 fn profile_rows_carry_their_own_nodes_l1_on_two_devices() {
-    let b = registry::by_name("XPC").unwrap();
-    let observe = ObserveSpec {
-        prof: true,
-        ..ObserveSpec::default()
-    };
-    let (_, reports) = Simulator::new(SystemConfig::fabric(ProtocolConfig::Dd, 2, 40))
-        .run_observed(&(b.build)(Scale::Tiny), &observe)
-        .expect("XPC runs on two devices");
-    let rows = reports.profile.expect("profiling enabled").cus;
+    let rows = profiled_on_two_devices("XPC").1.cus;
     assert_eq!(rows.len(), 30);
     for (row, cu) in rows.iter().enumerate() {
         if cu.counts.instructions == 0 {
@@ -122,14 +123,17 @@ fn flow_reconciles_on_a_two_device_run() {
     for bench in ["XDEV_S", "XPC"] {
         let b = registry::by_name(bench).unwrap();
         let cfg = SystemConfig::fabric(ProtocolConfig::Dd, 2, 40);
-        let observe = ObserveSpec {
-            flow: Some(FlowSpec::default()),
-            ..ObserveSpec::default()
-        };
-        let (stats, reports) = Simulator::new(cfg)
-            .run_observed(&(b.build)(Scale::Tiny), &observe)
+        let flow = FlowCollector::new(
+            &cfg.run_shape(),
+            DEFAULT_SAMPLE_INTERVAL,
+            DEFAULT_JOURNEY_PERIOD,
+        );
+        let flow = Rc::new(RefCell::new(flow));
+        let handle = TraceHandle::disabled().with_consumers([flow.clone() as _]);
+        let stats = Simulator::new(cfg)
+            .run_traced(&(b.build)(Scale::Tiny), handle)
             .unwrap_or_else(|e| panic!("{bench}: {e}"));
-        let report = reports.flow.expect("flow enabled");
+        let report = flow.borrow_mut().take_report();
         report
             .reconcile(&stats.traffic)
             .unwrap_or_else(|e| panic!("{bench}: flow does not reconcile: {e}"));

@@ -13,30 +13,36 @@
 //! 3. **Determinism** — journeys are sampled by dense request id, so
 //!    two observed runs of the same cell produce identical reports.
 
-use gpu_denovo::flow::{JourneyKind, STAGE_LABELS};
+use gpu_denovo::flow::{JourneyKind, DEFAULT_JOURNEY_PERIOD, STAGE_LABELS};
+use gpu_denovo::trace::{TraceHandle, DEFAULT_SAMPLE_INTERVAL};
 use gpu_denovo::types::Cycle;
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, FlowReport, FlowSpec, ObserveSpec, ProtocolConfig, Scale, SimStats, Simulator,
-    SystemConfig, Workload,
+    registry, FlowCollector, FlowReport, ProtocolConfig, Scale, SimStats, Simulator, SystemConfig,
+    Workload,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn flowed_with(p: ProtocolConfig, w: &Workload, observe: &ObserveSpec) -> (SimStats, FlowReport) {
-    let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
-        .run_observed(w, observe)
+fn flowed_with(
+    p: ProtocolConfig,
+    w: &Workload,
+    interval: Cycle,
+    journey_period: u64,
+) -> (SimStats, FlowReport) {
+    let cfg = SystemConfig::micro15(p);
+    let flow = FlowCollector::new(&cfg.run_shape(), interval, journey_period);
+    let flow = Rc::new(RefCell::new(flow));
+    let handle = TraceHandle::disabled().with_consumers([flow.clone() as _]);
+    let stats = Simulator::new(cfg)
+        .run_traced(w, handle)
         .expect("run succeeds");
-    (stats, reports.flow.expect("flow collection enabled"))
+    let report = flow.borrow_mut().take_report();
+    (stats, report)
 }
 
 fn flowed(p: ProtocolConfig, w: &Workload) -> (SimStats, FlowReport) {
-    flowed_with(
-        p,
-        w,
-        &ObserveSpec {
-            flow: Some(FlowSpec::default()),
-            ..ObserveSpec::default()
-        },
-    )
+    flowed_with(p, w, DEFAULT_SAMPLE_INTERVAL, DEFAULT_JOURNEY_PERIOD)
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -113,14 +119,9 @@ fn reports_are_deterministic_across_runs() {
 fn journeys_decompose_latency_exactly() {
     let b = registry::by_name("SPM_G").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let observe = ObserveSpec {
-        flow: Some(FlowSpec {
-            journey_period: 1, // follow every request
-        }),
-        ..ObserveSpec::default()
-    };
     for p in ProtocolConfig::ALL {
-        let (_, report) = flowed_with(p, &w, &observe);
+        // Follow every request.
+        let (_, report) = flowed_with(p, &w, DEFAULT_SAMPLE_INTERVAL, 1);
         assert!(!report.journeys.is_empty(), "{p}: no journeys sampled");
         assert!(
             report
@@ -156,12 +157,7 @@ fn journeys_decompose_latency_exactly() {
 fn samples_land_on_interval_boundaries() {
     let b = registry::by_name("SPM_L").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let observe = ObserveSpec {
-        interval: 256,
-        flow: Some(FlowSpec::default()),
-        ..ObserveSpec::default()
-    };
-    let (stats, report) = flowed_with(ProtocolConfig::Dd, &w, &observe);
+    let (stats, report) = flowed_with(ProtocolConfig::Dd, &w, 256, DEFAULT_JOURNEY_PERIOD);
     assert!(!report.samples.is_empty());
     for s in &report.samples {
         assert_eq!(s.cycle % 256, 0, "samples land on interval boundaries");

@@ -16,25 +16,29 @@
 //!    tie-break and the event stream follows simulation order, so two
 //!    observed runs of the same cell produce identical reports.
 
+use gpu_denovo::lens::DEFAULT_TOPK;
+use gpu_denovo::trace::TraceHandle;
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, LensReport, LensSpec, ObserveSpec, ProtocolConfig, Scale, SimStats, Simulator,
-    SystemConfig, Workload,
+    registry, LensCollector, LensReport, ProtocolConfig, Scale, SimStats, Simulator, SystemConfig,
+    Workload,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn lensed_with(p: ProtocolConfig, w: &Workload, spec: LensSpec) -> (SimStats, LensReport) {
-    let observe = ObserveSpec {
-        lens: Some(spec),
-        ..ObserveSpec::default()
-    };
-    let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
-        .run_observed(w, &observe)
+fn lensed_with(p: ProtocolConfig, w: &Workload, topk: usize) -> (SimStats, LensReport) {
+    let cfg = SystemConfig::micro15(p);
+    let lens = Rc::new(RefCell::new(LensCollector::new(&cfg.run_shape(), topk)));
+    let handle = TraceHandle::disabled().with_consumers([lens.clone() as _]);
+    let stats = Simulator::new(cfg)
+        .run_traced(w, handle)
         .expect("run succeeds");
-    (stats, reports.lens.expect("lens collection enabled"))
+    let report = lens.borrow_mut().take_report();
+    (stats, report)
 }
 
 fn lensed(p: ProtocolConfig, w: &Workload) -> (SimStats, LensReport) {
-    lensed_with(p, w, LensSpec::default())
+    lensed_with(p, w, DEFAULT_TOPK)
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.
@@ -192,7 +196,7 @@ fn gpu_coherence_wastes_what_denovo_retains() {
 fn topk_caps_the_line_table_not_the_ledger() {
     let b = registry::by_name("UTS").unwrap();
     let w = (b.build)(Scale::Tiny);
-    let (stats, capped) = lensed_with(ProtocolConfig::Gd, &w, LensSpec { topk: 2 });
+    let (stats, capped) = lensed_with(ProtocolConfig::Gd, &w, 2);
     let (_, full) = lensed(ProtocolConfig::Gd, &w);
     assert!(capped.lines.len() <= 2);
     assert!(full.lines.len() >= capped.lines.len());

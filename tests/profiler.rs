@@ -14,26 +14,28 @@
 //!    on global acquires than the GPU baseline (GD), which is *why* it
 //!    wins there.
 
+use gpu_denovo::trace::{TraceHandle, DEFAULT_SAMPLE_INTERVAL};
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, ObserveSpec, ProfileReport, ProtocolConfig, Scale, SimStats, Simulator, StallKind,
+    registry, ProfileReport, Profiler, ProtocolConfig, Scale, SimStats, Simulator, StallKind,
     SystemConfig, Workload,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn profiled_with(p: ProtocolConfig, w: &Workload, interval: u64) -> (SimStats, ProfileReport) {
-    let observe = ObserveSpec {
-        interval,
-        prof: true,
-        ..ObserveSpec::default()
-    };
-    let (stats, reports) = Simulator::new(SystemConfig::micro15(p))
-        .run_observed(w, &observe)
+    let cfg = SystemConfig::micro15(p);
+    let prof = Rc::new(RefCell::new(Profiler::new(&cfg.run_shape(), interval)));
+    let handle = TraceHandle::disabled().with_consumers([prof.clone() as _]);
+    let stats = Simulator::new(cfg)
+        .run_traced(w, handle)
         .expect("run succeeds");
-    (stats, reports.profile.expect("profiling enabled"))
+    let report = prof.borrow_mut().take_report();
+    (stats, report)
 }
 
 fn profiled(p: ProtocolConfig, w: &Workload) -> (SimStats, ProfileReport) {
-    profiled_with(p, w, ObserveSpec::default().interval)
+    profiled_with(p, w, DEFAULT_SAMPLE_INTERVAL)
 }
 
 /// Tiny-scale benchmarks spanning all three Table 4 groups.

@@ -6,18 +6,24 @@
 
 mod stress;
 
+use gpu_denovo::lens::DEFAULT_TOPK;
 use gpu_denovo::trace::{to_chrome_json, Level, RingRecorder, TraceEvent, TraceHandle};
 use gpu_denovo::types::Counts;
-use gpu_denovo::{registry, ProtocolConfig, Scale, Simulator, SystemConfig, Workload};
+use gpu_denovo::{
+    registry, LensCollector, ProtocolConfig, Scale, Simulator, SystemConfig, Workload,
+};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 fn traced_run(name: &str, p: ProtocolConfig) -> (u64, String) {
     let b = registry::by_name(name).expect("known benchmark");
+    let cfg = SystemConfig::micro15(p);
     let handle = TraceHandle::new(RingRecorder::new(1 << 20));
-    let stats = Simulator::new(SystemConfig::micro15(p))
+    let stats = Simulator::new(cfg)
         .run_traced(&(b.build)(Scale::Tiny), handle.clone())
         .expect("verified run");
-    let json = to_chrome_json(&handle.recorder().unwrap().borrow());
+    let json = to_chrome_json(&cfg.run_shape(), &handle.recorder().unwrap().borrow());
     (stats.cycles, json)
 }
 
@@ -92,13 +98,20 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(plain.latency, traced.latency);
 }
 
-/// Runs `w` with a recorder that drops nothing and checks the recorded
-/// stream against the run's `Counts`: every send is delivered, each
-/// acquire carries its sweep, each atomic is issued once, and the L1
-/// evictions carry every ownership writeback. An event that goes
-/// missing or is recorded twice breaks one of these sums.
+/// Runs `w` with a recorder that drops nothing, and a lens beside it,
+/// and checks the recorded stream against the run's `Counts`: every
+/// send is delivered, each acquire carries its sweep, each atomic is
+/// issued once, and the L1 evictions carry every ownership writeback.
+/// The L2 state changes carry exactly the registrations granted at
+/// once, the words the lens counts apart from owner-to-owner transfers.
+/// An event that goes missing or is recorded twice breaks one of these
+/// sums.
 fn reconcile_stream(cfg: SystemConfig, w: &Workload, cell: &str) -> Counts {
-    let handle = TraceHandle::new(RingRecorder::new(1 << 22));
+    let lens = Rc::new(RefCell::new(LensCollector::new(
+        &cfg.run_shape(),
+        DEFAULT_TOPK,
+    )));
+    let handle = TraceHandle::new(RingRecorder::new(1 << 22)).with_consumers([lens.clone() as _]);
     let stats = Simulator::new(cfg)
         .run_traced(w, handle.clone())
         .unwrap_or_else(|e| panic!("{cell}: {e}"));
@@ -106,6 +119,7 @@ fn reconcile_stream(cfg: SystemConfig, w: &Workload, cell: &str) -> Counts {
     assert_eq!(rec.dropped(), 0, "{cell}: the recorder dropped events");
     let (mut sends, mut delivers, mut flashes, mut invalidated, mut atomics, mut wb) =
         (0, 0, 0, 0, 0, 0);
+    let mut l2_invalidated = 0;
     for (_, ev) in rec.events() {
         match *ev {
             TraceEvent::MsgSend { .. } => sends += 1,
@@ -124,6 +138,11 @@ fn reconcile_stream(cfg: SystemConfig, w: &Workload, cell: &str) -> Counts {
                 owned_words,
                 ..
             } => wb += u64::from(owned_words),
+            TraceEvent::StateChange {
+                level: Level::L2,
+                words,
+                ..
+            } => l2_invalidated += u64::from(words),
             _ => {}
         }
     }
@@ -134,6 +153,16 @@ fn reconcile_stream(cfg: SystemConfig, w: &Workload, cell: &str) -> Counts {
     assert_eq!(invalidated, c.words_invalidated, "{cell}: acquire words");
     assert_eq!(atomics, c.l1_atomics + c.l2_atomics, "{cell}: atomics");
     assert_eq!(wb, c.ownership_writebacks, "{cell}: L1 eviction words");
+    let lens = lens.borrow_mut().take_report();
+    assert_eq!(
+        l2_invalidated, lens.l2_reg_words,
+        "{cell}: L2 state changes"
+    );
+    assert_eq!(
+        lens.l2_reg_words,
+        c.registrations - lens.l2_transfer_words,
+        "{cell}: registrations granted at once"
+    );
     c
 }
 
